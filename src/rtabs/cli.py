@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import io
 import sys
-import threading
 from fractions import Fraction
 
 from .engine import DURATION_POLICIES, Engine
@@ -22,38 +21,6 @@ from .trace import (
     Trace, read_csv_text, read_structured_text, render_csv, render_structured,
 )
 from .values import format_rat
-
-# model functions recurse once per list element, so deep lists need a
-# deep host stack; simulations run on a dedicated big-stack thread and
-# the interpreter's own depth cap fires long before this limit
-_STACK_BYTES = 512 * 1024 * 1024
-_RECURSION_LIMIT = 2_000_000
-
-
-def _on_big_stack(fn):
-    box: dict = {}
-
-    def runner():
-        old = sys.getrecursionlimit()
-        sys.setrecursionlimit(_RECURSION_LIMIT)
-        try:
-            box["value"] = fn()
-        except BaseException as exc:  # re-raised on the calling thread
-            box["error"] = exc
-        finally:
-            sys.setrecursionlimit(old)
-
-    old_size = threading.stack_size(_STACK_BYTES)
-    try:
-        thread = threading.Thread(target=runner, name="rtabs-sim")
-        thread.start()
-        thread.join()
-    finally:
-        threading.stack_size(old_size)
-    if "error" in box:
-        raise box["error"]
-    return box["value"]
-
 
 def _fail(message: str, code: int) -> int:
     print(message, file=sys.stderr)
@@ -90,7 +57,7 @@ def cmd_run(args) -> int:
         return _fail(str(exc), 2)
 
     engine = Engine(model, seed=args.seed, duration_policy=args.duration_policy)
-    result = _on_big_stack(lambda: engine.run_until(until))
+    result = engine.run_until(until)
 
     rendered = (render_csv(result.trace) if args.format == "csv"
                 else render_structured(result.trace))

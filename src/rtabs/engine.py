@@ -16,11 +16,24 @@ nondeterministic semantics.
 Scheduling decisions call back into the modeled language: the object's
 policy expression is evaluated with `queue` bound to the reflected list
 of ready processes, and must return one of them.
+
+One function, `wait(p, obj, ctx)`, defines when a process head is
+enabled: it is the time until the head may fire (0: now; a positive
+delay: once that much time has passed; None: no time advance alone
+enables it).  It drives all three uses of enabledness: the ready set
+holds the queued processes whose wait is 0, the active process blocks
+while its wait is not 0, and mte is the least wait over each object's
+active process, or over its queue when it has none.
+
+`simulate`, `Engine.run_until` and `rtabs run` share one loop
+(`run_until`), which runs on a dedicated big-stack thread.
 """
 
 from __future__ import annotations
 
 import random
+import sys
+import threading
 from collections import ChainMap
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -143,69 +156,73 @@ def select(pid_value: Value, processes: list[ProcessRecord]) -> ProcessRecord | 
 
 # ------------------------------------------------------------ time machinery
 #
-# mte answers "how far may the clock advance without skipping an enabled
-# event"; adv performs the advance.  Both require await guards in head
-# position to be in their sampled runtime form already (the engine fixes
-# them before consulting either).
+# wait, mte and adv require await guards in head position to be in their
+# sampled runtime form already (the engine fixes them before consulting
+# any of them).
 
-_INF = None  # infinity marker for raw mte arithmetic
-
-
-def _min_d(a: Fraction | None, b: Fraction | None) -> Fraction | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
+_ZERO = Fraction(0)
 
 
-def _max_d(a: Fraction | None, b: Fraction | None) -> Fraction | None:
-    if a is None or b is None:
-        return _INF
-    return max(a, b)
-
-
-def _guard_mte(guard: RtGuard, env, ctx: EvalContext) -> Fraction | None:
-    if isinstance(guard, RConj):
-        return _max_d(_guard_mte(guard.left, env, ctx),
-                      _guard_mte(guard.right, env, ctx))
-    if isinstance(guard, RDur):
-        return Fraction(0) if guard.best <= 0 else guard.worst
-    return Fraction(0) if eval_guard(guard, env, ctx) else _INF
-
-
-def _process_mte(p: ProcessRecord, obj: ObjectState, ctx: EvalContext) -> Fraction | None:
+def wait(p: ProcessRecord, obj: ObjectState, ctx: EvalContext) -> Fraction | None:
+    """Time until p's head may fire: 0 now, a positive delay once that
+    much time has passed, None when no time advance alone enables it."""
     head = p.body[0]
-    env = ChainMap(p.locals, obj.attrs)
     if isinstance(head, SDuration2):
-        return Fraction(0) if head.best <= 0 else head.worst
+        return _ZERO if head.best <= 0 else head.worst
     if isinstance(head, SAwaitReady):
-        return _guard_mte(head.guard, env, ctx)
-    if isinstance(head, SAwait):
-        raise AssertionError("mte on an unsampled await guard")
+        return _guard_wait(head.guard, ChainMap(p.locals, obj.attrs), ctx)
     if isinstance(head, SAssign) and isinstance(head.rhs, RGet):
-        fut = eval_expr(head.rhs.expr, env, ctx)
-        if isinstance(fut, FutRef) and not ctx.is_resolved(fut.fid):
-            return _INF
-    return Fraction(0)  # head enabled
+        fut = eval_expr(head.rhs.expr, ChainMap(p.locals, obj.attrs), ctx)
+        if not isinstance(fut, FutRef):
+            raise EvalTypeError(
+                f"get applied to {render_value(fut)}, not a future",
+                head.rhs.pos)
+        return _ZERO if ctx.is_resolved(fut.fid) else None
+    if isinstance(head, SAwait):
+        raise AssertionError("wait on an unsampled await guard")
+    return _ZERO
 
 
-def _object_mte(obj: ObjectState, ctx: EvalContext) -> Fraction | None:
-    if obj.active is not None:
-        return _process_mte(obj.active, obj, ctx)
-    out: Fraction | None = _INF
-    for p in obj.queue:
-        out = _min_d(out, _process_mte(p, obj, ctx))
-    return out
+def _guard_wait(guard: RtGuard, env, ctx: EvalContext) -> Fraction | None:
+    if isinstance(guard, RConj):
+        left = _guard_wait(guard.left, env, ctx)
+        if left is None:
+            return None
+        right = _guard_wait(guard.right, env, ctx)
+        return None if right is None else max(left, right)
+    if isinstance(guard, RDur):
+        return _ZERO if guard.best <= 0 else guard.worst
+    return _ZERO if eval_guard(guard, env, ctx) else None
 
 
 def mte_raw(config: Configuration, program: Program) -> Fraction | None:
+    """The least wait over each object's active process, or over its
+    queue when it has none; None when nothing waits for time."""
     ctx = EvalContext(program, config.clock,
                       is_resolved=lambda fid: config.futures[fid].resolved)
-    out: Fraction | None = _INF
+    out: Fraction | None = None
     for obj in config.objects.values():
-        out = _min_d(out, _object_mte(obj, ctx))
+        for p in obj.queue if obj.active is None else (obj.active,):
+            try:
+                w = wait(p, obj, ctx)
+            except RtRuntimeError as err:
+                _locate(err, obj.oid, p)
+                raise
+            if w is not None and (out is None or w < out):
+                out = w
     return out
+
+
+def _locate(err: RtRuntimeError, oid: int, p: ProcessRecord | None) -> None:
+    """Name the object, process and head statement an error arose at,
+    unless an inner handler already did."""
+    if err.obj is None:
+        err.obj = oid
+    if p is not None:
+        if err.pid is None:
+            err.pid = p.pid
+        if err.stmt is None and p.body:
+            err.stmt = render_stmt(p.body[0]).strip()
 
 
 def mte(config: Configuration, program: Program) -> Value:
@@ -368,7 +385,11 @@ class Engine:
     def _fix_all_heads(self) -> None:
         for obj in self.config.objects.values():
             for p in obj.processes():
-                self._fix_head(p, obj)
+                try:
+                    self._fix_head(p, obj)
+                except RtRuntimeError as err:
+                    _locate(err, obj.oid, p)
+                    raise
 
     # -------------------------------------------------------- instantaneous
 
@@ -378,12 +399,7 @@ class Engine:
             try:
                 rule = self._visit_object(oid, obj)
             except RtRuntimeError as err:
-                if err.obj is None:
-                    err.obj = oid
-                if err.pid is None and obj.active is not None:
-                    err.pid = obj.active.pid
-                if err.stmt is None and obj.active is not None and obj.active.body:
-                    err.stmt = render_stmt(obj.active.body[0]).strip()
+                _locate(err, oid, obj.active)
                 raise
             if rule is not None:
                 return rule
@@ -451,6 +467,20 @@ class Engine:
         env = ChainMap(p.locals, obj.attrs)
         ctx = self._ctx()
         s = p.body[0]
+        if isinstance(s, SAwait):
+            self._fix_head(p, obj)
+            s = p.body[0]
+        enabled = wait(p, obj, ctx) == 0
+
+        if isinstance(s, SAwaitReady):
+            if enabled:
+                del p.body[0]
+                return "await-true"
+            self._suspend(obj, p, (("guard", render_guard(s.guard)),))
+            return "await-false"
+
+        if not enabled:
+            return None  # object waits for the clock or a future
 
         if isinstance(s, SSkip):
             del p.body[0]
@@ -478,17 +508,6 @@ class Engine:
             self._suspend(obj, p, ())
             return "suspend"
 
-        if isinstance(s, SAwait):
-            self._fix_head(p, obj)
-            s = p.body[0]
-
-        if isinstance(s, SAwaitReady):
-            if eval_guard(s.guard, env, ctx):
-                del p.body[0]
-                return "await-true"
-            self._suspend(obj, p, (("guard", render_guard(s.guard)),))
-            return "await-false"
-
         if isinstance(s, SDuration):
             best = self._bound_rat(eval_expr(s.best, env, ctx), s.pos)
             worst = self._bound_rat(eval_expr(s.worst, env, ctx), s.pos)
@@ -498,10 +517,8 @@ class Engine:
             return "duration"
 
         if isinstance(s, SDuration2):
-            if s.best <= 0:
-                del p.body[0]
-                return "duration-done"
-            return None  # object waits for the clock
+            del p.body[0]
+            return "duration-done"
 
         raise RtRuntimeError(f"statement was not lowered: {type(s).__name__}",
                              getattr(s, "pos", None))
@@ -525,15 +542,10 @@ class Engine:
             fut = self._async_call(obj, rhs, env, ctx)
             p.body[0] = SAssign(s.decl_type, s.name, RExpr(Lit(fut)), pos=s.pos)
             return "async-call"
-        if isinstance(rhs, RGet):
+        if isinstance(rhs, RGet):  # wait found the future resolved
             fut = eval_expr(rhs.expr, env, ctx)
-            if not isinstance(fut, FutRef):
-                raise EvalTypeError(
-                    f"get applied to {render_value(fut)}, not a future", rhs.pos)
-            cell = self.config.futures[fut.fid]
-            if not cell.resolved:
-                return None  # object blocks until the future resolves
-            p.body[0] = SAssign(s.decl_type, s.name, RExpr(Lit(cell.value)),
+            value = self.config.futures[fut.fid].value
+            p.body[0] = SAssign(s.decl_type, s.name, RExpr(Lit(value)),
                                 pos=s.pos)
             return "read-fut"
         raise RtRuntimeError(f"call was not lowered: {type(rhs).__name__}",
@@ -650,28 +662,19 @@ class Engine:
     # --- Schedule
 
     def ready_set(self, obj: ObjectState) -> list[ProcessRecord]:
-        """Queued processes whose head statement would not immediately
-        suspend or block, in queue order."""
+        """Queued processes whose head statement may fire now, in queue
+        order."""
         ctx = self._ctx()
         out = []
         for p in obj.queue:
-            self._fix_head(p, obj)
-            if self._is_ready(p, obj, ctx):
-                out.append(p)
+            try:
+                self._fix_head(p, obj)
+                if wait(p, obj, ctx) == 0:
+                    out.append(p)
+            except RtRuntimeError as err:
+                _locate(err, obj.oid, p)
+                raise
         return out
-
-    def _is_ready(self, p: ProcessRecord, obj: ObjectState,
-                  ctx: EvalContext) -> bool:
-        head = p.body[0]
-        env = ChainMap(p.locals, obj.attrs)
-        if isinstance(head, SAwaitReady):
-            return eval_guard(head.guard, env, ctx)
-        if isinstance(head, SDuration2):
-            return head.best <= 0
-        if isinstance(head, SAssign) and isinstance(head.rhs, RGet):
-            fut = eval_expr(head.rhs.expr, env, ctx)
-            return isinstance(fut, FutRef) and ctx.is_resolved(fut.fid)
-        return True
 
     def _try_schedule(self, obj: ObjectState) -> bool:
         ready = self.ready_set(obj)
@@ -717,41 +720,51 @@ class Engine:
                   max_steps: int | None = None) -> RunResult:
         """Alternate instantaneous steps and maximal time advances until
         the model terminates, the clock would pass the limit, the
-        configuration deadlocks, or a runtime error surfaces."""
+        configuration deadlocks, or a runtime error surfaces.  The loop
+        runs on a big-stack thread, whatever the caller's stack."""
         limit = Fraction(limit)
+        return _on_big_stack(lambda: self._run(limit, max_steps))
+
+    def _run(self, limit: Fraction, max_steps: int | None) -> RunResult:
         if not self.booted:
             self.boot()
         steps = 0
         while True:
             try:
-                rule = self.exec_step()
+                if self.exec_step() is None:
+                    status = self.advance(limit)
+                    if status is not None:
+                        return self._result(status, steps)
+                    continue
             except RtRuntimeError as err:
                 self._emit("error", obj=err.obj, pid=err.pid,
                            data=(("message", err.describe()),))
                 return self._result("error", steps, error=err)
-            if rule is not None:
-                steps += 1
-                if max_steps is not None and steps >= max_steps:
-                    return self._result("step_limit", steps)
-                continue
-            if self._terminated():
-                return self._result("finished", steps)
-            self._fix_all_heads()
-            delta = mte_raw(self.config, self.program)
-            if delta is None:
-                return self._result("deadlock", steps,
-                                    blocked=self._blocked_report())
-            assert delta > 0, "quiescent configuration with zero mte"
-            if self.config.clock + delta > limit:
-                return self._result("time_limit", steps)
-            adv(self.config, delta)
-            self._emit("tick", data=(("delta", format_rat(delta)),))
+            steps += 1
+            if max_steps is not None and steps >= max_steps:
+                return self._result("step_limit", steps)
+
+    def advance(self, limit: Fraction) -> str | None:
+        """At quiescence, stop with "finished", "deadlock" or "time_limit",
+        or advance the clock by mte, emit the tick and return None."""
+        if self._terminated():
+            return "finished"
+        self._fix_all_heads()
+        delta = mte_raw(self.config, self.program)
+        if delta is None:
+            return "deadlock"
+        assert delta > 0, "quiescent configuration with zero mte"
+        if self.config.clock + delta > limit:
+            return "time_limit"
+        adv(self.config, delta)
+        self._emit("tick", data=(("delta", format_rat(delta)),))
+        return None
 
     def _result(self, status: str, steps: int,
-                error: RtRuntimeError | None = None,
-                blocked: list[str] | None = None) -> RunResult:
+                error: RtRuntimeError | None = None) -> RunResult:
+        blocked = self._blocked_report() if status == "deadlock" else []
         return RunResult(status, self.trace, self.config.clock, steps,
-                         error=error, blocked=blocked or [])
+                         error=error, blocked=blocked)
 
     def _terminated(self) -> bool:
         if self.config.messages:
@@ -772,6 +785,38 @@ class Engine:
                 out.append(f"o{oid} ({obj.cls}): no ready process "
                            f"(queued: {pids})")
         return out
+
+
+# model functions recurse once per list element, so deep lists need a
+# deep host stack; simulations run on a dedicated big-stack thread and
+# the interpreter's own depth cap fires long before this limit
+_STACK_BYTES = 512 * 1024 * 1024
+_RECURSION_LIMIT = 2_000_000
+
+
+def _on_big_stack(fn):
+    box: dict = {}
+
+    def runner():
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(_RECURSION_LIMIT)
+        try:
+            box["value"] = fn()
+        except BaseException as exc:  # re-raised on the calling thread
+            box["error"] = exc
+        finally:
+            sys.setrecursionlimit(old)
+
+    old_size = threading.stack_size(_STACK_BYTES)
+    try:
+        thread = threading.Thread(target=runner, name="rtabs-sim")
+        thread.start()
+        thread.join()
+    finally:
+        threading.stack_size(old_size)
+    if "error" in box:
+        raise box["error"]
+    return box["value"]
 
 
 def _type_default(ty: TypeAst | None) -> Value:

@@ -25,7 +25,7 @@ from .nodes import (
 )
 from .values import (
     BoolVal, DataVal, FALSE, FutRef, NumVal, StrVal, TRUE, Value,
-    mk_duration, mk_time, render_value,
+    is_time, mk_duration, mk_time, render_value,
 )
 
 Env = Mapping[str, Value]
@@ -157,10 +157,6 @@ def _as_num(v: Value, op: str, pos) -> Fraction:
     raise EvalTypeError(f"{op} applied to {render_value(v)}", pos)
 
 
-def _is_time(v: Value) -> bool:
-    return isinstance(v, DataVal) and v.ctor == "Time" and len(v.args) == 1
-
-
 def _eval_binop(expr: BinOp, env: Env, ctx: EvalContext) -> Value:
     op = expr.op
     if op in ("&&", "||"):
@@ -186,7 +182,7 @@ def _eval_binop(expr: BinOp, env: Env, ctx: EvalContext) -> Value:
             a, b = left.value, right.value
         elif isinstance(left, StrVal) and isinstance(right, StrVal):
             a, b = left.value, right.value
-        elif _is_time(left) and _is_time(right):
+        elif is_time(left) and is_time(right):
             a, b = left.args[0].value, right.args[0].value
         else:
             raise EvalTypeError(
@@ -203,7 +199,7 @@ def _eval_binop(expr: BinOp, env: Env, ctx: EvalContext) -> Value:
             f"+ applied to {render_value(left)} and {render_value(right)}",
             expr.pos)
     if op == "-":
-        if _is_time(left) and _is_time(right):
+        if is_time(left) and is_time(right):
             # Time subtraction yields a Duration
             return mk_duration(left.args[0].value - right.args[0].value)
         return NumVal(_as_num(left, op, expr.pos) - _as_num(right, op, expr.pos))

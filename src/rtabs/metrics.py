@@ -98,16 +98,15 @@ def _collect(trace: Trace):
     activates: dict[int, TraceEvent] = {}
     first_schedule: dict[int, Fraction] = {}
     returns: dict[int, TraceEvent] = {}
-    invoked: list[int] = []
+    invoked: dict[int, None] = {}  # insertion-ordered set of pids
     for ev in trace:
         if ev.pid is None:
             continue
-        if ev.kind == "invoke" and ev.pid not in invoked:
-            invoked.append(ev.pid)
+        if ev.kind == "invoke":
+            invoked.setdefault(ev.pid)
         elif ev.kind == "activate":
             activates[ev.pid] = ev
-            if ev.pid not in invoked:
-                invoked.append(ev.pid)
+            invoked.setdefault(ev.pid)
         elif ev.kind == "schedule":
             first_schedule.setdefault(ev.pid, ev.time)
         elif ev.kind == "return":

@@ -112,14 +112,6 @@ def duration_rat(v: Value) -> Fraction:
     raise ValueError(f"not a finite duration: {render_value(v)}")
 
 
-def time_rat(v: Value) -> Fraction:
-    if isinstance(v, DataVal) and v.ctor == "Time" and len(v.args) == 1:
-        arg = v.args[0]
-        if isinstance(arg, NumVal):
-            return arg.value
-    raise ValueError(f"not a time: {render_value(v)}")
-
-
 def format_rat(r: Fraction) -> str:
     """p/q in lowest terms, bare integer when q == 1."""
     if r.denominator == 1:
@@ -183,11 +175,3 @@ def mk_list(items: list[Value]) -> Value:
     for item in reversed(items):
         out = DataVal("Cons", (item, out))
     return out
-
-
-def iter_list(v: Value):
-    while isinstance(v, DataVal) and v.ctor == "Cons" and len(v.args) == 2:
-        yield v.args[0]
-        v = v.args[1]
-    if not (isinstance(v, DataVal) and v.ctor == "Nil"):
-        raise ValueError(f"not a proper list tail: {render_value(v)}")

@@ -22,6 +22,35 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
+# (name, model source, message, clock) of models that stop with a runtime
+# error: bad duration bounds, get on a null future at a queued head, a
+# raising conjunct behind an unresolved future, and an error raised while
+# sampling a queued head during time advance
+RUNTIME_ERROR_CASES = [
+    ("malformed bounds", "{ duration(5, 2); }\n",
+     "malformed duration bounds", 0),
+    ("null get", """
+interface S { Unit m(); }
+class SImp implements S { Fut<Int> f; Unit m() { Int x = f.get; } }
+{ S s = new SImp(); s!m(); }
+""", "get applied to null, not a future", 0),
+    ("raising conjunct", """
+interface W { Int n(); }
+class WImp implements W { Int n() { duration(2, 2); return 1; } }
+{ W w = new WImp(); Int z = 0; Fut<Int> f = w!n(); await f? && (1 / z > 0); }
+""", "division by zero", 2),
+    ("sampling error", """
+interface S { Unit a(); Unit b(); }
+class SImp implements S {
+  Int z = 0;
+  Unit a() { duration(5, 5); }
+  Unit b() { await duration(1 / z, 1 / z); }
+}
+{ S o = new SImp(); o!a(); await duration(1, 1); o!b(); }
+""", "division by zero", 1),
+]
+
+
 def model_file(name: str) -> str:
     return str(MODELS_DIR / name)
 

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from rtabs import load_source
 from rtabs.desugar import desugar
-from rtabs.engine import MAIN_CLASS, Engine, adv, mte_raw
+from rtabs.engine import MAIN_CLASS, Engine
 from rtabs.evaluator import EvalContext, Program, eval_expr, eval_guard
 from rtabs.nodes import (
     GBool, GConj, GDuration, GFut, Lit, RBool, RCall, RConj, RDur, RExpr,
@@ -696,21 +696,9 @@ def engine_digests(model, limit: Fraction = LIMIT) -> list:
     eng.boot()
     out = [digest_config(eng.config)]
     limit = Fraction(limit)
-    while True:
-        rule = eng.exec_step()
-        if rule is not None:
-            out.append(digest_config(eng.config))
-            continue
-        if eng._terminated():
-            return out
-        eng._fix_all_heads()
-        delta = mte_raw(eng.config, eng.program)
-        if delta is None:
-            return out
-        if eng.config.clock + delta > limit:
-            return out
-        adv(eng.config, delta)
+    while eng.exec_step() is not None or eng.advance(limit) is None:
         out.append(digest_config(eng.config))
+    return out
 
 
 def check_inclusion(seed: int, limit: Fraction = LIMIT):

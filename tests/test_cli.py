@@ -4,16 +4,28 @@ trace files, and metrics aggregation."""
 import subprocess
 import sys
 
-from conftest import model_file
+from conftest import RUNTIME_ERROR_CASES, model_file
+from rtabs import load_model, simulate
+from rtabs.trace import render_csv
 
 CLI = [sys.executable, "-m", "rtabs.cli"]
 
 DEADLOCK_SRC = "{ Int x = 0; await x > 0; }\n"
-ERROR_SRC = "{ duration(5, 2); }\n"
 MISS_SRC = """
 interface S { Unit slow(); }
 class SImp implements S { Unit slow() { duration(7, 7); } }
 { S s = new SImp(); [Deadline: Duration(5)] s!slow(); }
+"""
+FANIN_SRC = """
+interface S { Unit req(Int c); }
+[Scheduler: sjf(queue)] class SImp implements S {
+  [Cost: Duration(c)] Unit req(Int c) { duration(c, c); }
+}
+{
+  S s = new SImp();
+  Int i = 0;
+  while (i < 320) { [Deadline: Duration(1000)] s!req(1); i = i + 1; }
+}
 """
 
 
@@ -91,12 +103,25 @@ def test_run_deadlock_exit_code(tmp_path):
 
 
 def test_run_runtime_error_exit_code(tmp_path):
-    path = write(tmp_path, "boom.rtabs", ERROR_SRC)
-    res = run_cli("run", path, "--until", "10")
-    assert res.returncode == 2
-    assert "malformed duration bounds" in res.stderr
-    # the partial trace still appears, ending with the error event
-    assert res.stdout.splitlines()[-1].split(",")[1] == "error"
+    for name, source, message, _ in RUNTIME_ERROR_CASES:
+        path = write(tmp_path, "boom.rtabs", source)
+        res = run_cli("run", path, "--until", "10")
+        assert res.returncode == 2, name
+        assert message in res.stderr, name
+        # the partial trace still appears, ending with the error event
+        assert res.stdout.splitlines()[-1].split(",")[1] == "error", name
+
+
+def test_library_and_cli_traces_agree_on_deep_queue(tmp_path):
+    # sjf recurses once per queued process; 320 of them overflow the
+    # default host stack, so this holds only if every entry point runs
+    # on the same big stack
+    path = write(tmp_path, "fanin.rtabs", FANIN_SRC)
+    result = simulate(load_model(path), 1)
+    assert result.status == "time_limit" and result.clock == 1
+    res = run_cli("run", path, "--until", "1")
+    assert res.returncode == 0
+    assert res.stdout == render_csv(result.trace)
 
 
 def test_trace_file_and_metrics(tmp_path):

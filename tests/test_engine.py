@@ -18,6 +18,7 @@ from rtabs.values import (
 )
 
 import mte_cases
+from conftest import RUNTIME_ERROR_CASES
 
 
 def load(source):
@@ -243,10 +244,14 @@ def test_zero_duration_needs_no_tick():
 
 
 def test_malformed_duration_bounds_error():
-    result = run("{ duration(5, 2); }")
-    assert result.status == "error"
-    assert "malformed duration bounds" in str(result.error)
-    assert result.trace.events[-1].kind == "error"
+    # the other runtime errors are reported the same way, naming the process
+    for name, source, message, clock in RUNTIME_ERROR_CASES:
+        result = run(source)
+        assert result.status == "error", name
+        assert message in str(result.error), name
+        assert result.clock == clock, name
+        assert result.trace.events[-1].kind == "error", name
+        assert result.trace.events[-1].pid == result.error.pid is not None, name
 
 
 # ------------------------------------------------------------- time limits
