@@ -45,10 +45,9 @@ from .errors import (
 )
 from .evaluator import EvalContext, Program, eval_expr, eval_guard
 from .nodes import (
-    Expr, GBool, GConj, GDuration, GFut, Guard, Lit, Model, RBool, RCall,
-    RConj, RDur, RExpr, RFut, RGet, RNew, RtGuard, SAssign, SAwait,
-    SAwaitReady, SDuration, SDuration2, SIf, SReturn, SSkip, SSuspend,
-    SWhile, Stmt, TypeAst,
+    Expr, GConj, GDuration, Guard, Lit, Model, RCall, RDur, RExpr, RGet,
+    RNew, SAssign, SAwait, SDuration, SDuration2, SIf, SReturn, SSkip,
+    SSuspend, SWhile, Stmt, TypeAst,
 )
 from .pretty import render_expr, render_guard, render_stmt
 from .trace import Trace, TraceEvent
@@ -156,8 +155,8 @@ def select(pid_value: Value, processes: list[ProcessRecord]) -> ProcessRecord | 
 
 # ------------------------------------------------------------ time machinery
 #
-# wait, mte and adv require await guards in head position to be in their
-# sampled runtime form already (the engine fixes them before consulting
+# wait, mte and adv require the duration leaves of await guards in head
+# position to be sampled already (the engine fixes them before consulting
 # any of them).
 
 _ZERO = Fraction(0)
@@ -169,7 +168,7 @@ def wait(p: ProcessRecord, obj: ObjectState, ctx: EvalContext) -> Fraction | Non
     head = p.body[0]
     if isinstance(head, SDuration2):
         return _ZERO if head.best <= 0 else head.worst
-    if isinstance(head, SAwaitReady):
+    if isinstance(head, SAwait):
         return _guard_wait(head.guard, ChainMap(p.locals, obj.attrs), ctx)
     if isinstance(head, SAssign) and isinstance(head.rhs, RGet):
         fut = eval_expr(head.rhs.expr, ChainMap(p.locals, obj.attrs), ctx)
@@ -178,13 +177,11 @@ def wait(p: ProcessRecord, obj: ObjectState, ctx: EvalContext) -> Fraction | Non
                 f"get applied to {render_value(fut)}, not a future",
                 head.rhs.pos)
         return _ZERO if ctx.is_resolved(fut.fid) else None
-    if isinstance(head, SAwait):
-        raise AssertionError("wait on an unsampled await guard")
     return _ZERO
 
 
-def _guard_wait(guard: RtGuard, env, ctx: EvalContext) -> Fraction | None:
-    if isinstance(guard, RConj):
+def _guard_wait(guard: Guard, env, ctx: EvalContext) -> Fraction | None:
+    if isinstance(guard, GConj):
         left = _guard_wait(guard.left, env, ctx)
         if left is None:
             return None
@@ -192,6 +189,8 @@ def _guard_wait(guard: RtGuard, env, ctx: EvalContext) -> Fraction | None:
         return None if right is None else max(left, right)
     if isinstance(guard, RDur):
         return _ZERO if guard.best <= 0 else guard.worst
+    if isinstance(guard, GDuration):
+        raise AssertionError("wait on an unsampled duration guard")
     return _ZERO if eval_guard(guard, env, ctx) else None
 
 
@@ -221,6 +220,7 @@ def _locate(err: RtRuntimeError, oid: int, p: ProcessRecord | None) -> None:
     if p is not None:
         if err.pid is None:
             err.pid = p.pid
+            err.method = p.method
         if err.stmt is None and p.body:
             err.stmt = render_stmt(p.body[0]).strip()
 
@@ -230,9 +230,10 @@ def mte(config: Configuration, program: Program) -> Value:
     return INF_DURATION if raw is None else mk_duration(raw)
 
 
-def _adv_guard(guard: RtGuard, delta: Fraction) -> RtGuard:
-    if isinstance(guard, RConj):
-        return RConj(_adv_guard(guard.left, delta), _adv_guard(guard.right, delta))
+def _adv_guard(guard: Guard, delta: Fraction) -> Guard:
+    if isinstance(guard, GConj):
+        return GConj(_adv_guard(guard.left, delta),
+                     _adv_guard(guard.right, delta), pos=guard.pos)
     if isinstance(guard, RDur):
         return RDur(guard.best - delta, guard.worst - delta)
     return guard
@@ -250,8 +251,8 @@ def adv(config: Configuration, delta: Fraction) -> None:
             head = p.body[0] if p.body else None
             if isinstance(head, SDuration2):
                 p.body[0] = SDuration2(head.best - delta, head.worst - delta)
-            elif isinstance(head, SAwaitReady):
-                p.body[0] = SAwaitReady(_adv_guard(head.guard, delta))
+            elif isinstance(head, SAwait):
+                p.body[0] = SAwait(_adv_guard(head.guard, delta), pos=head.pos)
 
 
 # ------------------------------------------------------------------- engine
@@ -346,21 +347,26 @@ class Engine:
 
     # ------------------------------------------------------- guard sampling
 
-    def _fix_guard(self, guard: Guard, env, ctx: EvalContext) -> RtGuard:
+    def _fix_guard(self, guard: Guard, p: ProcessRecord,
+                   obj: ObjectState) -> Guard:
+        """Sample each duration leaf of p's head guard.  Every other node
+        is kept, and a guard with nothing left to sample is returned as
+        the same object, so fixing is idempotent and draws nothing twice."""
         if isinstance(guard, GConj):
-            return RConj(self._fix_guard(guard.left, env, ctx),
-                         self._fix_guard(guard.right, env, ctx))
+            left = self._fix_guard(guard.left, p, obj)
+            right = self._fix_guard(guard.right, p, obj)
+            if left is guard.left and right is guard.right:
+                return guard
+            return GConj(left, right, pos=guard.pos)
         if isinstance(guard, GDuration):
+            env = ChainMap(p.locals, obj.attrs)
+            ctx = self._ctx()
             best = self._bound_rat(eval_expr(guard.best, env, ctx), guard.pos)
             worst = self._bound_rat(eval_expr(guard.worst, env, ctx), guard.pos)
             self._check_bounds(best, worst, guard.pos)
             delta = self._sample(best, worst)
             return RDur(delta, delta)
-        if isinstance(guard, GFut):
-            return RFut(guard.var)
-        if isinstance(guard, GBool):
-            return RBool(guard.expr)
-        raise AssertionError(f"unexpected guard {guard!r}")
+        return guard
 
     def _bound_rat(self, v: Value, pos) -> Fraction:
         if isinstance(v, NumVal):
@@ -377,10 +383,11 @@ class Engine:
                 f"{format_rat(worst)})", pos)
 
     def _fix_head(self, p: ProcessRecord, obj: ObjectState) -> None:
-        if p.body and isinstance(p.body[0], SAwait):
-            env = ChainMap(p.locals, obj.attrs)
-            p.body[0] = SAwaitReady(
-                self._fix_guard(p.body[0].guard, env, self._ctx()))
+        head = p.body[0] if p.body else None
+        if isinstance(head, SAwait):
+            guard = self._fix_guard(head.guard, p, obj)
+            if guard is not head.guard:
+                p.body[0] = SAwait(guard, pos=head.pos)
 
     def _fix_all_heads(self) -> None:
         for obj in self.config.objects.values():
@@ -466,13 +473,11 @@ class Engine:
         assert p is not None and p.body, "active process with empty body"
         env = ChainMap(p.locals, obj.attrs)
         ctx = self._ctx()
+        self._fix_head(p, obj)
         s = p.body[0]
-        if isinstance(s, SAwait):
-            self._fix_head(p, obj)
-            s = p.body[0]
         enabled = wait(p, obj, ctx) == 0
 
-        if isinstance(s, SAwaitReady):
+        if isinstance(s, SAwait):
             if enabled:
                 del p.body[0]
                 return "await-true"
@@ -738,6 +743,7 @@ class Engine:
                     continue
             except RtRuntimeError as err:
                 self._emit("error", obj=err.obj, pid=err.pid,
+                           method=err.method,
                            data=(("message", err.describe()),))
                 return self._result("error", steps, error=err)
             steps += 1

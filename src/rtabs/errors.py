@@ -37,6 +37,7 @@ class RtRuntimeError(RtabsError):
         # filled in by the engine when the error surfaces from a step
         self.obj: int | None = None
         self.pid: int | None = None
+        self.method: str | None = None
         self.stmt: str | None = None
 
     def describe(self) -> str:

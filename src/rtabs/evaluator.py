@@ -20,8 +20,8 @@ from .errors import (
 from .nodes import (
     Apply, BinOp, CaseExpr, ClassDecl, DeadlineExpr, DestinyExpr, Expr,
     FuncDecl, GBool, GConj, GDuration, GFut, Guard, IfExpr, Lit, Model,
-    NowExpr, PCtor, PLit, PName, Pattern, PWildcard, RBool, RConj, RDur,
-    RFut, RtGuard, ThisExpr, Unary, Var,
+    NowExpr, PCtor, PLit, PName, Pattern, PWildcard, RDur, ThisExpr, Unary,
+    Var,
 )
 from .values import (
     BoolVal, DataVal, FALSE, FutRef, NumVal, StrVal, TRUE, Value,
@@ -238,31 +238,30 @@ def match_pattern(pat: Pattern, value: Value,
     raise EvalTypeError(f"cannot match {pat!r}")
 
 
-def eval_guard(guard: Guard | RtGuard, env: Env, ctx: EvalContext) -> bool:
-    """Reduce a guard to a boolean.  Handles both source guards (duration
-    bounds still expressions) and runtime guards (bounds sampled)."""
-    if isinstance(guard, (GBool, RBool)):
+def eval_guard(guard: Guard, env: Env, ctx: EvalContext) -> bool:
+    """Reduce a guard to a boolean.  Duration leaves may be GDuration
+    (bounds still expressions) or RDur (bounds sampled)."""
+    if isinstance(guard, GBool):
         value = eval_expr(guard.expr, env, ctx)
         if not isinstance(value, BoolVal):
             raise EvalTypeError(
-                f"guard is {render_value(value)}, not a Bool",
-                getattr(guard, "pos", None))
+                f"guard is {render_value(value)}, not a Bool", guard.pos)
         return value.value
-    if isinstance(guard, (GFut, RFut)):
+    if isinstance(guard, GFut):
         if guard.var not in env:
             raise UnboundVariableError(f"unbound variable {guard.var}",
-                                       getattr(guard, "pos", None))
+                                       guard.pos)
         value = env[guard.var]
         if not isinstance(value, FutRef):
             raise EvalTypeError(
                 f"{guard.var}? applied to {render_value(value)}, not a future",
-                getattr(guard, "pos", None))
+                guard.pos)
         return ctx.is_resolved(value.fid)
     if isinstance(guard, GDuration):
         best = eval_expr(guard.best, env, ctx)
         return _as_num(best, "duration", guard.pos) <= 0
     if isinstance(guard, RDur):
         return guard.best <= 0
-    if isinstance(guard, (GConj, RConj)):
+    if isinstance(guard, GConj):
         return eval_guard(guard.left, env, ctx) and eval_guard(guard.right, env, ctx)
     raise EvalTypeError(f"cannot evaluate guard {guard!r}")

@@ -1,10 +1,10 @@
 """Abstract syntax.
 
 Source forms are produced by the parser; the runtime forms at the bottom
-(SDuration2, SAwaitReady and the R* guards) only ever appear in process
-bodies inside the simulator, never in parsed models.  Statement and
-expression nodes carry an optional source position for diagnostics; it
-is excluded from equality so desugared trees compare structurally.
+(SDuration2 and RDur) only ever appear in process bodies inside the
+simulator, never in parsed models.  Statement and expression nodes carry
+an optional source position for diagnostics; it is excluded from
+equality so desugared trees compare structurally.
 """
 
 from __future__ import annotations
@@ -421,35 +421,17 @@ class Model:
 
 # ---------------------------------------------------------- runtime forms
 #
-# Introduced by execution rules only.  Duration bounds and sampled waits
-# are plain Fractions here; deadlines live in process locals, not in the
-# statement, so time advance rewrites only these nodes.
-
-
-class RtGuard:
-    pass
-
-
-@dataclass
-class RBool(RtGuard):
-    expr: Expr
+# Introduced by execution rules only.  A sampled duration statement is an
+# SDuration2 and a sampled duration guard leaf an RDur, both with plain
+# Fraction bounds; the rest of a sampled await stays in source form.
+# Deadlines live in process locals, not in the statement, so time
+# advance rewrites only these nodes.
 
 
 @dataclass
-class RFut(RtGuard):
-    var: str
-
-
-@dataclass
-class RDur(RtGuard):
+class RDur(Guard):
     best: Fraction
     worst: Fraction
-
-
-@dataclass
-class RConj(RtGuard):
-    left: RtGuard
-    right: RtGuard
 
 
 @dataclass
@@ -458,10 +440,3 @@ class SDuration2(Stmt):
 
     best: Fraction
     worst: Fraction
-
-
-@dataclass
-class SAwaitReady(Stmt):
-    """await whose duration guards have been sampled."""
-
-    guard: RtGuard

@@ -11,10 +11,9 @@ from .nodes import (
     Apply, BinOp, CallAnnots, CaseExpr, ClassDecl, DataDecl, DeadlineExpr,
     DestinyExpr, Expr, FuncDecl, GBool, GConj, GDuration, GFut, Guard,
     IfExpr, InterfaceDecl, Lit, MethodDecl, Model, NowExpr, PCtor, PLit,
-    PName, Pattern, PWildcard, RBool, RCall, RConj, RDur, RExpr, RFut,
-    RGet, RNew, RSyncCall, Rhs, RtGuard, SAssign, SAwait, SAwaitCall,
-    SAwaitReady, SCallStmt, SDuration, SDuration2, SIf, SReturn, SSkip,
-    SSuspend, SWhile, Stmt, ThisExpr, TypeAst, Unary, Var,
+    PName, Pattern, PWildcard, RCall, RDur, RExpr, RGet, RNew, RSyncCall,
+    Rhs, SAssign, SAwait, SAwaitCall, SCallStmt, SDuration, SDuration2, SIf,
+    SReturn, SSkip, SSuspend, SWhile, Stmt, ThisExpr, TypeAst, Unary, Var,
 )
 from .values import format_rat, render_value
 
@@ -80,7 +79,7 @@ def render_pattern(pat: Pattern) -> str:
     raise TypeError(f"cannot render {pat!r}")
 
 
-def render_guard(guard: Guard | RtGuard) -> str:
+def render_guard(guard: Guard) -> str:
     if isinstance(guard, GBool):
         return render_expr(guard.expr)
     if isinstance(guard, GFut):
@@ -89,14 +88,8 @@ def render_guard(guard: Guard | RtGuard) -> str:
         return f"duration({render_expr(guard.best)}, {render_expr(guard.worst)})"
     if isinstance(guard, GConj):
         return render_guard(guard.left) + " && " + render_guard(guard.right)
-    if isinstance(guard, RBool):
-        return render_expr(guard.expr)
-    if isinstance(guard, RFut):
-        return guard.var + "?"
     if isinstance(guard, RDur):
         return f"duration[{format_rat(guard.best)}, {format_rat(guard.worst)}]"
-    if isinstance(guard, RConj):
-        return render_guard(guard.left) + " && " + render_guard(guard.right)
     raise TypeError(f"cannot render {guard!r}")
 
 
@@ -167,8 +160,6 @@ def render_stmt(stmt: Stmt, indent: int = 0) -> str:
         return f"{pad}duration({render_expr(stmt.best)}, {render_expr(stmt.worst)});"
     if isinstance(stmt, SDuration2):
         return f"{pad}duration[{format_rat(stmt.best)}, {format_rat(stmt.worst)}];"
-    if isinstance(stmt, SAwaitReady):
-        return f"{pad}await {render_guard(stmt.guard)};"
     raise TypeError(f"cannot render {stmt!r}")
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -61,18 +62,14 @@ def _escape(value: str) -> str:
     return (value.replace("\\", "\\\\").replace(";", "\\;").replace("=", "\\="))
 
 
+_ESCAPED = re.compile(r"\\(.)", re.S)
+# one key=value pair: the key up to the first unescaped '=', the value up
+# to the next unescaped ';' or the end of the text
+_ITEM = re.compile(r"((?:[^\\;=]|\\.)*)=((?:[^\\;]|\\.)*)(;|\Z)", re.S)
+
+
 def _unescape(value: str) -> str:
-    out: list[str] = []
-    i = 0
-    while i < len(value):
-        ch = value[i]
-        if ch == "\\" and i + 1 < len(value):
-            out.append(value[i + 1])
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    return _ESCAPED.sub(r"\1", value)
 
 
 def format_data(pairs: tuple[tuple[str, str], ...]) -> str:
@@ -83,40 +80,15 @@ def parse_data(text: str) -> tuple[tuple[str, str], ...]:
     if not text:
         return ()
     pairs: list[tuple[str, str]] = []
-    # split on unescaped ';'
-    items: list[str] = []
-    current: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\" and i + 1 < len(text):
-            current.append(ch)
-            current.append(text[i + 1])
-            i += 2
-            continue
-        if ch == ";":
-            items.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-        i += 1
-    items.append("".join(current))
-    for item in items:
-        # split on the first unescaped '='
-        j = 0
-        split_at = -1
-        while j < len(item):
-            if item[j] == "\\":
-                j += 2
-                continue
-            if item[j] == "=":
-                split_at = j
-                break
-            j += 1
-        if split_at < 0:
-            raise RtabsError(f"malformed data field: {item!r}")
-        pairs.append((item[:split_at], _unescape(item[split_at + 1:])))
-    return tuple(pairs)
+    pos = 0
+    while True:
+        m = _ITEM.match(text, pos)
+        if m is None:
+            raise RtabsError(f"malformed data field: {text[pos:]!r}")
+        pairs.append((m.group(1), _unescape(m.group(2))))
+        if not m.group(3):
+            return tuple(pairs)
+        pos = m.end()
 
 
 def _event_row(event: TraceEvent) -> list[str]:
@@ -200,13 +172,23 @@ def read_structured_text(text: str) -> Trace:
         if not line.strip():
             continue
         record = json.loads(line)
+        if not isinstance(record, dict):
+            raise RtabsError(f"trace record is not an object: {line!r}")
+        time, kind, data = record["time"], record["event"], record["data"]
+        if not isinstance(time, str):
+            raise RtabsError(f"time {time!r} is not a string")
+        if not (isinstance(kind, str) and kind in EVENT_KINDS):
+            raise RtabsError(f"unknown event kind {kind!r}")
+        if not (isinstance(data, dict)
+                and all(isinstance(v, str) for v in data.values())):
+            raise RtabsError(f"data is not an object of strings: {data!r}")
         trace.append(TraceEvent(
-            time=parse_rat(record["time"]),
-            kind=record["event"],
+            time=parse_rat(time),
+            kind=kind,
             obj=record["object"],
             pid=record["pid"],
             method=record["method"],
-            data=tuple((k, v) for k, v in record["data"].items()),
+            data=tuple(data.items()),
         ))
     return trace
 

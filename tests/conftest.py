@@ -22,23 +22,24 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
-# (name, model source, message, clock) of models that stop with a runtime
-# error: bad duration bounds, get on a null future at a queued head, a
-# raising conjunct behind an unresolved future, and an error raised while
-# sampling a queued head during time advance
+# (name, model source, message, clock, method) of models that stop with a
+# runtime error in the named method: bad duration bounds, get on a null
+# future at a queued head, a raising conjunct behind an unresolved future,
+# an error raised while sampling a queued head during time advance, and a
+# non-Bool guard, whose message carries the guard's source position
 RUNTIME_ERROR_CASES = [
     ("malformed bounds", "{ duration(5, 2); }\n",
-     "malformed duration bounds", 0),
+     "malformed duration bounds", 0, "main"),
     ("null get", """
 interface S { Unit m(); }
 class SImp implements S { Fut<Int> f; Unit m() { Int x = f.get; } }
 { S s = new SImp(); s!m(); }
-""", "get applied to null, not a future", 0),
+""", "get applied to null, not a future", 0, "m"),
     ("raising conjunct", """
 interface W { Int n(); }
 class WImp implements W { Int n() { duration(2, 2); return 1; } }
 { W w = new WImp(); Int z = 0; Fut<Int> f = w!n(); await f? && (1 / z > 0); }
-""", "division by zero", 2),
+""", "division by zero", 2, "main"),
     ("sampling error", """
 interface S { Unit a(); Unit b(); }
 class SImp implements S {
@@ -47,7 +48,12 @@ class SImp implements S {
   Unit b() { await duration(1 / z, 1 / z); }
 }
 { S o = new SImp(); o!a(); await duration(1, 1); o!b(); }
-""", "division by zero", 1),
+""", "division by zero", 1, "b"),
+    ("non-Bool guard", """
+interface I { Unit m(); }
+class C implements I { Int x = 0; Unit m() { await x; } }
+{ I o = new C(); o!m(); }
+""", "guard is 0, not a Bool at ", 0, "m"),
 ]
 
 

@@ -8,8 +8,8 @@ process may be scheduled, and the clock advances only at quiescence.
 A run of the engine is correct if every configuration it passes
 through is reachable by the reference executor.
 
-State digests canonicalize the two guard representations (source form
-vs sampled runtime form) so that bookkeeping differences in when a
+State digests canonicalize unsampled duration leaves (GDuration)
+against sampled ones (RDur) so that bookkeeping differences in when a
 head guard was sampled do not count as semantic divergence.  That is
 sound only because generated programs use literal, equal duration
 bounds, for which sampling is the identity.
@@ -32,9 +32,9 @@ from rtabs.desugar import desugar
 from rtabs.engine import MAIN_CLASS, Engine
 from rtabs.evaluator import EvalContext, Program, eval_expr, eval_guard
 from rtabs.nodes import (
-    GBool, GConj, GDuration, GFut, Lit, RBool, RCall, RConj, RDur, RExpr,
-    RFut, RGet, RNew, SAssign, SAwait, SAwaitReady, SDuration, SDuration2,
-    SIf, SReturn, SSkip, SSuspend, SWhile,
+    GBool, GConj, GDuration, GFut, Lit, RCall, RDur, RExpr, RGet, RNew,
+    SAssign, SAwait, SDuration, SDuration2, SIf, SReturn, SSkip, SSuspend,
+    SWhile,
 )
 from rtabs.pretty import render_expr
 from rtabs.values import (
@@ -179,7 +179,7 @@ def generate_model(seed: int):
 
 
 def digest_guard(g):
-    if isinstance(g, (GConj, RConj)):
+    if isinstance(g, GConj):
         return ("conj", digest_guard(g.left), digest_guard(g.right))
     if isinstance(g, RDur):
         return ("dur", g.best, g.worst)
@@ -188,9 +188,9 @@ def digest_guard(g):
         if b is not None and w is not None:
             return ("dur", b, w)
         return ("dur-expr", render_expr(g.best), render_expr(g.worst))
-    if isinstance(g, (GFut, RFut)):
+    if isinstance(g, GFut):
         return ("fut", g.var)
-    if isinstance(g, (GBool, RBool)):
+    if isinstance(g, GBool):
         return ("bool", render_expr(g.expr))
     raise AssertionError(f"guard {g!r}")
 
@@ -235,7 +235,7 @@ def digest_stmt(s):
         return ("return", render_expr(s.expr))
     if isinstance(s, SSuspend):
         return ("suspend",)
-    if isinstance(s, (SAwait, SAwaitReady)):
+    if isinstance(s, SAwait):
         return ("await", digest_guard(s.guard))
     if isinstance(s, SDuration):
         b, w = _lit_rat(s.best), _lit_rat(s.worst)
@@ -427,7 +427,7 @@ class ReferenceExecutor:
         head = p.body[0]
         env = ChainMap(p.locals, obj.attrs)
         ctx = self._ctx(st)
-        if isinstance(head, (SAwait, SAwaitReady)):
+        if isinstance(head, SAwait):
             return eval_guard(head.guard, env, ctx)
         if isinstance(head, SDuration2):
             return head.best <= 0
@@ -480,7 +480,7 @@ class ReferenceExecutor:
             obj.active = None
             obj.queue.append(p)
             return st
-        if isinstance(s, (SAwait, SAwaitReady)):
+        if isinstance(s, SAwait):
             if eval_guard(s.guard, env, ctx):
                 del p.body[0]
                 return st
@@ -577,26 +577,23 @@ class ReferenceExecutor:
             for p in obj.processes():
                 if p.body and isinstance(p.body[0], SAwait):
                     env = ChainMap(p.locals, obj.attrs)
-                    p.body[0] = SAwaitReady(
-                        self._fix_guard(st, p.body[0].guard, env))
+                    p.body[0] = SAwait(
+                        self._fix_guard(st, p.body[0].guard, env),
+                        pos=p.body[0].pos)
 
     def _fix_guard(self, st, g, env):
         if isinstance(g, GConj):
-            return RConj(self._fix_guard(st, g.left, env),
-                         self._fix_guard(st, g.right, env))
+            return GConj(self._fix_guard(st, g.left, env),
+                         self._fix_guard(st, g.right, env), pos=g.pos)
         if isinstance(g, GDuration):
             best = _as_rat(eval_expr(g.best, env, self._ctx(st)))
             worst = _as_rat(eval_expr(g.worst, env, self._ctx(st)))
             assert best == worst, "generated durations must be degenerate"
             return RDur(best, worst)
-        if isinstance(g, GFut):
-            return RFut(g.var)
-        if isinstance(g, GBool):
-            return RBool(g.expr)
         return g
 
     def _guard_mte(self, st, g, env):
-        if isinstance(g, (GConj, RConj)):
+        if isinstance(g, GConj):
             a = self._guard_mte(st, g.left, env)
             b = self._guard_mte(st, g.right, env)
             return None if (a is None or b is None) else max(a, b)
@@ -610,7 +607,7 @@ class ReferenceExecutor:
         env = ChainMap(p.locals, obj.attrs)
         if isinstance(head, SDuration2):
             return Fraction(0) if head.best <= 0 else head.worst
-        if isinstance(head, (SAwait, SAwaitReady)):
+        if isinstance(head, SAwait):
             return self._guard_mte(st, head.guard, env)
         if isinstance(head, SAssign) and isinstance(head.rhs, RGet):
             fut = eval_expr(head.rhs.expr, env, self._ctx(st))
@@ -649,8 +646,9 @@ class ReferenceExecutor:
                 if isinstance(head, SDuration2):
                     p.body[0] = SDuration2(head.best - delta,
                                            head.worst - delta)
-                elif isinstance(head, SAwaitReady):
-                    p.body[0] = SAwaitReady(_adv_guard(head.guard, delta))
+                elif isinstance(head, SAwait):
+                    p.body[0] = SAwait(_adv_guard(head.guard, delta),
+                                       pos=head.pos)
         return st
 
     # --- exploration
@@ -672,8 +670,9 @@ class ReferenceExecutor:
 
 
 def _adv_guard(g, delta):
-    if isinstance(g, RConj):
-        return RConj(_adv_guard(g.left, delta), _adv_guard(g.right, delta))
+    if isinstance(g, GConj):
+        return GConj(_adv_guard(g.left, delta), _adv_guard(g.right, delta),
+                     pos=g.pos)
     if isinstance(g, RDur):
         return RDur(g.best - delta, g.worst - delta)
     return g

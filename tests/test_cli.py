@@ -103,13 +103,15 @@ def test_run_deadlock_exit_code(tmp_path):
 
 
 def test_run_runtime_error_exit_code(tmp_path):
-    for name, source, message, _ in RUNTIME_ERROR_CASES:
+    for name, source, message, _, method in RUNTIME_ERROR_CASES:
         path = write(tmp_path, "boom.rtabs", source)
         res = run_cli("run", path, "--until", "10")
         assert res.returncode == 2, name
         assert message in res.stderr, name
         # the partial trace still appears, ending with the error event
-        assert res.stdout.splitlines()[-1].split(",")[1] == "error", name
+        # that names the failing method
+        row = res.stdout.splitlines()[-1].split(",")
+        assert row[1] == "error" and row[4] == method, name
 
 
 def test_library_and_cli_traces_agree_on_deep_queue(tmp_path):
@@ -156,6 +158,25 @@ def test_metrics_rejects_garbage(tmp_path):
     res = run_cli("metrics", str(path), "--series", "misses")
     assert res.returncode == 2
     assert "malformed trace" in res.stderr
+
+
+def test_metrics_rejects_malformed_structured_trace(tmp_path):
+    records = [
+        '{"time":"0","event":"bogus","object":null,"pid":null,'
+        '"method":null,"data":{}}',
+        '{"time":"0","event":"tick","object":null,"pid":null,'
+        '"method":null,"data":[]}',
+        '{"time":[],"event":"tick","object":null,"pid":null,'
+        '"method":null,"data":{}}',
+        '{"time":"0","event":"tick","object":null,"pid":null,'
+        '"method":null,"data":{}}\n[]',
+    ]
+    for record in records:
+        path = tmp_path / "bad.jsonl"
+        path.write_text(record + "\n", encoding="utf-8")
+        res = run_cli("metrics", str(path), "--series", "misses")
+        assert res.returncode == 2, record
+        assert "malformed trace" in res.stderr, record
 
 
 def test_structured_format_round_trip(tmp_path):

@@ -11,7 +11,7 @@ from rtabs import (
 )
 from rtabs.desugar import desugar
 from rtabs.engine import MAIN_CLASS
-from rtabs.nodes import Lit
+from rtabs.nodes import GConj, GFut, Lit, RDur, SAwait
 from rtabs.trace import render_csv
 from rtabs.values import (
     FALSE, DataVal, FutRef, StrVal, mk_duration, mk_list, mk_time, num,
@@ -236,6 +236,35 @@ def test_uniform_seeds_vary():
     assert len(clocks) >= 2
 
 
+def test_fix_head_samples_once():
+    # a sampled head keeps its parsed guard with only the duration leaf
+    # replaced; fixing it again neither rebuilds it nor draws again
+    eng = Engine(load("""
+    interface I { Unit m(); }
+    class C implements I { Fut<Int> f; Unit m() { await duration(1, 3) && f?; } }
+    { I o = new C(); o!m(); }
+    """), duration_policy="uniform")
+    eng.boot()
+    while eng.exec_step() != "activation":
+        pass
+    obj = eng.config.objects[1]
+    p = obj.queue[0]
+    parsed = p.body[0]
+    state = eng.rng.getstate()
+    eng._fix_head(p, obj)
+    fixed = p.body[0]
+    assert eng.rng.getstate() != state
+    assert isinstance(fixed, SAwait) and fixed.pos == parsed.pos
+    assert isinstance(fixed.guard, GConj) and fixed.guard.pos is not None
+    assert isinstance(fixed.guard.left, RDur)
+    assert isinstance(fixed.guard.right, GFut)
+    assert fixed.guard.right is parsed.guard.right
+    state = eng.rng.getstate()
+    eng._fix_head(p, obj)
+    assert p.body[0] is fixed
+    assert eng.rng.getstate() == state
+
+
 def test_zero_duration_needs_no_tick():
     result = run("{ duration(0, 0); }")
     assert result.status == "finished"
@@ -245,13 +274,14 @@ def test_zero_duration_needs_no_tick():
 
 def test_malformed_duration_bounds_error():
     # the other runtime errors are reported the same way, naming the process
-    for name, source, message, clock in RUNTIME_ERROR_CASES:
+    for name, source, message, clock, method in RUNTIME_ERROR_CASES:
         result = run(source)
         assert result.status == "error", name
-        assert message in str(result.error), name
+        assert message in result.error.describe(), name
         assert result.clock == clock, name
         assert result.trace.events[-1].kind == "error", name
         assert result.trace.events[-1].pid == result.error.pid is not None, name
+        assert result.trace.events[-1].method == method, name
 
 
 # ------------------------------------------------------------- time limits

@@ -43,6 +43,23 @@ def test_data_escaping_round_trip():
     assert parse_data(format_data(pairs)) == pairs
 
 
+def test_data_special_characters_round_trip():
+    values = ["\\", ";", "=", "\n", '"', "a\\;b\\=c", '\\\\;;==\n""', "x\\"]
+    pairs = tuple((f"k{i}", v) for i, v in enumerate(values))
+    assert parse_data(format_data(pairs)) == pairs
+    for pair in pairs:
+        assert parse_data(format_data((pair,))) == (pair,)
+
+
+def test_trailing_lone_backslash_rejected():
+    # format_data escapes every backslash, so a lone one at the end is
+    # never written
+    with pytest.raises(RtabsError, match="malformed data field"):
+        parse_data("value=abc\\")
+    with pytest.raises(RtabsError, match="malformed data field"):
+        parse_data("a=1;b=\\")
+
+
 def test_data_field_separators_survive_csv():
     # commas and quotes exercise the csv quoting layer on top of ours
     trace = Trace([ev(1, "return", obj=0, pid=1, method="m",
