@@ -11,11 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .nodes import (
-    Apply, BinOp, CaseExpr, ClassDecl, DeadlineExpr, DestinyExpr, Expr,
-    GBool, GConj, GDuration, GFut, Guard, IfExpr, Lit, Model, NowExpr,
-    PCtor, PLit, PName, Pattern, Pos, PWildcard, RCall, RExpr, RGet, RNew,
-    RSyncCall, SAssign, SAwait, SAwaitCall, SCallStmt, SDuration, SIf,
-    SReturn, SSkip, SSuspend, SWhile, Stmt, ThisExpr, TypeAst, Unary, Var,
+    Apply, BinOp, CaseExpr, ClassDecl, Expr, GBool, GConj, GDuration, GFut,
+    Guard, IfExpr, Lit, Model, NowExpr, PCtor, PLit, PName, Pattern, Pos,
+    PWildcard, RCall, RExpr, RGet, RNew, RSyncCall, SAssign, SAwait,
+    SAwaitCall, SCallStmt, SDuration, SIf, SReturn, SSkip, SSuspend, SWhile,
+    Stmt, TypeAst, Unary, Var,
 )
 
 # process-local variables maintained by the runtime; `value` is the one
@@ -50,7 +50,8 @@ class _Tables:
 
 @dataclass
 class _Ctx:
-    """What is in scope while checking one expression."""
+    """What is in scope while checking one expression.  `this` is a Var
+    gated by allow_this, never a scope entry."""
 
     scope: set[str]
     allow_this: bool = False
@@ -347,6 +348,10 @@ class _Checker:
             name = expr.name
             if name in ctx.scope:
                 return
+            if name == "this":
+                if not ctx.allow_this:
+                    self.err("this is not available here", expr.pos)
+                return
             if name in RESERVED and name != "queue":
                 if not ctx.allow_process_vars:
                     self.err(f"{name} is only available in method bodies", expr.pos)
@@ -363,18 +368,9 @@ class _Checker:
                 return
             self.err(f"unknown variable {name}", expr.pos)
             return
-        if isinstance(expr, ThisExpr):
-            if not ctx.allow_this:
-                self.err("this is not available here", expr.pos)
-            return
         if isinstance(expr, NowExpr):
             if not ctx.allow_now:
                 self.err("now is not available here", expr.pos)
-            return
-        if isinstance(expr, (DeadlineExpr, DestinyExpr)):
-            if not ctx.allow_process_vars:
-                name = "deadline" if isinstance(expr, DeadlineExpr) else "destiny"
-                self.err(f"{name} is only available in method bodies", expr.pos)
             return
         if isinstance(expr, Unary):
             self.check_expr(expr.operand, ctx)

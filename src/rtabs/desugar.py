@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .nodes import (
     Apply, CallAnnots, ClassDecl, Expr, GFut, Lit, MethodDecl, Model,
     RCall, RExpr, RGet, RNew, RSyncCall, SAssign, SAwait, SAwaitCall,
-    SCallStmt, SIf, SReturn, SWhile, Stmt, ThisExpr, TypeAst, Var,
+    SCallStmt, SIf, SReturn, SWhile, Stmt, TypeAst, Var,
 )
 from .values import FALSE, INF_DURATION, UNIT, mk_duration
 
@@ -107,7 +107,7 @@ def _build_init_body(cd: ClassDecl, user_init: MethodDecl | None,
             init_stmts = init_stmts[:-1]
         stmts.extend(init_stmts)
     if any(m.name == "run" for m in methods):
-        call = RCall(ThisExpr(), "run", [], annots=_full_annots(CallAnnots()))
+        call = RCall(Var("this"), "run", [], annots=_full_annots(CallAnnots()))
         stmts.append(SAssign(_fut_type(), fresh.name(), call))
     if not stmts:
         return None

@@ -297,39 +297,14 @@ class Engine:
         self.trace.append(TraceEvent(self.config.clock, kind, obj, pid,
                                      method, tuple(data)))
 
-    def _sample(self, best: Fraction, worst: Fraction) -> Fraction:
-        if self.duration_policy == "worst":
-            return worst
-        if self.duration_policy == "best":
-            return best
-        return best + (worst - best) * Fraction(self.rng.randint(0, 1000), 1000)
-
     # ----------------------------------------------------------------- boot
 
     def boot(self) -> None:
         """Install the synthetic main object and its main-block process."""
         assert not self.booted
         self.booted = True
-        oid = self._fresh_oid()
-        obj = ObjectState(oid, MAIN_CLASS, default_policy(),
-                          {"this": ObjRef(oid)})
-        self.config.objects[oid] = obj
-        self._emit("new_object", obj=oid, data=(("class", MAIN_CLASS),))
-        if self.model.main is None:
-            return
-        fid = self._fresh_fid()
-        p = ProcessRecord(
-            pid=fid, oid=oid, method="main",
-            locals=self._reserved_locals(fid, "main", INF_DURATION, FALSE,
-                                         mk_duration(0)),
-            body=list(self.model.main), dispatched=True)
-        p.locals["start"] = mk_time(self.config.clock)
-        obj.active = p
-        self._emit("activate", obj=oid, pid=fid, method="main",
-                   data=(("deadline", "inf"), ("cost", "0"),
-                         ("critical", "False")))
-        self._emit("schedule", obj=oid, pid=fid, method="main",
-                   data=(("deadline", "inf"),))
+        self._create_object(MAIN_CLASS, default_policy(), {}, "main",
+                            self.model.main)
 
     def _reserved_locals(self, fid: int, method: str, deadline: Value,
                          critical: Value, cost: Value) -> dict[str, Value]:
@@ -359,14 +334,27 @@ class Engine:
                 return guard
             return GConj(left, right, pos=guard.pos)
         if isinstance(guard, GDuration):
-            env = ChainMap(p.locals, obj.attrs)
-            ctx = self._ctx()
-            best = self._bound_rat(eval_expr(guard.best, env, ctx), guard.pos)
-            worst = self._bound_rat(eval_expr(guard.worst, env, ctx), guard.pos)
-            self._check_bounds(best, worst, guard.pos)
-            delta = self._sample(best, worst)
+            delta = self._draw(guard.best, guard.worst,
+                               ChainMap(p.locals, obj.attrs), self._ctx(),
+                               guard.pos)
             return RDur(delta, delta)
         return guard
+
+    def _draw(self, best: Expr, worst: Expr, env, ctx: EvalContext,
+              pos) -> Fraction:
+        """Evaluate and check duration bounds, then pick a duration by
+        the duration policy."""
+        lo = self._bound_rat(eval_expr(best, env, ctx), pos)
+        hi = self._bound_rat(eval_expr(worst, env, ctx), pos)
+        if lo < 0 or hi < lo:
+            raise RtRuntimeError(
+                f"malformed duration bounds ({format_rat(lo)}, "
+                f"{format_rat(hi)})", pos)
+        if self.duration_policy == "worst":
+            return hi
+        if self.duration_policy == "best":
+            return lo
+        return lo + (hi - lo) * Fraction(self.rng.randint(0, 1000), 1000)
 
     def _bound_rat(self, v: Value, pos) -> Fraction:
         if isinstance(v, NumVal):
@@ -375,12 +363,6 @@ class Engine:
             return duration_rat(v)
         raise EvalTypeError(
             f"duration bound is {render_value(v)}, not a finite number", pos)
-
-    def _check_bounds(self, best: Fraction, worst: Fraction, pos) -> None:
-        if best < 0 or worst < best:
-            raise RtRuntimeError(
-                f"malformed duration bounds ({format_rat(best)}, "
-                f"{format_rat(worst)})", pos)
 
     def _fix_head(self, p: ProcessRecord, obj: ObjectState) -> None:
         head = p.body[0] if p.body else None
@@ -514,10 +496,7 @@ class Engine:
             return "suspend"
 
         if isinstance(s, SDuration):
-            best = self._bound_rat(eval_expr(s.best, env, ctx), s.pos)
-            worst = self._bound_rat(eval_expr(s.worst, env, ctx), s.pos)
-            self._check_bounds(best, worst, s.pos)
-            delta = self._sample(best, worst)
+            delta = self._draw(s.best, s.worst, env, ctx, s.pos)
             p.body[0] = SDuration2(delta, delta)
             return "duration"
 
@@ -637,30 +616,36 @@ class Engine:
                 f"class {rhs.cls} expects {len(cd.params)} argument(s), "
                 f"got {len(rhs.args)}", rhs.pos)
         args = [eval_expr(a, env, ctx) for a in rhs.args]
-        oid = self._fresh_oid()
         attrs: dict[str, Value] = {}
         for (_, name), value in zip(cd.params, args):
             attrs[name] = value
         for fd in cd.fields:
             attrs[fd.name] = _type_default(fd.type)
-        attrs["this"] = ObjRef(oid)
         policy = rhs.scheduler if rhs.scheduler is not None else default_policy()
-        obj = ObjectState(oid, rhs.cls, policy, attrs)
+        return self._create_object(rhs.cls, policy, attrs, "init", cd.init_body)
+
+    def _create_object(self, cls: str, policy: Expr, attrs: dict[str, Value],
+                       method: str, body: list[Stmt] | None) -> ObjRef:
+        """Install a fresh object; a body becomes its creation process,
+        already dispatched under the given method name."""
+        oid = self._fresh_oid()
+        attrs["this"] = ObjRef(oid)
+        obj = ObjectState(oid, cls, policy, attrs)
         self.config.objects[oid] = obj
-        self._emit("new_object", obj=oid, data=(("class", rhs.cls),))
-        if cd.init_body is not None:
+        self._emit("new_object", obj=oid, data=(("class", cls),))
+        if body is not None:
             fid = self._fresh_fid()
             p = ProcessRecord(
-                pid=fid, oid=oid, method="init",
-                locals=self._reserved_locals(fid, "init", INF_DURATION, FALSE,
+                pid=fid, oid=oid, method=method,
+                locals=self._reserved_locals(fid, method, INF_DURATION, FALSE,
                                              mk_duration(0)),
-                body=list(cd.init_body), dispatched=True)
+                body=list(body), dispatched=True)
             p.locals["start"] = mk_time(self.config.clock)
             obj.active = p
-            self._emit("activate", obj=oid, pid=fid, method="init",
+            self._emit("activate", obj=oid, pid=fid, method=method,
                        data=(("deadline", "inf"), ("cost", "0"),
                              ("critical", "False")))
-            self._emit("schedule", obj=oid, pid=fid, method="init",
+            self._emit("schedule", obj=oid, pid=fid, method=method,
                        data=(("deadline", "inf"),))
         return ObjRef(oid)
 

@@ -18,10 +18,9 @@ from .errors import (
     UnboundVariableError,
 )
 from .nodes import (
-    Apply, BinOp, CaseExpr, ClassDecl, DeadlineExpr, DestinyExpr, Expr,
-    FuncDecl, GBool, GConj, GDuration, GFut, Guard, IfExpr, Lit, Model,
-    NowExpr, PCtor, PLit, PName, Pattern, PWildcard, RDur, ThisExpr, Unary,
-    Var,
+    Apply, BinOp, CaseExpr, ClassDecl, Expr, FuncDecl, GBool, GConj,
+    GDuration, GFut, Guard, IfExpr, Lit, Model, NowExpr, PCtor, PLit, PName,
+    Pattern, PWildcard, RDur, Unary, Var,
 )
 from .values import (
     BoolVal, DataVal, FALSE, FutRef, NumVal, StrVal, TRUE, Value,
@@ -79,20 +78,8 @@ def _eval(expr: Expr, env: Env, ctx: EvalContext) -> Value:
         if ctx.program.ctor_arity.get(name) == 0:
             return DataVal(name)
         raise UnboundVariableError(f"unbound variable {name}", expr.pos)
-    if isinstance(expr, ThisExpr):
-        if "this" in env:
-            return env["this"]
-        raise UnboundVariableError("this is not bound here", expr.pos)
     if isinstance(expr, NowExpr):
         return mk_time(ctx.clock)
-    if isinstance(expr, DeadlineExpr):
-        if "deadline" in env:
-            return env["deadline"]
-        raise UnboundVariableError("deadline is not bound here", expr.pos)
-    if isinstance(expr, DestinyExpr):
-        if "destiny" in env:
-            return env["destiny"]
-        raise UnboundVariableError("destiny is not bound here", expr.pos)
     if isinstance(expr, Unary):
         operand = _eval(expr.operand, env, ctx)
         if expr.op == "!":

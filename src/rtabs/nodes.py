@@ -60,27 +60,14 @@ class Lit(Expr):
 
 @dataclass
 class Var(Expr):
+    """A variable, including `this` and the bare `deadline`/`destiny`."""
+
     name: str
     pos: Pos | None = _pos_field()
 
 
 @dataclass
-class ThisExpr(Expr):
-    pos: Pos | None = _pos_field()
-
-
-@dataclass
 class NowExpr(Expr):
-    pos: Pos | None = _pos_field()
-
-
-@dataclass
-class DeadlineExpr(Expr):
-    pos: Pos | None = _pos_field()
-
-
-@dataclass
-class DestinyExpr(Expr):
     pos: Pos | None = _pos_field()
 
 
@@ -91,9 +78,18 @@ class Unary(Expr):
     pos: Pos | None = _pos_field()
 
 
+# binding strength of each binary operator; all associate to the left
+BINARY_PRECEDENCE = {
+    "||": 1, "&&": 2,
+    "==": 3, "!=": 3, "<": 3, "<=": 3, ">": 3, ">=": 3,
+    "+": 4, "-": 4,
+    "*": 5, "/": 5,
+}
+
+
 @dataclass
 class BinOp(Expr):
-    op: str  # || && == != < <= > >= + - * /
+    op: str  # a key of BINARY_PRECEDENCE
     left: Expr
     right: Expr
     pos: Pos | None = _pos_field()

@@ -1,7 +1,10 @@
 """Recursive-descent parser.
 
 Statements that begin with a type and statements that begin with an
-expression are disambiguated by backtracking.  Guards are parsed as
+expression are disambiguated by backtracking.  Binary operators are
+parsed by precedence climbing over `nodes.BINARY_PRECEDENCE`, the table
+the printer parenthesises by.  `this`, and `deadline` or `destiny` not
+followed by `(`, parse to `Var`.  Guards are parsed as
 expressions with two extra atoms (`x?`, `duration(b,w)`) and converted
 afterwards: `&&` above guard atoms becomes guard conjunction, and guard
 atoms anywhere else are rejected.
@@ -14,13 +17,13 @@ from dataclasses import dataclass
 from .errors import ParseError
 from .lexer import Token, tokenize
 from .nodes import (
-    Apply, BinOp, CallAnnots, CaseBranch, CaseExpr, ClassDecl, CtorDecl,
-    DataDecl, DeadlineExpr, DestinyExpr, Expr, FieldDecl, FuncDecl, GBool,
-    GConj, GDuration, GFut, Guard, IfExpr, InterfaceDecl, Lit, MethodDecl,
+    BINARY_PRECEDENCE, Apply, BinOp, CallAnnots, CaseBranch, CaseExpr,
+    ClassDecl, CtorDecl, DataDecl, Expr, FieldDecl, FuncDecl, GBool, GConj,
+    GDuration, GFut, Guard, IfExpr, InterfaceDecl, Lit, MethodDecl,
     MethodSig, Model, NowExpr, PCtor, PLit, PName, Pattern, Pos, PWildcard,
     RCall, RExpr, RGet, RNew, RSyncCall, Rhs, SAssign, SAwait, SAwaitCall,
     SCallStmt, SDuration, SIf, SReturn, SSkip, SSuspend, SWhile, Stmt,
-    ThisExpr, TypeAst, Unary, Var,
+    TypeAst, Unary, Var,
 )
 from .values import FALSE, NULL, TRUE, NumVal, StrVal
 
@@ -91,7 +94,7 @@ class Parser:
                 model.functions.append(self.parse_func())
             elif self.at("kw", "interface"):
                 model.interfaces.append(self.parse_interface())
-            elif self.at("kw", "class") or (self.at("op", "[") and self._annots_precede_class()):
+            elif self.at("kw", "class") or self.at("op", "["):
                 model.classes.append(self.parse_class())
             elif self.at("op", "{"):
                 if model.main is not None:
@@ -102,29 +105,6 @@ class Parser:
                     f"unexpected {self.peek().text!r} at top level", self.peek().pos,
                     {"data", "def", "interface", "class", "{"})
         return model
-
-    def _annots_precede_class(self) -> bool:
-        # lookahead across one or more [...] groups for the class keyword
-        depth = 0
-        j = self.idx
-        while j < len(self.toks):
-            tok = self.toks[j]
-            if tok.kind == "op" and tok.text == "[":
-                depth += 1
-            elif tok.kind == "op" and tok.text == "]":
-                depth -= 1
-                if depth == 0 and j + 1 < len(self.toks):
-                    after = self.toks[j + 1]
-                    if after.kind == "kw" and after.text == "class":
-                        return True
-                    if after.kind == "op" and after.text == "[":
-                        j += 1
-                        continue
-                    return False
-            elif tok.kind == "eof":
-                return False
-            j += 1
-        return False
 
     # ---------------------------------------------------- declarations
 
@@ -519,48 +499,18 @@ class Parser:
     # ----------------------------------------------------- expressions
 
     def parse_expr(self, guard_atoms: bool = False) -> Expr:
-        return self._parse_or(guard_atoms)
+        return self._parse_binary(1, guard_atoms)
 
-    def _parse_or(self, ga: bool) -> Expr:
-        left = self._parse_and(ga)
-        while self.at("op", "||"):
-            pos = self.next().pos
-            right = self._parse_and(ga)
-            left = BinOp("||", left, right, pos=pos)
-        return left
-
-    def _parse_and(self, ga: bool) -> Expr:
-        left = self._parse_cmp(ga)
-        while self.at("op", "&&"):
-            pos = self.next().pos
-            right = self._parse_cmp(ga)
-            left = BinOp("&&", left, right, pos=pos)
-        return left
-
-    def _parse_cmp(self, ga: bool) -> Expr:
-        left = self._parse_add(ga)
-        while self.peek().kind == "op" and self.peek().text in (
-                "==", "!=", "<", "<=", ">", ">="):
-            op = self.next()
-            right = self._parse_add(ga)
-            left = BinOp(op.text, left, right, pos=op.pos)
-        return left
-
-    def _parse_add(self, ga: bool) -> Expr:
-        left = self._parse_mul(ga)
-        while self.peek().kind == "op" and self.peek().text in ("+", "-"):
-            op = self.next()
-            right = self._parse_mul(ga)
-            left = BinOp(op.text, left, right, pos=op.pos)
-        return left
-
-    def _parse_mul(self, ga: bool) -> Expr:
+    def _parse_binary(self, min_prec: int, ga: bool) -> Expr:
         left = self._parse_unary(ga)
-        while self.peek().kind == "op" and self.peek().text in ("*", "/"):
-            op = self.next()
-            right = self._parse_unary(ga)
-            left = BinOp(op.text, left, right, pos=op.pos)
-        return left
+        while True:
+            tok = self.peek()
+            prec = BINARY_PRECEDENCE.get(tok.text, 0) if tok.kind == "op" else 0
+            if prec < min_prec:
+                return left
+            self.next()
+            right = self._parse_binary(prec + 1, ga)
+            left = BinOp(tok.text, left, right, pos=tok.pos)
 
     def _parse_unary(self, ga: bool) -> Expr:
         tok = self.peek()
@@ -571,8 +521,9 @@ class Parser:
         return self._parse_postfix(ga)
 
     def _parse_postfix(self, ga: bool) -> Expr:
+        named = self.at("name")  # keyword Vars (this, ...) take no `?`
         expr = self._parse_primary(ga)
-        if ga and isinstance(expr, Var) and self.at("op", "?"):
+        if ga and named and isinstance(expr, Var) and self.at("op", "?"):
             pos = self.next().pos
             return _FutAtom(expr.name, pos=pos)
         return expr
@@ -595,23 +546,18 @@ class Parser:
             if tok.text == "null":
                 self.next()
                 return Lit(NULL, pos=tok.pos)
-            if tok.text == "this":
-                self.next()
-                return ThisExpr(pos=tok.pos)
             if tok.text == "now":
                 self.next()
                 return NowExpr(pos=tok.pos)
-            if tok.text in ("deadline", "destiny"):
+            if tok.text in ("this", "deadline", "destiny"):
                 self.next()
-                if self.at("op", "("):
+                if tok.text != "this" and self.at("op", "("):
                     # observer call on a reflected process value
                     self.next()
                     args = self.parse_args()
                     self.expect("op", ")")
                     return Apply(tok.text, args, pos=tok.pos)
-                if tok.text == "deadline":
-                    return DeadlineExpr(pos=tok.pos)
-                return DestinyExpr(pos=tok.pos)
+                return Var(tok.text, pos=tok.pos)
             if tok.text == "case":
                 return self._parse_case()
             if tok.text == "if":

@@ -8,21 +8,14 @@ error and deadlock reports; they have no source syntax.
 from __future__ import annotations
 
 from .nodes import (
-    Apply, BinOp, CallAnnots, CaseExpr, ClassDecl, DataDecl, DeadlineExpr,
-    DestinyExpr, Expr, FuncDecl, GBool, GConj, GDuration, GFut, Guard,
-    IfExpr, InterfaceDecl, Lit, MethodDecl, Model, NowExpr, PCtor, PLit,
-    PName, Pattern, PWildcard, RCall, RDur, RExpr, RGet, RNew, RSyncCall,
-    Rhs, SAssign, SAwait, SAwaitCall, SCallStmt, SDuration, SDuration2, SIf,
-    SReturn, SSkip, SSuspend, SWhile, Stmt, ThisExpr, TypeAst, Unary, Var,
+    BINARY_PRECEDENCE, Apply, BinOp, CallAnnots, CaseExpr, ClassDecl,
+    DataDecl, Expr, FuncDecl, GBool, GConj, GDuration, GFut, Guard, IfExpr,
+    InterfaceDecl, Lit, MethodDecl, Model, NowExpr, PCtor, PLit, PName,
+    Pattern, PWildcard, RCall, RDur, RExpr, RGet, RNew, RSyncCall, Rhs,
+    SAssign, SAwait, SAwaitCall, SCallStmt, SDuration, SDuration2, SIf,
+    SReturn, SSkip, SSuspend, SWhile, Stmt, TypeAst, Unary, Var,
 )
 from .values import format_rat, render_value
-
-_PRECEDENCE = {
-    "||": 1, "&&": 2,
-    "==": 3, "!=": 3, "<": 3, "<=": 3, ">": 3, ">=": 3,
-    "+": 4, "-": 4,
-    "*": 5, "/": 5,
-}
 
 
 def render_type(ty: TypeAst) -> str:
@@ -34,18 +27,12 @@ def render_expr(expr: Expr, parent_prec: int = 0) -> str:
         return render_value(expr.value)
     if isinstance(expr, Var):
         return expr.name
-    if isinstance(expr, ThisExpr):
-        return "this"
     if isinstance(expr, NowExpr):
         return "now"
-    if isinstance(expr, DeadlineExpr):
-        return "deadline"
-    if isinstance(expr, DestinyExpr):
-        return "destiny"
     if isinstance(expr, Unary):
         return expr.op + render_expr(expr.operand, 6)
     if isinstance(expr, BinOp):
-        prec = _PRECEDENCE[expr.op]
+        prec = BINARY_PRECEDENCE[expr.op]
         text = (render_expr(expr.left, prec) + " " + expr.op + " "
                 + render_expr(expr.right, prec + 1))
         if prec < parent_prec:

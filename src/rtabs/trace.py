@@ -62,6 +62,7 @@ def _escape(value: str) -> str:
     return (value.replace("\\", "\\\\").replace(";", "\\;").replace("=", "\\="))
 
 
+_DIGITS = re.compile(r"[0-9]+")
 _ESCAPED = re.compile(r"\\(.)", re.S)
 # one key=value pair: the key up to the first unescaped '=', the value up
 # to the next unescaped ';' or the end of the text
@@ -102,6 +103,14 @@ def _event_row(event: TraceEvent) -> list[str]:
     ]
 
 
+def _id_column(text: str, prefix: str) -> int | None:
+    if not text:
+        return None
+    if text[0] != prefix or not _DIGITS.fullmatch(text, 1):
+        raise RtabsError(f"malformed id column {text!r}")
+    return int(text[1:])
+
+
 def _row_event(row: list[str]) -> TraceEvent:
     if len(row) != len(CSV_HEADER):
         raise RtabsError(f"expected {len(CSV_HEADER)} columns, got {len(row)}")
@@ -109,8 +118,8 @@ def _row_event(row: list[str]) -> TraceEvent:
     kind = row[1]
     if kind not in EVENT_KINDS:
         raise RtabsError(f"unknown event kind {kind!r}")
-    obj = int(row[2][1:]) if row[2] else None
-    pid = int(row[3][1:]) if row[3] else None
+    obj = _id_column(row[2], "o")
+    pid = _id_column(row[3], "f")
     method = row[4] or None
     data = parse_data(row[5])
     return TraceEvent(time, kind, obj, pid, method, data)
@@ -175,6 +184,7 @@ def read_structured_text(text: str) -> Trace:
         if not isinstance(record, dict):
             raise RtabsError(f"trace record is not an object: {line!r}")
         time, kind, data = record["time"], record["event"], record["data"]
+        obj, pid, method = record["object"], record["pid"], record["method"]
         if not isinstance(time, str):
             raise RtabsError(f"time {time!r} is not a string")
         if not (isinstance(kind, str) and kind in EVENT_KINDS):
@@ -182,12 +192,18 @@ def read_structured_text(text: str) -> Trace:
         if not (isinstance(data, dict)
                 and all(isinstance(v, str) for v in data.values())):
             raise RtabsError(f"data is not an object of strings: {data!r}")
+        for ident in (obj, pid):
+            # bool is an int subclass; ids are written as plain naturals
+            if not (ident is None or (type(ident) is int and ident >= 0)):
+                raise RtabsError(f"malformed id {ident!r}")
+        if not (method is None or isinstance(method, str)):
+            raise RtabsError(f"method {method!r} is not a string")
         trace.append(TraceEvent(
             time=parse_rat(time),
             kind=kind,
-            obj=record["object"],
-            pid=record["pid"],
-            method=record["method"],
+            obj=obj,
+            pid=pid,
+            method=method,
             data=tuple(data.items()),
         ))
     return trace

@@ -170,6 +170,12 @@ def test_metrics_rejects_malformed_structured_trace(tmp_path):
         '"method":null,"data":{}}',
         '{"time":"0","event":"tick","object":null,"pid":null,'
         '"method":null,"data":{}}\n[]',
+        '{"time":"0","event":"activate","object":"x","pid":true,'
+        '"method":7,"data":{"deadline":"inf"}}',
+        '{"time":"0","event":"activate","object":0,"pid":true,'
+        '"method":"m","data":{}}',
+        '{"time":"0","event":"activate","object":0,"pid":1,'
+        '"method":7,"data":{}}',
     ]
     for record in records:
         path = tmp_path / "bad.jsonl"
@@ -177,6 +183,16 @@ def test_metrics_rejects_malformed_structured_trace(tmp_path):
         res = run_cli("metrics", str(path), "--series", "misses")
         assert res.returncode == 2, record
         assert "malformed trace" in res.stderr, record
+
+
+def test_metrics_rejects_malformed_csv_ids(tmp_path):
+    for ids in ("x3,q4", "x3,f4", "o3,q4", "o,f4", "o-3,f4", "o3,f4a"):
+        path = tmp_path / "bad.csv"
+        path.write_text("time,event,object,pid,method,data\n"
+                        f"0,activate,{ids},m,deadline=inf\n", encoding="utf-8")
+        res = run_cli("metrics", str(path), "--series", "misses")
+        assert res.returncode == 2, ids
+        assert "malformed trace" in res.stderr, ids
 
 
 def test_structured_format_round_trip(tmp_path):

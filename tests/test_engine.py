@@ -306,6 +306,12 @@ def test_limit_mid_run():
     assert result.clock == 5
 
 
+def test_step_limit_stops_instantaneous_loop():
+    result = Engine(load("{ while (True) { skip; } }")).run_until(
+        10, max_steps=50)
+    assert (result.status, result.steps, result.clock) == ("step_limit", 50, 0)
+
+
 # -------------------------------------------------------------- deadlines
 
 

@@ -9,10 +9,10 @@ from rtabs import LexError, ParseError, load_source, parse_expr, parse_model
 from rtabs.desugar import desugar
 from rtabs.lexer import tokenize
 from rtabs.nodes import (
-    Apply, BinOp, GConj, GDuration, GFut, Lit, RCall, RGet, SAssign, SAwait,
-    SReturn, Var,
+    BINARY_PRECEDENCE, Apply, BinOp, GConj, GDuration, GFut, Lit, RCall,
+    RGet, SAssign, SAwait, SReturn, Var,
 )
-from rtabs.pretty import render_model
+from rtabs.pretty import render_expr, render_model
 from rtabs.values import UNIT, NumVal
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
@@ -103,6 +103,9 @@ def test_parse_errors_have_positions():
     with pytest.raises(ParseError) as err:
         parse_model("def Int f() = ;", "m.rtabs")
     assert str(err.value).startswith("m.rtabs:1:")
+    with pytest.raises(ParseError) as err:
+        parse_model("[Deadline: Duration(1)] { skip; }")
+    assert str(err.value) == "1:25: unexpected '{' (expected class)"
 
 
 def test_annotated_class_vs_annotated_main_statement():
@@ -124,6 +127,11 @@ def test_deadline_as_function_name_and_expression():
     class C { Unit m() { Duration d = deadline; skip; } }
     """)
     assert model.functions[0].name == "deadline"
+    assert model.classes[0].methods[0].body[0].rhs.expr == Var("deadline")
+    for name in ("this", "destiny"):
+        assert parse_expr(name) == Var(name)
+        with pytest.raises(ParseError):  # only declared names take `?`
+            parse_model(f"class C {{ Unit m() {{ await {name}?; }} }}")
 
 
 # -------------------------------------------------------------- round trip
@@ -148,12 +156,23 @@ def test_round_trip_prelude():
 
 
 def test_round_trip_tricky_expressions():
-    for src in ("a - (b - c)", "-(x + 1) * 2", "!(a || b) && c",
-                "if a then b else c + 1",
-                'case l { Nil => 0; Cons(h, _) => h; }'):
+    sources = ["a - (b - c)", "-(x + 1) * 2", "!(a || b) && c",
+               "if a then b else c + 1",
+               'case l { Nil => 0; Cons(h, _) => h; }']
+    for o1, p1 in BINARY_PRECEDENCE.items():
+        for o2, p2 in BINARY_PRECEDENCE.items():
+            src = f"a {o1} b {o2} c"
+            expr = parse_expr(src)
+            if p1 >= p2:  # groups to the left
+                assert expr == BinOp(o2, BinOp(o1, Var("a"), Var("b")),
+                                     Var("c")), src
+            else:
+                assert expr == BinOp(o1, Var("a"),
+                                     BinOp(o2, Var("b"), Var("c"))), src
+            sources.append(src)
+    for src in sources:
         expr = parse_expr(src)
-        from rtabs.pretty import render_expr
-        assert parse_expr(render_expr(expr)) == expr
+        assert parse_expr(render_expr(expr)) == expr, src
 
 
 # ----------------------------------------------------------------- checker
@@ -193,6 +212,35 @@ def test_unknown_names_reported():
 def test_interface_completeness():
     msgs = check("interface I { Unit m(); } class C implements I { }")
     assert any("does not define m" in m for m in msgs)
+
+
+KEYWORD_MISUSE_SRC = """\
+def Int f(Int x) = if this == null then x else 0;
+def Duration g(Int x) = deadline;
+def Int h(Int x) = destiny;
+interface I { Unit m(Int c); }
+[Scheduler: if deadline == InfDuration then default(queue) else default(queue)]
+class C implements I {
+  Int k = 0;
+  Fut<Int> z = destiny;
+  [Cost: Duration(c) + deadline]
+  Unit m(Int c) { Duration d = deadline; I me = this; await destiny == destiny; }
+}
+{ I o = new C(); Duration d = deadline; o!m(1); }
+"""
+
+
+def test_keyword_misuse_diagnostics():
+    _, diags = load_source(KEYWORD_MISUSE_SRC)
+    only = "is only available in method bodies"
+    assert [(str(d.pos), d.message) for d in diags] == [
+        ("1:23", "this is not available here"),
+        ("2:25", f"deadline {only}"),
+        ("3:20", f"destiny {only}"),
+        ("8:16", f"destiny {only}"),
+        ("5:16", f"deadline {only}"),
+        ("9:24", f"deadline {only}"),
+    ]
 
 
 def test_annotation_placement():
