@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .nodes import (
-    Apply, BinOp, CaseExpr, ClassDecl, Expr, GBool, GConj, GDuration, GFut,
+    Apply, BinOp, CaseExpr, ClassDecl, Expr, GBool, GDuration, GFut,
     Guard, IfExpr, Lit, Model, NowExpr, PCtor, PLit, PName, Pattern, Pos,
     PWildcard, RCall, RExpr, RGet, RNew, RSyncCall, SAssign, SAwait,
     SAwaitCall, SCallStmt, SDuration, SIf, SReturn, SSkip, SSuspend, SWhile,
@@ -233,21 +233,7 @@ class _Checker:
         if isinstance(stmt, SAssign):
             if stmt.rhs is not None:
                 self.check_rhs(stmt.rhs, ctx)
-            if stmt.decl_type is not None:
-                self.check_type(stmt.decl_type, set())
-                if stmt.name in RESERVED:
-                    self.err(f"{stmt.name} is a reserved name", stmt.pos)
-                ctx.scope.add(stmt.name)
-            else:
-                if stmt.name in RESERVED and stmt.name not in ASSIGNABLE_RESERVED:
-                    self.err(f"cannot assign to reserved variable {stmt.name}",
-                             stmt.pos)
-                elif stmt.name in ASSIGNABLE_RESERVED:
-                    if not ctx.allow_process_vars:
-                        self.err(f"{stmt.name} is only assignable in method bodies",
-                                 stmt.pos)
-                elif stmt.name not in ctx.scope:
-                    self.err(f"unknown variable {stmt.name}", stmt.pos)
+            self.check_target(stmt.decl_type, stmt.name, stmt.pos, ctx)
             return
         if isinstance(stmt, SIf):
             self.check_expr(stmt.cond, ctx)
@@ -264,20 +250,15 @@ class _Checker:
         if isinstance(stmt, SSuspend):
             return
         if isinstance(stmt, SAwait):
-            self.check_guard(stmt.guard, ctx)
+            for guard in stmt.guards:
+                self.check_guard(guard, ctx)
             return
         if isinstance(stmt, SAwaitCall):
             self.check_expr(stmt.callee, ctx)
             for arg in stmt.args:
                 self.check_expr(arg, ctx)
             self.check_call_annots(stmt.annots, ctx)
-            if stmt.decl_type is not None:
-                self.check_type(stmt.decl_type, set())
-                if stmt.name in RESERVED:
-                    self.err(f"{stmt.name} is a reserved name", stmt.pos)
-                ctx.scope.add(stmt.name)
-            elif stmt.name not in ctx.scope and stmt.name not in ASSIGNABLE_RESERVED:
-                self.err(f"unknown variable {stmt.name}", stmt.pos)
+            self.check_target(stmt.decl_type, stmt.name, stmt.pos, ctx)
             return
         if isinstance(stmt, SCallStmt):
             self.check_expr(stmt.callee, ctx)
@@ -290,6 +271,23 @@ class _Checker:
             self.check_expr(stmt.worst, ctx)
             return
         raise TypeError(f"cannot check {stmt!r}")
+
+    def check_target(self, decl_type: TypeAst | None, name: str,
+                     pos: Pos | None, ctx: _Ctx) -> None:
+        """The variable an assignment or an await-call writes: a fresh
+        local when declared, else a variable in scope or `value`."""
+        if decl_type is not None:
+            self.check_type(decl_type, set())
+            if name in RESERVED:
+                self.err(f"{name} is a reserved name", pos)
+            ctx.scope.add(name)
+        elif name in RESERVED and name not in ASSIGNABLE_RESERVED:
+            self.err(f"cannot assign to reserved variable {name}", pos)
+        elif name in ASSIGNABLE_RESERVED:
+            if not ctx.allow_process_vars:
+                self.err(f"{name} is only assignable in method bodies", pos)
+        elif name not in ctx.scope:
+            self.err(f"unknown variable {name}", pos)
 
     def check_rhs(self, rhs, ctx: _Ctx) -> None:
         if isinstance(rhs, RExpr):
@@ -335,9 +333,6 @@ class _Checker:
         elif isinstance(guard, GDuration):
             self.check_expr(guard.best, ctx)
             self.check_expr(guard.worst, ctx)
-        elif isinstance(guard, GConj):
-            self.check_guard(guard.left, ctx)
-            self.check_guard(guard.right, ctx)
         else:
             raise TypeError(f"cannot check {guard!r}")
 

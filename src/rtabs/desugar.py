@@ -42,45 +42,50 @@ def _fut_type() -> TypeAst:
 
 
 @dataclass
-class _Fresh:
+class _Lowering:
+    """State of one pass: the scheduler annotation of each class by name,
+    and the counter for fresh temporaries."""
+
+    schedulers: dict[str, Expr | None]
     counter: int = 0
 
-    def name(self) -> str:
+    def fresh(self) -> str:
         name = f"$t{self.counter}"
         self.counter += 1
         return name
 
 
 def desugar(model: Model) -> Model:
-    fresh = _Fresh()
-    classes = [_desugar_class(cd, fresh) for cd in model.classes]
+    """Lower a model into a new one; the input model is left unchanged."""
+    lw = _Lowering({cd.name: _class_scheduler(cd) for cd in model.classes})
+    classes = [_desugar_class(cd, lw) for cd in model.classes]
     main = None
     if model.main is not None:
-        main = _terminate(_desugar_stmts(model.main, fresh))
-    out = Model(model.datatypes, model.functions, model.interfaces,
-                classes, main, pos=model.pos)
-    _resolve_new_schedulers(out)
-    return out
+        main = _terminate(_desugar_stmts(model.main, lw))
+    return Model(model.datatypes, model.functions, model.interfaces,
+                 classes, main, pos=model.pos)
 
 
-def _desugar_class(cd: ClassDecl, fresh: _Fresh) -> ClassDecl:
-    scheduler = cd.scheduler
-    if scheduler is None:
-        for name, expr in cd.annots:
-            if name == "Scheduler":
-                scheduler = expr
-                break
-    methods = [_desugar_method(m, fresh) for m in cd.methods if m.name != "init"]
+def _class_scheduler(cd: ClassDecl) -> Expr | None:
+    if cd.scheduler is not None:
+        return cd.scheduler
+    return next((expr for name, expr in cd.annots if name == "Scheduler"),
+                None)
+
+
+def _desugar_class(cd: ClassDecl, lw: _Lowering) -> ClassDecl:
+    scheduler = _class_scheduler(cd)
+    methods = [_desugar_method(m, lw) for m in cd.methods if m.name != "init"]
     init_body = cd.init_body
     if init_body is None:
         user_init = next((m for m in cd.methods if m.name == "init"), None)
-        init_body = _build_init_body(cd, user_init, methods, fresh)
+        init_body = _build_init_body(cd, user_init, methods, lw)
     return ClassDecl(cd.name, cd.params, cd.interfaces, cd.fields, methods,
                      scheduler=scheduler, annots=cd.annots,
                      init_body=init_body, pos=cd.pos)
 
 
-def _desugar_method(mth: MethodDecl, fresh: _Fresh) -> MethodDecl:
+def _desugar_method(mth: MethodDecl, lw: _Lowering) -> MethodDecl:
     cost = mth.cost
     if cost is None:
         for name, expr in mth.annots:
@@ -89,26 +94,26 @@ def _desugar_method(mth: MethodDecl, fresh: _Fresh) -> MethodDecl:
                 break
     if cost is None:
         cost = Lit(mk_duration(0))
-    body = _terminate(_desugar_stmts(mth.body, fresh))
+    body = _terminate(_desugar_stmts(mth.body, lw))
     return MethodDecl(mth.ret, mth.name, mth.params, body, cost=cost,
                       annots=mth.annots, pos=mth.pos)
 
 
 def _build_init_body(cd: ClassDecl, user_init: MethodDecl | None,
-                     methods: list[MethodDecl], fresh: _Fresh) -> list[Stmt] | None:
+                     methods: list[MethodDecl], lw: _Lowering) -> list[Stmt] | None:
     stmts: list[Stmt] = []
     for fld in cd.fields:
         if fld.init is not None:
             stmts.append(SAssign(None, fld.name, RExpr(fld.init)))
     if user_init is not None:
-        init_stmts = _desugar_stmts(user_init.body, fresh)
+        init_stmts = _desugar_stmts(user_init.body, lw)
         # drop a trailing explicit return so the run self-call still fires
         if init_stmts and isinstance(init_stmts[-1], SReturn):
             init_stmts = init_stmts[:-1]
         stmts.extend(init_stmts)
     if any(m.name == "run" for m in methods):
         call = RCall(Var("this"), "run", [], annots=_full_annots(CallAnnots()))
-        stmts.append(SAssign(_fut_type(), fresh.name(), call))
+        stmts.append(SAssign(_fut_type(), lw.fresh(), call))
     if not stmts:
         return None
     stmts.append(SReturn(Lit(UNIT)))
@@ -127,18 +132,18 @@ def _full_annots(annots: CallAnnots) -> CallAnnots:
     return CallAnnots(deadline=deadline, critical=critical)
 
 
-def _desugar_stmts(stmts: list[Stmt], fresh: _Fresh) -> list[Stmt]:
+def _desugar_stmts(stmts: list[Stmt], lw: _Lowering) -> list[Stmt]:
     out: list[Stmt] = []
     for stmt in stmts:
-        out.extend(_desugar_stmt(stmt, fresh))
+        out.extend(_desugar_stmt(stmt, lw))
     return out
 
 
-def _desugar_stmt(stmt: Stmt, fresh: _Fresh) -> list[Stmt]:
+def _desugar_stmt(stmt: Stmt, lw: _Lowering) -> list[Stmt]:
     if isinstance(stmt, SAssign):
         rhs = stmt.rhs
         if isinstance(rhs, RSyncCall):
-            tmp = fresh.name()
+            tmp = lw.fresh()
             call = RCall(rhs.callee, rhs.method, rhs.args,
                          annots=_full_annots(rhs.annots), pos=rhs.pos)
             return [SAssign(_fut_type(), tmp, call, pos=stmt.pos),
@@ -147,49 +152,27 @@ def _desugar_stmt(stmt: Stmt, fresh: _Fresh) -> list[Stmt]:
             lowered = RCall(rhs.callee, rhs.method, rhs.args,
                             annots=_full_annots(rhs.annots), pos=rhs.pos)
             return [SAssign(stmt.decl_type, stmt.name, lowered, pos=stmt.pos)]
+        if isinstance(rhs, RNew) and rhs.scheduler is None:
+            scheduler = lw.schedulers.get(rhs.cls)
+            if scheduler is None:
+                scheduler = default_policy()
+            new = RNew(rhs.cls, rhs.args, scheduler=scheduler, pos=rhs.pos)
+            return [SAssign(stmt.decl_type, stmt.name, new, pos=stmt.pos)]
         return [stmt]
     if isinstance(stmt, SAwaitCall):
-        tmp = fresh.name()
+        tmp = lw.fresh()
         call = RCall(stmt.callee, stmt.method, stmt.args,
                      annots=_full_annots(stmt.annots), pos=stmt.pos)
         return [SAssign(_fut_type(), tmp, call, pos=stmt.pos),
-                SAwait(GFut(tmp), pos=stmt.pos),
+                SAwait((GFut(tmp),), pos=stmt.pos),
                 SAssign(stmt.decl_type, stmt.name, RGet(Var(tmp)), pos=stmt.pos)]
     if isinstance(stmt, SCallStmt):
         call = RCall(stmt.callee, stmt.method, stmt.args,
                      annots=_full_annots(stmt.annots), pos=stmt.pos)
-        return [SAssign(_fut_type(), fresh.name(), call, pos=stmt.pos)]
+        return [SAssign(_fut_type(), lw.fresh(), call, pos=stmt.pos)]
     if isinstance(stmt, SIf):
-        return [SIf(stmt.cond, _desugar_stmts(stmt.then, fresh),
-                    _desugar_stmts(stmt.els, fresh), pos=stmt.pos)]
+        return [SIf(stmt.cond, _desugar_stmts(stmt.then, lw),
+                    _desugar_stmts(stmt.els, lw), pos=stmt.pos)]
     if isinstance(stmt, SWhile):
-        return [SWhile(stmt.cond, _desugar_stmts(stmt.body, fresh), pos=stmt.pos)]
+        return [SWhile(stmt.cond, _desugar_stmts(stmt.body, lw), pos=stmt.pos)]
     return [stmt]
-
-
-def _resolve_new_schedulers(model: Model) -> None:
-    classes = {cd.name: cd for cd in model.classes}
-
-    def walk(stmts: list[Stmt]) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, SAssign) and isinstance(stmt.rhs, RNew):
-                rhs = stmt.rhs
-                if rhs.scheduler is None:
-                    cd = classes.get(rhs.cls)
-                    if cd is not None and cd.scheduler is not None:
-                        rhs.scheduler = cd.scheduler
-                    else:
-                        rhs.scheduler = default_policy()
-            elif isinstance(stmt, SIf):
-                walk(stmt.then)
-                walk(stmt.els)
-            elif isinstance(stmt, SWhile):
-                walk(stmt.body)
-
-    for cd in model.classes:
-        for mth in cd.methods:
-            walk(mth.body)
-        if cd.init_body is not None:
-            walk(cd.init_body)
-    if model.main is not None:
-        walk(model.main)

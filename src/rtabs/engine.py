@@ -20,10 +20,13 @@ of ready processes, and must return one of them.
 One function, `wait(p, obj, ctx)`, defines when a process head is
 enabled: it is the time until the head may fire (0: now; a positive
 delay: once that much time has passed; None: no time advance alone
-enables it).  It drives all three uses of enabledness: the ready set
-holds the queued processes whose wait is 0, the active process blocks
-while its wait is not 0, and mte is the least wait over each object's
-active process, or over its queue when it has none.
+enables it).  For an await head it folds over the guard's conjuncts
+left to right: it stops at the first boolean or future conjunct that
+does not hold, else it is the longest remaining sampled duration.  It
+drives all three uses of enabledness: the ready set holds the queued
+processes whose wait is 0, the active process blocks while its wait is
+not 0, and mte is the least wait over each object's active process, or
+over its queue when it has none.
 
 `simulate`, `Engine.run_until` and `rtabs run` share one loop
 (`run_until`), which runs on a dedicated big-stack thread.
@@ -45,9 +48,9 @@ from .errors import (
 )
 from .evaluator import EvalContext, Program, eval_expr, eval_guard
 from .nodes import (
-    Expr, GConj, GDuration, Guard, Lit, Model, RCall, RDur, RExpr, RGet,
-    RNew, SAssign, SAwait, SDuration, SDuration2, SIf, SReturn, SSkip,
-    SSuspend, SWhile, Stmt, TypeAst,
+    Expr, GDuration, Lit, Model, RCall, RDur, RExpr, RGet, RNew, SAssign,
+    SAwait, SDuration, SDuration2, SIf, SReturn, SSkip, SSuspend, SWhile,
+    Stmt, TypeAst,
 )
 from .pretty import render_expr, render_guard, render_stmt
 from .trace import Trace, TraceEvent
@@ -155,9 +158,9 @@ def select(pid_value: Value, processes: list[ProcessRecord]) -> ProcessRecord | 
 
 # ------------------------------------------------------------ time machinery
 #
-# wait, mte and adv require the duration leaves of await guards in head
-# position to be sampled already (the engine fixes them before consulting
-# any of them).
+# wait, mte and adv require the duration conjuncts of await guards in
+# head position to be sampled already (the engine fixes them before
+# consulting any of them).
 
 _ZERO = Fraction(0)
 
@@ -169,7 +172,17 @@ def wait(p: ProcessRecord, obj: ObjectState, ctx: EvalContext) -> Fraction | Non
     if isinstance(head, SDuration2):
         return _ZERO if head.best <= 0 else head.worst
     if isinstance(head, SAwait):
-        return _guard_wait(head.guard, ChainMap(p.locals, obj.attrs), ctx)
+        env = ChainMap(p.locals, obj.attrs)
+        longest = None  # the longest duration conjunct still running
+        for guard in head.guards:
+            if isinstance(guard, RDur):
+                if guard.best > 0 and (longest is None or guard.worst > longest):
+                    longest = guard.worst
+            elif isinstance(guard, GDuration):
+                raise AssertionError("wait on an unsampled duration guard")
+            elif not eval_guard(guard, env, ctx):
+                return None
+        return _ZERO if longest is None else longest
     if isinstance(head, SAssign) and isinstance(head.rhs, RGet):
         fut = eval_expr(head.rhs.expr, ChainMap(p.locals, obj.attrs), ctx)
         if not isinstance(fut, FutRef):
@@ -178,20 +191,6 @@ def wait(p: ProcessRecord, obj: ObjectState, ctx: EvalContext) -> Fraction | Non
                 head.rhs.pos)
         return _ZERO if ctx.is_resolved(fut.fid) else None
     return _ZERO
-
-
-def _guard_wait(guard: Guard, env, ctx: EvalContext) -> Fraction | None:
-    if isinstance(guard, GConj):
-        left = _guard_wait(guard.left, env, ctx)
-        if left is None:
-            return None
-        right = _guard_wait(guard.right, env, ctx)
-        return None if right is None else max(left, right)
-    if isinstance(guard, RDur):
-        return _ZERO if guard.best <= 0 else guard.worst
-    if isinstance(guard, GDuration):
-        raise AssertionError("wait on an unsampled duration guard")
-    return _ZERO if eval_guard(guard, env, ctx) else None
 
 
 def mte_raw(config: Configuration, program: Program) -> Fraction | None:
@@ -230,15 +229,6 @@ def mte(config: Configuration, program: Program) -> Value:
     return INF_DURATION if raw is None else mk_duration(raw)
 
 
-def _adv_guard(guard: Guard, delta: Fraction) -> Guard:
-    if isinstance(guard, GConj):
-        return GConj(_adv_guard(guard.left, delta),
-                     _adv_guard(guard.right, delta), pos=guard.pos)
-    if isinstance(guard, RDur):
-        return RDur(guard.best - delta, guard.worst - delta)
-    return guard
-
-
 def adv(config: Configuration, delta: Fraction) -> None:
     """Advance the clock by delta, decrementing every live deadline and
     every pending duration; all other terms are left unchanged."""
@@ -252,7 +242,13 @@ def adv(config: Configuration, delta: Fraction) -> None:
             if isinstance(head, SDuration2):
                 p.body[0] = SDuration2(head.best - delta, head.worst - delta)
             elif isinstance(head, SAwait):
-                p.body[0] = SAwait(_adv_guard(head.guard, delta), pos=head.pos)
+                for g in head.guards:
+                    if isinstance(g, RDur):  # some conjunct counts down
+                        p.body[0] = SAwait(tuple(
+                            RDur(c.best - delta, c.worst - delta)
+                            if isinstance(c, RDur) else c
+                            for c in head.guards), pos=head.pos)
+                        break
 
 
 # ------------------------------------------------------------------- engine
@@ -322,24 +318,6 @@ class Engine:
 
     # ------------------------------------------------------- guard sampling
 
-    def _fix_guard(self, guard: Guard, p: ProcessRecord,
-                   obj: ObjectState) -> Guard:
-        """Sample each duration leaf of p's head guard.  Every other node
-        is kept, and a guard with nothing left to sample is returned as
-        the same object, so fixing is idempotent and draws nothing twice."""
-        if isinstance(guard, GConj):
-            left = self._fix_guard(guard.left, p, obj)
-            right = self._fix_guard(guard.right, p, obj)
-            if left is guard.left and right is guard.right:
-                return guard
-            return GConj(left, right, pos=guard.pos)
-        if isinstance(guard, GDuration):
-            delta = self._draw(guard.best, guard.worst,
-                               ChainMap(p.locals, obj.attrs), self._ctx(),
-                               guard.pos)
-            return RDur(delta, delta)
-        return guard
-
     def _draw(self, best: Expr, worst: Expr, env, ctx: EvalContext,
               pos) -> Fraction:
         """Evaluate and check duration bounds, then pick a duration by
@@ -365,11 +343,27 @@ class Engine:
             f"duration bound is {render_value(v)}, not a finite number", pos)
 
     def _fix_head(self, p: ProcessRecord, obj: ObjectState) -> None:
+        """Sample the duration conjuncts of p's await head, left to right.
+        Every other conjunct is kept, and a head with nothing left to
+        sample stays as it is, so fixing is idempotent and draws nothing
+        twice."""
         head = p.body[0] if p.body else None
-        if isinstance(head, SAwait):
-            guard = self._fix_guard(head.guard, p, obj)
-            if guard is not head.guard:
-                p.body[0] = SAwait(guard, pos=head.pos)
+        if not isinstance(head, SAwait):
+            return
+        for g in head.guards:
+            if isinstance(g, GDuration):
+                break
+        else:
+            return
+        env = ChainMap(p.locals, obj.attrs)
+        ctx = self._ctx()
+        guards = []
+        for g in head.guards:
+            if isinstance(g, GDuration):
+                delta = self._draw(g.best, g.worst, env, ctx, g.pos)
+                g = RDur(delta, delta)
+            guards.append(g)
+        p.body[0] = SAwait(tuple(guards), pos=head.pos)
 
     def _fix_all_heads(self) -> None:
         for obj in self.config.objects.values():
@@ -463,7 +457,7 @@ class Engine:
             if enabled:
                 del p.body[0]
                 return "await-true"
-            self._suspend(obj, p, (("guard", render_guard(s.guard)),))
+            self._suspend(obj, p, (("guard", render_guard(s.guards)),))
             return "await-false"
 
         if not enabled:

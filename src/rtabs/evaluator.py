@@ -18,9 +18,9 @@ from .errors import (
     UnboundVariableError,
 )
 from .nodes import (
-    Apply, BinOp, CaseExpr, ClassDecl, Expr, FuncDecl, GBool, GConj,
-    GDuration, GFut, Guard, IfExpr, Lit, Model, NowExpr, PCtor, PLit, PName,
-    Pattern, PWildcard, RDur, Unary, Var,
+    Apply, BinOp, CaseExpr, ClassDecl, Expr, FuncDecl, GBool, GDuration,
+    GFut, Guard, IfExpr, Lit, Model, NowExpr, PCtor, PLit, PName, Pattern,
+    PWildcard, RDur, Unary, Var,
 )
 from .values import (
     BoolVal, DataVal, FALSE, FutRef, NumVal, StrVal, TRUE, Value,
@@ -226,8 +226,9 @@ def match_pattern(pat: Pattern, value: Value,
 
 
 def eval_guard(guard: Guard, env: Env, ctx: EvalContext) -> bool:
-    """Reduce a guard to a boolean.  Duration leaves may be GDuration
-    (bounds still expressions) or RDur (bounds sampled)."""
+    """Reduce one conjunct of an await guard to a boolean; the guard holds
+    when every conjunct does.  A duration conjunct may be a GDuration
+    (bounds still expressions) or an RDur (bounds sampled)."""
     if isinstance(guard, GBool):
         value = eval_expr(guard.expr, env, ctx)
         if not isinstance(value, BoolVal):
@@ -249,6 +250,4 @@ def eval_guard(guard: Guard, env: Env, ctx: EvalContext) -> bool:
         return _as_num(best, "duration", guard.pos) <= 0
     if isinstance(guard, RDur):
         return guard.best <= 0
-    if isinstance(guard, GConj):
-        return eval_guard(guard.left, env, ctx) and eval_guard(guard.right, env, ctx)
     raise EvalTypeError(f"cannot evaluate guard {guard!r}")

@@ -5,6 +5,10 @@ Source forms are produced by the parser; the runtime forms at the bottom
 simulator, never in parsed models.  Statement and expression nodes carry
 an optional source position for diagnostics; it is excluded from
 equality so desugared trees compare structurally.
+
+An await guard `g1 && ... && gn` is the flat tuple of its conjuncts in
+source order (`SAwait.guards`); however the source nests them, every
+conjunct must hold, read left to right.
 """
 
 from __future__ import annotations
@@ -185,13 +189,6 @@ class GDuration(Guard):
     pos: Pos | None = _pos_field()
 
 
-@dataclass
-class GConj(Guard):
-    left: Guard
-    right: Guard
-    pos: Pos | None = _pos_field()
-
-
 # ------------------------------------------------------------ statements
 
 
@@ -295,7 +292,10 @@ class SSuspend(Stmt):
 
 @dataclass
 class SAwait(Stmt):
-    guard: Guard
+    """await g1 && ... && gn: each conjunct a GBool, GFut, GDuration or,
+    once sampled, RDur."""
+
+    guards: tuple[Guard, ...]
     pos: Pos | None = _pos_field()
 
 
@@ -418,8 +418,9 @@ class Model:
 # ---------------------------------------------------------- runtime forms
 #
 # Introduced by execution rules only.  A sampled duration statement is an
-# SDuration2 and a sampled duration guard leaf an RDur, both with plain
-# Fraction bounds; the rest of a sampled await stays in source form.
+# SDuration2 and a sampled duration conjunct an RDur, both with plain
+# Fraction bounds; the other conjuncts of a sampled await stay in source
+# form.
 # Deadlines live in process locals, not in the statement, so time
 # advance rewrites only these nodes.
 

@@ -6,8 +6,8 @@ parsed by precedence climbing over `nodes.BINARY_PRECEDENCE`, the table
 the printer parenthesises by.  `this`, and `deadline` or `destiny` not
 followed by `(`, parse to `Var`.  Guards are parsed as
 expressions with two extra atoms (`x?`, `duration(b,w)`) and converted
-afterwards: `&&` above guard atoms becomes guard conjunction, and guard
-atoms anywhere else are rejected.
+afterwards: `&&` above guard atoms splits the guard into its flat tuple
+of conjuncts, and guard atoms anywhere else are rejected.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .errors import ParseError
 from .lexer import Token, tokenize
 from .nodes import (
     BINARY_PRECEDENCE, Apply, BinOp, CallAnnots, CaseBranch, CaseExpr,
-    ClassDecl, CtorDecl, DataDecl, Expr, FieldDecl, FuncDecl, GBool, GConj,
+    ClassDecl, CtorDecl, DataDecl, Expr, FieldDecl, FuncDecl, GBool,
     GDuration, GFut, Guard, IfExpr, InterfaceDecl, Lit, MethodDecl,
     MethodSig, Model, NowExpr, PCtor, PLit, PName, Pattern, Pos, PWildcard,
     RCall, RExpr, RGet, RNew, RSyncCall, Rhs, SAssign, SAwait, SAwaitCall,
@@ -349,9 +349,9 @@ class Parser:
         self.restore(mark)
         if annots:
             raise ParseError("annotations are not allowed on await guards", tok.pos)
-        guard = self.parse_guard()
+        guards = self.parse_guard()
         self.expect("op", ";")
-        return SAwait(guard, pos=tok.pos)
+        return SAwait(guards, pos=tok.pos)
 
     def _parse_simple_stmt(self, annots: list[tuple[str, Expr]]) -> Stmt:
         start = self.peek()
@@ -458,23 +458,23 @@ class Parser:
 
     # ---------------------------------------------------------- guards
 
-    def parse_guard(self) -> Guard:
+    def parse_guard(self) -> tuple[Guard, ...]:
         expr = self.parse_expr(guard_atoms=True)
         return self._to_guard(expr)
 
-    def _to_guard(self, expr: Expr) -> Guard:
+    def _to_guard(self, expr: Expr) -> tuple[Guard, ...]:
+        """The conjuncts of a guard in source order, however `&&` nests."""
         if isinstance(expr, BinOp) and expr.op == "&&":
-            return GConj(self._to_guard(expr.left), self._to_guard(expr.right),
-                         pos=expr.pos)
+            return self._to_guard(expr.left) + self._to_guard(expr.right)
         if isinstance(expr, _FutAtom):
-            return GFut(expr.name, pos=expr.pos)
+            return (GFut(expr.name, pos=expr.pos),)
         if isinstance(expr, _DurAtom):
-            return GDuration(expr.best, expr.worst, pos=expr.pos)
+            return (GDuration(expr.best, expr.worst, pos=expr.pos),)
         bad = self._find_guard_atom(expr)
         if bad is not None:
             raise ParseError(
                 "future and duration guards cannot appear inside expressions", bad)
-        return GBool(expr, pos=getattr(expr, "pos", None))
+        return (GBool(expr, pos=getattr(expr, "pos", None)),)
 
     def _find_guard_atom(self, expr: Expr) -> Pos | None:
         if isinstance(expr, (_FutAtom, _DurAtom)):

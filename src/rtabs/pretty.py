@@ -1,15 +1,17 @@
 """Source rendering of syntax trees.
 
 parse(render(model)) equals model structurally, which the test suite
-relies on.  Runtime forms render in a readable bracketed style for
-error and deadlock reports; they have no source syntax.
+relies on.  That holds for await guards too: the flat tuple of
+conjuncts renders joined by ` && ` and parses back to the same tuple.
+Runtime forms render in a readable bracketed style for error and
+deadlock reports; they have no source syntax.
 """
 
 from __future__ import annotations
 
 from .nodes import (
     BINARY_PRECEDENCE, Apply, BinOp, CallAnnots, CaseExpr, ClassDecl,
-    DataDecl, Expr, FuncDecl, GBool, GConj, GDuration, GFut, Guard, IfExpr,
+    DataDecl, Expr, FuncDecl, GBool, GDuration, GFut, Guard, IfExpr,
     InterfaceDecl, Lit, MethodDecl, Model, NowExpr, PCtor, PLit, PName,
     Pattern, PWildcard, RCall, RDur, RExpr, RGet, RNew, RSyncCall, Rhs,
     SAssign, SAwait, SAwaitCall, SCallStmt, SDuration, SDuration2, SIf,
@@ -66,15 +68,20 @@ def render_pattern(pat: Pattern) -> str:
     raise TypeError(f"cannot render {pat!r}")
 
 
-def render_guard(guard: Guard) -> str:
+def render_guard(guards: tuple[Guard, ...]) -> str:
+    # a boolean conjunct that binds looser than && is parenthesised when
+    # it has neighbours, so the text parses back to the same conjuncts
+    prec = BINARY_PRECEDENCE["&&"] + 1 if len(guards) > 1 else 0
+    return " && ".join(_render_conjunct(g, prec) for g in guards)
+
+
+def _render_conjunct(guard: Guard, prec: int) -> str:
     if isinstance(guard, GBool):
-        return render_expr(guard.expr)
+        return render_expr(guard.expr, prec)
     if isinstance(guard, GFut):
         return guard.var + "?"
     if isinstance(guard, GDuration):
         return f"duration({render_expr(guard.best)}, {render_expr(guard.worst)})"
-    if isinstance(guard, GConj):
-        return render_guard(guard.left) + " && " + render_guard(guard.right)
     if isinstance(guard, RDur):
         return f"duration[{format_rat(guard.best)}, {format_rat(guard.worst)}]"
     raise TypeError(f"cannot render {guard!r}")
@@ -132,7 +139,7 @@ def render_stmt(stmt: Stmt, indent: int = 0) -> str:
     if isinstance(stmt, SSuspend):
         return pad + "suspend;"
     if isinstance(stmt, SAwait):
-        return f"{pad}await {render_guard(stmt.guard)};"
+        return f"{pad}await {render_guard(stmt.guards)};"
     if isinstance(stmt, SAwaitCall):
         decl = f"{render_type(stmt.decl_type)} " if stmt.decl_type else ""
         args = ", ".join(render_expr(a) for a in stmt.args)

@@ -14,7 +14,7 @@ from rtabs import (
 from rtabs.desugar import default_policy, desugar
 from rtabs.evaluator import Program
 from rtabs.nodes import (
-    GBool, GConj, GFut, Lit, RDur, RGet, SAssign, SAwait, SDuration2, SSkip,
+    GBool, GFut, Lit, RDur, RGet, SAssign, SAwait, SDuration2, SSkip,
 )
 from rtabs.values import (
     FALSE, INF_DURATION, TRUE, FutRef, StrVal, mk_duration, mk_time, num,
@@ -71,14 +71,15 @@ def case_elapsed_duration_is_enabled():
 
 def case_idle_await_duration():
     # an idle object waits at most the guard's worst bound
-    cfg = config(idle(0, [proc(1, [SAwait(RDur(Fraction(2), Fraction(4)))])]))
+    waiting = proc(1, [SAwait((RDur(Fraction(2), Fraction(4)),))])
+    cfg = config(idle(0, [waiting]))
     assert _raw(cfg) == Fraction(4)
     assert mte(cfg, PROGRAM) == mk_duration(4)
 
 
 def case_idle_min_over_queue():
     cfg = config(idle(0, [
-        proc(1, [SAwait(RDur(Fraction(2), Fraction(4)))]),
+        proc(1, [SAwait((RDur(Fraction(2), Fraction(4)),))]),
         proc(2, [SDuration2(Fraction(3), Fraction(3))]),
     ]))
     assert _raw(cfg) == Fraction(3)
@@ -95,22 +96,22 @@ def case_blocked_get_is_infinite():
 
 
 def case_false_conjunct_is_infinite():
-    guard = GConj(RDur(Fraction(2), Fraction(5)), GBool(Lit(FALSE)))
-    cfg = config(idle(0, [proc(1, [SAwait(guard)])]))
+    guards = (RDur(Fraction(2), Fraction(5)), GBool(Lit(FALSE)))
+    cfg = config(idle(0, [proc(1, [SAwait(guards)])]))
     assert _raw(cfg) is None
     assert mte(cfg, PROGRAM) == INF_DURATION
 
 
 def case_conjunction_takes_max():
-    guard = GConj(RDur(Fraction(2), Fraction(5)), GBool(Lit(TRUE)))
-    cfg = config(idle(0, [proc(1, [SAwait(guard)])]))
+    guards = (RDur(Fraction(2), Fraction(5)), GBool(Lit(TRUE)))
+    cfg = config(idle(0, [proc(1, [SAwait(guards)])]))
     assert _raw(cfg) == Fraction(5)
 
 
 def case_ready_guard_wins_globally():
     # a satisfied guard anywhere pins mte to zero across objects
     waiting = busy(0, proc(1, [SDuration2(Fraction(4), Fraction(4))]))
-    ready = idle(1, [proc(2, [SAwait(GBool(Lit(TRUE)))])])
+    ready = idle(1, [proc(2, [SAwait((GBool(Lit(TRUE)),))])])
     cfg = config(waiting, ready)
     assert _raw(cfg) == Fraction(0)
 
@@ -136,12 +137,10 @@ def case_adv_decrements_head_duration():
 
 
 def case_adv_decrements_guard_durations_only():
-    guard = GConj(RDur(Fraction(2), Fraction(4)), GFut("f"))
-    p = proc(1, [SAwait(guard)])
+    p = proc(1, [SAwait((RDur(Fraction(2), Fraction(4)), GFut("f")))])
     cfg = config(idle(0, [p]))
     adv(cfg, Fraction(2))
-    assert p.body[0] == SAwait(
-        GConj(RDur(Fraction(0), Fraction(2)), GFut("f")))
+    assert p.body[0] == SAwait((RDur(Fraction(0), Fraction(2)), GFut("f")))
 
 
 def case_adv_leaves_everything_else():

@@ -8,11 +8,12 @@ process may be scheduled, and the clock advances only at quiescence.
 A run of the engine is correct if every configuration it passes
 through is reachable by the reference executor.
 
-State digests canonicalize unsampled duration leaves (GDuration)
-against sampled ones (RDur) so that bookkeeping differences in when a
-head guard was sampled do not count as semantic divergence.  That is
-sound only because generated programs use literal, equal duration
-bounds, for which sampling is the identity.
+An await guard is the flat tuple of its conjuncts, as in the engine; it
+holds when every conjunct does.  State digests canonicalize unsampled
+duration conjuncts (GDuration) against sampled ones (RDur) so that
+bookkeeping differences in when a head guard was sampled do not count
+as semantic divergence.  That is sound only because generated programs
+use literal, equal duration bounds, for which sampling is the identity.
 
 Only the concurrency layer is independent; pure expression evaluation
 is shared with the package (it is vetted separately against host-level
@@ -32,7 +33,7 @@ from rtabs.desugar import desugar
 from rtabs.engine import MAIN_CLASS, Engine
 from rtabs.evaluator import EvalContext, Program, eval_expr, eval_guard
 from rtabs.nodes import (
-    GBool, GConj, GDuration, GFut, Lit, RCall, RDur, RExpr, RGet, RNew,
+    GBool, GDuration, GFut, Lit, RCall, RDur, RExpr, RGet, RNew,
     SAssign, SAwait, SDuration, SDuration2, SIf, SReturn, SSkip, SSuspend,
     SWhile,
 )
@@ -178,9 +179,11 @@ def generate_model(seed: int):
 # ------------------------------------------------------------------ digests
 
 
-def digest_guard(g):
-    if isinstance(g, GConj):
-        return ("conj", digest_guard(g.left), digest_guard(g.right))
+def digest_guard(guards):
+    return tuple(_digest_conjunct(g) for g in guards)
+
+
+def _digest_conjunct(g):
     if isinstance(g, RDur):
         return ("dur", g.best, g.worst)
     if isinstance(g, GDuration):
@@ -236,7 +239,7 @@ def digest_stmt(s):
     if isinstance(s, SSuspend):
         return ("suspend",)
     if isinstance(s, SAwait):
-        return ("await", digest_guard(s.guard))
+        return ("await", digest_guard(s.guards))
     if isinstance(s, SDuration):
         b, w = _lit_rat(s.best), _lit_rat(s.worst)
         return ("duration-src", b if b is not None else render_expr(s.best),
@@ -428,7 +431,7 @@ class ReferenceExecutor:
         env = ChainMap(p.locals, obj.attrs)
         ctx = self._ctx(st)
         if isinstance(head, SAwait):
-            return eval_guard(head.guard, env, ctx)
+            return all(eval_guard(g, env, ctx) for g in head.guards)
         if isinstance(head, SDuration2):
             return head.best <= 0
         if isinstance(head, SAssign) and isinstance(head.rhs, RGet):
@@ -481,7 +484,7 @@ class ReferenceExecutor:
             obj.queue.append(p)
             return st
         if isinstance(s, SAwait):
-            if eval_guard(s.guard, env, ctx):
+            if all(eval_guard(g, env, ctx) for g in s.guards):
                 del p.body[0]
                 return st
             obj.active = None
@@ -578,13 +581,11 @@ class ReferenceExecutor:
                 if p.body and isinstance(p.body[0], SAwait):
                     env = ChainMap(p.locals, obj.attrs)
                     p.body[0] = SAwait(
-                        self._fix_guard(st, p.body[0].guard, env),
+                        tuple(self._fix_guard(st, g, env)
+                              for g in p.body[0].guards),
                         pos=p.body[0].pos)
 
     def _fix_guard(self, st, g, env):
-        if isinstance(g, GConj):
-            return GConj(self._fix_guard(st, g.left, env),
-                         self._fix_guard(st, g.right, env), pos=g.pos)
         if isinstance(g, GDuration):
             best = _as_rat(eval_expr(g.best, env, self._ctx(st)))
             worst = _as_rat(eval_expr(g.worst, env, self._ctx(st)))
@@ -593,10 +594,6 @@ class ReferenceExecutor:
         return g
 
     def _guard_mte(self, st, g, env):
-        if isinstance(g, GConj):
-            a = self._guard_mte(st, g.left, env)
-            b = self._guard_mte(st, g.right, env)
-            return None if (a is None or b is None) else max(a, b)
         if isinstance(g, RDur):
             return Fraction(0) if g.best <= 0 else g.worst
         return (Fraction(0)
@@ -608,7 +605,8 @@ class ReferenceExecutor:
         if isinstance(head, SDuration2):
             return Fraction(0) if head.best <= 0 else head.worst
         if isinstance(head, SAwait):
-            return self._guard_mte(st, head.guard, env)
+            waits = [self._guard_mte(st, g, env) for g in head.guards]
+            return None if None in waits else max(waits)
         if isinstance(head, SAssign) and isinstance(head.rhs, RGet):
             fut = eval_expr(head.rhs.expr, env, self._ctx(st))
             if not st.futures[fut.fid].resolved:
@@ -647,8 +645,9 @@ class ReferenceExecutor:
                     p.body[0] = SDuration2(head.best - delta,
                                            head.worst - delta)
                 elif isinstance(head, SAwait):
-                    p.body[0] = SAwait(_adv_guard(head.guard, delta),
-                                       pos=head.pos)
+                    p.body[0] = SAwait(
+                        tuple(_adv_guard(g, delta) for g in head.guards),
+                        pos=head.pos)
         return st
 
     # --- exploration
@@ -670,9 +669,6 @@ class ReferenceExecutor:
 
 
 def _adv_guard(g, delta):
-    if isinstance(g, GConj):
-        return GConj(_adv_guard(g.left, delta), _adv_guard(g.right, delta),
-                     pos=g.pos)
     if isinstance(g, RDur):
         return RDur(g.best - delta, g.worst - delta)
     return g

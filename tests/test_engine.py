@@ -11,7 +11,7 @@ from rtabs import (
 )
 from rtabs.desugar import desugar
 from rtabs.engine import MAIN_CLASS
-from rtabs.nodes import GConj, GFut, Lit, RDur, SAwait
+from rtabs.nodes import GFut, Lit, RDur, SAwait
 from rtabs.trace import render_csv
 from rtabs.values import (
     FALSE, DataVal, FutRef, StrVal, mk_duration, mk_list, mk_time, num,
@@ -199,6 +199,15 @@ def test_await_false_guard_records_guard_text():
     assert result.clock == 2
     sus = [e for e in events(result, "suspend") if e.method == "go"][0]
     assert sus.get("guard") == "x > 0"
+    # a sampled conjunction reads as its conjuncts, left to right
+    result = run("""
+    interface I { Unit m(); }
+    class C implements I { Unit m() { skip; } }
+    { I o = new C(); Fut<Unit> f = o!m(); skip;
+      await duration(3, 3) && f? && (True && 1 < 2); }
+    """)
+    sus = [e for e in events(result, "suspend") if e.method == "main"][0]
+    assert sus.get("guard") == "duration[3, 3] && f? && True && 1 < 2"
 
 
 def test_unstarted_process_with_false_guard_is_not_ready():
@@ -237,8 +246,8 @@ def test_uniform_seeds_vary():
 
 
 def test_fix_head_samples_once():
-    # a sampled head keeps its parsed guard with only the duration leaf
-    # replaced; fixing it again neither rebuilds it nor draws again
+    # a sampled head keeps its parsed conjuncts with only the duration
+    # conjunct replaced; fixing it again neither rebuilds it nor draws again
     eng = Engine(load("""
     interface I { Unit m(); }
     class C implements I { Fut<Int> f; Unit m() { await duration(1, 3) && f?; } }
@@ -255,10 +264,8 @@ def test_fix_head_samples_once():
     fixed = p.body[0]
     assert eng.rng.getstate() != state
     assert isinstance(fixed, SAwait) and fixed.pos == parsed.pos
-    assert isinstance(fixed.guard, GConj) and fixed.guard.pos is not None
-    assert isinstance(fixed.guard.left, RDur)
-    assert isinstance(fixed.guard.right, GFut)
-    assert fixed.guard.right is parsed.guard.right
+    assert [type(g) for g in fixed.guards] == [RDur, GFut]
+    assert fixed.guards[1] is parsed.guards[1]
     state = eng.rng.getstate()
     eng._fix_head(p, obj)
     assert p.body[0] is fixed
