@@ -147,7 +147,7 @@ class _Checker:
                        allow_process_vars=True)
             self.check_stmts(model.main, ctx)
 
-    def check_params(self, params: list[tuple[TypeAst, str]],
+    def check_params(self, params: tuple[tuple[TypeAst, str], ...],
                      tyvars: set[str]) -> set[str]:
         seen: set[str] = set()
         for ty, name in params:
@@ -223,7 +223,7 @@ class _Checker:
 
     # ------------------------------------------------------- statements
 
-    def check_stmts(self, stmts: list[Stmt], ctx: _Ctx) -> None:
+    def check_stmts(self, stmts: tuple[Stmt, ...], ctx: _Ctx) -> None:
         for stmt in stmts:
             self.check_stmt(stmt, ctx)
 

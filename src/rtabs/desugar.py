@@ -34,11 +34,11 @@ DEFAULT_POLICY_SOURCE = "default(queue)"
 
 
 def default_policy() -> Expr:
-    return Apply("default", [Var("queue")])
+    return Apply("default", (Var("queue"),))
 
 
 def _fut_type() -> TypeAst:
-    return TypeAst("Fut", [TypeAst("Unit", [])])
+    return TypeAst("Fut", (TypeAst("Unit"),))
 
 
 @dataclass
@@ -58,7 +58,7 @@ class _Lowering:
 def desugar(model: Model) -> Model:
     """Lower a model into a new one; the input model is left unchanged."""
     lw = _Lowering({cd.name: _class_scheduler(cd) for cd in model.classes})
-    classes = [_desugar_class(cd, lw) for cd in model.classes]
+    classes = tuple(_desugar_class(cd, lw) for cd in model.classes)
     main = None
     if model.main is not None:
         main = _terminate(_desugar_stmts(model.main, lw))
@@ -75,7 +75,8 @@ def _class_scheduler(cd: ClassDecl) -> Expr | None:
 
 def _desugar_class(cd: ClassDecl, lw: _Lowering) -> ClassDecl:
     scheduler = _class_scheduler(cd)
-    methods = [_desugar_method(m, lw) for m in cd.methods if m.name != "init"]
+    methods = tuple(_desugar_method(m, lw) for m in cd.methods
+                    if m.name != "init")
     init_body = cd.init_body
     if init_body is None:
         user_init = next((m for m in cd.methods if m.name == "init"), None)
@@ -100,7 +101,8 @@ def _desugar_method(mth: MethodDecl, lw: _Lowering) -> MethodDecl:
 
 
 def _build_init_body(cd: ClassDecl, user_init: MethodDecl | None,
-                     methods: list[MethodDecl], lw: _Lowering) -> list[Stmt] | None:
+                     methods: tuple[MethodDecl, ...],
+                     lw: _Lowering) -> tuple[Stmt, ...] | None:
     stmts: list[Stmt] = []
     for fld in cd.fields:
         if fld.init is not None:
@@ -112,18 +114,18 @@ def _build_init_body(cd: ClassDecl, user_init: MethodDecl | None,
             init_stmts = init_stmts[:-1]
         stmts.extend(init_stmts)
     if any(m.name == "run" for m in methods):
-        call = RCall(Var("this"), "run", [], annots=_full_annots(CallAnnots()))
+        call = RCall(Var("this"), "run", (), annots=_full_annots(CallAnnots()))
         stmts.append(SAssign(_fut_type(), lw.fresh(), call))
     if not stmts:
         return None
     stmts.append(SReturn(Lit(UNIT)))
-    return stmts
+    return tuple(stmts)
 
 
-def _terminate(stmts: list[Stmt]) -> list[Stmt]:
+def _terminate(stmts: tuple[Stmt, ...]) -> tuple[Stmt, ...]:
     if stmts and isinstance(stmts[-1], SReturn):
         return stmts
-    return stmts + [SReturn(Lit(UNIT))]
+    return stmts + (SReturn(Lit(UNIT)),)
 
 
 def _full_annots(annots: CallAnnots) -> CallAnnots:
@@ -132,11 +134,11 @@ def _full_annots(annots: CallAnnots) -> CallAnnots:
     return CallAnnots(deadline=deadline, critical=critical)
 
 
-def _desugar_stmts(stmts: list[Stmt], lw: _Lowering) -> list[Stmt]:
+def _desugar_stmts(stmts: tuple[Stmt, ...], lw: _Lowering) -> tuple[Stmt, ...]:
     out: list[Stmt] = []
     for stmt in stmts:
         out.extend(_desugar_stmt(stmt, lw))
-    return out
+    return tuple(out)
 
 
 def _desugar_stmt(stmt: Stmt, lw: _Lowering) -> list[Stmt]:

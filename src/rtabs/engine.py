@@ -477,7 +477,7 @@ class Engine:
             return "cond"
 
         if isinstance(s, SWhile):
-            p.body[0:1] = [SIf(s.cond, s.body + [s], [], pos=s.pos)]
+            p.body[0] = SIf(s.cond, s.body + (s,), (), pos=s.pos)
             return "while"
 
         if isinstance(s, SReturn):
@@ -619,7 +619,7 @@ class Engine:
         return self._create_object(rhs.cls, policy, attrs, "init", cd.init_body)
 
     def _create_object(self, cls: str, policy: Expr, attrs: dict[str, Value],
-                       method: str, body: list[Stmt] | None) -> ObjRef:
+                       method: str, body: tuple[Stmt, ...] | None) -> ObjRef:
         """Install a fresh object; a body becomes its creation process,
         already dispatched under the given method name."""
         oid = self._fresh_oid()

@@ -6,6 +6,13 @@ simulator, never in parsed models.  Statement and expression nodes carry
 an optional source position for diagnostics; it is excluded from
 equality so desugared trees compare structurally.
 
+Trees are immutable values: every node is a frozen dataclass and every
+sequence in it a tuple, so one parsed tree is shared by reference
+between loads, desugared models and all the processes that run it.
+Process bodies (`ProcessRecord.body` in the engine) are the only
+mutable statement sequences; a rule that rewrites a statement replaces
+it in the body with a new node.
+
 An await guard `g1 && ... && gn` is the flat tuple of its conjuncts in
 source order (`SAwait.guards`); however the source nests them, every
 conjunct must hold, read left to right.
@@ -37,10 +44,10 @@ def _pos_field():
 # ---------------------------------------------------------------- types
 
 
-@dataclass
+@dataclass(frozen=True)
 class TypeAst:
     name: str
-    args: list[TypeAst] = field(default_factory=list)
+    args: tuple[TypeAst, ...] = ()
     pos: Pos | None = _pos_field()
 
     def __str__(self) -> str:
@@ -56,13 +63,13 @@ class Expr:
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class Lit(Expr):
     value: Value
     pos: Pos | None = _pos_field()
 
 
-@dataclass
+@dataclass(frozen=True)
 class Var(Expr):
     """A variable, including `this` and the bare `deadline`/`destiny`."""
 
@@ -70,12 +77,12 @@ class Var(Expr):
     pos: Pos | None = _pos_field()
 
 
-@dataclass
+@dataclass(frozen=True)
 class NowExpr(Expr):
     pos: Pos | None = _pos_field()
 
 
-@dataclass
+@dataclass(frozen=True)
 class Unary(Expr):
     op: str  # "!" or "-"
     operand: Expr
@@ -91,7 +98,7 @@ BINARY_PRECEDENCE = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class BinOp(Expr):
     op: str  # a key of BINARY_PRECEDENCE
     left: Expr
@@ -99,16 +106,16 @@ class BinOp(Expr):
     pos: Pos | None = _pos_field()
 
 
-@dataclass
+@dataclass(frozen=True)
 class Apply(Expr):
     """Function application or constructor term; resolved dynamically."""
 
     name: str
-    args: list[Expr]
+    args: tuple[Expr, ...]
     pos: Pos | None = _pos_field()
 
 
-@dataclass
+@dataclass(frozen=True)
 class IfExpr(Expr):
     cond: Expr
     then: Expr
@@ -116,17 +123,17 @@ class IfExpr(Expr):
     pos: Pos | None = _pos_field()
 
 
-@dataclass
+@dataclass(frozen=True)
 class CaseBranch:
     pattern: Pattern
     body: Expr
     pos: Pos | None = _pos_field()
 
 
-@dataclass
+@dataclass(frozen=True)
 class CaseExpr(Expr):
     scrutinee: Expr
-    branches: list[CaseBranch]
+    branches: tuple[CaseBranch, ...]
     pos: Pos | None = _pos_field()
 
 
@@ -137,18 +144,18 @@ class Pattern:
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class PWildcard(Pattern):
     pos: Pos | None = _pos_field()
 
 
-@dataclass
+@dataclass(frozen=True)
 class PLit(Pattern):
     value: Value
     pos: Pos | None = _pos_field()
 
 
-@dataclass
+@dataclass(frozen=True)
 class PName(Pattern):
     """Variable binder, or nullary constructor if the name is one."""
 
@@ -156,10 +163,10 @@ class PName(Pattern):
     pos: Pos | None = _pos_field()
 
 
-@dataclass
+@dataclass(frozen=True)
 class PCtor(Pattern):
     name: str
-    args: list[Pattern]
+    args: tuple[Pattern, ...]
     pos: Pos | None = _pos_field()
 
 
@@ -170,19 +177,19 @@ class Guard:
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class GBool(Guard):
     expr: Expr
     pos: Pos | None = _pos_field()
 
 
-@dataclass
+@dataclass(frozen=True)
 class GFut(Guard):
     var: str
     pos: Pos | None = _pos_field()
 
 
-@dataclass
+@dataclass(frozen=True)
 class GDuration(Guard):
     best: Expr
     worst: Expr
@@ -196,7 +203,7 @@ class Stmt:
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class CallAnnots:
     """Deadline/Critical pair attached to call statements (post-desugar)."""
 
@@ -208,53 +215,53 @@ class Rhs:
     """Right-hand sides of assignment statements."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class RExpr(Rhs):
     expr: Expr
 
 
-@dataclass
+@dataclass(frozen=True)
 class RNew(Rhs):
     cls: str
-    args: list[Expr]
+    args: tuple[Expr, ...]
     scheduler: Expr | None = None  # resolved by desugar
     pos: Pos | None = _pos_field()
 
 
-@dataclass
+@dataclass(frozen=True)
 class RCall(Rhs):
     """Asynchronous call o!m(args)."""
 
     callee: Expr
     method: str
-    args: list[Expr]
-    annots: CallAnnots = field(default_factory=CallAnnots)
+    args: tuple[Expr, ...]
+    annots: CallAnnots = CallAnnots()
     pos: Pos | None = _pos_field()
 
 
-@dataclass
+@dataclass(frozen=True)
 class RSyncCall(Rhs):
     """Synchronous call o.m(args); removed by desugar."""
 
     callee: Expr
     method: str
-    args: list[Expr]
-    annots: CallAnnots = field(default_factory=CallAnnots)
+    args: tuple[Expr, ...]
+    annots: CallAnnots = CallAnnots()
     pos: Pos | None = _pos_field()
 
 
-@dataclass
+@dataclass(frozen=True)
 class RGet(Rhs):
     expr: Expr
     pos: Pos | None = _pos_field()
 
 
-@dataclass
+@dataclass(frozen=True)
 class SSkip(Stmt):
     pos: Pos | None = _pos_field()
 
 
-@dataclass
+@dataclass(frozen=True)
 class SAssign(Stmt):
     """Assignment, optionally declaring a fresh local (decl_type set)."""
 
@@ -264,33 +271,33 @@ class SAssign(Stmt):
     pos: Pos | None = _pos_field()
 
 
-@dataclass
+@dataclass(frozen=True)
 class SIf(Stmt):
     cond: Expr
-    then: list[Stmt]
-    els: list[Stmt]
+    then: tuple[Stmt, ...]
+    els: tuple[Stmt, ...]
     pos: Pos | None = _pos_field()
 
 
-@dataclass
+@dataclass(frozen=True)
 class SWhile(Stmt):
     cond: Expr
-    body: list[Stmt]
+    body: tuple[Stmt, ...]
     pos: Pos | None = _pos_field()
 
 
-@dataclass
+@dataclass(frozen=True)
 class SReturn(Stmt):
     expr: Expr
     pos: Pos | None = _pos_field()
 
 
-@dataclass
+@dataclass(frozen=True)
 class SSuspend(Stmt):
     pos: Pos | None = _pos_field()
 
 
-@dataclass
+@dataclass(frozen=True)
 class SAwait(Stmt):
     """await g1 && ... && gn: each conjunct a GBool, GFut, GDuration or,
     once sampled, RDur."""
@@ -299,7 +306,7 @@ class SAwait(Stmt):
     pos: Pos | None = _pos_field()
 
 
-@dataclass
+@dataclass(frozen=True)
 class SAwaitCall(Stmt):
     """Sugar: await x = o.m(args); removed by desugar."""
 
@@ -307,23 +314,23 @@ class SAwaitCall(Stmt):
     name: str
     callee: Expr
     method: str
-    args: list[Expr]
-    annots: CallAnnots = field(default_factory=CallAnnots)
+    args: tuple[Expr, ...]
+    annots: CallAnnots = CallAnnots()
     pos: Pos | None = _pos_field()
 
 
-@dataclass
+@dataclass(frozen=True)
 class SCallStmt(Stmt):
     """Fire-and-forget o!m(args); desugars to a fresh-variable assign."""
 
     callee: Expr
     method: str
-    args: list[Expr]
-    annots: CallAnnots = field(default_factory=CallAnnots)
+    args: tuple[Expr, ...]
+    annots: CallAnnots = CallAnnots()
     pos: Pos | None = _pos_field()
 
 
-@dataclass
+@dataclass(frozen=True)
 class SDuration(Stmt):
     best: Expr
     worst: Expr
@@ -333,47 +340,47 @@ class SDuration(Stmt):
 # ----------------------------------------------------------- declarations
 
 
-@dataclass
+@dataclass(frozen=True)
 class CtorDecl:
     name: str
-    arg_types: list[TypeAst]
+    arg_types: tuple[TypeAst, ...]
     pos: Pos | None = _pos_field()
 
 
-@dataclass
+@dataclass(frozen=True)
 class DataDecl:
     name: str
-    typarams: list[str]
-    ctors: list[CtorDecl]
+    typarams: tuple[str, ...]
+    ctors: tuple[CtorDecl, ...]
     pos: Pos | None = _pos_field()
 
 
-@dataclass
+@dataclass(frozen=True)
 class FuncDecl:
     ret: TypeAst
     name: str
-    typarams: list[str]
-    params: list[tuple[TypeAst, str]]
+    typarams: tuple[str, ...]
+    params: tuple[tuple[TypeAst, str], ...]
     body: Expr
     pos: Pos | None = _pos_field()
 
 
-@dataclass
+@dataclass(frozen=True)
 class MethodSig:
     ret: TypeAst
     name: str
-    params: list[tuple[TypeAst, str]]
+    params: tuple[tuple[TypeAst, str], ...]
     pos: Pos | None = _pos_field()
 
 
-@dataclass
+@dataclass(frozen=True)
 class InterfaceDecl:
     name: str
-    sigs: list[MethodSig]
+    sigs: tuple[MethodSig, ...]
     pos: Pos | None = _pos_field()
 
 
-@dataclass
+@dataclass(frozen=True)
 class FieldDecl:
     type: TypeAst
     name: str
@@ -381,37 +388,37 @@ class FieldDecl:
     pos: Pos | None = _pos_field()
 
 
-@dataclass
+@dataclass(frozen=True)
 class MethodDecl:
     ret: TypeAst
     name: str
-    params: list[tuple[TypeAst, str]]
-    body: list[Stmt]
+    params: tuple[tuple[TypeAst, str], ...]
+    body: tuple[Stmt, ...]
     cost: Expr | None = None  # normalized by desugar
-    annots: list[tuple[str, Expr]] = field(default_factory=list)
+    annots: tuple[tuple[str, Expr], ...] = ()
     pos: Pos | None = _pos_field()
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClassDecl:
     name: str
-    params: list[tuple[TypeAst, str]]
-    interfaces: list[str]
-    fields: list[FieldDecl]
-    methods: list[MethodDecl]
+    params: tuple[tuple[TypeAst, str], ...]
+    interfaces: tuple[str, ...]
+    fields: tuple[FieldDecl, ...]
+    methods: tuple[MethodDecl, ...]
     scheduler: Expr | None = None  # class [Scheduler: ...] annotation
-    annots: list[tuple[str, Expr]] = field(default_factory=list)
-    init_body: list[Stmt] | None = None  # synthesized by desugar
+    annots: tuple[tuple[str, Expr], ...] = ()
+    init_body: tuple[Stmt, ...] | None = None  # synthesized by desugar
     pos: Pos | None = _pos_field()
 
 
-@dataclass
+@dataclass(frozen=True)
 class Model:
-    datatypes: list[DataDecl]
-    functions: list[FuncDecl]
-    interfaces: list[InterfaceDecl]
-    classes: list[ClassDecl]
-    main: list[Stmt] | None
+    datatypes: tuple[DataDecl, ...]
+    functions: tuple[FuncDecl, ...]
+    interfaces: tuple[InterfaceDecl, ...]
+    classes: tuple[ClassDecl, ...]
+    main: tuple[Stmt, ...] | None
     pos: Pos | None = _pos_field()
 
 
@@ -425,13 +432,13 @@ class Model:
 # advance rewrites only these nodes.
 
 
-@dataclass
+@dataclass(frozen=True)
 class RDur(Guard):
     best: Fraction
     worst: Fraction
 
 
-@dataclass
+@dataclass(frozen=True)
 class SDuration2(Stmt):
     """duration statement after its wait has been sampled."""
 

@@ -28,7 +28,7 @@ from .nodes import (
 from .values import FALSE, NULL, TRUE, NumVal, StrVal
 
 
-@dataclass
+@dataclass(frozen=True)
 class _FutAtom(Expr):
     """Parser-internal: x? before guard conversion."""
 
@@ -36,7 +36,7 @@ class _FutAtom(Expr):
     pos: Pos | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class _DurAtom(Expr):
     """Parser-internal: duration(b,w) before guard conversion."""
 
@@ -86,36 +86,42 @@ class Parser:
     # ---------------------------------------------------------- model
 
     def parse_model(self) -> Model:
-        model = Model([], [], [], [], None, pos=self.peek().pos)
+        pos = self.peek().pos
+        datatypes: list[DataDecl] = []
+        functions: list[FuncDecl] = []
+        interfaces: list[InterfaceDecl] = []
+        classes: list[ClassDecl] = []
+        main: tuple[Stmt, ...] | None = None
         while not self.at("eof"):
             if self.at("kw", "data"):
-                model.datatypes.append(self.parse_data())
+                datatypes.append(self.parse_data())
             elif self.at("kw", "def"):
-                model.functions.append(self.parse_func())
+                functions.append(self.parse_func())
             elif self.at("kw", "interface"):
-                model.interfaces.append(self.parse_interface())
+                interfaces.append(self.parse_interface())
             elif self.at("kw", "class") or self.at("op", "["):
-                model.classes.append(self.parse_class())
+                classes.append(self.parse_class())
             elif self.at("op", "{"):
-                if model.main is not None:
+                if main is not None:
                     raise ParseError("duplicate main block", self.peek().pos)
-                model.main = self.parse_block()
+                main = self.parse_block()
             else:
                 raise ParseError(
                     f"unexpected {self.peek().text!r} at top level", self.peek().pos,
                     {"data", "def", "interface", "class", "{"})
-        return model
+        return Model(tuple(datatypes), tuple(functions), tuple(interfaces),
+                     tuple(classes), main, pos=pos)
 
     # ---------------------------------------------------- declarations
 
-    def parse_typarams(self) -> list[str]:
+    def parse_typarams(self) -> tuple[str, ...]:
         params: list[str] = []
         if self.accept("op", "<"):
             params.append(self.expect("name").text)
             while self.accept("op", ","):
                 params.append(self.expect("name").text)
             self.expect("op", ">")
-        return params
+        return tuple(params)
 
     def parse_data(self) -> DataDecl:
         pos = self.expect("kw", "data").pos
@@ -127,7 +133,7 @@ class Parser:
             while self.accept("op", "|"):
                 ctors.append(self.parse_ctor())
         self.expect("op", ";")
-        return DataDecl(name, typarams, ctors, pos=pos)
+        return DataDecl(name, typarams, tuple(ctors), pos=pos)
 
     def parse_ctor(self) -> CtorDecl:
         tok = self.expect("name")
@@ -138,7 +144,7 @@ class Parser:
                 while self.accept("op", ","):
                     arg_types.append(self._parse_ctor_arg())
             self.expect("op", ")")
-        return CtorDecl(tok.text, arg_types, pos=tok.pos)
+        return CtorDecl(tok.text, tuple(arg_types), pos=tok.pos)
 
     def _parse_ctor_arg(self) -> TypeAst:
         ty = self.parse_type()
@@ -163,16 +169,13 @@ class Parser:
         self.expect("op", ";")
         return FuncDecl(ret, name, typarams, params, body, pos=pos)
 
-    def parse_params(self) -> list[tuple[TypeAst, str]]:
+    def parse_params(self) -> tuple[tuple[TypeAst, str], ...]:
         params: list[tuple[TypeAst, str]] = []
-        if self.at("op", ")"):
-            return params
-        while True:
-            ty = self.parse_type()
-            name = self.expect("name").text
-            params.append((ty, name))
-            if not self.accept("op", ","):
-                return params
+        if not self.at("op", ")"):
+            params.append((self.parse_type(), self.expect("name").text))
+            while self.accept("op", ","):
+                params.append((self.parse_type(), self.expect("name").text))
+        return tuple(params)
 
     def parse_type(self) -> TypeAst:
         tok = self.expect("name")
@@ -182,7 +185,7 @@ class Parser:
             while self.accept("op", ","):
                 args.append(self.parse_type())
             self.expect("op", ">")
-        return TypeAst(tok.text, args, pos=tok.pos)
+        return TypeAst(tok.text, tuple(args), pos=tok.pos)
 
     def parse_interface(self) -> InterfaceDecl:
         pos = self.expect("kw", "interface").pos
@@ -197,25 +200,29 @@ class Parser:
             self.expect("op", ")")
             self.expect("op", ";")
             sigs.append(MethodSig(ret, mname, params, pos=ret.pos))
-        return InterfaceDecl(name, sigs, pos=pos)
+        return InterfaceDecl(name, tuple(sigs), pos=pos)
 
-    def parse_annotations(self) -> list[tuple[str, Expr]]:
-        annots: list[tuple[str, Expr]] = []
+    def parse_annotations(self) -> tuple[tuple[str, Expr], ...]:
+        """The `[Name: expr, ...]` groups in front of a declaration or
+        statement, in source order; a name may appear only once."""
+        annots: dict[str, Expr] = {}
         while self.accept("op", "["):
             while True:
-                name = self.expect("name").text
+                tok = self.expect("name")
+                if tok.text in annots:
+                    raise ParseError(f"duplicate annotation {tok.text}", tok.pos)
                 self.expect("op", ":")
-                annots.append((name, self.parse_expr()))
+                annots[tok.text] = self.parse_expr()
                 if not self.accept("op", ","):
                     break
             self.expect("op", "]")
-        return annots
+        return tuple(annots.items())
 
     def parse_class(self) -> ClassDecl:
         annots = self.parse_annotations()
         pos = self.expect("kw", "class").pos
         name = self.expect("name").text
-        params: list[tuple[TypeAst, str]] = []
+        params: tuple[tuple[TypeAst, str], ...] = ()
         if self.accept("op", "("):
             params = self.parse_params()
             self.expect("op", ")")
@@ -254,17 +261,17 @@ class Parser:
             body = self.parse_block()
             methods.append(MethodDecl(ty, fname, mparams, body,
                                       annots=member_annots, pos=ty.pos))
-        return ClassDecl(name, params, interfaces, fields, methods,
-                         annots=annots, pos=pos)
+        return ClassDecl(name, params, tuple(interfaces), tuple(fields),
+                         tuple(methods), annots=annots, pos=pos)
 
     # ------------------------------------------------------ statements
 
-    def parse_block(self) -> list[Stmt]:
+    def parse_block(self) -> tuple[Stmt, ...]:
         self.expect("op", "{")
         stmts: list[Stmt] = []
         while not self.accept("op", "}"):
             stmts.append(self.parse_stmt())
-        return stmts
+        return tuple(stmts)
 
     def parse_stmt(self) -> Stmt:
         annots = self.parse_annotations()
@@ -310,15 +317,15 @@ class Parser:
         tok = self.expect("kw", "if")
         cond = self.parse_expr()
         then = self.parse_block()
-        els: list[Stmt] = []
+        els: tuple[Stmt, ...] = ()
         if self.accept("kw", "else"):
             if self.at("kw", "if"):
-                els = [self._parse_if()]
+                els = (self._parse_if(),)
             else:
                 els = self.parse_block()
         return SIf(cond, then, els, pos=tok.pos)
 
-    def _parse_await(self, annots: list[tuple[str, Expr]]) -> Stmt:
+    def _parse_await(self, annots: tuple[tuple[str, Expr], ...]) -> Stmt:
         tok = self.expect("kw", "await")
         mark = self.mark()
         # await [T] x = o.m(args);  (call sugar)
@@ -353,27 +360,30 @@ class Parser:
         self.expect("op", ";")
         return SAwait(guards, pos=tok.pos)
 
-    def _parse_simple_stmt(self, annots: list[tuple[str, Expr]]) -> Stmt:
+    def _parse_simple_stmt(self, annots: tuple[tuple[str, Expr], ...]) -> Stmt:
         start = self.peek()
         mark = self.mark()
-        # declaration: Type name [= rhs] ;
+        # declaration: Type name [= rhs] ;  (only the lookahead backtracks)
+        decl: tuple[TypeAst, str] | None = None
         if self.at("name"):
             try:
                 ty = self.parse_type()
                 nm = self.accept("name")
                 if nm is not None and (self.at("op", "=") or self.at("op", ";")):
-                    rhs: Rhs | None = None
-                    if self.accept("op", "="):
-                        rhs = self.parse_rhs(annots)
-                    elif annots:
-                        raise ParseError(
-                            "annotations are not allowed on bare declarations", start.pos)
-                    self.expect("op", ";")
-                    self._check_stmt_annots(annots, rhs, start.pos)
-                    return SAssign(ty, nm.text, rhs, pos=start.pos)
+                    decl = ty, nm.text
             except ParseError:
                 pass
-            self.restore(mark)
+        if decl is not None:
+            rhs: Rhs | None = None
+            if self.accept("op", "="):
+                rhs = self.parse_rhs(annots)
+            elif annots:
+                raise ParseError(
+                    "annotations are not allowed on bare declarations", start.pos)
+            self.expect("op", ";")
+            self._check_stmt_annots(annots, rhs, start.pos)
+            return SAssign(decl[0], decl[1], rhs, pos=start.pos)
+        self.restore(mark)
         # assignment: name = rhs ;
         if self.at("name") and self.peek(1).kind == "op" and self.peek(1).text == "=":
             name = self.next().text
@@ -394,40 +404,34 @@ class Parser:
                              annots=self._call_annots(annots), pos=start.pos)
         raise ParseError("expected a statement", start.pos)
 
-    def _check_stmt_annots(self, annots: list[tuple[str, Expr]], rhs: Rhs | None,
+    def _check_stmt_annots(self, annots: tuple[tuple[str, Expr], ...], rhs: Rhs | None,
                            pos: Pos) -> None:
         if annots and not isinstance(rhs, (RNew, RCall, RSyncCall)):
             raise ParseError(
                 "annotations are only allowed on calls and new-object statements", pos)
 
-    def _call_annots(self, annots: list[tuple[str, Expr]]) -> CallAnnots:
-        out = CallAnnots()
+    def _call_annots(self, annots: tuple[tuple[str, Expr], ...]) -> CallAnnots:
         for name, expr in annots:
-            if name == "Deadline" and out.deadline is None:
-                out.deadline = expr
-            elif name == "Critical" and out.critical is None:
-                out.critical = expr
-            else:
+            if name not in ("Deadline", "Critical"):
                 raise ParseError(f"annotation {name} is not allowed on a call",
-                                 expr.pos if hasattr(expr, "pos") else None)
-        return out
+                                 expr.pos)
+        named = dict(annots)
+        return CallAnnots(named.get("Deadline"), named.get("Critical"))
 
-    def parse_rhs(self, annots: list[tuple[str, Expr]]) -> Rhs:
+    def parse_rhs(self, annots: tuple[tuple[str, Expr], ...]) -> Rhs:
         tok = self.peek()
         if self.accept("kw", "new"):
             cls = self.expect("name").text
-            args: list[Expr] = []
+            args: tuple[Expr, ...] = ()
             if self.accept("op", "("):
                 args = self.parse_args()
                 self.expect("op", ")")
-            scheduler = None
-            for name, expr in annots:
-                if name == "Scheduler" and scheduler is None:
-                    scheduler = expr
-                else:
+            for name, _ in annots:
+                if name != "Scheduler":
                     raise ParseError(
                         f"annotation {name} is not allowed on new", tok.pos)
-            return RNew(cls, args, scheduler=scheduler, pos=tok.pos)
+            return RNew(cls, args, scheduler=dict(annots).get("Scheduler"),
+                        pos=tok.pos)
         expr = self.parse_expr()
         if self.accept("op", "!"):
             method = self.expect("name").text
@@ -447,14 +451,13 @@ class Parser:
                              annots=self._call_annots(annots), pos=tok.pos)
         return RExpr(expr)
 
-    def parse_args(self) -> list[Expr]:
+    def parse_args(self) -> tuple[Expr, ...]:
         args: list[Expr] = []
-        if self.at("op", ")"):
-            return args
-        args.append(self.parse_expr())
-        while self.accept("op", ","):
+        if not self.at("op", ")"):
             args.append(self.parse_expr())
-        return args
+            while self.accept("op", ","):
+                args.append(self.parse_expr())
+        return tuple(args)
 
     # ---------------------------------------------------------- guards
 
@@ -479,17 +482,17 @@ class Parser:
     def _find_guard_atom(self, expr: Expr) -> Pos | None:
         if isinstance(expr, (_FutAtom, _DurAtom)):
             return expr.pos
-        children: list[Expr] = []
+        children: tuple[Expr, ...] = ()
         if isinstance(expr, Unary):
-            children = [expr.operand]
+            children = (expr.operand,)
         elif isinstance(expr, BinOp):
-            children = [expr.left, expr.right]
+            children = (expr.left, expr.right)
         elif isinstance(expr, Apply):
-            children = list(expr.args)
+            children = expr.args
         elif isinstance(expr, IfExpr):
-            children = [expr.cond, expr.then, expr.els]
+            children = (expr.cond, expr.then, expr.els)
         elif isinstance(expr, CaseExpr):
-            children = [expr.scrutinee] + [b.body for b in expr.branches]
+            children = (expr.scrutinee,) + tuple(b.body for b in expr.branches)
         for child in children:
             found = self._find_guard_atom(child)
             if found is not None:
@@ -608,7 +611,7 @@ class Parser:
             branches.append(CaseBranch(pat, body, pos=tok.pos))
         if not branches:
             raise ParseError("case expression needs at least one branch", tok.pos)
-        return CaseExpr(scrutinee, branches, pos=tok.pos)
+        return CaseExpr(scrutinee, tuple(branches), pos=tok.pos)
 
     def parse_pattern(self) -> Pattern:
         tok = self.peek()
@@ -639,7 +642,7 @@ class Parser:
                     while self.accept("op", ","):
                         args.append(self.parse_pattern())
                 self.expect("op", ")")
-                return PCtor(tok.text, args, pos=tok.pos)
+                return PCtor(tok.text, tuple(args), pos=tok.pos)
             return PName(tok.text, pos=tok.pos)
         raise ParseError(f"unexpected {tok.text!r} in pattern", tok.pos)
 

@@ -157,14 +157,14 @@ def render_stmt(stmt: Stmt, indent: int = 0) -> str:
     raise TypeError(f"cannot render {stmt!r}")
 
 
-def render_block(stmts: list[Stmt], indent: int = 0) -> str:
+def render_block(stmts: tuple[Stmt, ...], indent: int = 0) -> str:
     if not stmts:
         return "{ }"
     inner = "\n".join(render_stmt(s, indent + 1) for s in stmts)
     return "{\n" + inner + "\n" + "  " * indent + "}"
 
 
-def _render_params(params: list[tuple[TypeAst, str]]) -> str:
+def _render_params(params: tuple[tuple[TypeAst, str], ...]) -> str:
     return ", ".join(f"{render_type(t)} {n}" for t, n in params)
 
 

@@ -22,7 +22,6 @@ oracles).
 
 from __future__ import annotations
 
-import copy
 import random
 from collections import ChainMap
 from dataclasses import dataclass, field
@@ -33,14 +32,12 @@ from rtabs.desugar import desugar
 from rtabs.engine import MAIN_CLASS, Engine
 from rtabs.evaluator import EvalContext, Program, eval_expr, eval_guard
 from rtabs.nodes import (
-    GBool, GDuration, GFut, Lit, RCall, RDur, RExpr, RGet, RNew,
-    SAssign, SAwait, SDuration, SDuration2, SIf, SReturn, SSkip, SSuspend,
-    SWhile,
+    GDuration, Lit, RCall, RDur, RExpr, RGet, RNew, SAssign, SAwait,
+    SDuration, SDuration2, SIf, SReturn, SSkip, SSuspend, SWhile,
 )
-from rtabs.pretty import render_expr
 from rtabs.values import (
     FALSE, INF_DURATION, NULL, FutRef, NumVal, ObjRef, StrVal, duration_rat,
-    is_duration, is_inf_duration, mk_duration, mk_time, num, render_value,
+    is_duration, is_inf_duration, mk_duration, mk_time, num,
 )
 
 LIMIT = Fraction(24)
@@ -177,25 +174,26 @@ def generate_model(seed: int):
 
 
 # ------------------------------------------------------------------ digests
+#
+# A digest is made of the statements and values themselves: nodes and
+# values are frozen, and compare and hash structurally (source positions
+# aside), which is never looser than comparing their rendered text.
 
 
-def digest_guard(guards):
-    return tuple(_digest_conjunct(g) for g in guards)
+def digest_stmt(s):
+    """The statement itself, except that an await's literal duration
+    conjuncts take their sampled form."""
+    if isinstance(s, SAwait) and any(isinstance(g, GDuration) for g in s.guards):
+        return SAwait(tuple(map(_digest_conjunct, s.guards)))
+    return s
 
 
 def _digest_conjunct(g):
-    if isinstance(g, RDur):
-        return ("dur", g.best, g.worst)
     if isinstance(g, GDuration):
         b, w = _lit_rat(g.best), _lit_rat(g.worst)
         if b is not None and w is not None:
-            return ("dur", b, w)
-        return ("dur-expr", render_expr(g.best), render_expr(g.worst))
-    if isinstance(g, GFut):
-        return ("fut", g.var)
-    if isinstance(g, GBool):
-        return ("bool", render_expr(g.expr))
-    raise AssertionError(f"guard {g!r}")
+            return RDur(b, w)
+    return g
 
 
 def _lit_rat(e):
@@ -207,68 +205,24 @@ def _lit_rat(e):
     return None
 
 
-def digest_stmt(s):
-    if isinstance(s, SSkip):
-        return ("skip",)
-    if isinstance(s, SAssign):
-        decl = s.decl_type is not None
-        if s.rhs is None:
-            return ("declare", decl, s.name)
-        if isinstance(s.rhs, RExpr):
-            return ("assign", decl, s.name, render_expr(s.rhs.expr))
-        if isinstance(s.rhs, RNew):
-            return ("new", decl, s.name, s.rhs.cls,
-                    tuple(render_expr(a) for a in s.rhs.args))
-        if isinstance(s.rhs, RCall):
-            return ("call", decl, s.name, render_expr(s.rhs.callee),
-                    s.rhs.method, tuple(render_expr(a) for a in s.rhs.args),
-                    render_expr(s.rhs.annots.deadline),
-                    render_expr(s.rhs.annots.critical))
-        if isinstance(s.rhs, RGet):
-            return ("get", decl, s.name, render_expr(s.rhs.expr))
-        raise AssertionError(f"rhs {s.rhs!r}")
-    if isinstance(s, SIf):
-        return ("if", render_expr(s.cond),
-                tuple(digest_stmt(t) for t in s.then),
-                tuple(digest_stmt(t) for t in s.els))
-    if isinstance(s, SWhile):
-        return ("while", render_expr(s.cond),
-                tuple(digest_stmt(t) for t in s.body))
-    if isinstance(s, SReturn):
-        return ("return", render_expr(s.expr))
-    if isinstance(s, SSuspend):
-        return ("suspend",)
-    if isinstance(s, SAwait):
-        return ("await", digest_guard(s.guards))
-    if isinstance(s, SDuration):
-        b, w = _lit_rat(s.best), _lit_rat(s.worst)
-        return ("duration-src", b if b is not None else render_expr(s.best),
-                w if w is not None else render_expr(s.worst))
-    if isinstance(s, SDuration2):
-        return ("duration-rt", s.best, s.worst)
-    raise AssertionError(f"stmt {s!r}")
-
-
 def digest_proc(p):
-    return (p.pid, p.method, p.dispatched,
-            tuple(sorted((k, render_value(v)) for k, v in p.locals.items())),
-            tuple(digest_stmt(s) for s in p.body))
+    return (p.pid, p.method, p.dispatched, frozenset(p.locals.items()),
+            tuple(map(digest_stmt, p.body)))
 
 
 def digest_config(cfg) -> tuple:
     """Canonical state key; works on engine configurations and reference
     states alike (same attribute names by construction)."""
     objs = tuple(
-        (oid, o.cls,
-         tuple(sorted((k, render_value(v)) for k, v in o.attrs.items())),
+        (oid, o.cls, frozenset(o.attrs.items()),
          digest_proc(o.active) if o.active is not None else None,
-         tuple(digest_proc(p) for p in o.queue))
+         tuple(map(digest_proc, o.queue)))
         for oid, o in sorted(cfg.objects.items()))
-    msgs = tuple(sorted(
-        (m.method, m.callee, m.fid, tuple(render_value(a) for a in m.args),
-         render_value(m.deadline), render_value(m.critical), m.timestamp)
-        for m in cfg.messages))
-    futs = tuple((fid, f.resolved, render_value(f.value) if f.resolved else None)
+    msgs = frozenset(
+        (m.method, m.callee, m.fid, m.args, m.deadline, m.critical,
+         m.timestamp)
+        for m in cfg.messages)
+    futs = tuple((fid, f.resolved, f.value)
                  for fid, f in sorted(cfg.futures.items()))
     return (cfg.clock, objs, msgs, futs)
 
@@ -326,6 +280,25 @@ class RefState:
     clock: Fraction = Fraction(0)
     next_oid: int = 0
     next_fid: int = 0
+
+
+def _clone(st: RefState) -> RefState:
+    """A successor's own copy of the mutable state: the containers, each
+    process's locals and body, each object's attrs and queue, and the
+    futures (`return` resolves one in place).  Nodes, values and
+    messages are immutable and shared."""
+    def proc(p):
+        return RefProc(p.pid, p.oid, p.method, dict(p.locals), list(p.body),
+                       p.dispatched, p.label)
+    objects = {
+        oid: RefObject(oid, o.cls, dict(o.attrs),
+                       None if o.active is None else proc(o.active),
+                       [proc(p) for p in o.queue])
+        for oid, o in st.objects.items()}
+    futures = {fid: RefFuture(fid, f.resolved, f.value)
+               for fid, f in st.futures.items()}
+    return RefState(objects, list(st.messages), futures, st.clock,
+                    st.next_oid, st.next_fid)
 
 
 def _type_default(ty):
@@ -410,7 +383,7 @@ class ReferenceExecutor:
         return out
 
     def _bind(self, st: RefState, idx: int) -> RefState:
-        st = copy.deepcopy(st)
+        st = _clone(st)
         msg = st.messages.pop(idx)
         obj = st.objects[msg.callee]
         cd = self.program.classes[obj.cls]
@@ -440,7 +413,7 @@ class ReferenceExecutor:
         return True
 
     def _schedule(self, st: RefState, oid: int, j: int) -> RefState:
-        st = copy.deepcopy(st)
+        st = _clone(st)
         obj = st.objects[oid]
         p = obj.queue.pop(j)
         obj.active = p
@@ -450,7 +423,7 @@ class ReferenceExecutor:
         return st
 
     def _step_active(self, st: RefState, oid: int) -> RefState | None:
-        st = copy.deepcopy(st)
+        st = _clone(st)
         obj = st.objects[oid]
         p = obj.active
         env = ChainMap(p.locals, obj.attrs)
@@ -467,7 +440,7 @@ class ReferenceExecutor:
             p.body[0:1] = s.then if cond.value else s.els
             return st
         if isinstance(s, SWhile):
-            p.body[0:1] = [SIf(s.cond, s.body + [s], [], pos=s.pos)]
+            p.body[0] = SIf(s.cond, s.body + (s,), (), pos=s.pos)
             return st
         if isinstance(s, SReturn):
             value = eval_expr(s.expr, env, ctx)
@@ -626,7 +599,7 @@ class ReferenceExecutor:
         return best
 
     def _tick(self, st: RefState) -> RefState | None:
-        st = copy.deepcopy(st)
+        st = _clone(st)
         self._fix_heads(st)
         delta = self._mte(st)
         if delta is None:

@@ -173,7 +173,7 @@ def _duration_algebra():
     from rtabs.evaluator import EvalContext
 
     def call(fn, *vals):
-        expr = Apply(fn, [Lit(v) for v in vals])
+        expr = Apply(fn, tuple(Lit(v) for v in vals))
         return eval_expr(expr, {}, EvalContext(program))
 
     def rand_dur(rng):

@@ -37,7 +37,7 @@ def ev(source, env=None, clock=0, prog=PRELUDE):
 
 def call(name, *values, prog=PRELUDE):
     ctx = EvalContext(prog)
-    return eval_expr(Apply(name, [Lit(v) for v in values]), {}, ctx)
+    return eval_expr(Apply(name, tuple(Lit(v) for v in values)), {}, ctx)
 
 
 # ------------------------------------------------------------- arithmetic
@@ -137,7 +137,7 @@ def test_call_depth_capped():
     prog = program("def Int loop(Int n) = loop(n + 1);")
     ctx = EvalContext(prog, max_depth=64)
     with pytest.raises(CallDepthError):
-        eval_expr(Apply("loop", [Lit(num(0))]), {}, ctx)
+        eval_expr(Apply("loop", (Lit(num(0)),)), {}, ctx)
 
 
 def test_recursion_within_cap():

@@ -326,7 +326,7 @@ def test_default_cost_and_scheduler():
     """))
     assert model.classes[0].methods[0].cost is not None
     new_stmt = model.main[0]
-    assert new_stmt.rhs.scheduler == Apply("default", [Var("queue")])
+    assert new_stmt.rhs.scheduler == Apply("default", (Var("queue"),))
 
 
 def test_class_scheduler_flows_to_new():
