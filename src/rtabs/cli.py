@@ -99,12 +99,11 @@ def _load_trace(path: str) -> Trace:
 
 def cmd_metrics(args) -> int:
     try:
-        trace = _load_trace(args.trace)
+        points = misses_series(_load_trace(args.trace), by=args.by)
     except OSError as exc:
         return _fail(f"cannot read {args.trace}: {exc.strerror}", 2)
-    except (RtabsError, ValueError, KeyError) as exc:
+    except (RtabsError, ValueError, KeyError, ZeroDivisionError) as exc:
         return _fail(f"malformed trace: {exc}", 2)
-    points = misses_series(trace, by=args.by)
     out = io.StringIO()
     if args.by == "method":
         keys = sorted(points[-1].breakdown) if points else []

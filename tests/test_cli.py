@@ -195,6 +195,24 @@ def test_metrics_rejects_malformed_csv_ids(tmp_path):
         assert "malformed trace" in res.stderr, ids
 
 
+def test_metrics_rejects_malformed_rationals(tmp_path):
+    header = "time,event,object,pid,method,data\n"
+    traces = [
+        ("bad.csv", header + "1/0,activate,o3,f4,m,deadline=inf\n"),
+        ("bad.jsonl", '{"time":"1/0","event":"tick","object":null,'
+                      '"pid":null,"method":null,"data":{}}\n'),
+        ("bad.csv", header + "0,activate,o3,f4,m,deadline=abc\n"
+                    "1,return,o3,f4,m,value=0\n"),
+    ]
+    for name, text in traces:
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        res = run_cli("metrics", str(path), "--series", "misses")
+        assert res.returncode == 2, text
+        assert "malformed trace" in res.stderr, text
+        assert "Traceback" not in res.stderr, text
+
+
 def test_structured_format_round_trip(tmp_path):
     out = str(tmp_path / "run.jsonl")
     res = run_cli("run", model_file("single_request.rtabs"), "--until", "600",

@@ -1,17 +1,21 @@
 """Front end: lexer, parser, renderer round-trip, checker, desugar."""
 
+import dataclasses
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from rtabs import LexError, ParseError, load_source, parse_expr, parse_model
+from rtabs import (
+    LexError, ParseError, load_source, nodes, parse_expr, parse_model,
+)
 from rtabs.desugar import desugar
 from rtabs.lexer import tokenize
 from rtabs.nodes import (
     BINARY_PRECEDENCE, Apply, BinOp, GBool, GDuration, GFut, Lit, RCall,
     RGet, SAssign, SAwait, SReturn, Var,
 )
+from rtabs.prelude import prelude_model
 from rtabs.pretty import render_expr, render_model
 from rtabs.values import UNIT, NumVal
 
@@ -105,6 +109,31 @@ def test_parse_errors_have_positions():
     with pytest.raises(ParseError) as err:
         parse_model("[Deadline: Duration(1)] { skip; }")
     assert str(err.value) == "1:25: unexpected '{' (expected class)"
+    # an error after a declaration's `Type name` is reported as it is
+    for source, message in [
+            ("{ [Deadline: Duration(1)] I o = new C(); }",
+             "1:33: annotation Deadline is not allowed on new"),
+            ("{ [Deadline: Duration(1)] o = new C(); }",
+             "1:31: annotation Deadline is not allowed on new"),
+            ("{ Int x = 1 +; }", "1:14: unexpected ';' in expression")]:
+        with pytest.raises(ParseError) as err:
+            parse_model(source)
+        assert str(err.value) == message, source
+
+
+def test_duplicate_annotations_rejected():
+    for source, message in [
+            ("{ [Deadline: Duration(1), Deadline: Duration(2)] o!m(); }",
+             "1:27: duplicate annotation Deadline"),
+            ("{ [Scheduler: fifo(queue), Scheduler: edf(queue)] I o = new C(); }",
+             "1:28: duplicate annotation Scheduler"),
+            ("class C { [Cost: Duration(1)] [Cost: Duration(2)] Unit m() { } }",
+             "1:32: duplicate annotation Cost"),
+            ("[Scheduler: fifo(queue)] [Scheduler: edf(queue)] class C { }",
+             "1:27: duplicate annotation Scheduler")]:
+        with pytest.raises(ParseError) as err:
+            parse_model(source)
+        assert str(err.value) == message, source
 
 
 def test_annotated_class_vs_annotated_main_statement():
@@ -356,3 +385,34 @@ def test_cost_annotation_kept():
     """))
     cost = model.classes[0].methods[0].cost
     assert isinstance(cost, Apply) and cost.name == "Duration"
+
+
+# ---------------------------------------------------------- immutability
+
+
+def _lists_in(node, path="model"):
+    """Paths of every list reachable through dataclass fields and tuples."""
+    if isinstance(node, list):
+        return [path]
+    if isinstance(node, tuple):
+        return [p for i, item in enumerate(node)
+                for p in _lists_in(item, f"{path}[{i}]")]
+    if dataclasses.is_dataclass(node):
+        return [p for f in dataclasses.fields(node)
+                for p in _lists_in(getattr(node, f.name), f"{path}.{f.name}")]
+    return []
+
+
+def test_syntax_trees_are_immutable():
+    defined = [c for c in vars(nodes).values()
+               if dataclasses.is_dataclass(c) and c.__module__ == nodes.__name__]
+    assert len(defined) > 40
+    assert [c.__name__ for c in defined if not c.__dataclass_params__.frozen] == []
+    trees = [prelude_model(), desugar(prelude_model())]
+    for path in sorted(MODELS_DIR.glob("*.rtabs")):
+        model, diags = load_source(path.read_text(), path.name)
+        assert not diags, path.name
+        trees += [model, desugar(model)]
+    assert len(trees) == 18
+    for tree in trees:
+        assert _lists_in(tree) == []
