@@ -42,14 +42,18 @@ from rtabs.values import (
 
 LIMIT = Fraction(24)
 STATE_CAP = 60_000
+# class scheduler annotations; the oracle may schedule any ready process
+SCHEDULERS = (None, "fifo(queue)", "edf(queue)", "sjf(queue)")
 
 
 # ----------------------------------------------------------- program maker
 #
 # Constraints keeping the state space finite and allocator order fixed:
 # every `new` and every call sits in the main block (a single sequential
-# process), methods never block forever, duration bounds are equal
-# integer literals, and the statement budget is 12.
+# process), loops are bounded field increments, duration bounds are equal
+# integer literals, and the statement budget is 12.  A method may await a
+# field that another method's increment makes true (or block for good,
+# which ends the run in deadlock), and a class may name its scheduler.
 
 
 class ProgramBuilder:
@@ -76,6 +80,9 @@ class ProgramBuilder:
             opts.append(f"{g} = {g} + {self.rng.randint(1, 2)};")
             opts.append(f"if ({g} > {self.rng.randint(0, 2)}) "
                         f"{{ {g} = 0; }} else {{ skip; }}")
+            opts.append(f"await {g} > {self.rng.randint(0, 2)};")
+            opts.append(f"while ({g} < {self.rng.randint(1, 2)}) "
+                        f"{{ {g} = {g} + 1; }}")
         if has_param:
             opts.append(f"value = v + {self.rng.randint(0, 2)};")
         return self.rng.choice(opts)
@@ -115,7 +122,9 @@ class ProgramBuilder:
                 meths.append((name, has_param))
             methods_of[f"C{ci}"] = meths
             chunks.append(f"interface I{ci} {{\n" + "\n".join(sigs) + "\n}")
-            chunks.append(f"class C{ci} implements I{ci} {{\n"
+            sched = rng.choice(SCHEDULERS)
+            annot = f"[Scheduler: {sched}] " if sched else ""
+            chunks.append(f"{annot}class C{ci} implements I{ci} {{\n"
                           + "\n".join(field_decls + bodies) + "\n}")
         main = self._main(n_classes, methods_of)
         chunks.append("{\n" + "\n".join("  " + s for s in main) + "\n}")
