@@ -69,8 +69,7 @@ def desugar(model: Model) -> Model:
 def _class_scheduler(cd: ClassDecl) -> Expr | None:
     if cd.scheduler is not None:
         return cd.scheduler
-    return next((expr for name, expr in cd.annots if name == "Scheduler"),
-                None)
+    return dict(cd.annots).get("Scheduler")
 
 
 def _desugar_class(cd: ClassDecl, lw: _Lowering) -> ClassDecl:
@@ -89,12 +88,7 @@ def _desugar_class(cd: ClassDecl, lw: _Lowering) -> ClassDecl:
 def _desugar_method(mth: MethodDecl, lw: _Lowering) -> MethodDecl:
     cost = mth.cost
     if cost is None:
-        for name, expr in mth.annots:
-            if name == "Cost":
-                cost = expr
-                break
-    if cost is None:
-        cost = Lit(mk_duration(0))
+        cost = dict(mth.annots).get("Cost", Lit(mk_duration(0)))
     body = _terminate(_desugar_stmts(mth.body, lw))
     return MethodDecl(mth.ret, mth.name, mth.params, body, cost=cost,
                       annots=mth.annots, pos=mth.pos)

@@ -325,24 +325,30 @@ class Parser:
                 els = self.parse_block()
         return SIf(cond, then, els, pos=tok.pos)
 
-    def _parse_await(self, annots: tuple[tuple[str, Expr], ...]) -> Stmt:
-        tok = self.expect("kw", "await")
+    def _assign_target(self, decl_follow: tuple[str, ...]
+                       ) -> tuple[TypeAst | None, str] | None:
+        """Consume `Type name` followed by an operator in `decl_follow`, or
+        `name` followed by `=`; else consume nothing and return None.
+        Only this lookahead backtracks."""
         mark = self.mark()
-        # await [T] x = o.m(args);  (call sugar)
-        decl_type: TypeAst | None = None
-        name: str | None = None
         try:
             ty = self.parse_type()
             nm = self.accept("name")
-            if nm is not None and self.at("op", "="):
-                decl_type, name = ty, nm.text
+            if nm is not None and any(self.at("op", op) for op in decl_follow):
+                return ty, nm.text
         except ParseError:
             pass
-        if name is None:
-            self.restore(mark)
-            if self.at("name") and self.peek(1).kind == "op" and self.peek(1).text == "=":
-                name = self.next().text
-        if name is not None:
+        self.restore(mark)
+        if self.at("name") and self.peek(1).kind == "op" and self.peek(1).text == "=":
+            return None, self.next().text
+        return None
+
+    def _parse_await(self, annots: tuple[tuple[str, Expr], ...]) -> Stmt:
+        tok = self.expect("kw", "await")
+        # await [T] x = o.m(args);  (call sugar)
+        target = self._assign_target(("=",))
+        if target is not None:
+            decl_type, name = target
             self.expect("op", "=")
             callee = self.parse_expr()
             self.expect("op", ".")
@@ -353,7 +359,6 @@ class Parser:
             self.expect("op", ";")
             return SAwaitCall(decl_type, name, callee, method, args,
                               annots=self._call_annots(annots), pos=tok.pos)
-        self.restore(mark)
         if annots:
             raise ParseError("annotations are not allowed on await guards", tok.pos)
         guards = self.parse_guard()
@@ -362,18 +367,9 @@ class Parser:
 
     def _parse_simple_stmt(self, annots: tuple[tuple[str, Expr], ...]) -> Stmt:
         start = self.peek()
-        mark = self.mark()
-        # declaration: Type name [= rhs] ;  (only the lookahead backtracks)
-        decl: tuple[TypeAst, str] | None = None
-        if self.at("name"):
-            try:
-                ty = self.parse_type()
-                nm = self.accept("name")
-                if nm is not None and (self.at("op", "=") or self.at("op", ";")):
-                    decl = ty, nm.text
-            except ParseError:
-                pass
-        if decl is not None:
+        # declaration `Type name [= rhs];` or assignment `name = rhs;`
+        target = self._assign_target(("=", ";"))
+        if target is not None:
             rhs: Rhs | None = None
             if self.accept("op", "="):
                 rhs = self.parse_rhs(annots)
@@ -382,16 +378,7 @@ class Parser:
                     "annotations are not allowed on bare declarations", start.pos)
             self.expect("op", ";")
             self._check_stmt_annots(annots, rhs, start.pos)
-            return SAssign(decl[0], decl[1], rhs, pos=start.pos)
-        self.restore(mark)
-        # assignment: name = rhs ;
-        if self.at("name") and self.peek(1).kind == "op" and self.peek(1).text == "=":
-            name = self.next().text
-            self.next()
-            rhs = self.parse_rhs(annots)
-            self.expect("op", ";")
-            self._check_stmt_annots(annots, rhs, start.pos)
-            return SAssign(None, name, rhs, pos=start.pos)
+            return SAssign(target[0], target[1], rhs, pos=start.pos)
         # fire-and-forget call: expr ! m (args) ;
         callee = self.parse_expr()
         if self.accept("op", "!"):
