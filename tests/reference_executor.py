@@ -8,9 +8,15 @@ process may be scheduled, and the clock advances only at quiescence.
 A run of the engine is correct if every configuration it passes
 through is reachable by the reference executor.
 
+Successor states share every syntax node and value with their parent,
+since both are immutable; `_clone` copies only the mutable state (the
+containers, each object's attrs and queue, each process's locals and
+body, and the futures).  A state digest is built from the nodes and
+values themselves, not from their rendered text.
+
 An await guard is the flat tuple of its conjuncts, as in the engine; it
-holds when every conjunct does.  State digests canonicalize unsampled
-duration conjuncts (GDuration) against sampled ones (RDur) so that
+holds when every conjunct does.  Digests canonicalize unsampled literal
+duration conjuncts (GDuration) to sampled ones (RDur) so that
 bookkeeping differences in when a head guard was sampled do not count
 as semantic divergence.  That is sound only because generated programs
 use literal, equal duration bounds, for which sampling is the identity.
