@@ -1,17 +1,35 @@
 """Timed simulation engine for concurrent object models.
 
-A Configuration holds concurrent objects (each with at most one active
-process and a queue of suspended/pending ones), undelivered invocation
-messages, futures, and the global clock.  Execution alternates two
-phases: apply instantaneous rules until quiescence, then advance the
-clock by the maximum time elapse (mte) and decrement every live
-deadline and pending duration by exactly that amount.
+A Configuration holds concurrent objects (each with an inbox of
+invocation messages not yet bound, at most one active process and a
+queue of suspended or pending ones), futures, and the global clock.
+Execution alternates two phases: apply instantaneous rules until
+quiescence, then advance the clock by the maximum time elapse (mte).
 
-Rule choice is determinized for reproducibility: objects are visited in
-creation order; per visit, pending activations are bound first, then
-one rule for the active process, else a scheduling decision.  Any run
-produced this way is one of the legal interleavings of the underlying
-nondeterministic semantics.
+Time is stored absolute.  A process keeps its absolute deadline, and a
+sampled duration (the `duration` statement, a duration conjunct of an
+await guard) the absolute time it ends, so advancing time moves only
+the clock.  The time left, which models and traces see, is derived
+from the clock when a process's scope is built, when it is lifted into
+a Proc value, and when a head or a deadline is rendered.
+
+Rule choice is determinized for reproducibility: each step applies a
+rule of the lowest-oid object that has one; per object, pending
+activations are bound first, then one rule for the active process, else
+a scheduling decision.  Any run produced this way is one of the legal
+interleavings of the underlying nondeterministic semantics.
+
+The loop is incremental.  An object visited without a rule applying is
+stalled and skipped until an event that may let it step: a message for
+it, the resolution of a future one of its blocked heads awaits or gets,
+or a tick that reaches one of its timed waits (any tick, if a blocked
+head has a boolean guard, which may read `now` or `deadline`).  Only an
+object's own steps change its fields and processes, so no other event
+can.  Visiting a stalled object again would draw nothing: with an
+active process its queue is not consulted, and without one its last
+visit computed the ready set, which samples every queued head.  So the
+rules applied and the random draws are those of visiting every object
+in creation order after every step.
 
 Scheduling decisions call back into the modeled language: the object's
 policy expression is evaluated with `queue` bound to the reflected list
@@ -34,10 +52,11 @@ over its queue when it has none.
 
 from __future__ import annotations
 
+import heapq
 import random
 import sys
 import threading
-from collections import ChainMap
+from collections import ChainMap, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -48,9 +67,9 @@ from .errors import (
 )
 from .evaluator import EvalContext, Program, eval_expr, eval_guard
 from .nodes import (
-    Expr, GDuration, Lit, Model, RCall, RDur, RExpr, RGet, RNew, SAssign,
-    SAwait, SDuration, SDuration2, SIf, SReturn, SSkip, SSuspend, SWhile,
-    Stmt, TypeAst,
+    Expr, GBool, GDuration, GFut, Lit, Model, RCall, RDur, RExpr, RGet, RNew,
+    SAssign, SAwait, SDuration, SDuration2, SIf, SReturn, SSkip, SSuspend,
+    SWhile, Stmt, TypeAst,
 )
 from .pretty import render_expr, render_guard, render_stmt
 from .trace import Trace, TraceEvent
@@ -79,6 +98,10 @@ class ProcessRecord:
     body: list[Stmt]
     dispatched: bool = False
     label: str | None = None
+    # the absolute deadline; None when infinite.  `locals["deadline"]`
+    # holds the time left until it only once proc_locals has brought it
+    # up to date.
+    due: Fraction | None = None
 
 
 @dataclass
@@ -89,6 +112,10 @@ class ObjectState:
     attrs: dict[str, Value]
     active: ProcessRecord | None = None
     queue: list[ProcessRecord] = field(default_factory=list)
+    # invocation messages not yet bound, in arrival order
+    inbox: deque[InvocationMessage] = field(default_factory=deque)
+    # no rule applies until a wake-up event (see Engine._stall)
+    stalled: bool = False
 
     def processes(self) -> list[ProcessRecord]:
         out = [self.active] if self.active is not None else []
@@ -121,7 +148,6 @@ class FutureCell:
 @dataclass
 class Configuration:
     objects: dict[int, ObjectState] = field(default_factory=dict)
-    messages: list[InvocationMessage] = field(default_factory=list)
     futures: dict[int, FutureCell] = field(default_factory=dict)
     clock: Fraction = Fraction(0)
 
@@ -139,13 +165,14 @@ class RunResult:
 # ------------------------------------------------------- process reflection
 
 
-def lift(p: ProcessRecord) -> DataVal:
-    """Project a process's reserved locals into a Proc value."""
-    return DataVal("Proc", tuple(p.locals[name] for name in PROC_FIELDS))
+def lift(p: ProcessRecord, clock: Fraction) -> DataVal:
+    """Project a process's reserved locals at clock into a Proc value."""
+    locals_ = proc_locals(p, clock)
+    return DataVal("Proc", tuple(locals_[name] for name in PROC_FIELDS))
 
 
-def liftall(processes: list[ProcessRecord]) -> Value:
-    return mk_list([lift(p) for p in processes])
+def liftall(processes: list[ProcessRecord], clock: Fraction) -> Value:
+    return mk_list([lift(p, clock) for p in processes])
 
 
 def select(pid_value: Value, processes: list[ProcessRecord]) -> ProcessRecord | None:
@@ -158,33 +185,70 @@ def select(pid_value: Value, processes: list[ProcessRecord]) -> ProcessRecord | 
 
 # ------------------------------------------------------------ time machinery
 #
-# wait, mte and adv require the duration conjuncts of await guards in
-# head position to be sampled already (the engine fixes them before
+# Times are stored absolute: a process's deadline (`due`) and the ends of
+# a sampled duration (SDuration2, RDur) are clock times, so advancing
+# time only moves the clock.  What a model or a trace sees is the time
+# left, derived here: remaining_deadline for `deadline`, relative for a
+# sampled head.
+#
+# wait and mte require the duration conjuncts of await guards in head
+# position to be sampled already (the engine fixes them before
 # consulting any of them).
 
 _ZERO = Fraction(0)
+
+
+def remaining_deadline(p: ProcessRecord, clock: Fraction) -> Value:
+    """The time left at clock until p's deadline."""
+    return INF_DURATION if p.due is None else mk_duration(p.due - clock)
+
+
+def proc_locals(p: ProcessRecord, clock: Fraction) -> dict[str, Value]:
+    """p's locals with `deadline` brought up to date for clock."""
+    if p.due is not None:
+        p.locals["deadline"] = remaining_deadline(p, clock)
+    return p.locals
+
+
+def proc_env(p: ProcessRecord, obj: ObjectState, clock: Fraction) -> ChainMap:
+    """The scope p's statements and guards evaluate in."""
+    return ChainMap(proc_locals(p, clock), obj.attrs)
+
+
+def relative(stmt: Stmt, clock: Fraction) -> Stmt:
+    """A sampled head with the absolute ends of its durations replaced by
+    the time left at clock, as it is rendered; any other statement as
+    it is."""
+    if isinstance(stmt, SDuration2):
+        return SDuration2(stmt.best - clock, stmt.worst - clock)
+    if isinstance(stmt, SAwait) and any(isinstance(g, RDur) for g in stmt.guards):
+        return SAwait(tuple(
+            RDur(g.best - clock, g.worst - clock) if isinstance(g, RDur) else g
+            for g in stmt.guards), pos=stmt.pos)
+    return stmt
 
 
 def wait(p: ProcessRecord, obj: ObjectState, ctx: EvalContext) -> Fraction | None:
     """Time until p's head may fire: 0 now, a positive delay once that
     much time has passed, None when no time advance alone enables it."""
     head = p.body[0]
+    clock = ctx.clock
     if isinstance(head, SDuration2):
-        return _ZERO if head.best <= 0 else head.worst
+        return _ZERO if head.best <= clock else head.worst - clock
     if isinstance(head, SAwait):
-        env = ChainMap(p.locals, obj.attrs)
-        longest = None  # the longest duration conjunct still running
+        env = proc_env(p, obj, clock)
+        end = None  # the latest end of a duration conjunct still running
         for guard in head.guards:
             if isinstance(guard, RDur):
-                if guard.best > 0 and (longest is None or guard.worst > longest):
-                    longest = guard.worst
+                if guard.best > clock and (end is None or guard.worst > end):
+                    end = guard.worst
             elif isinstance(guard, GDuration):
                 raise AssertionError("wait on an unsampled duration guard")
             elif not eval_guard(guard, env, ctx):
                 return None
-        return _ZERO if longest is None else longest
+        return _ZERO if end is None else end - clock
     if isinstance(head, SAssign) and isinstance(head.rhs, RGet):
-        fut = eval_expr(head.rhs.expr, ChainMap(p.locals, obj.attrs), ctx)
+        fut = eval_expr(head.rhs.expr, proc_env(p, obj, clock), ctx)
         if not isinstance(fut, FutRef):
             raise EvalTypeError(
                 f"get applied to {render_value(fut)}, not a future",
@@ -204,14 +268,15 @@ def mte_raw(config: Configuration, program: Program) -> Fraction | None:
             try:
                 w = wait(p, obj, ctx)
             except RtRuntimeError as err:
-                _locate(err, obj.oid, p)
+                _locate(err, obj.oid, p, config.clock)
                 raise
             if w is not None and (out is None or w < out):
                 out = w
     return out
 
 
-def _locate(err: RtRuntimeError, oid: int, p: ProcessRecord | None) -> None:
+def _locate(err: RtRuntimeError, oid: int, p: ProcessRecord | None,
+            clock: Fraction) -> None:
     """Name the object, process and head statement an error arose at,
     unless an inner handler already did."""
     if err.obj is None:
@@ -221,7 +286,7 @@ def _locate(err: RtRuntimeError, oid: int, p: ProcessRecord | None) -> None:
             err.pid = p.pid
             err.method = p.method
         if err.stmt is None and p.body:
-            err.stmt = render_stmt(p.body[0]).strip()
+            err.stmt = render_stmt(relative(p.body[0], clock)).strip()
 
 
 def mte(config: Configuration, program: Program) -> Value:
@@ -230,25 +295,10 @@ def mte(config: Configuration, program: Program) -> Value:
 
 
 def adv(config: Configuration, delta: Fraction) -> None:
-    """Advance the clock by delta, decrementing every live deadline and
-    every pending duration; all other terms are left unchanged."""
+    """Advance the clock by delta.  Deadlines and pending durations are
+    absolute, so the time left on each shrinks by delta without any
+    term being rewritten."""
     config.clock += delta
-    for obj in config.objects.values():
-        for p in obj.processes():
-            d = p.locals["deadline"]
-            if not is_inf_duration(d):
-                p.locals["deadline"] = mk_duration(duration_rat(d) - delta)
-            head = p.body[0] if p.body else None
-            if isinstance(head, SDuration2):
-                p.body[0] = SDuration2(head.best - delta, head.worst - delta)
-            elif isinstance(head, SAwait):
-                for g in head.guards:
-                    if isinstance(g, RDur):  # some conjunct counts down
-                        p.body[0] = SAwait(tuple(
-                            RDur(c.best - delta, c.worst - delta)
-                            if isinstance(c, RDur) else c
-                            for c in head.guards), pos=head.pos)
-                        break
 
 
 # ------------------------------------------------------------------- engine
@@ -270,6 +320,13 @@ class Engine:
         self.booted = False
         self._next_oid = 0
         self._next_fid = 0
+        # the oids of the objects that are not stalled, as a heap
+        self._awake: list[int] = []
+        # wake-up events of stalled objects: a future's resolution, any
+        # tick, and the clock reaching a time
+        self._future_waiters: dict[int, set[int]] = {}
+        self._tick_waiters: set[int] = set()
+        self._timers: list[tuple[Fraction, int]] = []
 
     # ------------------------------------------------------------- plumbing
 
@@ -343,10 +400,10 @@ class Engine:
             f"duration bound is {render_value(v)}, not a finite number", pos)
 
     def _fix_head(self, p: ProcessRecord, obj: ObjectState) -> None:
-        """Sample the duration conjuncts of p's await head, left to right.
-        Every other conjunct is kept, and a head with nothing left to
-        sample stays as it is, so fixing is idempotent and draws nothing
-        twice."""
+        """Sample the duration conjuncts of p's await head, left to right,
+        each becoming an RDur that ends that long after now.  Every other
+        conjunct is kept, and a head with nothing left to sample stays as
+        it is, so fixing is idempotent and draws nothing twice."""
         head = p.body[0] if p.body else None
         if not isinstance(head, SAwait):
             return
@@ -355,13 +412,14 @@ class Engine:
                 break
         else:
             return
-        env = ChainMap(p.locals, obj.attrs)
+        clock = self.config.clock
+        env = proc_env(p, obj, clock)
         ctx = self._ctx()
         guards = []
         for g in head.guards:
             if isinstance(g, GDuration):
-                delta = self._draw(g.best, g.worst, env, ctx, g.pos)
-                g = RDur(delta, delta)
+                end = clock + self._draw(g.best, g.worst, env, ctx, g.pos)
+                g = RDur(end, end)
             guards.append(g)
         p.body[0] = SAwait(tuple(guards), pos=head.pos)
 
@@ -371,34 +429,83 @@ class Engine:
                 try:
                     self._fix_head(p, obj)
                 except RtRuntimeError as err:
-                    _locate(err, obj.oid, p)
+                    _locate(err, obj.oid, p, self.config.clock)
                     raise
 
     # -------------------------------------------------------- instantaneous
 
     def exec_step(self) -> str | None:
-        """Apply one instantaneous rule; None when quiescent."""
-        for oid, obj in self.config.objects.items():
+        """Apply one rule of the lowest-oid object that can step; None
+        when quiescent.  Stalled objects are skipped: each was visited
+        without a rule applying, and nothing that could change that has
+        happened since."""
+        awake = self._awake
+        while awake:
+            obj = self.config.objects[awake[0]]
             try:
-                rule = self._visit_object(oid, obj)
+                rule = self._visit_object(obj)
             except RtRuntimeError as err:
-                _locate(err, oid, obj.active)
+                _locate(err, obj.oid, obj.active, self.config.clock)
                 raise
             if rule is not None:
                 return rule
+            heapq.heappop(awake)
+            self._stall(obj)
         return None
 
-    def _visit_object(self, oid: int, obj: ObjectState) -> str | None:
-        for i, msg in enumerate(self.config.messages):
-            if msg.callee == oid:
-                del self.config.messages[i]
-                self._bind_and_enqueue(obj, msg)
-                return "activation"
+    def _visit_object(self, obj: ObjectState) -> str | None:
+        if obj.inbox:
+            self._bind_and_enqueue(obj, obj.inbox.popleft())
+            return "activation"
         if obj.active is not None:
             return self._step_active(obj)
         if obj.queue and self._try_schedule(obj):
             return "schedule"
         return None
+
+    # --- stalling and waking
+
+    def _stall(self, obj: ObjectState) -> None:
+        """Park an object that no rule applies to, registering what its
+        blocked heads wait for: the futures they await or get, the ends
+        of their running durations, and any tick for a boolean guard.  A
+        message wakes any object."""
+        obj.stalled = True
+        oid = obj.oid
+        clock = self.config.clock
+        for p in obj.queue if obj.active is None else (obj.active,):
+            head = p.body[0]
+            env = proc_env(p, obj, clock)
+            if isinstance(head, SDuration2):
+                heapq.heappush(self._timers, (head.best, oid))
+            elif isinstance(head, SAwait):
+                for g in head.guards:
+                    if isinstance(g, GBool):
+                        self._tick_waiters.add(oid)
+                    elif isinstance(g, GFut):
+                        self._wait_for(env.get(g.var), oid)
+                    elif isinstance(g, RDur) and g.best > clock:
+                        heapq.heappush(self._timers, (g.best, oid))
+            elif isinstance(head, SAssign) and isinstance(head.rhs, RGet):
+                self._wait_for(eval_expr(head.rhs.expr, env, self._ctx()), oid)
+
+    def _wait_for(self, fut: Value | None, oid: int) -> None:
+        if isinstance(fut, FutRef) and not self.config.futures[fut.fid].resolved:
+            self._future_waiters.setdefault(fut.fid, set()).add(oid)
+
+    def _wake(self, oid: int) -> None:
+        obj = self.config.objects[oid]
+        if obj.stalled:
+            obj.stalled = False
+            heapq.heappush(self._awake, oid)
+
+    def _wake_on_tick(self) -> None:
+        for oid in self._tick_waiters:
+            self._wake(oid)
+        self._tick_waiters.clear()
+        timers = self._timers
+        while timers and timers[0][0] <= self.config.clock:
+            self._wake(heapq.heappop(timers)[1])
 
     # --- Activation
 
@@ -428,8 +535,11 @@ class Engine:
         locals_["arrival"] = mk_time(msg.timestamp)
         locals_.update(arg_env)
         label = next((a.value for a in msg.args if isinstance(a, StrVal)), None)
+        due = (None if is_inf_duration(msg.deadline)
+               else self.config.clock + duration_rat(msg.deadline))
         return ProcessRecord(pid=msg.fid, oid=obj.oid, method=msg.method,
-                             locals=locals_, body=list(mth.body), label=label)
+                             locals=locals_, body=list(mth.body), label=label,
+                             due=due)
 
     def _bind_and_enqueue(self, obj: ObjectState, msg: InvocationMessage) -> None:
         p = self.bind_activation(msg)
@@ -447,7 +557,8 @@ class Engine:
     def _step_active(self, obj: ObjectState) -> str | None:
         p = obj.active
         assert p is not None and p.body, "active process with empty body"
-        env = ChainMap(p.locals, obj.attrs)
+        clock = self.config.clock
+        env = proc_env(p, obj, clock)
         ctx = self._ctx()
         self._fix_head(p, obj)
         s = p.body[0]
@@ -457,7 +568,8 @@ class Engine:
             if enabled:
                 del p.body[0]
                 return "await-true"
-            self._suspend(obj, p, (("guard", render_guard(s.guards)),))
+            guard = render_guard(relative(s, clock).guards)
+            self._suspend(obj, p, (("guard", guard),))
             return "await-false"
 
         if not enabled:
@@ -490,8 +602,8 @@ class Engine:
             return "suspend"
 
         if isinstance(s, SDuration):
-            delta = self._draw(s.best, s.worst, env, ctx, s.pos)
-            p.body[0] = SDuration2(delta, delta)
+            end = clock + self._draw(s.best, s.worst, env, ctx, s.pos)
+            p.body[0] = SDuration2(end, end)
             return "duration"
 
         if isinstance(s, SDuration2):
@@ -552,9 +664,12 @@ class Engine:
     def _do_return(self, obj: ObjectState, p: ProcessRecord, s: SReturn,
                    env, ctx: EvalContext) -> None:
         value = eval_expr(s.expr, env, ctx)
-        p.locals["finish"] = mk_time(self.config.clock)
-        remaining = p.locals["deadline"]
+        clock = self.config.clock
+        p.locals["finish"] = mk_time(clock)
+        remaining = remaining_deadline(p, clock)
         self.config.futures[p.pid].resolve(value)
+        for oid in self._future_waiters.pop(p.pid, ()):
+            self._wake(oid)
         obj.active = None
         rendered = render_value(value)
         self._emit("return", obj=obj.oid, pid=p.pid, method=p.method,
@@ -562,10 +677,10 @@ class Engine:
                          ("deadline", render_duration_field(remaining))))
         self._emit("resolve", obj=obj.oid, pid=p.pid, method=p.method,
                    data=(("value", rendered),))
-        if not is_inf_duration(remaining) and duration_rat(remaining) < 0:
+        if p.due is not None and p.due < clock:
             self._emit("deadline_miss", obj=obj.oid, pid=p.pid,
                        method=p.method,
-                       data=(("lateness", format_rat(-duration_rat(remaining))),))
+                       data=(("lateness", format_rat(clock - p.due)),))
 
     # --- Async-Call
 
@@ -590,9 +705,10 @@ class Engine:
                 f"criticality is {render_value(critical)}, not a Bool",
                 rhs.pos)
         fid = self._fresh_fid()
-        self.config.messages.append(InvocationMessage(
+        self.config.objects[callee.oid].inbox.append(InvocationMessage(
             rhs.method, callee.oid, args, fid, deadline, critical,
             self.config.clock))
+        self._wake(callee.oid)
         self._emit("invoke", obj=callee.oid, pid=fid, method=rhs.method,
                    data=(("caller", f"o{obj.oid}"),
                          ("deadline", render_duration_field(deadline)),
@@ -626,6 +742,7 @@ class Engine:
         attrs["this"] = ObjRef(oid)
         obj = ObjectState(oid, cls, policy, attrs)
         self.config.objects[oid] = obj
+        heapq.heappush(self._awake, oid)
         self._emit("new_object", obj=oid, data=(("class", cls),))
         if body is not None:
             fid = self._fresh_fid()
@@ -656,7 +773,7 @@ class Engine:
                 if wait(p, obj, ctx) == 0:
                     out.append(p)
             except RtRuntimeError as err:
-                _locate(err, obj.oid, p)
+                _locate(err, obj.oid, p, ctx.clock)
                 raise
         return out
 
@@ -670,16 +787,16 @@ class Engine:
         if not p.dispatched:
             p.dispatched = True
             p.locals["start"] = mk_time(self.config.clock)
+        deadline = remaining_deadline(p, self.config.clock)
         self._emit("schedule", obj=obj.oid, pid=p.pid, method=p.method,
-                   data=(("deadline",
-                          render_duration_field(p.locals["deadline"])),))
+                   data=(("deadline", render_duration_field(deadline)),))
         return True
 
     def evaluate_policy(self, obj: ObjectState,
                         ready: list[ProcessRecord]) -> ProcessRecord:
         """Run the object's scheduling expression over the reflected ready
         queue; the result must identify one of the ready processes."""
-        env = ChainMap({"queue": liftall(ready)}, obj.attrs)
+        env = ChainMap({"queue": liftall(ready, self.config.clock)}, obj.attrs)
         try:
             choice = eval_expr(obj.policy, env, self._ctx())
         except RtRuntimeError as err:
@@ -743,6 +860,7 @@ class Engine:
             return "time_limit"
         adv(self.config, delta)
         self._emit("tick", data=(("delta", format_rat(delta)),))
+        self._wake_on_tick()
         return None
 
     def _result(self, status: str, steps: int,
@@ -752,23 +870,25 @@ class Engine:
                          error=error, blocked=blocked)
 
     def _terminated(self) -> bool:
-        if self.config.messages:
-            return False
-        return all(obj.active is None and not obj.queue
+        return all(obj.active is None and not obj.queue and not obj.inbox
                    for obj in self.config.objects.values())
 
     def _blocked_report(self) -> list[str]:
+        def head(p: ProcessRecord) -> str:
+            if not p.body:
+                return "?"
+            return render_stmt(relative(p.body[0], self.config.clock)).strip()
+
         out = []
         for oid, obj in self.config.objects.items():
             if obj.active is not None:
                 p = obj.active
-                head = render_stmt(p.body[0]).strip() if p.body else "?"
                 out.append(f"o{oid} ({obj.cls}): process f{p.pid} "
-                           f"({p.method}) blocked at `{head}`")
+                           f"({p.method}) blocked at `{head(p)}`")
             elif obj.queue:
-                pids = " ".join(f"f{p.pid}" for p in obj.queue)
+                queued = ", ".join(f"f{p.pid} at `{head(p)}`" for p in obj.queue)
                 out.append(f"o{oid} ({obj.cls}): no ready process "
-                           f"(queued: {pids})")
+                           f"(queued: {queued})")
         return out
 
 

@@ -20,7 +20,7 @@ from .errors import (
 from .nodes import (
     Apply, BinOp, CaseExpr, ClassDecl, Expr, FuncDecl, GBool, GDuration,
     GFut, Guard, IfExpr, Lit, Model, NowExpr, PCtor, PLit, PName, Pattern,
-    PWildcard, RDur, Unary, Var,
+    PWildcard, Unary, Var,
 )
 from .values import (
     BoolVal, DataVal, FALSE, FutRef, NumVal, StrVal, TRUE, Value,
@@ -227,8 +227,9 @@ def match_pattern(pat: Pattern, value: Value,
 
 def eval_guard(guard: Guard, env: Env, ctx: EvalContext) -> bool:
     """Reduce one conjunct of an await guard to a boolean; the guard holds
-    when every conjunct does.  A duration conjunct may be a GDuration
-    (bounds still expressions) or an RDur (bounds sampled)."""
+    when every conjunct does.  A duration conjunct holds once its best
+    bound is not positive.  Sampled conjuncts (RDur) are the engine's,
+    which compares their absolute ends with the clock itself."""
     if isinstance(guard, GBool):
         value = eval_expr(guard.expr, env, ctx)
         if not isinstance(value, BoolVal):
@@ -248,6 +249,4 @@ def eval_guard(guard: Guard, env: Env, ctx: EvalContext) -> bool:
     if isinstance(guard, GDuration):
         best = eval_expr(guard.best, env, ctx)
         return _as_num(best, "duration", guard.pos) <= 0
-    if isinstance(guard, RDur):
-        return guard.best <= 0
     raise EvalTypeError(f"cannot evaluate guard {guard!r}")

@@ -427,9 +427,9 @@ class Model:
 # Introduced by execution rules only.  A sampled duration statement is an
 # SDuration2 and a sampled duration conjunct an RDur, both with plain
 # Fraction bounds; the other conjuncts of a sampled await stay in source
-# form.
-# Deadlines live in process locals, not in the statement, so time
-# advance rewrites only these nodes.
+# form.  In the engine the bounds are absolute: the clock times at which
+# the wait may end (best) and must end (worst).  Deadlines are kept
+# absolute in process records, so time advance rewrites no node.
 
 
 @dataclass(frozen=True)

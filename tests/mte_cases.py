@@ -12,24 +12,31 @@ from rtabs import (
     mte, mte_raw,
 )
 from rtabs.desugar import default_policy, desugar
+from rtabs.engine import relative, remaining_deadline
 from rtabs.evaluator import Program
 from rtabs.nodes import (
     GBool, GFut, Lit, RDur, RGet, SAssign, SAwait, SDuration2, SSkip,
 )
 from rtabs.values import (
-    FALSE, INF_DURATION, TRUE, FutRef, StrVal, mk_duration, mk_time, num,
+    FALSE, INF_DURATION, TRUE, FutRef, StrVal, duration_rat,
+    is_inf_duration, mk_duration, mk_time, num,
 )
 
 PROGRAM = Program.from_model(desugar(load_source("", "<empty>")[0]))
 
 
-def proc(pid, body, deadline=INF_DURATION, oid=0):
+def proc(pid, body, deadline=INF_DURATION, oid=0, clock=0):
+    """A process whose deadline, given as the time left at clock, is
+    kept absolute as the engine keeps it; a sampled head in body is
+    already absolute (all cases but one run at clock 0)."""
     locals_ = {
         "destiny": FutRef(pid), "method": StrVal("m"), "arrival": mk_time(0),
         "cost": mk_duration(0), "deadline": deadline, "start": mk_time(0),
         "finish": mk_time(0), "critical": FALSE, "value": num(0),
     }
-    return ProcessRecord(pid=pid, oid=oid, method="m", locals=locals_, body=body)
+    due = None if is_inf_duration(deadline) else clock + duration_rat(deadline)
+    return ProcessRecord(pid=pid, oid=oid, method="m", locals=locals_,
+                         body=body, due=due)
 
 
 def busy(oid, active):
@@ -119,41 +126,47 @@ def case_ready_guard_wins_globally():
 # --------------------------------------------------------------- adv cases
 
 
+# adv only moves the clock; what it must change is what the engine
+# derives from the clock: the time left until a deadline
+# (remaining_deadline) and on a sampled head (relative)
+
+
 def case_adv_decrements_deadlines():
     p1 = proc(1, [SSkip()], deadline=mk_duration(10))
     p2 = proc(2, [SSkip()], deadline=INF_DURATION, oid=1)
     cfg = config(busy(0, p1), idle(1, [p2]))
     adv(cfg, Fraction(2))
     assert cfg.clock == Fraction(2)
-    assert p1.locals["deadline"] == mk_duration(8)
-    assert p2.locals["deadline"] == INF_DURATION
+    assert remaining_deadline(p1, cfg.clock) == mk_duration(8)
+    assert remaining_deadline(p2, cfg.clock) == INF_DURATION
 
 
 def case_adv_decrements_head_duration():
     p = proc(1, [SDuration2(Fraction(3), Fraction(5))])
     cfg = config(busy(0, p))
     adv(cfg, Fraction(2))
-    assert p.body[0] == SDuration2(Fraction(1), Fraction(3))
+    assert relative(p.body[0], cfg.clock) == SDuration2(Fraction(1), Fraction(3))
 
 
 def case_adv_decrements_guard_durations_only():
     p = proc(1, [SAwait((RDur(Fraction(2), Fraction(4)), GFut("f")))])
     cfg = config(idle(0, [p]))
     adv(cfg, Fraction(2))
-    assert p.body[0] == SAwait((RDur(Fraction(0), Fraction(2)), GFut("f")))
+    assert relative(p.body[0], cfg.clock) == SAwait(
+        (RDur(Fraction(0), Fraction(2)), GFut("f")))
 
 
 def case_adv_leaves_everything_else():
     # only head statements move; later statements keep their bounds, and
     # deadlines past zero keep counting down (lateness tracking)
     p = proc(1, [SSkip(), SDuration2(Fraction(3), Fraction(3))],
-             deadline=mk_duration(1))
+             deadline=mk_duration(1), clock=7)
     cfg = config(busy(0, p), clock=7)
     adv(cfg, Fraction(2))
     assert cfg.clock == Fraction(9)
     assert p.body[0] == SSkip()
     assert p.body[1] == SDuration2(Fraction(3), Fraction(3))
-    assert p.locals["deadline"] == mk_duration(-1)
+    assert remaining_deadline(p, cfg.clock) == mk_duration(-1)
 
 
 CASES = [

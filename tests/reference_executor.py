@@ -35,7 +35,9 @@ from fractions import Fraction
 
 from rtabs import load_source
 from rtabs.desugar import desugar
-from rtabs.engine import MAIN_CLASS, Engine
+from rtabs.engine import (
+    MAIN_CLASS, Engine, ProcessRecord, relative, remaining_deadline, wait,
+)
 from rtabs.evaluator import EvalContext, Program, eval_expr, eval_guard
 from rtabs.nodes import (
     GDuration, Lit, RCall, RDur, RExpr, RGet, RNew, SAssign, SAwait,
@@ -55,17 +57,22 @@ SCHEDULERS = (None, "fifo(queue)", "edf(queue)", "sjf(queue)")
 # ----------------------------------------------------------- program maker
 #
 # Constraints keeping the state space finite and allocator order fixed:
-# every `new` and every call sits in the main block (a single sequential
-# process), loops are bounded field increments, duration bounds are equal
-# integer literals, and the statement budget is 12.  A method may await a
-# field that another method's increment makes true (or block for good,
-# which ends the run in deadlock), and a class may name its scheduler.
+# every `new` sits in the main block (a single sequential process), loops
+# are bounded field increments, duration bounds are equal integer
+# literals, and the statement budget is 12.  Calls sit in the main block
+# or, when there are two classes, in a method of C0 calling a method of
+# C1 through its `peer` parameter, never the reverse, so calls form no
+# cycle; such a method awaits or gets the future of its call.  A method
+# may await a field that another method's increment makes true, or a
+# clock time (either may block for good, which ends the run in
+# deadlock), and a class may name its scheduler.
 
 
 class ProgramBuilder:
     def __init__(self, rng: random.Random):
         self.rng = rng
         self.budget = 12
+        self.calls = 0  # calls made in methods, to name their variables
 
     def _take(self) -> bool:
         if self.budget <= 0:
@@ -76,11 +83,21 @@ class ProgramBuilder:
     def _dur(self) -> int:
         return self.rng.choice([0, 1, 1, 2, 3])
 
-    def _method_stmt(self, fields: list[str], has_param: bool) -> str:
+    def _method_stmt(self, fields: list[str], has_param: bool,
+                     peer: list[tuple[str, bool]]) -> str:
+        if peer and self.rng.random() < 0.75:
+            name, peer_param = self.rng.choice(peer)
+            arg = str(self.rng.randint(0, 4)) if peer_param else ""
+            k = self.calls
+            self.calls += 1
+            call = f"Fut<Int> q{k} = peer!{name}({arg});"
+            return self.rng.choice([f"{call} await q{k}?;",
+                                    f"{call} Int w{k} = q{k}.get;"])
         d = self._dur()
         d2 = self._dur()
         opts = ["skip;", f"duration({d}, {d});",
-                f"await duration({d2}, {d2});", "suspend;"]
+                f"await duration({d2}, {d2});", "suspend;",
+                f"await timeValue(now) >= {self.rng.randint(1, 3)};"]
         if fields:
             g = self.rng.choice(fields)
             opts.append(f"{g} = {g} + {self.rng.randint(1, 2)};")
@@ -104,9 +121,12 @@ class ProgramBuilder:
     def build(self) -> tuple[str, dict[str, list[tuple[str, bool]]]]:
         rng = self.rng
         n_classes = rng.randint(1, 2)
-        chunks = []
+        calls = n_classes == 2 and rng.random() < 0.5
+        chunks = {}
         methods_of: dict[str, list[tuple[str, bool]]] = {}
-        for ci in range(n_classes):
+        # C1 first, so that C0's methods know what they may call
+        for ci in reversed(range(n_classes)):
+            peer = methods_of["C1"] if calls and ci == 0 else []
             fields = [f"g{k}" for k in range(rng.randint(0, 2))]
             field_decls = [f"  Int {g} = {rng.randint(0, 2)};" for g in fields]
             for _ in field_decls:
@@ -117,9 +137,10 @@ class ProgramBuilder:
                 has_param = rng.random() < 0.5
                 param = "Int v" if has_param else ""
                 stmts = []
-                for _ in range(rng.randint(0, 2)):
+                for _ in range(rng.randint(1 if peer else 0, 2)):
                     if self._take():
-                        stmts.append("    " + self._method_stmt(fields, has_param))
+                        stmts.append("    " + self._method_stmt(
+                            fields, has_param, peer))
                 self._take()  # the return statement
                 stmts.append(f"    return {self._ret_expr(fields, has_param)};")
                 sigs.append(f"  Int {name}({param});")
@@ -127,21 +148,27 @@ class ProgramBuilder:
                               + "\n".join(stmts) + "\n  }")
                 meths.append((name, has_param))
             methods_of[f"C{ci}"] = meths
-            chunks.append(f"interface I{ci} {{\n" + "\n".join(sigs) + "\n}")
             sched = rng.choice(SCHEDULERS)
             annot = f"[Scheduler: {sched}] " if sched else ""
-            chunks.append(f"{annot}class C{ci} implements I{ci} {{\n"
+            params = "(I1 peer)" if peer else ""
+            chunks[ci] = (f"interface I{ci} {{\n" + "\n".join(sigs) + "\n}\n\n"
+                          + f"{annot}class C{ci}{params} implements I{ci} {{\n"
                           + "\n".join(field_decls + bodies) + "\n}")
-        main = self._main(n_classes, methods_of)
-        chunks.append("{\n" + "\n".join("  " + s for s in main) + "\n}")
-        return "\n\n".join(chunks) + "\n", methods_of
+        main = self._main(n_classes, methods_of, calls)
+        text = [chunks[ci] for ci in range(n_classes)]
+        text.append("{\n" + "\n".join("  " + s for s in main) + "\n}")
+        return "\n\n".join(text) + "\n", methods_of
 
     def _main(self, n_classes: int,
-              methods_of: dict[str, list[tuple[str, bool]]]) -> list[str]:
+              methods_of: dict[str, list[tuple[str, bool]]],
+              calls: bool) -> list[str]:
         rng = self.rng
         out = []
-        for ci in range(n_classes):
-            out.append(f"I{ci} c{ci} = new C{ci}();")
+        if calls:
+            out += ["I1 c1 = new C1();", "I0 c0 = new C0(c1);"]
+        else:
+            out += [f"I{ci} c{ci} = new C{ci}();" for ci in range(n_classes)]
+        for _ in range(n_classes):
             self._take()
         futs: list[str] = []
         n_calls = rng.randint(1, min(3, max(1, self.budget)))
@@ -220,26 +247,42 @@ def _lit_rat(e):
     return None
 
 
-def digest_proc(p):
-    return (p.pid, p.method, p.dispatched, frozenset(p.locals.items()),
-            tuple(map(digest_stmt, p.body)))
+def digest_proc(p, clock):
+    """A reference process as it is; an engine process with its absolute
+    deadline and duration ends turned into the time left at clock, as
+    the reference executor keeps them."""
+    locals_, body = p.locals, p.body
+    if isinstance(p, ProcessRecord):
+        locals_ = dict(locals_, deadline=remaining_deadline(p, clock))
+        body = [relative(s, clock) for s in body]
+    return (p.pid, p.method, p.dispatched, frozenset(locals_.items()),
+            tuple(map(digest_stmt, body)))
 
 
 def digest_config(cfg) -> tuple:
     """Canonical state key; works on engine configurations and reference
     states alike (same attribute names by construction)."""
+    clock = cfg.clock
     objs = tuple(
         (oid, o.cls, frozenset(o.attrs.items()),
-         digest_proc(o.active) if o.active is not None else None,
-         tuple(map(digest_proc, o.queue)))
+         digest_proc(o.active, clock) if o.active is not None else None,
+         tuple(digest_proc(p, clock) for p in o.queue))
         for oid, o in sorted(cfg.objects.items()))
     msgs = frozenset(
         (m.method, m.callee, m.fid, m.args, m.deadline, m.critical,
          m.timestamp)
-        for m in cfg.messages)
+        for m in _messages(cfg))
     futs = tuple((fid, f.resolved, f.value)
                  for fid, f in sorted(cfg.futures.items()))
     return (cfg.clock, objs, msgs, futs)
+
+
+def _messages(cfg):
+    """Undelivered messages: one list in a reference state, each
+    object's inbox in the engine."""
+    if isinstance(cfg, RefState):
+        return cfg.messages
+    return [m for o in cfg.objects.values() for m in o.inbox]
 
 
 # ----------------------------------------------------------- reference state
@@ -419,7 +462,7 @@ class ReferenceExecutor:
         env = ChainMap(p.locals, obj.attrs)
         ctx = self._ctx(st)
         if isinstance(head, SAwait):
-            return all(eval_guard(g, env, ctx) for g in head.guards)
+            return all(_holds(g, env, ctx) for g in head.guards)
         if isinstance(head, SDuration2):
             return head.best <= 0
         if isinstance(head, SAssign) and isinstance(head.rhs, RGet):
@@ -472,7 +515,7 @@ class ReferenceExecutor:
             obj.queue.append(p)
             return st
         if isinstance(s, SAwait):
-            if all(eval_guard(g, env, ctx) for g in s.guards):
+            if all(_holds(g, env, ctx) for g in s.guards):
                 del p.body[0]
                 return st
             obj.active = None
@@ -656,6 +699,13 @@ class ReferenceExecutor:
         return seen
 
 
+def _holds(g, env, ctx) -> bool:
+    """One conjunct; a sampled duration holds once no time is left."""
+    if isinstance(g, RDur):
+        return g.best <= 0
+    return eval_guard(g, env, ctx)
+
+
 def _adv_guard(g, delta):
     if isinstance(g, RDur):
         return RDur(g.best - delta, g.worst - delta)
@@ -674,14 +724,36 @@ def _as_rat(v) -> Fraction:
 
 def engine_digests(model, limit: Fraction = LIMIT) -> list:
     """Every configuration the deterministic engine passes through, at
-    single-rule granularity, up to the time horizon."""
+    single-rule granularity, up to the time horizon; after each rule and
+    each tick, every stalled object is checked to be one that no rule
+    applies to."""
     eng = Engine(model)
     eng.boot()
     out = [digest_config(eng.config)]
     limit = Fraction(limit)
     while eng.exec_step() is not None or eng.advance(limit) is None:
+        check_stalled(eng)
         out.append(digest_config(eng.config))
     return out
+
+
+def check_stalled(eng: Engine) -> None:
+    """The engine skips stalled objects, so a stalled object that could
+    step is a missed wake-up.  Reads heads through `wait` only, which
+    samples nothing, so the check leaves the engine's draws alone."""
+    ctx = eng._ctx()
+    for oid, obj in eng.config.objects.items():
+        if not obj.stalled:
+            continue
+        assert not obj.inbox, f"stalled o{oid} has a message"
+        if obj.active is not None:
+            assert not isinstance(obj.active.body[0], SAwait), (
+                f"stalled o{oid} has an active await head")
+            assert wait(obj.active, obj, ctx) != 0, f"stalled o{oid} can step"
+        else:
+            for p in obj.queue:
+                assert wait(p, obj, ctx) != 0, (
+                    f"stalled o{oid} can schedule f{p.pid}")
 
 
 def check_inclusion(seed: int, limit: Fraction = LIMIT):

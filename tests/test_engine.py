@@ -52,15 +52,18 @@ def test_lift_field_order():
     p.locals["arrival"] = mk_time(15)
     p.locals["cost"] = mk_duration(2)
     p.locals["method"] = StrVal("request")
-    assert lift(p) == DataVal("Proc", (
+    assert lift(p, Fraction(0)) == DataVal("Proc", (
         FutRef(4), StrVal("request"), mk_time(15), mk_duration(2),
         mk_duration(40), mk_time(0), mk_time(0), FALSE, num(0)))
+    # the deadline is absolute; a later lift sees less time left
+    assert lift(p, Fraction(15)).args[4] == mk_duration(25)
 
 
 def test_liftall_preserves_order():
     ps = [mte_cases.proc(1, []), mte_cases.proc(2, [])]
-    assert liftall(ps) == mk_list([lift(ps[0]), lift(ps[1])])
-    assert liftall([]) == DataVal("Nil")
+    assert liftall(ps, Fraction(0)) == mk_list([lift(ps[0], Fraction(0)),
+                                              lift(ps[1], Fraction(0))])
+    assert liftall([], Fraction(0)) == DataVal("Nil")
 
 
 def test_select_by_reflected_pid():
@@ -97,7 +100,7 @@ def test_bind_activation_locals():
     assert p.locals["destiny"] == FutRef(fid)
     assert p.locals["job"] == StrVal("Photo")
     assert not p.dispatched
-    assert lift(p) == DataVal("Proc", (
+    assert lift(p, Fraction(0)) == DataVal("Proc", (
         FutRef(fid), StrVal("request"), mk_time(15), mk_duration(2),
         mk_duration(40), mk_time(0), mk_time(0), FALSE, num(0)))
 
@@ -363,6 +366,9 @@ def test_unsatisfiable_guard_deadlocks():
     result = run("{ Int x = 0; await x > 0; }")
     assert result.status == "deadlock"
     assert any("no ready process" in line for line in result.blocked)
+    # each queued process is named with its head
+    assert result.blocked == [
+        f"o0 ({MAIN_CLASS}): no ready process (queued: f0 at `await x > 0;`)"]
 
 
 # ----------------------------------------------------------- policy errors
@@ -384,12 +390,32 @@ def test_scheduler_annotation_errors_surface():
 def test_policy_selecting_foreign_process_rejected():
     engine = Engine(load("{ skip; }"))
     engine.boot()
-    foreign = DataVal("Proc", lift(mte_cases.proc(99, [])).args)
+    foreign = DataVal("Proc", lift(mte_cases.proc(99, []), Fraction(0)).args)
     obj = ObjectState(7, "C", Lit(foreign), {})
     ready = [mte_cases.proc(1, [])]
     with pytest.raises(PolicyError) as err:
         engine.evaluate_policy(obj, ready)
     assert "outside the ready queue" in str(err.value)
+
+
+# ------------------------------------------------------------ step loop
+
+
+def test_ready_set_probed_at_most_once_per_step(media_models, monkeypatch):
+    # a stalled object is not probed again until something it waits for
+    # happens, so idle objects cost no ready-set computation per step
+    calls = 0
+    ready_set = Engine.ready_set
+
+    def counted(self, obj):
+        nonlocal calls
+        calls += 1
+        return ready_set(self, obj)
+
+    monkeypatch.setattr(Engine, "ready_set", counted)
+    result = simulate(media_models["sjf"], 600)
+    assert result.status == "finished" and result.steps > 1000
+    assert calls <= result.steps
 
 
 # ------------------------------------------------------------- determinism

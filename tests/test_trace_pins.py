@@ -62,6 +62,12 @@ PINS = {
     ("single_request", "best", 7): "bb21f669da6f6d28307633279ca5a258fb84fddb72bf09a0ea3bcaf9e472ba12",
     ("single_request", "uniform", 0): "bb21f669da6f6d28307633279ca5a258fb84fddb72bf09a0ea3bcaf9e472ba12",
     ("single_request", "uniform", 7): "bb21f669da6f6d28307633279ca5a258fb84fddb72bf09a0ea3bcaf9e472ba12",
+    ("wake_cases", "worst", 0): "7d64fbca6d4ade474533f09aee9e22aea086740f92d9afb52d7f680ef424b71e",
+    ("wake_cases", "worst", 7): "7d64fbca6d4ade474533f09aee9e22aea086740f92d9afb52d7f680ef424b71e",
+    ("wake_cases", "best", 0): "678ccfbbb85eeedbf0898ca9ba9be6b7013d60c5dc8b7ad5dee5008dd27fb901",
+    ("wake_cases", "best", 7): "678ccfbbb85eeedbf0898ca9ba9be6b7013d60c5dc8b7ad5dee5008dd27fb901",
+    ("wake_cases", "uniform", 0): "26d3bb07f4ac23b2eb0ce2cdfd056abfb8baa542b5bfc91d737818bf3a2d3817",
+    ("wake_cases", "uniform", 7): "0b909dd8fb881894a18c4029485cec338984b92d5e89cd2df10bf18c085784c8",
 }
 
 
