@@ -21,30 +21,30 @@ interleavings of the underlying nondeterministic semantics.
 
 The loop is incremental.  An object visited without a rule applying is
 stalled and skipped until an event that may let it step: a message for
-it, the resolution of a future one of its blocked heads awaits or gets,
-or a tick that reaches one of its timed waits (any tick, if a blocked
-head has a boolean guard, which may read `now` or `deadline`).  Only an
-object's own steps change its fields and processes, so no other event
-can.  Visiting a stalled object again would draw nothing: with an
-active process its queue is not consulted, and without one its last
-visit computed the ready set, which samples every queued head.  So the
-rules applied and the random draws are those of visiting every object
-in creation order after every step.
+it, the resolution of a future one of its blocked heads waits for, or a
+tick that reaches the earliest time one of them may fire (any tick, for
+a head that reads the clock).  The visit registers these wake-ups from
+the waits it has just computed.  Only an object's own steps change its
+fields and processes, so no other event can.  Visiting a stalled object
+again would draw nothing: with an active process its queue is not
+consulted, and without one its last visit computed the ready set, which
+samples every queued head.  So the rules applied and the random draws
+are those of visiting every object in creation order after every step.
 
 Scheduling decisions call back into the modeled language: the object's
 policy expression is evaluated with `queue` bound to the reflected list
 of ready processes, and must return one of them.
 
-One function, `wait(p, obj, ctx)`, defines when a process head is
-enabled: it is the time until the head may fire (0: now; a positive
-delay: once that much time has passed; None: no time advance alone
-enables it).  For an await head it folds over the guard's conjuncts
-left to right: it stops at the first boolean or future conjunct that
-does not hold, else it is the longest remaining sampled duration.  It
-drives all three uses of enabledness: the ready set holds the queued
-processes whose wait is 0, the active process blocks while its wait is
-not 0, and mte is the least wait over each object's active process, or
-over its queue when it has none.
+One function, `wait(p, obj, ctx)`, says when a process head is enabled
+and what else it waits for: 0 now, a positive delay, the unresolved
+future it awaits or gets, or None for a boolean conjunct that does not
+hold.  For an await head it folds over the guard's conjuncts left to
+right: it stops at the first boolean or future conjunct that does not
+hold, else it is the longest remaining sampled duration.  It drives
+every use of enabledness: the ready set holds the queued processes whose
+wait is 0, the active process blocks while its wait is not 0, mte is the
+least delay over each object's active process, or over its queue when it
+has none, and a stalled object wakes on what its heads' waits name.
 
 `simulate`, `Engine.run_until` and `rtabs run` share one loop
 (`run_until`), which runs on a dedicated big-stack thread.
@@ -57,6 +57,7 @@ import random
 import sys
 import threading
 from collections import ChainMap, deque
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -67,9 +68,9 @@ from .errors import (
 )
 from .evaluator import EvalContext, Program, eval_expr, eval_guard
 from .nodes import (
-    Expr, GBool, GDuration, GFut, Lit, Model, RCall, RDur, RExpr, RGet, RNew,
+    Expr, GDuration, GFut, Lit, Model, RCall, RDur, RExpr, RGet, RNew,
     SAssign, SAwait, SDuration, SDuration2, SIf, SReturn, SSkip, SSuspend,
-    SWhile, Stmt, TypeAst,
+    SWhile, Stmt, TypeAst, Var,
 )
 from .pretty import render_expr, render_guard, render_stmt
 from .trace import Trace, TraceEvent
@@ -114,7 +115,7 @@ class ObjectState:
     queue: list[ProcessRecord] = field(default_factory=list)
     # invocation messages not yet bound, in arrival order
     inbox: deque[InvocationMessage] = field(default_factory=deque)
-    # no rule applies until a wake-up event (see Engine._stall)
+    # no rule applies until a wake-up event (see Engine._register)
     stalled: bool = False
 
     def processes(self) -> list[ProcessRecord]:
@@ -228,9 +229,14 @@ def relative(stmt: Stmt, clock: Fraction) -> Stmt:
     return stmt
 
 
-def wait(p: ProcessRecord, obj: ObjectState, ctx: EvalContext) -> Fraction | None:
-    """Time until p's head may fire: 0 now, a positive delay once that
-    much time has passed, None when no time advance alone enables it."""
+Wait = Fraction | FutRef | None
+
+
+def wait(p: ProcessRecord, obj: ObjectState, ctx: EvalContext) -> Wait:
+    """What p's head waits for: 0 when it may fire now, a positive delay
+    when it may fire once that much time has passed, the unresolved
+    future it awaits (`f?`) or gets (`x = e.get`), or None when a
+    boolean conjunct does not hold."""
     head = p.body[0]
     clock = ctx.clock
     if isinstance(head, SDuration2):
@@ -245,7 +251,7 @@ def wait(p: ProcessRecord, obj: ObjectState, ctx: EvalContext) -> Fraction | Non
             elif isinstance(guard, GDuration):
                 raise AssertionError("wait on an unsampled duration guard")
             elif not eval_guard(guard, env, ctx):
-                return None
+                return env[guard.var] if isinstance(guard, GFut) else None
         return _ZERO if end is None else end - clock
     if isinstance(head, SAssign) and isinstance(head.rhs, RGet):
         fut = eval_expr(head.rhs.expr, proc_env(p, obj, clock), ctx)
@@ -253,12 +259,12 @@ def wait(p: ProcessRecord, obj: ObjectState, ctx: EvalContext) -> Fraction | Non
             raise EvalTypeError(
                 f"get applied to {render_value(fut)}, not a future",
                 head.rhs.pos)
-        return _ZERO if ctx.is_resolved(fut.fid) else None
+        return _ZERO if ctx.is_resolved(fut.fid) else fut
     return _ZERO
 
 
 def mte_raw(config: Configuration, program: Program) -> Fraction | None:
-    """The least wait over each object's active process, or over its
+    """The least delay over each object's active process, or over its
     queue when it has none; None when nothing waits for time."""
     ctx = EvalContext(program, config.clock,
                       is_resolved=lambda fid: config.futures[fid].resolved)
@@ -270,7 +276,7 @@ def mte_raw(config: Configuration, program: Program) -> Fraction | None:
             except RtRuntimeError as err:
                 _locate(err, obj.oid, p, config.clock)
                 raise
-            if w is not None and (out is None or w < out):
+            if type(w) is Fraction and (out is None or w < out):  # a delay
                 out = w
     return out
 
@@ -281,10 +287,9 @@ def _locate(err: RtRuntimeError, oid: int, p: ProcessRecord | None,
     unless an inner handler already did."""
     if err.obj is None:
         err.obj = oid
-    if p is not None:
-        if err.pid is None:
-            err.pid = p.pid
-            err.method = p.method
+    if p is not None and err.pid is None:
+        err.pid = p.pid
+        err.method = p.method
         if err.stmt is None and p.body:
             err.stmt = render_stmt(relative(p.body[0], clock)).strip()
 
@@ -322,10 +327,8 @@ class Engine:
         self._next_fid = 0
         # the oids of the objects that are not stalled, as a heap
         self._awake: list[int] = []
-        # wake-up events of stalled objects: a future's resolution, any
-        # tick, and the clock reaching a time
+        # what wakes a stalled object: a future's resolution, a time
         self._future_waiters: dict[int, set[int]] = {}
-        self._tick_waiters: set[int] = set()
         self._timers: list[tuple[Fraction, int]] = []
 
     # ------------------------------------------------------------- plumbing
@@ -450,7 +453,7 @@ class Engine:
             if rule is not None:
                 return rule
             heapq.heappop(awake)
-            self._stall(obj)
+            obj.stalled = True
         return None
 
     def _visit_object(self, obj: ObjectState) -> str | None:
@@ -465,33 +468,27 @@ class Engine:
 
     # --- stalling and waking
 
-    def _stall(self, obj: ObjectState) -> None:
-        """Park an object that no rule applies to, registering what its
-        blocked heads wait for: the futures they await or get, the ends
-        of their running durations, and any tick for a boolean guard.  A
-        message wakes any object."""
-        obj.stalled = True
-        oid = obj.oid
-        clock = self.config.clock
-        for p in obj.queue if obj.active is None else (obj.active,):
-            head = p.body[0]
-            env = proc_env(p, obj, clock)
-            if isinstance(head, SDuration2):
-                heapq.heappush(self._timers, (head.best, oid))
-            elif isinstance(head, SAwait):
-                for g in head.guards:
-                    if isinstance(g, GBool):
-                        self._tick_waiters.add(oid)
-                    elif isinstance(g, GFut):
-                        self._wait_for(env.get(g.var), oid)
-                    elif isinstance(g, RDur) and g.best > clock:
-                        heapq.heappush(self._timers, (g.best, oid))
-            elif isinstance(head, SAssign) and isinstance(head.rhs, RGet):
-                self._wait_for(eval_expr(head.rhs.expr, env, self._ctx()), oid)
-
-    def _wait_for(self, fut: Value | None, oid: int) -> None:
-        if isinstance(fut, FutRef) and not self.config.futures[fut.fid].resolved:
-            self._future_waiters.setdefault(fut.fid, set()).add(oid)
+    def _register(self, obj: ObjectState,
+                  blocked: Iterable[tuple[ProcessRecord, Wait]]) -> None:
+        """Register what wakes an object that no rule applies to, from
+        its blocked heads' waits: each future named, and one timer at the
+        earliest time one may fire (now, if it reads the clock)."""
+        soonest = None  # the least delay until one of them may fire
+        for p, w in blocked:
+            if isinstance(w, FutRef):
+                self._future_waiters.setdefault(w.fid, set()).add(obj.oid)
+                head = p.body[0]
+                # a `.get` target other than a variable may read the clock
+                if isinstance(head, SAwait) or isinstance(head.rhs.expr, Var):
+                    continue
+                soonest = _ZERO
+            elif w is None:  # so may a boolean conjunct that does not hold
+                soonest = _ZERO
+            elif soonest is None or w < soonest:
+                soonest = w
+        if soonest is not None:
+            heapq.heappush(self._timers,
+                           (self.config.clock + soonest, obj.oid))
 
     def _wake(self, oid: int) -> None:
         obj = self.config.objects[oid]
@@ -500,9 +497,6 @@ class Engine:
             heapq.heappush(self._awake, oid)
 
     def _wake_on_tick(self) -> None:
-        for oid in self._tick_waiters:
-            self._wake(oid)
-        self._tick_waiters.clear()
         timers = self._timers
         while timers and timers[0][0] <= self.config.clock:
             self._wake(heapq.heappop(timers)[1])
@@ -542,7 +536,12 @@ class Engine:
                              due=due)
 
     def _bind_and_enqueue(self, obj: ObjectState, msg: InvocationMessage) -> None:
-        p = self.bind_activation(msg)
+        try:
+            p = self.bind_activation(msg)
+        except RtRuntimeError as err:
+            # the message's own process, not the one running on obj
+            err.pid, err.method = msg.fid, msg.method
+            raise
         obj.queue.append(p)
         data = [("deadline", render_duration_field(msg.deadline)),
                 ("cost", render_duration_field(p.locals["cost"])),
@@ -562,18 +561,19 @@ class Engine:
         ctx = self._ctx()
         self._fix_head(p, obj)
         s = p.body[0]
-        enabled = wait(p, obj, ctx) == 0
+        w = wait(p, obj, ctx)
 
         if isinstance(s, SAwait):
-            if enabled:
+            if w == 0:
                 del p.body[0]
                 return "await-true"
             guard = render_guard(relative(s, clock).guards)
             self._suspend(obj, p, (("guard", guard),))
             return "await-false"
 
-        if not enabled:
-            return None  # object waits for the clock or a future
+        if w != 0:  # the object waits for the clock or a future
+            self._register(obj, [(p, w)])
+            return None
 
         if isinstance(s, SSkip):
             del p.body[0]
@@ -766,15 +766,17 @@ class Engine:
         """Queued processes whose head statement may fire now, in queue
         order."""
         ctx = self._ctx()
-        out = []
+        waits = []
         for p in obj.queue:
             try:
                 self._fix_head(p, obj)
-                if wait(p, obj, ctx) == 0:
-                    out.append(p)
+                waits.append(wait(p, obj, ctx))
             except RtRuntimeError as err:
                 _locate(err, obj.oid, p, ctx.clock)
                 raise
+        out = [p for p, w in zip(obj.queue, waits) if w == 0]
+        if not out:
+            self._register(obj, zip(obj.queue, waits))
         return out
 
     def _try_schedule(self, obj: ObjectState) -> bool:
@@ -874,19 +876,25 @@ class Engine:
                    for obj in self.config.objects.values())
 
     def _blocked_report(self) -> list[str]:
-        def head(p: ProcessRecord) -> str:
+        ctx = self._ctx()
+
+        def head(p: ProcessRecord, obj: ObjectState) -> str:
+            """p's head, and the future it waits for if it names one."""
             if not p.body:
-                return "?"
-            return render_stmt(relative(p.body[0], self.config.clock)).strip()
+                return "`?`"
+            text = f"`{render_stmt(relative(p.body[0], ctx.clock)).strip()}`"
+            w = wait(p, obj, ctx)
+            return f"{text} (waits for f{w.fid})" if isinstance(w, FutRef) else text
 
         out = []
         for oid, obj in self.config.objects.items():
             if obj.active is not None:
                 p = obj.active
                 out.append(f"o{oid} ({obj.cls}): process f{p.pid} "
-                           f"({p.method}) blocked at `{head(p)}`")
+                           f"({p.method}) blocked at {head(p, obj)}")
             elif obj.queue:
-                queued = ", ".join(f"f{p.pid} at `{head(p)}`" for p in obj.queue)
+                queued = ", ".join(f"f{p.pid} at {head(p, obj)}"
+                                   for p in obj.queue)
                 out.append(f"o{oid} ({obj.cls}): no ready process "
                            f"(queued: {queued})")
         return out

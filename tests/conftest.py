@@ -25,8 +25,9 @@ def pytest_terminal_summary(terminalreporter):
 # (name, model source, message, clock, method) of models that stop with a
 # runtime error in the named method: bad duration bounds, get on a null
 # future at a queued head, a raising conjunct behind an unresolved future,
-# an error raised while sampling a queued head during time advance, and a
-# non-Bool guard, whose message carries the guard's source position
+# an error raised while sampling a queued head during time advance, a
+# non-Bool guard, whose message carries the guard's source position, and
+# a message whose cost raises while it is bound to a busy object
 RUNTIME_ERROR_CASES = [
     ("malformed bounds", "{ duration(5, 2); }\n",
      "malformed duration bounds", 0, "main"),
@@ -54,6 +55,14 @@ interface I { Unit m(); }
 class C implements I { Int x = 0; Unit m() { await x; } }
 { I o = new C(); o!m(); }
 """, "guard is 0, not a Bool at ", 0, "m"),
+    ("binding error", """
+interface S { Unit slow(); Int m(Int x); }
+class SImp implements S {
+  Unit slow() { duration(4, 4); }
+  [Cost: Duration(1 / x)] Int m(Int x) { return x; }
+}
+{ S s = new SImp(); s!slow(); await duration(1, 1); s!m(0); }
+""", "division by zero", 1, "m"),
 ]
 
 

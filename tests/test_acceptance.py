@@ -153,14 +153,22 @@ def test_criterion_5_single_request_golden():
 def test_criterion_6_reference_inclusion():
     programs = 200
     total_states = 0
+    # seeds 0-59 that reach more states than the engine takes steps:
+    # most of them must exercise real nondeterminism
+    interesting = 0
     bad = None
     for seed in range(programs):
         try:
-            _, states = ref.check_inclusion(seed)
+            steps, states = ref.check_inclusion(seed)
+            assert steps >= 3, f"seed {seed}: only {steps} engine steps"
             total_states += states
+            if seed < 60 and states > steps:
+                interesting += 1
         except AssertionError as exc:
             bad = str(exc).splitlines()[0]
             break
+    if bad is None and interesting < 30:
+        bad = f"only {interesting} of seeds 0-59 reach more states than steps"
     ok = bad is None
     _report(6, ok, f"{programs} generated programs, engine states within "
                    f"{total_states} reference-reachable states"

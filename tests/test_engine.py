@@ -6,15 +6,19 @@ from fractions import Fraction
 import pytest
 
 from rtabs import (
-    Engine, InvocationMessage, ObjectState, PolicyError, lift, liftall,
-    load_source, select, simulate,
+    Engine, FutureCell, InvocationMessage, ObjectState, PolicyError, lift,
+    liftall, load_source, select, simulate,
 )
 from rtabs.desugar import desugar
-from rtabs.engine import MAIN_CLASS
-from rtabs.nodes import GFut, Lit, RDur, SAwait
+from rtabs.engine import MAIN_CLASS, wait
+from rtabs.evaluator import EvalContext
+from rtabs.nodes import (
+    GBool, GFut, IfExpr, Lit, RDur, RGet, SAssign, SAwait, SDuration2, SSkip,
+    Var,
+)
 from rtabs.trace import render_csv
 from rtabs.values import (
-    FALSE, DataVal, FutRef, StrVal, mk_duration, mk_list, mk_time, num,
+    FALSE, TRUE, DataVal, FutRef, StrVal, mk_duration, mk_list, mk_time, num,
 )
 
 import mte_cases
@@ -42,6 +46,40 @@ def test_mte_adv_table():
     for name, check in mte_cases.CASES:
         check()
     assert len(mte_cases.CASES) == 12
+
+
+def test_wait_answers():
+    # wait is the one classifier of a blocked head: 0 when it may fire,
+    # a delay, the unresolved future it waits for, or None for a boolean
+    # conjunct that does not hold
+    f, g = FutRef(1), FutRef(2)
+    cells = {1: FutureCell(1), 2: FutureCell(2, resolved=True, value=num(0))}
+    ctx = EvalContext(mte_cases.PROGRAM, Fraction(0),
+                      is_resolved=lambda fid: cells[fid].resolved)
+
+    def answer(head, c=TRUE):
+        p = mte_cases.proc(9, [head])
+        p.locals.update(f=f, g=g, c=c)
+        return wait(p, mte_cases.idle(0, [p]), ctx)
+
+    def get(target):
+        return SAssign(None, "x", RGet(target))
+
+    pick = IfExpr(Var("c"), Var("f"), Var("g"))
+    assert answer(SSkip()) == 0
+    assert answer(SAwait((GFut("g"),))) == 0
+    assert answer(get(Var("g"))) == 0
+    assert answer(get(pick), c=FALSE) == 0
+    assert answer(SDuration2(Fraction(3), Fraction(3))) == 3
+    assert answer(SAwait((RDur(Fraction(2), Fraction(4)), GFut("g")))) == 4
+    assert answer(SAwait((GFut("f"),))) == f
+    assert answer(SAwait((GBool(Lit(TRUE)), GFut("f")))) == f
+    assert answer(get(Var("f"))) == f
+    assert answer(get(pick)) == f
+    assert answer(SAwait((GBool(Lit(FALSE)),))) is None
+    # the fold stops at the first conjunct that does not hold
+    assert answer(SAwait((GBool(Lit(FALSE)), GFut("f")))) is None
+    assert answer(SAwait((GFut("f"), GBool(Lit(FALSE))))) == f
 
 
 # -------------------------------------------------------------- reflection
@@ -138,6 +176,23 @@ def test_while_loop_computes():
     assert result.status == "finished"
     ret = [e for e in events(result, "return") if e.method == "fact"]
     assert ret[0].get("value") == "120"
+
+
+def test_get_target_reading_the_clock_is_woken_by_ticks():
+    # at clock 1 the target is f, unresolved; from clock 5 it is g,
+    # resolved since 1, so a tick must wake main even though f is still
+    # running
+    result = run("""
+    interface S { Int v(Int d); }
+    class SImp implements S { Int v(Int d) { duration(d, d); return d; } }
+    { S a = new SImp(); S b = new SImp(); S c = new SImp();
+      Fut<Int> f = a!v(20); Fut<Int> g = b!v(1); Fut<Int> h = c!v(7);
+      await g?; Int x = (if timeValue(now) < 5 then f else g).get; }
+    """, limit=40)
+    assert result.status == "finished"
+    assert result.clock == 20
+    ret = [e for e in events(result, "return") if e.method == "main"]
+    assert [e.time for e in ret] == [7]
 
 
 def test_blocking_get_resumes_on_resolution():
@@ -359,7 +414,12 @@ def test_self_sync_call_deadlocks():
     { A a = new AImp(); Fut<Int> g = a!f(); Int y = g.get; }
     """)
     assert result.status == "deadlock"
-    assert any("blocked at" in line for line in result.blocked)
+    # a head blocked on a future names it
+    assert result.blocked == [
+        f"o0 ({MAIN_CLASS}): process f0 (main) blocked at `Int y = g.get;` "
+        f"(waits for f1)",
+        "o1 (AImp): process f1 (f) blocked at `Int x = $t0.get;` "
+        "(waits for f2)"]
 
 
 def test_unsatisfiable_guard_deadlocks():
