@@ -23,7 +23,7 @@ from .metrics import (
 )
 from .parser import parse_expr, parse_model
 from .prelude import load_model, load_source, merge_with_prelude, prelude_model
-from .trace import Trace, TraceEvent, read_csv, read_structured, write_csv, write_structured
+from .trace import Trace, TraceEvent, read_csv, read_structured
 
 __version__ = "0.1.0"
 
@@ -36,5 +36,5 @@ __all__ = [
     "derive_outcomes", "lift", "liftall", "load_model", "load_source",
     "merge_with_prelude", "misses_series", "mte", "mte_raw", "parse_expr",
     "parse_model", "prelude_model", "read_csv", "read_structured", "select",
-    "simulate", "write_csv", "write_structured",
+    "simulate",
 ]

@@ -6,12 +6,13 @@ queue of suspended or pending ones), futures, and the global clock.
 Execution alternates two phases: apply instantaneous rules until
 quiescence, then advance the clock by the maximum time elapse (mte).
 
-Time is stored absolute.  A process keeps its absolute deadline, and a
-sampled duration (the `duration` statement, a duration conjunct of an
-await guard) the absolute time it ends, so advancing time moves only
-the clock.  The time left, which models and traces see, is derived
-from the clock when a process's scope is built, when it is lifted into
-a Proc value, and when a head or a deadline is rendered.
+Time is stored absolute.  A process keeps its absolute deadline in
+`due`, and a sampled duration (the `duration` statement, a duration
+conjunct of an await guard) the absolute time it ends, so advancing
+time moves only the clock.  No process keeps a `deadline` local: the
+time left, which models and traces see, is derived from the clock when
+a process's scope is built, when it is lifted into a Proc value, and
+when a head or a deadline is rendered.
 
 Rule choice is determinized for reproducibility: each step applies a
 rule of the lowest-oid object that has one; per object, pending
@@ -56,7 +57,7 @@ import heapq
 import random
 import sys
 import threading
-from collections import ChainMap, deque
+from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -99,9 +100,8 @@ class ProcessRecord:
     body: list[Stmt]
     dispatched: bool = False
     label: str | None = None
-    # the absolute deadline; None when infinite.  `locals["deadline"]`
-    # holds the time left until it only once proc_locals has brought it
-    # up to date.
+    # the absolute deadline; None when infinite.  The only store of a
+    # deadline: the `deadline` a model or a Proc sees is derived from it.
     due: Fraction | None = None
 
 
@@ -168,8 +168,10 @@ class RunResult:
 
 def lift(p: ProcessRecord, clock: Fraction) -> DataVal:
     """Project a process's reserved locals at clock into a Proc value."""
-    locals_ = proc_locals(p, clock)
-    return DataVal("Proc", tuple(locals_[name] for name in PROC_FIELDS))
+    locals_ = p.locals
+    return DataVal("Proc", tuple(
+        remaining_deadline(p, clock) if name == "deadline" else locals_[name]
+        for name in PROC_FIELDS))
 
 
 def liftall(processes: list[ProcessRecord], clock: Fraction) -> Value:
@@ -204,16 +206,12 @@ def remaining_deadline(p: ProcessRecord, clock: Fraction) -> Value:
     return INF_DURATION if p.due is None else mk_duration(p.due - clock)
 
 
-def proc_locals(p: ProcessRecord, clock: Fraction) -> dict[str, Value]:
-    """p's locals with `deadline` brought up to date for clock."""
-    if p.due is not None:
-        p.locals["deadline"] = remaining_deadline(p, clock)
-    return p.locals
-
-
-def proc_env(p: ProcessRecord, obj: ObjectState, clock: Fraction) -> ChainMap:
-    """The scope p's statements and guards evaluate in."""
-    return ChainMap(proc_locals(p, clock), obj.attrs)
+def proc_env(p: ProcessRecord, obj: ObjectState,
+             clock: Fraction) -> dict[str, Value]:
+    """The scope p's statements and guards evaluate in: its locals over
+    its object's fields, and the time left until its deadline."""
+    return {**obj.attrs, **p.locals,
+            "deadline": remaining_deadline(p, clock)}
 
 
 def relative(stmt: Stmt, clock: Fraction) -> Stmt:
@@ -362,14 +360,14 @@ class Engine:
         self._create_object(MAIN_CLASS, default_policy(), {}, "main",
                             self.model.main)
 
-    def _reserved_locals(self, fid: int, method: str, deadline: Value,
-                         critical: Value, cost: Value) -> dict[str, Value]:
+    def _reserved_locals(self, fid: int, method: str, critical: Value,
+                         cost: Value) -> dict[str, Value]:
+        """The reserved locals except `deadline`, which derives from `due`."""
         return {
             "destiny": FutRef(fid),
             "method": StrVal(method),
             "arrival": mk_time(self.config.clock),
             "cost": cost,
-            "deadline": deadline,
             "start": mk_time(0),
             "finish": mk_time(0),
             "critical": critical,
@@ -524,8 +522,8 @@ class Engine:
             raise EvalTypeError(
                 f"cost of {obj.cls}.{msg.method} is {render_value(cost)}, "
                 f"not a Duration")
-        locals_ = self._reserved_locals(msg.fid, msg.method, msg.deadline,
-                                        msg.critical, cost)
+        locals_ = self._reserved_locals(msg.fid, msg.method, msg.critical,
+                                        cost)
         locals_["arrival"] = mk_time(msg.timestamp)
         locals_.update(arg_env)
         label = next((a.value for a in msg.args if isinstance(a, StrVal)), None)
@@ -748,7 +746,7 @@ class Engine:
             fid = self._fresh_fid()
             p = ProcessRecord(
                 pid=fid, oid=oid, method=method,
-                locals=self._reserved_locals(fid, method, INF_DURATION, FALSE,
+                locals=self._reserved_locals(fid, method, FALSE,
                                              mk_duration(0)),
                 body=list(body), dispatched=True)
             p.locals["start"] = mk_time(self.config.clock)
@@ -798,23 +796,23 @@ class Engine:
                         ready: list[ProcessRecord]) -> ProcessRecord:
         """Run the object's scheduling expression over the reflected ready
         queue; the result must identify one of the ready processes."""
-        env = ChainMap({"queue": liftall(ready, self.config.clock)}, obj.attrs)
+        env = {**obj.attrs, "queue": liftall(ready, self.config.clock)}
         try:
             choice = eval_expr(obj.policy, env, self._ctx())
+            if not (isinstance(choice, DataVal) and choice.ctor == "Proc"
+                    and len(choice.args) == len(PROC_FIELDS)):
+                raise PolicyError(
+                    f"scheduler of o{obj.oid} returned {render_value(choice)}, "
+                    f"not a process", getattr(obj.policy, "pos", None))
+            p = select(choice.args[0], ready)
+            if p is None:
+                raise PolicyError(
+                    f"scheduler of o{obj.oid} selected a process outside the "
+                    f"ready queue", getattr(obj.policy, "pos", None))
         except RtRuntimeError as err:
             if err.stmt is None:
                 err.stmt = f"[Scheduler: {render_expr(obj.policy)}]"
             raise
-        if not (isinstance(choice, DataVal) and choice.ctor == "Proc"
-                and len(choice.args) == len(PROC_FIELDS)):
-            raise PolicyError(
-                f"scheduler of o{obj.oid} returned {render_value(choice)}, "
-                f"not a process", getattr(obj.policy, "pos", None))
-        p = select(choice.args[0], ready)
-        if p is None:
-            raise PolicyError(
-                f"scheduler of o{obj.oid} selected a process outside the "
-                f"ready queue", getattr(obj.policy, "pos", None))
         return p
 
     # ------------------------------------------------------------ main loop

@@ -1,17 +1,17 @@
 """Strict evaluation of side-effect-free expressions and guards.
 
-Environments are ChainMaps (composition with left bias, so pattern
-bindings layered over an outer scope win on lookup).  Function bodies
-evaluate under a fresh environment binding only the formals; they never
-see the caller's variables.  Rationals stay exact throughout.
+Environments are plain dicts.  A `case` branch evaluates under a copy of
+the outer scope with the pattern's bindings written over it, so a binder
+shadows an outer variable of the same name.  Function bodies evaluate
+under a fresh environment binding only the formals; they never see the
+caller's variables.  Rationals stay exact throughout.
 """
 
 from __future__ import annotations
 
-from collections import ChainMap
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable
 
 from .errors import (
     CallDepthError, DivisionByZeroError, EvalTypeError, MatchFailureError,
@@ -27,7 +27,7 @@ from .values import (
     is_time, mk_duration, mk_time, render_value,
 )
 
-Env = Mapping[str, Value]
+Env = dict[str, Value]
 
 
 @dataclass
@@ -73,8 +73,9 @@ def _eval(expr: Expr, env: Env, ctx: EvalContext) -> Value:
         return expr.value
     if isinstance(expr, Var):
         name = expr.name
-        if name in env:
-            return env[name]
+        value = env.get(name)
+        if value is not None:
+            return value
         if ctx.program.ctor_arity.get(name) == 0:
             return DataVal(name)
         raise UnboundVariableError(f"unbound variable {name}", expr.pos)
@@ -102,9 +103,9 @@ def _eval(expr: Expr, env: Env, ctx: EvalContext) -> Value:
     if isinstance(expr, CaseExpr):
         scrutinee = _eval(expr.scrutinee, env, ctx)
         for branch in expr.branches:
-            bindings = match_pattern(branch.pattern, scrutinee, ctx.program)
-            if bindings is not None:
-                return _eval(branch.body, ChainMap(bindings, env), ctx)
+            bindings: Env = {}
+            if match_pattern(branch.pattern, scrutinee, ctx.program, bindings):
+                return _eval(branch.body, {**env, **bindings}, ctx)
         raise MatchFailureError(
             f"no branch matches {render_value(scrutinee)}", expr.pos)
     raise EvalTypeError(f"cannot evaluate {expr!r}", getattr(expr, "pos", None))
@@ -200,28 +201,28 @@ def _eval_binop(expr: BinOp, env: Env, ctx: EvalContext) -> Value:
     raise EvalTypeError(f"unknown operator {op}", expr.pos)
 
 
-def match_pattern(pat: Pattern, value: Value,
-                  program: Program) -> dict[str, Value] | None:
+def match_pattern(pat: Pattern, value: Value, program: Program,
+                  bindings: Env) -> bool:
+    """Whether value matches pat; binders are written into bindings,
+    which may hold a partial match when the answer is False."""
     if isinstance(pat, PWildcard):
-        return {}
+        return True
     if isinstance(pat, PLit):
-        return {} if pat.value == value else None
+        return pat.value == value
     if isinstance(pat, PName):
         if program.ctor_arity.get(pat.name) == 0:
-            return {} if value == DataVal(pat.name) else None
-        return {pat.name: value}
+            return value == DataVal(pat.name)
+        bindings[pat.name] = value
+        return True
     if isinstance(pat, PCtor):
         if not isinstance(value, DataVal) or value.ctor != pat.name:
-            return None
+            return False
         if len(pat.args) != len(value.args):
-            return None
-        bindings: dict[str, Value] = {}
+            return False
         for sub, arg in zip(pat.args, value.args):
-            inner = match_pattern(sub, arg, program)
-            if inner is None:
-                return None
-            bindings.update(inner)
-        return bindings
+            if not match_pattern(sub, arg, program, bindings):
+                return False
+        return True
     raise EvalTypeError(f"cannot match {pat!r}")
 
 
@@ -237,10 +238,10 @@ def eval_guard(guard: Guard, env: Env, ctx: EvalContext) -> bool:
                 f"guard is {render_value(value)}, not a Bool", guard.pos)
         return value.value
     if isinstance(guard, GFut):
-        if guard.var not in env:
+        value = env.get(guard.var)
+        if value is None:
             raise UnboundVariableError(f"unbound variable {guard.var}",
                                        guard.pos)
-        value = env[guard.var]
         if not isinstance(value, FutRef):
             raise EvalTypeError(
                 f"{guard.var}? applied to {render_value(value)}, not a future",

@@ -134,11 +134,6 @@ def render_csv(trace: Trace) -> str:
     return out.getvalue()
 
 
-def write_csv(trace: Trace, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(render_csv(trace))
-
-
 def read_csv_text(text: str) -> Trace:
     reader = csv.reader(io.StringIO(text))
     rows = list(reader)
@@ -168,11 +163,6 @@ def render_structured(trace: Trace) -> str:
         }
         lines.append(json.dumps(record, sort_keys=False, separators=(",", ":")))
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def write_structured(trace: Trace, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(render_structured(trace))
 
 
 def read_structured_text(text: str) -> Trace:

@@ -1,5 +1,6 @@
 """Shared paths and cached model loads for the test suite."""
 
+import os
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,13 @@ from rtabs import load_model
 TESTS_DIR = Path(__file__).resolve().parent
 MODELS_DIR = TESTS_DIR.parent / "models"
 GOLDEN_DIR = TESTS_DIR / "golden"
+SRC_DIR = TESTS_DIR.parent / "src"
+
+# the environment of a CLI child process: this checkout's src comes
+# first on its path, so the child runs the code under test and not an
+# installed copy
+CLI_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])))
 
 # verdict lines collected by the acceptance module; echoed after the
 # test summary so they survive output capture

@@ -27,12 +27,12 @@ PROGRAM = Program.from_model(desugar(load_source("", "<empty>")[0]))
 
 def proc(pid, body, deadline=INF_DURATION, oid=0, clock=0):
     """A process whose deadline, given as the time left at clock, is
-    kept absolute as the engine keeps it; a sampled head in body is
-    already absolute (all cases but one run at clock 0)."""
+    kept absolute in `due`, as the engine keeps it; a sampled head in
+    body is already absolute (all cases but one run at clock 0)."""
     locals_ = {
         "destiny": FutRef(pid), "method": StrVal("m"), "arrival": mk_time(0),
-        "cost": mk_duration(0), "deadline": deadline, "start": mk_time(0),
-        "finish": mk_time(0), "critical": FALSE, "value": num(0),
+        "cost": mk_duration(0), "start": mk_time(0), "finish": mk_time(0),
+        "critical": FALSE, "value": num(0),
     }
     due = None if is_inf_duration(deadline) else clock + duration_rat(deadline)
     return ProcessRecord(pid=pid, oid=oid, method="m", locals=locals_,

@@ -29,7 +29,6 @@ oracles).
 from __future__ import annotations
 
 import random
-from collections import ChainMap
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -459,7 +458,7 @@ class ReferenceExecutor:
 
     def _is_ready(self, st: RefState, obj: RefObject, p: RefProc) -> bool:
         head = p.body[0]
-        env = ChainMap(p.locals, obj.attrs)
+        env = {**obj.attrs, **p.locals}
         ctx = self._ctx(st)
         if isinstance(head, SAwait):
             return all(_holds(g, env, ctx) for g in head.guards)
@@ -484,7 +483,7 @@ class ReferenceExecutor:
         st = _clone(st)
         obj = st.objects[oid]
         p = obj.active
-        env = ChainMap(p.locals, obj.attrs)
+        env = {**obj.attrs, **p.locals}
         ctx = self._ctx(st)
         s = p.body[0]
 
@@ -610,7 +609,7 @@ class ReferenceExecutor:
         for obj in st.objects.values():
             for p in obj.processes():
                 if p.body and isinstance(p.body[0], SAwait):
-                    env = ChainMap(p.locals, obj.attrs)
+                    env = {**obj.attrs, **p.locals}
                     p.body[0] = SAwait(
                         tuple(self._fix_guard(st, g, env)
                               for g in p.body[0].guards),
@@ -632,7 +631,7 @@ class ReferenceExecutor:
 
     def _proc_mte(self, st, obj, p):
         head = p.body[0]
-        env = ChainMap(p.locals, obj.attrs)
+        env = {**obj.attrs, **p.locals}
         if isinstance(head, SDuration2):
             return Fraction(0) if head.best <= 0 else head.worst
         if isinstance(head, SAwait):

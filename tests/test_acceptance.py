@@ -20,7 +20,7 @@ from rtabs.values import (
 )
 
 import conftest
-from conftest import GOLDEN_DIR, model_file
+from conftest import CLI_ENV, GOLDEN_DIR, model_file
 import mte_cases
 import reference_executor as ref
 
@@ -238,7 +238,7 @@ def test_criterion_8_rerun_determinism(tmp_path):
                 [sys.executable, "-m", "rtabs.cli", "run", model,
                  "--until", until, "--duration-policy", policy,
                  "--seed", seed, "--trace", str(path)],
-                capture_output=True, text=True)
+                capture_output=True, text=True, env=CLI_ENV)
             assert res.returncode == 0, res.stderr
             outs.append(path.read_bytes())
         if outs[0] == outs[1]:

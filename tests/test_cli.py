@@ -4,7 +4,7 @@ trace files, and metrics aggregation."""
 import subprocess
 import sys
 
-from conftest import RUNTIME_ERROR_CASES, model_file
+from conftest import CLI_ENV, RUNTIME_ERROR_CASES, model_file
 from rtabs import load_model, simulate
 from rtabs.trace import render_csv
 
@@ -30,7 +30,8 @@ interface S { Unit req(Int c); }
 
 
 def run_cli(*args):
-    return subprocess.run(CLI + list(args), capture_output=True, text=True)
+    return subprocess.run(CLI + list(args), capture_output=True, text=True,
+                          env=CLI_ENV)
 
 
 def write(tmp_path, name, source):

@@ -134,7 +134,7 @@ def test_bind_activation_locals():
     assert p.label == "Photo"
     assert p.locals["arrival"] == mk_time(15)
     assert p.locals["cost"] == mk_duration(2)
-    assert p.locals["deadline"] == mk_duration(40)
+    assert "deadline" not in p.locals and p.due == 40
     assert p.locals["destiny"] == FutRef(fid)
     assert p.locals["job"] == StrVal("Photo")
     assert not p.dispatched
@@ -193,6 +193,25 @@ def test_get_target_reading_the_clock_is_woken_by_ticks():
     assert result.clock == 20
     ret = [e for e in events(result, "return") if e.method == "main"]
     assert [e.time for e in ret] == [7]
+
+
+def test_method_local_shadows_field():
+    # a local declared with a field's name is read and written as the
+    # local; the field keeps its own value for a later call
+    result = run("""
+    interface C { Int shadow(Int k); Int field(); }
+    class CImp implements C {
+      Int n = 7;
+      Int shadow(Int k) { Int n = k; n = n + 1; return n; }
+      Int field() { return n; }
+    }
+    { C c = new CImp(); Fut<Int> f = c!shadow(1); Int a = f.get;
+      Fut<Int> g = c!field(); Int b = g.get; }
+    """)
+    assert result.status == "finished"
+    values = {e.method: e.get("value") for e in events(result, "return")}
+    assert values["shadow"] == "2"
+    assert values["field"] == "7"
 
 
 def test_blocking_get_resumes_on_resolution():
@@ -445,6 +464,7 @@ def test_scheduler_annotation_errors_surface():
     """)
     assert result.status == "error"
     assert "not a process" in str(result.error)
+    assert result.error.describe().endswith("statement `[Scheduler: 42]`")
 
 
 def test_policy_selecting_foreign_process_rejected():
@@ -456,6 +476,7 @@ def test_policy_selecting_foreign_process_rejected():
     with pytest.raises(PolicyError) as err:
         engine.evaluate_policy(obj, ready)
     assert "outside the ready queue" in str(err.value)
+    assert err.value.stmt.startswith("[Scheduler: ")
 
 
 # ------------------------------------------------------------ step loop

@@ -128,6 +128,18 @@ def test_literal_patterns():
     assert call("sign", num(-7), prog=prog) == num(-1)
 
 
+def test_case_binder_shadows_outer_variable():
+    assert ev("case 5 { x => x; }", {"x": num(1)}) == num(5)
+
+
+def test_failed_branch_leaks_no_binding():
+    # the first branch binds x before failing on 3; the second branch
+    # must still see the outer x
+    prog = program("data Pair<A, B> = Pair(A, B);")
+    source = "case Pair(1, 2) { Pair(x, 3) => 0; Pair(_, _) => x; }"
+    assert ev(source, {"x": num(9)}, prog=prog) == num(9)
+
+
 def test_function_shadowing_last_wins():
     prog = program("def Int weight(String s) = 42;")
     assert call("weight", StrVal("anything"), prog=prog) == num(42)
