@@ -24,13 +24,15 @@ The loop is incremental.  An object visited without a rule applying is
 stalled and skipped until an event that may let it step: a message for
 it, the resolution of a future one of its blocked heads waits for, or a
 tick that reaches the earliest time one of them may fire (any tick, for
-a head that reads the clock).  The visit registers these wake-ups from
-the waits it has just computed.  Only an object's own steps change its
-fields and processes, so no other event can.  Visiting a stalled object
-again would draw nothing: with an active process its queue is not
-consulted, and without one its last visit computed the ready set, which
-samples every queued head.  So the rules applied and the random draws
-are those of visiting every object in creation order after every step.
+a boolean conjunct or a `.get` target that may read the clock, as the
+evaluator records for each expression).  The visit registers these
+wake-ups from the waits it has just computed.  Only an object's own
+steps change its fields and processes, so no other event can.  Visiting
+a stalled object again would draw nothing: with an active process its
+queue is not consulted, and without one its last visit computed the
+ready set, which samples every queued head.  So the rules applied and
+the random draws are those of visiting every object in creation order
+after every step.
 
 Scheduling decisions call back into the modeled language: the object's
 policy expression is evaluated with `queue` bound to the reflected list
@@ -67,9 +69,11 @@ from .errors import (
     EvalTypeError, PolicyError, RtRuntimeError, UnboundVariableError,
     UnknownMethodError,
 )
-from .evaluator import EvalContext, Program, eval_expr, eval_guard
+from .evaluator import (
+    EvalContext, Program, eval_expr, eval_guard, future_resolved,
+)
 from .nodes import (
-    Expr, GDuration, GFut, Lit, Model, RCall, RDur, RExpr, RGet, RNew,
+    Expr, GBool, GDuration, GFut, Lit, Model, RCall, RDur, RExpr, RGet, RNew,
     SAssign, SAwait, SDuration, SDuration2, SIf, SReturn, SSkip, SSuspend,
     SWhile, Stmt, TypeAst, Var,
 )
@@ -103,6 +107,10 @@ class ProcessRecord:
     # the absolute deadline; None when infinite.  The only store of a
     # deadline: the `deadline` a model or a Proc sees is derived from it.
     due: Fraction | None = None
+    # the reflected reserved locals other than `deadline`, in PROC_FIELDS
+    # order, kept by lift.  They change only while the process is active,
+    # so making it active drops them.
+    reflected: tuple[Value, ...] | None = None
 
 
 @dataclass
@@ -167,11 +175,17 @@ class RunResult:
 
 
 def lift(p: ProcessRecord, clock: Fraction) -> DataVal:
-    """Project a process's reserved locals at clock into a Proc value."""
-    locals_ = p.locals
-    return DataVal("Proc", tuple(
-        remaining_deadline(p, clock) if name == "deadline" else locals_[name]
-        for name in PROC_FIELDS))
+    """Project a process's reserved locals at clock into a Proc value.
+    Only the deadline is rebuilt each time: the other fields are kept in
+    `p.reflected` until the process is next made active."""
+    if p.reflected is None:
+        locals_ = p.locals
+        p.reflected = tuple(locals_[name] for name in PROC_FIELDS
+                            if name != "deadline")
+    destiny, method, arrival, cost, start, finish, critical, value = p.reflected
+    return DataVal("Proc", (destiny, method, arrival, cost,
+                            remaining_deadline(p, clock), start, finish,
+                            critical, value))
 
 
 def liftall(processes: list[ProcessRecord], clock: Fraction) -> Value:
@@ -203,7 +217,9 @@ _ZERO = Fraction(0)
 
 def remaining_deadline(p: ProcessRecord, clock: Fraction) -> Value:
     """The time left at clock until p's deadline."""
-    return INF_DURATION if p.due is None else mk_duration(p.due - clock)
+    if p.due is None:
+        return INF_DURATION
+    return DataVal("Duration", (NumVal(p.due - clock),))
 
 
 def proc_env(p: ProcessRecord, obj: ObjectState,
@@ -212,6 +228,16 @@ def proc_env(p: ProcessRecord, obj: ObjectState,
     its object's fields, and the time left until its deadline."""
     return {**obj.attrs, **p.locals,
             "deadline": remaining_deadline(p, clock)}
+
+
+def _read(p: ProcessRecord, obj: ObjectState, name: str) -> Value | None:
+    """What name reads in p's scope when a local or a field holds it,
+    without building the scope; None otherwise, and for `deadline`,
+    which is derived from the clock."""
+    if name == "deadline":
+        return None
+    value = p.locals.get(name)
+    return obj.attrs.get(name) if value is None else value
 
 
 def relative(stmt: Stmt, clock: Fraction) -> Stmt:
@@ -234,13 +260,15 @@ def wait(p: ProcessRecord, obj: ObjectState, ctx: EvalContext) -> Wait:
     """What p's head waits for: 0 when it may fire now, a positive delay
     when it may fire once that much time has passed, the unresolved
     future it awaits (`f?`) or gets (`x = e.get`), or None when a
-    boolean conjunct does not hold."""
+    boolean conjunct does not hold.  The scope is built only for what
+    needs it: the future of `f?`, or of `x = v.get` for a variable v, is
+    read straight from p's locals or its object's fields."""
     head = p.body[0]
     clock = ctx.clock
     if isinstance(head, SDuration2):
         return _ZERO if head.best <= clock else head.worst - clock
     if isinstance(head, SAwait):
-        env = proc_env(p, obj, clock)
+        env = None  # built for the first conjunct that needs it
         end = None  # the latest end of a duration conjunct still running
         for guard in head.guards:
             if isinstance(guard, RDur):
@@ -248,11 +276,21 @@ def wait(p: ProcessRecord, obj: ObjectState, ctx: EvalContext) -> Wait:
                     end = guard.worst
             elif isinstance(guard, GDuration):
                 raise AssertionError("wait on an unsampled duration guard")
-            elif not eval_guard(guard, env, ctx):
-                return env[guard.var] if isinstance(guard, GFut) else None
+            elif (isinstance(guard, GFut)
+                  and (fut := _read(p, obj, guard.var)) is not None):
+                if not future_resolved(guard, fut, ctx):
+                    return fut
+            else:
+                if env is None:
+                    env = proc_env(p, obj, clock)
+                if not eval_guard(guard, env, ctx):
+                    return env[guard.var] if isinstance(guard, GFut) else None
         return _ZERO if end is None else end - clock
     if isinstance(head, SAssign) and isinstance(head.rhs, RGet):
-        fut = eval_expr(head.rhs.expr, proc_env(p, obj, clock), ctx)
+        target = head.rhs.expr
+        fut = _read(p, obj, target.name) if isinstance(target, Var) else None
+        if fut is None:
+            fut = eval_expr(target, proc_env(p, obj, clock), ctx)
         if not isinstance(fut, FutRef):
             raise EvalTypeError(
                 f"get applied to {render_value(fut)}, not a future",
@@ -470,18 +508,22 @@ class Engine:
                   blocked: Iterable[tuple[ProcessRecord, Wait]]) -> None:
         """Register what wakes an object that no rule applies to, from
         its blocked heads' waits: each future named, and one timer at the
-        earliest time one may fire (now, if it reads the clock)."""
+        earliest time one may fire (now, if it may read the clock)."""
+        reads_clock = self.program.reads_clock
         soonest = None  # the least delay until one of them may fire
         for p, w in blocked:
+            head = p.body[0]
             if isinstance(w, FutRef):
                 self._future_waiters.setdefault(w.fid, set()).add(obj.oid)
-                head = p.body[0]
-                # a `.get` target other than a variable may read the clock
-                if isinstance(head, SAwait) or isinstance(head.rhs.expr, Var):
-                    continue
-                soonest = _ZERO
-            elif w is None:  # so may a boolean conjunct that does not hold
-                soonest = _ZERO
+                # a tick may change the future a `.get` target names
+                if isinstance(head, SAssign) and reads_clock(head.rhs.expr):
+                    soonest = _ZERO
+            elif w is None:
+                # a tick may enable a boolean conjunct that does not hold
+                # only if one of the head's may read the clock
+                if any(isinstance(g, GBool) and reads_clock(g.expr)
+                       for g in head.guards):
+                    soonest = _ZERO
             elif soonest is None or w < soonest:
                 soonest = w
         if soonest is not None:
@@ -784,6 +826,7 @@ class Engine:
         p = self.evaluate_policy(obj, ready)
         obj.queue.remove(p)
         obj.active = p
+        p.reflected = None  # its reserved locals may change from now
         if not p.dispatched:
             p.dispatched = True
             p.locals["start"] = mk_time(self.config.clock)

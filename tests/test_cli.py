@@ -224,3 +224,26 @@ def test_structured_format_round_trip(tmp_path):
     met = run_cli("metrics", out, "--series", "misses")
     assert met.returncode == 0
     assert met.stdout.splitlines()[0] == "time,misses"
+
+
+DEPTH_SRC = """\
+def Int count(Int n) = if n <= 0 then 0 else 1 + count(n - 1);
+def List<Int> build(Int n, List<Int> acc) =
+  if n <= 0 then acc else build(n - 1, Cons(n, acc));
+{ Int a = length(build(90000, Nil)); Int b = count(150000); }
+"""
+
+
+def test_call_depth_is_the_one_explicit_limit(tmp_path):
+    # a 90,000-element list is built and measured; a recursion deeper
+    # than max_depth stops at the call that exceeds it, through the
+    # library and the CLI alike
+    path = write(tmp_path, "depth.rtabs", DEPTH_SRC)
+    expected = (f"call depth exceeded 100000 in count at {path}:1:50 "
+                f"in object o0 process f0 statement `Int b = count(150000);`")
+    result = simulate(load_model(path), 10)
+    assert result.status == "error"
+    assert result.error.describe() == expected
+    res = run_cli("run", path, "--until", "10")
+    assert res.returncode == 2
+    assert res.stderr.splitlines()[-1] == expected

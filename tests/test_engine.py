@@ -7,7 +7,7 @@ import pytest
 
 from rtabs import (
     Engine, FutureCell, InvocationMessage, ObjectState, PolicyError, lift,
-    liftall, load_source, select, simulate,
+    liftall, load_model, load_source, select, simulate,
 )
 from rtabs.desugar import desugar
 from rtabs.engine import MAIN_CLASS, wait
@@ -16,13 +16,14 @@ from rtabs.nodes import (
     GBool, GFut, IfExpr, Lit, RDur, RGet, SAssign, SAwait, SDuration2, SSkip,
     Var,
 )
+from rtabs.parser import parse_expr
 from rtabs.trace import render_csv
 from rtabs.values import (
     FALSE, TRUE, DataVal, FutRef, StrVal, mk_duration, mk_list, mk_time, num,
 )
 
 import mte_cases
-from conftest import RUNTIME_ERROR_CASES
+from conftest import RUNTIME_ERROR_CASES, model_file
 
 
 def load(source):
@@ -193,6 +194,54 @@ def test_get_target_reading_the_clock_is_woken_by_ticks():
     assert result.clock == 20
     ret = [e for e in events(result, "return") if e.method == "main"]
     assert [e.time for e in ret] == [7]
+
+
+def test_register_sets_a_tick_timer_only_for_what_may_read_the_clock():
+    # a stalled object wakes at the next tick only if a tick may change
+    # what blocks it: a boolean conjunct or a `.get` target that reads
+    # `now` or `deadline`, itself or through the functions it calls.
+    # The checker keeps `now` out of function bodies; the evaluator
+    # does not rely on that.
+    model, diags = load_source("""
+    def Bool late(Int t) = timeValue(now) > t;
+    def Bool later(Int t) = late(t + 1);
+    { skip; }
+    """, "<engine-test>")
+    assert [d.message for d in diags] == ["now is not available here"]
+    engine = Engine(desugar(model))
+
+    def timers(head, w=None):
+        engine._timers.clear()
+        p = mte_cases.proc(1, [head])
+        engine._register(mte_cases.idle(0, [p]), [(p, w)])
+        return engine._timers
+
+    def guard(source):
+        return SAwait((GBool(parse_expr(source)),))
+
+    def get(source):
+        return SAssign(None, "x", RGet(parse_expr(source)))
+
+    assert timers(guard("s > 0 && q + 1 == myturn")) == []
+    assert timers(guard("length(Cons(s, Nil)) > 1")) == []
+    assert timers(guard("later(3)")) == [(0, 0)]
+    assert timers(guard("durationValue(deadline) < 5")) == [(0, 0)]
+    assert timers(get("if c then f else g"), FutRef(1)) == []
+    assert timers(get("if timeValue(now) < 5 then f else g"),
+                  FutRef(1)) == [(0, 0)]
+    assert timers(SAwait((GFut("f"),)), FutRef(1)) == []
+
+
+def test_compiled_code_does_not_grow_with_run_length():
+    # code is compiled per expression of the model, never per step
+    sizes = []
+    for limit, status in ((40, "time_limit"), (600, "finished")):
+        engine = Engine(load_model(model_file("media_server_sjf.rtabs")))
+        assert engine.run_until(limit).status == status
+        program = engine.program
+        sizes.append((len(program.bodies), len(program.code)))
+    assert sizes[0] == sizes[1]
+    assert min(sizes[0]) > 0
 
 
 def test_method_local_shadows_field():

@@ -12,12 +12,12 @@ from rtabs.errors import (
     DivisionByZeroError, EvalTypeError, MatchFailureError,
     UnboundVariableError,
 )
-from rtabs.evaluator import EvalContext, Program, eval_expr
-from rtabs.nodes import Apply, Lit
+from rtabs.evaluator import EvalContext, Program, eval_expr, eval_guard
+from rtabs.nodes import Apply, GBool, GFut, Lit, Pos
 from rtabs.parser import parse_expr
 from rtabs.values import (
-    FALSE, INF_DURATION, TRUE, BoolVal, DataVal, NumVal, StrVal, mk_duration,
-    mk_list, mk_time, num,
+    FALSE, INF_DURATION, TRUE, BoolVal, DataVal, FutRef, NumVal, StrVal,
+    mk_duration, mk_list, mk_time, num,
 )
 
 
@@ -212,3 +212,98 @@ def test_duration_observers():
     assert call("durationValue", mk_duration(Fraction(3, 2))) == num(Fraction(3, 2))
     with pytest.raises(MatchFailureError):
         call("durationValue", INF_DURATION)
+
+
+# ------------------------------------------------------------------ errors
+#
+# (source, env, error type, message, position) of every error the
+# evaluator raises; each position is the operator, call, variable or
+# keyword the message is about
+
+DEPTH = program("def Int loop(Int n) = loop(n + 1);")
+
+ERROR_CASES = [
+    ("x + 1", {}, UnboundVariableError, "unbound variable x", "1:1"),
+    ("nope(1)", {}, UnboundVariableError,
+     "unknown function or constructor nope", "1:1"),
+    ("1 + length(Nil, Nil)", {}, EvalTypeError,
+     "length expects 1 argument(s), got 2", "1:5"),
+    ("Cons(1)", {}, EvalTypeError,
+     "constructor Cons expects 2 argument(s), got 1", "1:1"),
+    ("!1", {}, EvalTypeError, "! applied to 1", "1:1"),
+    ("-True", {}, EvalTypeError, "- applied to True", "1:1"),
+    ("1 && True", {}, EvalTypeError, "&& applied to 1", "1:3"),
+    ("True && 1", {}, EvalTypeError, "&& applied to 1", "1:6"),
+    ("2 || True", {}, EvalTypeError, "|| applied to 2", "1:3"),
+    ("False || 2", {}, EvalTypeError, "|| applied to 2", "1:7"),
+    ('1 < "a"', {}, EvalTypeError, '< applied to 1 and "a"', "1:3"),
+    ('1 <= "a"', {}, EvalTypeError, '<= applied to 1 and "a"', "1:3"),
+    ("t > 1", {"t": mk_time(1)}, EvalTypeError,
+     "> applied to Time(1) and 1", "1:3"),
+    ("True >= False", {}, EvalTypeError,
+     ">= applied to True and False", "1:6"),
+    ('1 + "a"', {}, EvalTypeError, '+ applied to 1 and "a"', "1:3"),
+    ('"a" - 1', {}, EvalTypeError, '- applied to "a"', "1:5"),
+    ("t - 1", {"t": mk_time(1)}, EvalTypeError, "- applied to Time(1)", "1:3"),
+    ("2 * True", {}, EvalTypeError, "* applied to True", "1:3"),
+    ('1 / "a"', {}, EvalTypeError, '/ applied to "a"', "1:3"),
+    ("1 / (2 - 2)", {}, DivisionByZeroError, "division by zero", "1:3"),
+    ("if 1 then 2 else 3", {}, EvalTypeError,
+     "if condition is 1, not a Bool", "1:1"),
+    ("case 1 { 2 => 3; }", {}, MatchFailureError, "no branch matches 1",
+     "1:1"),
+    ("head(Nil)", {}, MatchFailureError, "no branch matches Nil",
+     "<prelude>:53:28"),
+]
+
+
+@pytest.mark.parametrize("source, env, error, message, pos", ERROR_CASES,
+                         ids=[case[0] for case in ERROR_CASES])
+def test_error_messages_and_positions(source, env, error, message, pos):
+    with pytest.raises(error) as info:
+        ev(source, env)
+    assert type(info.value) is error
+    assert (info.value.message, str(info.value.pos)) == (message, pos)
+
+
+def test_call_depth_error_names_the_call():
+    ctx = EvalContext(DEPTH, max_depth=64)
+    with pytest.raises(CallDepthError) as info:
+        eval_expr(parse_expr("1 + loop(0)"), {}, ctx)
+    assert info.value.message == "call depth exceeded 64 in loop"
+    assert str(info.value.pos) == "<test>:1:23"
+    # without the cap, the host stack's limit is reported the same way
+    ctx = EvalContext(DEPTH, max_depth=10**9)
+    with pytest.raises(CallDepthError) as info:
+        eval_expr(parse_expr("loop(0)"), {}, ctx)
+    assert info.value.message == "expression nesting exhausted the host stack"
+
+
+def test_guard_errors():
+    ctx = EvalContext(PRELUDE, is_resolved=lambda fid: True)
+    cases = [
+        (GBool(parse_expr("1 + 1"), pos=Pos(3, 7)), {}, EvalTypeError,
+         "guard is 2, not a Bool"),
+        (GFut("f", pos=Pos(3, 7)), {"f": num(1)}, EvalTypeError,
+         "f? applied to 1, not a future"),
+        (GFut("f", pos=Pos(3, 7)), {}, UnboundVariableError,
+         "unbound variable f"),
+    ]
+    for guard, env, error, message in cases:
+        with pytest.raises(error) as info:
+            eval_guard(guard, env, ctx)
+        assert type(info.value) is error
+        assert (info.value.message, info.value.pos) == (message, Pos(3, 7))
+    assert eval_guard(GFut("f"), {"f": FutRef(2)}, ctx) is True
+
+
+def test_each_raise_is_a_fresh_error():
+    # the engine writes where an error arose into the error itself, so
+    # code that raises twice must not raise the same object
+    expr = parse_expr("nope(1)")
+    errors = []
+    for _ in range(2):
+        with pytest.raises(UnboundVariableError) as info:
+            eval_expr(expr, {}, EvalContext(PRELUDE))
+        errors.append(info.value)
+    assert errors[0] is not errors[1]
