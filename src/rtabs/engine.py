@@ -24,15 +24,15 @@ The loop is incremental.  An object visited without a rule applying is
 stalled and skipped until an event that may let it step: a message for
 it, the resolution of a future one of its blocked heads waits for, or a
 tick that reaches the earliest time one of them may fire (any tick, for
-a boolean conjunct or a `.get` target that may read the clock, as the
-evaluator records for each expression).  The visit registers these
-wake-ups from the waits it has just computed.  Only an object's own
-steps change its fields and processes, so no other event can.  Visiting
-a stalled object again would draw nothing: with an active process its
-queue is not consulted, and without one its last visit computed the
-ready set, which samples every queued head.  So the rules applied and
-the random draws are those of visiting every object in creation order
-after every step.
+a head with a boolean conjunct or a `.get` target that may read the
+clock, as the evaluator records for each expression).  The visit
+registers these wake-ups from the waits it has just computed.  Only an
+object's own steps change its fields and processes, so no other event
+can.  Visiting a stalled object again would draw nothing: with an active
+process its queue is not consulted, and without one its last visit
+computed the ready set, which samples every queued head.  So the rules
+applied and the random draws are those of visiting every object in
+creation order after every step.
 
 Scheduling decisions call back into the modeled language: the object's
 policy expression is evaluated with `queue` bound to the reflected list
@@ -45,9 +45,20 @@ hold.  For an await head it folds over the guard's conjuncts left to
 right: it stops at the first boolean or future conjunct that does not
 hold, else it is the longest remaining sampled duration.  It drives
 every use of enabledness: the ready set holds the queued processes whose
-wait is 0, the active process blocks while its wait is not 0, mte is the
-least delay over each object's active process, or over its queue when it
-has none, and a stalled object wakes on what its heads' waits name.
+wait is 0, the active process blocks while its wait is not 0, and a
+stalled object wakes on what its heads' waits name.
+
+mte is the least delay over each object's active process, or over its
+queue when it has none (`mte_raw` says so directly).  The engine reads
+it from the wake-ups instead.  At quiescence every object is stalled,
+and the visit that stalled it registered a timer at the absolute time
+its earliest head may fire, if one waits for time.  Those waits are
+still exact: times are absolute, only an object's own steps change its
+fields, a future's resolution wakes the objects that wait for it, and an
+object with a head whose wait a tick may change otherwise (one that may
+read the clock) wakes at every tick and registers again.  So mte is the
+earliest timer still live less the clock, and a tick consults no object
+that has not been woken since the last one.
 
 `simulate`, `Engine.run_until` and `rtabs run` share one loop
 (`run_until`), which runs on a dedicated big-stack thread.
@@ -125,6 +136,9 @@ class ObjectState:
     inbox: deque[InvocationMessage] = field(default_factory=deque)
     # no rule applies until a wake-up event (see Engine._register)
     stalled: bool = False
+    # while stalled, the earliest time one of its blocked heads may fire,
+    # if one waits for time; the one live entry of the timer heap
+    wake_at: Fraction | None = None
 
     def processes(self) -> list[ProcessRecord]:
         out = [self.active] if self.active is not None else []
@@ -301,7 +315,9 @@ def wait(p: ProcessRecord, obj: ObjectState, ctx: EvalContext) -> Wait:
 
 def mte_raw(config: Configuration, program: Program) -> Fraction | None:
     """The least delay over each object's active process, or over its
-    queue when it has none; None when nothing waits for time."""
+    queue when it has none; None when nothing waits for time.  The
+    definition of mte: `Engine.advance` reads the same figure from the
+    timers that stalled objects registered."""
     ctx = EvalContext(program, config.clock,
                       is_resolved=lambda fid: config.futures[fid].resolved)
     out: Fraction | None = None
@@ -363,9 +379,15 @@ class Engine:
         self._next_fid = 0
         # the oids of the objects that are not stalled, as a heap
         self._awake: list[int] = []
-        # what wakes a stalled object: a future's resolution, a time
+        # what wakes a stalled object: a future's resolution, a time, the
+        # next tick.  An entry (t, oid) of the timer heap is live only
+        # while objects[oid].wake_at == t; the others are dropped unread.
         self._future_waiters: dict[int, set[int]] = {}
         self._timers: list[tuple[Fraction, int]] = []
+        self._tick_waiters: set[int] = set()
+        # the oids of the objects woken or created since the last tick,
+        # the only ones whose heads may not be sampled yet
+        self._woken: set[int] = set()
 
     # ------------------------------------------------------------- plumbing
 
@@ -462,14 +484,21 @@ class Engine:
             guards.append(g)
         p.body[0] = SAwait(tuple(guards), pos=head.pos)
 
-    def _fix_all_heads(self) -> None:
-        for obj in self.config.objects.values():
+    def _fix_woken_heads(self) -> None:
+        """Sample the heads of the objects woken or created since the
+        last tick, in creation order: an object stalled all that time has
+        taken no step, so its heads were sampled when it was last here.
+        The draws are those of sampling every object's heads."""
+        objects = self.config.objects
+        for oid in sorted(self._woken):
+            obj = objects[oid]
             for p in obj.processes():
                 try:
                     self._fix_head(p, obj)
                 except RtRuntimeError as err:
                     _locate(err, obj.oid, p, self.config.clock)
                     raise
+        self._woken.clear()
 
     # -------------------------------------------------------- instantaneous
 
@@ -507,39 +536,62 @@ class Engine:
     def _register(self, obj: ObjectState,
                   blocked: Iterable[tuple[ProcessRecord, Wait]]) -> None:
         """Register what wakes an object that no rule applies to, from
-        its blocked heads' waits: each future named, and one timer at the
-        earliest time one may fire (now, if it may read the clock)."""
+        its blocked heads' waits: each future named, one timer at the
+        earliest time one may fire, and the next tick if a tick may
+        change what one waits for other than by shortening its delay,
+        that is, if it may read the clock."""
         reads_clock = self.program.reads_clock
         soonest = None  # the least delay until one of them may fire
+        tick = False
         for p, w in blocked:
             head = p.body[0]
             if isinstance(w, FutRef):
                 self._future_waiters.setdefault(w.fid, set()).add(obj.oid)
                 # a tick may change the future a `.get` target names
                 if isinstance(head, SAssign) and reads_clock(head.rhs.expr):
-                    soonest = _ZERO
-            elif w is None:
-                # a tick may enable a boolean conjunct that does not hold
-                # only if one of the head's may read the clock
-                if any(isinstance(g, GBool) and reads_clock(g.expr)
-                       for g in head.guards):
-                    soonest = _ZERO
-            elif soonest is None or w < soonest:
+                    tick = True
+                continue
+            if w is not None and (soonest is None or w < soonest):
                 soonest = w
+            # a tick may enable a boolean conjunct that does not hold, or
+            # disable one that holds, only if it may read the clock
+            if isinstance(head, SAwait) and any(
+                    isinstance(g, GBool) and reads_clock(g.expr)
+                    for g in head.guards):
+                tick = True
         if soonest is not None:
-            heapq.heappush(self._timers,
-                           (self.config.clock + soonest, obj.oid))
+            obj.wake_at = self.config.clock + soonest
+            heapq.heappush(self._timers, (obj.wake_at, obj.oid))
+        if tick:
+            self._tick_waiters.add(obj.oid)
 
     def _wake(self, oid: int) -> None:
         obj = self.config.objects[oid]
         if obj.stalled:
             obj.stalled = False
+            obj.wake_at = None  # its timer entry, if any, is now stale
             heapq.heappush(self._awake, oid)
+            self._woken.add(oid)
+
+    def _next_timer(self) -> Fraction | None:
+        """The earliest live timer, dropping the stale entries before it;
+        None when no stalled object waits for time."""
+        timers, objects = self._timers, self.config.objects
+        while timers:
+            t, oid = timers[0]
+            if objects[oid].wake_at == t:
+                return t
+            heapq.heappop(timers)
+        return None
 
     def _wake_on_tick(self) -> None:
-        timers = self._timers
-        while timers and timers[0][0] <= self.config.clock:
-            self._wake(heapq.heappop(timers)[1])
+        """Wake the tick waiters and the objects whose timers are due."""
+        for oid in self._tick_waiters:
+            self._wake(oid)
+        self._tick_waiters.clear()
+        clock = self.config.clock
+        while (at := self._next_timer()) is not None and at <= clock:
+            self._wake(heapq.heappop(self._timers)[1])
 
     # --- Activation
 
@@ -597,7 +649,6 @@ class Engine:
         p = obj.active
         assert p is not None and p.body, "active process with empty body"
         clock = self.config.clock
-        env = proc_env(p, obj, clock)
         ctx = self._ctx()
         self._fix_head(p, obj)
         s = p.body[0]
@@ -620,10 +671,10 @@ class Engine:
             return "skip"
 
         if isinstance(s, SAssign):
-            return self._step_assign(obj, p, s, env, ctx)
+            return self._step_assign(obj, p, s, ctx)
 
         if isinstance(s, SIf):
-            cond = eval_expr(s.cond, env, ctx)
+            cond = eval_expr(s.cond, proc_env(p, obj, clock), ctx)
             self._require_bool(cond, s.pos)
             p.body[0:1] = s.then if cond.value else s.els
             return "cond"
@@ -633,7 +684,7 @@ class Engine:
             return "while"
 
         if isinstance(s, SReturn):
-            self._do_return(obj, p, s, env, ctx)
+            self._do_return(obj, p, s, proc_env(p, obj, clock), ctx)
             return "return"
 
         if isinstance(s, SSuspend):
@@ -642,7 +693,8 @@ class Engine:
             return "suspend"
 
         if isinstance(s, SDuration):
-            end = clock + self._draw(s.best, s.worst, env, ctx, s.pos)
+            end = clock + self._draw(s.best, s.worst, proc_env(p, obj, clock),
+                                     ctx, s.pos)
             p.body[0] = SDuration2(end, end)
             return "duration"
 
@@ -654,12 +706,13 @@ class Engine:
                              getattr(s, "pos", None))
 
     def _step_assign(self, obj: ObjectState, p: ProcessRecord, s: SAssign,
-                     env, ctx: EvalContext) -> str | None:
+                     ctx: EvalContext) -> str | None:
         rhs = s.rhs
         if rhs is None:
             self._assign(obj, p, s, _type_default(s.decl_type))
             del p.body[0]
             return "assign"
+        env = proc_env(p, obj, ctx.clock)
         if isinstance(rhs, RExpr):
             self._assign(obj, p, s, eval_expr(rhs.expr, env, ctx))
             del p.body[0]
@@ -783,6 +836,7 @@ class Engine:
         obj = ObjectState(oid, cls, policy, attrs)
         self.config.objects[oid] = obj
         heapq.heappush(self._awake, oid)
+        self._woken.add(oid)
         self._emit("new_object", obj=oid, data=(("class", cls),))
         if body is not None:
             fid = self._fresh_fid()
@@ -891,15 +945,21 @@ class Engine:
 
     def advance(self, limit: Fraction) -> str | None:
         """At quiescence, stop with "finished", "deadlock" or "time_limit",
-        or advance the clock by mte, emit the tick and return None."""
-        if self._terminated():
-            return "finished"
-        self._fix_all_heads()
-        delta = mte_raw(self.config, self.program)
-        if delta is None:
-            return "deadlock"
+        or advance the clock by mte, emit the tick and return None.
+
+        Every object is stalled here, and each registered, from the
+        waits it last computed, a timer at the earliest time one of its
+        heads may fire.  Times are absolute, and an object whose heads'
+        waits a tick may change otherwise wakes at every tick, so the
+        earliest live timer less the clock is mte (`mte_raw`), found
+        without consulting any object."""
+        self._fix_woken_heads()
+        at = self._next_timer()
+        if at is None:
+            return "finished" if self._terminated() else "deadlock"
+        delta = at - self.config.clock
         assert delta > 0, "quiescent configuration with zero mte"
-        if self.config.clock + delta > limit:
+        if at > limit:
             return "time_limit"
         adv(self.config, delta)
         self._emit("tick", data=(("delta", format_rat(delta)),))

@@ -35,7 +35,8 @@ from fractions import Fraction
 from rtabs import load_source
 from rtabs.desugar import desugar
 from rtabs.engine import (
-    MAIN_CLASS, Engine, ProcessRecord, relative, remaining_deadline, wait,
+    MAIN_CLASS, Engine, ProcessRecord, mte_raw, relative, remaining_deadline,
+    wait,
 )
 from rtabs.evaluator import EvalContext, Program, eval_expr, eval_guard
 from rtabs.nodes import (
@@ -725,15 +726,35 @@ def engine_digests(model, limit: Fraction = LIMIT) -> list:
     """Every configuration the deterministic engine passes through, at
     single-rule granularity, up to the time horizon; after each rule and
     each tick, every stalled object is checked to be one that no rule
-    applies to."""
+    applies to, and at each quiescence the engine's time advance is
+    checked against `mte_raw`."""
     eng = Engine(model)
     eng.boot()
     out = [digest_config(eng.config)]
     limit = Fraction(limit)
-    while eng.exec_step() is not None or eng.advance(limit) is None:
+    while eng.exec_step() is not None or advance_by_mte(eng, limit) is None:
         check_stalled(eng)
         out.append(digest_config(eng.config))
     return out
+
+
+def advance_by_mte(eng: Engine, limit: Fraction) -> str | None:
+    """`eng.advance`, checked to move the clock by exactly mte as
+    `mte_raw` defines it, or to stop only when mte allows no tick.  The
+    heads are sampled first, as `advance` does; sampling is idempotent,
+    so the engine's draws are unchanged."""
+    eng._fix_woken_heads()
+    expected = mte_raw(eng.config, eng.program)
+    before = eng.config.clock
+    status = eng.advance(limit)
+    if status is None:
+        assert eng.config.clock - before == expected, (
+            f"tick of {eng.config.clock - before} where mte is {expected}")
+    elif status == "time_limit":
+        assert expected is not None and before + expected > limit
+    else:
+        assert expected is None, f"{status} where mte is {expected}"
+    return status
 
 
 def check_stalled(eng: Engine) -> None:

@@ -196,12 +196,50 @@ def test_get_target_reading_the_clock_is_woken_by_ticks():
     assert [e.time for e in ret] == [7]
 
 
+def test_stale_timer_makes_no_tick():
+    # a's head registers a timer at 5 while `open` holds; b closes it at
+    # 2, so that timer is stale and nothing waits for time any more: the
+    # run deadlocks at 2 instead of ticking to 5
+    result = run("""
+    interface I { Int a(); Int b(); }
+    class C implements I {
+      Bool open = True;
+      Int a() { await open && duration(5, 5); return 1; }
+      Int b() { open = False; return 0; }
+    }
+    { I o = new C(); o!a(); await duration(2, 2);
+      Fut<Int> f = o!b(); await f?; }
+    """)
+    assert result.status == "deadlock"
+    assert result.clock == 2
+    assert [e.get("delta") for e in events(result, "tick")] == ["2"]
+
+
+def test_delay_whose_guard_stops_holding_makes_no_tick():
+    # a's head waits 5 while its deadline is not past; at the tick to 3
+    # the deadline is past, so a waits for nothing a tick can bring and
+    # the run deadlocks at 3 instead of ticking to 5
+    result = run("""
+    interface I { Int a(); }
+    class C implements I {
+      Int a() { await durationValue(deadline) > 0 && duration(5, 5);
+                return 1; }
+    }
+    { I o = new C(); [Deadline: Duration(2)] Fut<Int> f = o!a();
+      await duration(3, 3); }
+    """)
+    assert result.status == "deadlock"
+    assert result.clock == 3
+    assert [e.get("delta") for e in events(result, "tick")] == ["3"]
+
+
 def test_register_sets_a_tick_timer_only_for_what_may_read_the_clock():
     # a stalled object wakes at the next tick only if a tick may change
     # what blocks it: a boolean conjunct or a `.get` target that reads
     # `now` or `deadline`, itself or through the functions it calls.
-    # The checker keeps `now` out of function bodies; the evaluator
-    # does not rely on that.
+    # That wake-up is kept apart from the timer at the least delay, so
+    # it hides no delay.  The checker keeps `now` out of function
+    # bodies; the evaluator does not rely on that.
     model, diags = load_source("""
     def Bool late(Int t) = timeValue(now) > t;
     def Bool later(Int t) = late(t + 1);
@@ -210,26 +248,40 @@ def test_register_sets_a_tick_timer_only_for_what_may_read_the_clock():
     assert [d.message for d in diags] == ["now is not available here"]
     engine = Engine(desugar(model))
 
-    def timers(head, w=None):
+    def wakes(*blocked):
+        """(whether the object waits for the next tick, its timer)"""
         engine._timers.clear()
-        p = mte_cases.proc(1, [head])
-        engine._register(mte_cases.idle(0, [p]), [(p, w)])
-        return engine._timers
+        engine._tick_waiters.clear()
+        procs = [(mte_cases.proc(pid, [head]), w)
+                 for pid, (head, w) in enumerate(blocked, 1)]
+        obj = mte_cases.idle(0, [p for p, _ in procs])
+        engine._register(obj, procs)
+        assert engine._timers == ([] if obj.wake_at is None
+                                  else [(obj.wake_at, 0)])
+        return 0 in engine._tick_waiters, obj.wake_at
 
-    def guard(source):
-        return SAwait((GBool(parse_expr(source)),))
+    def guard(source, *more):
+        return SAwait((GBool(parse_expr(source)), *more))
 
     def get(source):
         return SAssign(None, "x", RGet(parse_expr(source)))
 
-    assert timers(guard("s > 0 && q + 1 == myturn")) == []
-    assert timers(guard("length(Cons(s, Nil)) > 1")) == []
-    assert timers(guard("later(3)")) == [(0, 0)]
-    assert timers(guard("durationValue(deadline) < 5")) == [(0, 0)]
-    assert timers(get("if c then f else g"), FutRef(1)) == []
-    assert timers(get("if timeValue(now) < 5 then f else g"),
-                  FutRef(1)) == [(0, 0)]
-    assert timers(SAwait((GFut("f"),)), FutRef(1)) == []
+    three = Fraction(3)
+    assert wakes((guard("s > 0 && q + 1 == myturn"), None)) == (False, None)
+    assert wakes((guard("length(Cons(s, Nil)) > 1"), None)) == (False, None)
+    assert wakes((guard("later(3)"), None)) == (True, None)
+    assert wakes((guard("durationValue(deadline) < 5"), None)) == (True, None)
+    assert wakes((get("if c then f else g"), FutRef(1))) == (False, None)
+    assert wakes((get("if timeValue(now) < 5 then f else g"),
+                  FutRef(1))) == (True, None)
+    assert wakes((SAwait((GFut("f"),)), FutRef(1))) == (False, None)
+    # a delay sets the timer; a conjunct that holds but may read the
+    # clock may stop holding at a tick, so it also sets a tick wake-up
+    dur = RDur(three, three)
+    assert wakes((guard("s > 0", dur), three)) == (False, three)
+    assert wakes((guard("later(3)", dur), three)) == (True, three)
+    assert wakes((guard("later(3)"), None),
+                 (SDuration2(three, three), three)) == (True, three)
 
 
 def test_compiled_code_does_not_grow_with_run_length():
