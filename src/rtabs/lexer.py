@@ -1,32 +1,42 @@
-"""Tokenizer for model source.
+r"""Tokenizer for model source: each token is the first alternative of
+`_TOKEN` to match where the last one ended.
 
-`15/4` with no whitespace around the slash lexes as a single rational
-literal; with whitespace it is division.  The two agree in value, so
-models never observe the difference.  Identifiers may not contain `$`,
-which reserves that character for desugar-generated temporaries.
+    skip    [ \t\r\n]+ | //[^\n]* | /\*.*?\*/
+    open    /\*              (an unterminated block comment)
+    num     \d+(?:/\d+)?     int; rat when `/` joins digits, so 15/4 is one literal
+    word    \w+              kw, name or `_`; starts with a letter or `_`
+    string  "(?:[^"\\\n]|\\[\\"nt])*"   or an error where it stops short
+    op      OPERATORS, longest first
+
+`\d` is `str.isdecimal`, so `٣` lexes as 3.  `$` is kept for desugar
+temporaries.  A tab or `\r` is one column.
 """
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import LexError
 from .nodes import Pos
 
-KEYWORDS = {
-    "data", "def", "interface", "class", "implements",
-    "if", "then", "else", "while", "return", "skip", "suspend",
-    "await", "duration", "new", "get", "case",
-    "this", "now", "deadline", "destiny", "null", "True", "False",
-}
+KEYWORDS = set("""data def interface class implements if then else while
+    return skip suspend await duration new get case this now deadline
+    destiny null True False""".split())
 
 # longest first so two-char operators win
-OPERATORS = [
-    "==", "!=", "<=", ">=", "&&", "||", "=>",
-    "(", ")", "{", "}", "[", "]", "<", ">",
-    ",", ";", ":", "=", "!", "?", ".", "+", "-", "*", "/", "|", "_",
-]
+OPERATORS = "== != <= >= && || => ( ) { } [ ] < > , ; : = ! ? . + - * / | _".split()
+
+_TOKEN = re.compile("|".join([
+    r"(?P<skip>[ \t\r\n]+|//[^\n]*|/\*.*?\*/)", r"(?P<open>/\*)",
+    r"(?P<num>(?P<numer>\d+)(?:/(?P<denom>\d+))?)", r"(?P<word>\w+)",
+    r'(?P<string>"(?:[^"\\\n]|\\[\\"nt])*(?:(?P<close>")|\\(?P<esc>.))?)',
+    "(?P<op>" + "|".join(map(re.escape, OPERATORS)) + ")"]), re.DOTALL)
+_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
+_ERRORS = {"open": "unterminated block comment",
+           "string": "unterminated string literal"}
 
 
 @dataclass(frozen=True)
@@ -37,114 +47,44 @@ class Token:
     value: object = None
 
 
+def _number(m: re.Match, at: Pos) -> Token:
+    try:
+        numer, denom = int(m["numer"]), int(m["denom"] or 1)
+    except ValueError:  # more digits than int() accepts
+        raise LexError("numeric literal too long", at) from None
+    if denom == 0:
+        raise LexError("zero denominator in rational literal", at)
+    if m["denom"] is None:
+        return Token("int", str(numer), at, Fraction(numer))
+    return Token("rat", f"{numer}/{m['denom']}", at, Fraction(numer, denom))
+
+
 def tokenize(source: str, filename: str | None = None) -> list[Token]:
+    starts = [0] + [m.end() for m in re.finditer("\n", source)]
+
+    def pos(offset: int) -> Pos:
+        line = bisect_right(starts, offset)
+        return Pos(line, offset - starts[line - 1] + 1, filename)
+
     tokens: list[Token] = []
     i = 0
-    line = 1
-    col = 1
-    n = len(source)
-
-    def here() -> Pos:
-        return Pos(line, col, filename)
-
-    def advance(k: int) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if source[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = source[i]
-        if ch in " \t\r\n":
-            advance(1)
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                advance(1)
-            continue
-        if source.startswith("/*", i):
-            start = here()
-            advance(2)
-            while i < n and not source.startswith("*/", i):
-                advance(1)
-            if i >= n:
-                raise LexError("unterminated block comment", start)
-            advance(2)
-            continue
-        if ch.isdigit():
-            start = here()
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            numerator = int(source[i:j])
-            advance(j - i)
-            if i < n and source[i] == "/" and i + 1 < n and source[i + 1].isdigit():
-                advance(1)
-                j = i
-                while j < n and source[j].isdigit():
-                    j += 1
-                denominator = int(source[i:j])
-                text = f"{numerator}/{source[i:j]}"
-                advance(j - i)
-                if denominator == 0:
-                    raise LexError("zero denominator in rational literal", start)
-                tokens.append(Token("rat", text, start, Fraction(numerator, denominator)))
-            else:
-                tokens.append(Token("int", str(numerator), start, Fraction(numerator)))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = here()
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            word = source[i:j]
-            advance(j - i)
-            if word == "_":
-                tokens.append(Token("op", "_", start))
-            elif word in KEYWORDS:
-                tokens.append(Token("kw", word, start))
-            else:
-                tokens.append(Token("name", word, start))
-            continue
-        if ch == '"':
-            start = here()
-            advance(1)
-            chars: list[str] = []
-            while True:
-                if i >= n or source[i] == "\n":
-                    raise LexError("unterminated string literal", start)
-                c = source[i]
-                if c == '"':
-                    advance(1)
-                    break
-                if c == "\\":
-                    if i + 1 >= n:
-                        raise LexError("unterminated string literal", start)
-                    esc = source[i + 1]
-                    mapped = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}.get(esc)
-                    if mapped is None:
-                        raise LexError(f"unknown escape \\{esc}", here())
-                    chars.append(mapped)
-                    advance(2)
-                    continue
-                chars.append(c)
-                advance(1)
-            text = "".join(chars)
-            tokens.append(Token("string", text, start, text))
-            continue
-        matched = False
-        for op in OPERATORS:
-            if source.startswith(op, i):
-                tokens.append(Token("op", op, here()))
-                advance(len(op))
-                matched = True
-                break
-        if not matched:
-            raise LexError(f"unexpected character {ch!r}", here())
-
-    tokens.append(Token("eof", "", here()))
+    while i < len(source):
+        m = _TOKEN.match(source, i)
+        kind, text = (m.lastgroup, m[0]) if m else (None, source[i])
+        if kind == "num":
+            tokens.append(_number(m, pos(i)))
+        elif kind == "op" or kind == "word" and (text[0].isalpha() or text[0] == "_"):
+            if kind == "word":
+                kind = "op" if text == "_" else "kw" if text in KEYWORDS else "name"
+            tokens.append(Token(kind, text, pos(i)))
+        elif kind == "string" and m["close"]:
+            value = re.sub(r"\\(.)", lambda e: _ESCAPES[e[1]], text[1:-1])
+            tokens.append(Token("string", value, pos(i), value))
+        elif kind == "string" and m["esc"]:
+            raise LexError(f"unknown escape \\{m['esc']}", pos(m.start("esc") - 1))
+        elif kind != "skip":
+            raise LexError(_ERRORS.get(kind, f"unexpected character {source[i]!r}"),
+                           pos(i))
+        i = m.end()
+    tokens.append(Token("eof", "", pos(i)))
     return tokens

@@ -13,6 +13,7 @@ of conjuncts, and guard atoms anywhere else are rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, TypeVar
 
 from .errors import ParseError
 from .lexer import Token, tokenize
@@ -26,6 +27,8 @@ from .nodes import (
     TypeAst, Unary, Var,
 )
 from .values import FALSE, NULL, TRUE, NumVal, StrVal
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -83,6 +86,23 @@ class Parser:
     def restore(self, mark: int) -> None:
         self.idx = mark
 
+    def _separated(self, item: Callable[[], _T], sep: str = ",",
+                   parens: bool = False) -> tuple[_T, ...]:
+        """`item (sep item)*`; with `parens`, `( )` or `( item, ... )`."""
+        if parens:
+            self.expect("op", "(")
+            if self.accept("op", ")"):
+                return ()
+        items = [item()]
+        while self.accept("op", sep):
+            items.append(item())
+        if parens:
+            self.expect("op", ")")
+        return tuple(items)
+
+    def _name(self) -> str:
+        return self.expect("name").text
+
     # ---------------------------------------------------------- model
 
     def parse_model(self) -> Model:
@@ -115,36 +135,28 @@ class Parser:
     # ---------------------------------------------------- declarations
 
     def parse_typarams(self) -> tuple[str, ...]:
-        params: list[str] = []
-        if self.accept("op", "<"):
-            params.append(self.expect("name").text)
-            while self.accept("op", ","):
-                params.append(self.expect("name").text)
-            self.expect("op", ">")
-        return tuple(params)
+        if not self.accept("op", "<"):
+            return ()
+        params = self._separated(self._name)
+        self.expect("op", ">")
+        return params
 
     def parse_data(self) -> DataDecl:
         pos = self.expect("kw", "data").pos
         name = self.expect("name").text
         typarams = self.parse_typarams()
-        ctors: list[CtorDecl] = []
+        ctors: tuple[CtorDecl, ...] = ()
         if self.accept("op", "="):
-            ctors.append(self.parse_ctor())
-            while self.accept("op", "|"):
-                ctors.append(self.parse_ctor())
+            ctors = self._separated(self.parse_ctor, "|")
         self.expect("op", ";")
-        return DataDecl(name, typarams, tuple(ctors), pos=pos)
+        return DataDecl(name, typarams, ctors, pos=pos)
 
     def parse_ctor(self) -> CtorDecl:
         tok = self.expect("name")
-        arg_types: list[TypeAst] = []
-        if self.accept("op", "("):
-            if not self.at("op", ")"):
-                arg_types.append(self._parse_ctor_arg())
-                while self.accept("op", ","):
-                    arg_types.append(self._parse_ctor_arg())
-            self.expect("op", ")")
-        return CtorDecl(tok.text, tuple(arg_types), pos=tok.pos)
+        arg_types: tuple[TypeAst, ...] = ()
+        if self.at("op", "("):
+            arg_types = self._separated(self._parse_ctor_arg, parens=True)
+        return CtorDecl(tok.text, arg_types, pos=tok.pos)
 
     def _parse_ctor_arg(self) -> TypeAst:
         ty = self.parse_type()
@@ -161,31 +173,22 @@ class Parser:
         else:
             name = self.expect("name").text
         typarams = self.parse_typarams()
-        self.expect("op", "(")
-        params = self.parse_params()
-        self.expect("op", ")")
+        params = self._separated(self._param, parens=True)
         self.expect("op", "=")
         body = self.parse_expr()
         self.expect("op", ";")
         return FuncDecl(ret, name, typarams, params, body, pos=pos)
 
-    def parse_params(self) -> tuple[tuple[TypeAst, str], ...]:
-        params: list[tuple[TypeAst, str]] = []
-        if not self.at("op", ")"):
-            params.append((self.parse_type(), self.expect("name").text))
-            while self.accept("op", ","):
-                params.append((self.parse_type(), self.expect("name").text))
-        return tuple(params)
+    def _param(self) -> tuple[TypeAst, str]:
+        return self.parse_type(), self._name()
 
     def parse_type(self) -> TypeAst:
         tok = self.expect("name")
-        args: list[TypeAst] = []
+        args: tuple[TypeAst, ...] = ()
         if self.accept("op", "<"):
-            args.append(self.parse_type())
-            while self.accept("op", ","):
-                args.append(self.parse_type())
+            args = self._separated(self.parse_type)
             self.expect("op", ">")
-        return TypeAst(tok.text, tuple(args), pos=tok.pos)
+        return TypeAst(tok.text, args, pos=tok.pos)
 
     def parse_interface(self) -> InterfaceDecl:
         pos = self.expect("kw", "interface").pos
@@ -195,9 +198,7 @@ class Parser:
         while not self.accept("op", "}"):
             ret = self.parse_type()
             mname = self.expect("name").text
-            self.expect("op", "(")
-            params = self.parse_params()
-            self.expect("op", ")")
+            params = self._separated(self._param, parens=True)
             self.expect("op", ";")
             sigs.append(MethodSig(ret, mname, params, pos=ret.pos))
         return InterfaceDecl(name, tuple(sigs), pos=pos)
@@ -206,15 +207,16 @@ class Parser:
         """The `[Name: expr, ...]` groups in front of a declaration or
         statement, in source order; a name may appear only once."""
         annots: dict[str, Expr] = {}
+
+        def annotation() -> None:
+            tok = self.expect("name")
+            if tok.text in annots:
+                raise ParseError(f"duplicate annotation {tok.text}", tok.pos)
+            self.expect("op", ":")
+            annots[tok.text] = self.parse_expr()
+
         while self.accept("op", "["):
-            while True:
-                tok = self.expect("name")
-                if tok.text in annots:
-                    raise ParseError(f"duplicate annotation {tok.text}", tok.pos)
-                self.expect("op", ":")
-                annots[tok.text] = self.parse_expr()
-                if not self.accept("op", ","):
-                    break
+            self._separated(annotation)
             self.expect("op", "]")
         return tuple(annots.items())
 
@@ -223,14 +225,11 @@ class Parser:
         pos = self.expect("kw", "class").pos
         name = self.expect("name").text
         params: tuple[tuple[TypeAst, str], ...] = ()
-        if self.accept("op", "("):
-            params = self.parse_params()
-            self.expect("op", ")")
-        interfaces: list[str] = []
+        if self.at("op", "("):
+            params = self._separated(self._param, parens=True)
+        interfaces: tuple[str, ...] = ()
         if self.accept("kw", "implements"):
-            interfaces.append(self.expect("name").text)
-            while self.accept("op", ","):
-                interfaces.append(self.expect("name").text)
+            interfaces = self._separated(self._name)
         self.expect("op", "{")
         fields: list[FieldDecl] = []
         methods: list[MethodDecl] = []
@@ -255,13 +254,11 @@ class Parser:
             except ParseError:
                 self.restore(mark)
                 raise
-            self.expect("op", "(")
-            mparams = self.parse_params()
-            self.expect("op", ")")
+            mparams = self._separated(self._param, parens=True)
             body = self.parse_block()
             methods.append(MethodDecl(ty, fname, mparams, body,
                                       annots=member_annots, pos=ty.pos))
-        return ClassDecl(name, params, tuple(interfaces), tuple(fields),
+        return ClassDecl(name, params, interfaces, tuple(fields),
                          tuple(methods), annots=annots, pos=pos)
 
     # ------------------------------------------------------ statements
@@ -303,14 +300,9 @@ class Parser:
             if tok.text == "await":
                 return self._parse_await(annots)
             if tok.text == "duration":
-                self.next()
-                self.expect("op", "(")
-                best = self.parse_expr()
-                self.expect("op", ",")
-                worst = self.parse_expr()
-                self.expect("op", ")")
+                stmt = self._duration(SDuration)
                 self.expect("op", ";")
-                return SDuration(best, worst, pos=tok.pos)
+                return stmt
         return self._parse_simple_stmt(annots)
 
     def _parse_if(self) -> Stmt:
@@ -352,10 +344,7 @@ class Parser:
             self.expect("op", "=")
             callee = self.parse_expr()
             self.expect("op", ".")
-            method = self.expect("name").text
-            self.expect("op", "(")
-            args = self.parse_args()
-            self.expect("op", ")")
+            method, args = self._call_tail()
             self.expect("op", ";")
             return SAwaitCall(decl_type, name, callee, method, args,
                               annots=self._call_annots(annots), pos=tok.pos)
@@ -382,10 +371,7 @@ class Parser:
         # fire-and-forget call: expr ! m (args) ;
         callee = self.parse_expr()
         if self.accept("op", "!"):
-            method = self.expect("name").text
-            self.expect("op", "(")
-            args = self.parse_args()
-            self.expect("op", ")")
+            method, args = self._call_tail()
             self.expect("op", ";")
             return SCallStmt(callee, method, args,
                              annots=self._call_annots(annots), pos=start.pos)
@@ -410,9 +396,8 @@ class Parser:
         if self.accept("kw", "new"):
             cls = self.expect("name").text
             args: tuple[Expr, ...] = ()
-            if self.accept("op", "("):
-                args = self.parse_args()
-                self.expect("op", ")")
+            if self.at("op", "("):
+                args = self._separated(self.parse_expr, parens=True)
             for name, _ in annots:
                 if name != "Scheduler":
                     raise ParseError(
@@ -421,30 +406,30 @@ class Parser:
                         pos=tok.pos)
         expr = self.parse_expr()
         if self.accept("op", "!"):
-            method = self.expect("name").text
-            self.expect("op", "(")
-            args = self.parse_args()
-            self.expect("op", ")")
+            method, args = self._call_tail()
             return RCall(expr, method, args,
                          annots=self._call_annots(annots), pos=tok.pos)
         if self.accept("op", "."):
             if self.accept("kw", "get"):
                 return RGet(expr, pos=tok.pos)
-            method = self.expect("name").text
-            self.expect("op", "(")
-            args = self.parse_args()
-            self.expect("op", ")")
+            method, args = self._call_tail()
             return RSyncCall(expr, method, args,
                              annots=self._call_annots(annots), pos=tok.pos)
         return RExpr(expr)
 
-    def parse_args(self) -> tuple[Expr, ...]:
-        args: list[Expr] = []
-        if not self.at("op", ")"):
-            args.append(self.parse_expr())
-            while self.accept("op", ","):
-                args.append(self.parse_expr())
-        return tuple(args)
+    def _call_tail(self) -> tuple[str, tuple[Expr, ...]]:
+        """`name ( expr, ... )` after `!` or `.`."""
+        return self._name(), self._separated(self.parse_expr, parens=True)
+
+    def _duration(self, node: Callable[..., _T]) -> _T:
+        """`duration ( best , worst )` as a statement or guard atom."""
+        pos = self.expect("kw", "duration").pos
+        self.expect("op", "(")
+        best = self.parse_expr()
+        self.expect("op", ",")
+        worst = self.parse_expr()
+        self.expect("op", ")")
+        return node(best, worst, pos=pos)
 
     # ---------------------------------------------------------- guards
 
@@ -543,9 +528,7 @@ class Parser:
                 self.next()
                 if tok.text != "this" and self.at("op", "("):
                     # observer call on a reflected process value
-                    self.next()
-                    args = self.parse_args()
-                    self.expect("op", ")")
+                    args = self._separated(self.parse_expr, parens=True)
                     return Apply(tok.text, args, pos=tok.pos)
                 return Var(tok.text, pos=tok.pos)
             if tok.text == "case":
@@ -563,19 +546,11 @@ class Parser:
                     raise ParseError(
                         "duration(...) is a statement or guard, not an expression",
                         tok.pos)
-                self.next()
-                self.expect("op", "(")
-                best = self.parse_expr()
-                self.expect("op", ",")
-                worst = self.parse_expr()
-                self.expect("op", ")")
-                return _DurAtom(best, worst, pos=tok.pos)
+                return self._duration(_DurAtom)
         if tok.kind == "name":
             self.next()
             if self.at("op", "("):
-                self.next()
-                args = self.parse_args()
-                self.expect("op", ")")
+                args = self._separated(self.parse_expr, parens=True)
                 return Apply(tok.text, args, pos=tok.pos)
             return Var(tok.text, pos=tok.pos)
         if tok.kind == "op" and tok.text == "(":
@@ -622,14 +597,8 @@ class Parser:
         if tok.kind == "name":
             self.next()
             if self.at("op", "("):
-                self.next()
-                args: list[Pattern] = []
-                if not self.at("op", ")"):
-                    args.append(self.parse_pattern())
-                    while self.accept("op", ","):
-                        args.append(self.parse_pattern())
-                self.expect("op", ")")
-                return PCtor(tok.text, tuple(args), pos=tok.pos)
+                args = self._separated(self.parse_pattern, parens=True)
+                return PCtor(tok.text, args, pos=tok.pos)
             return PName(tok.text, pos=tok.pos)
         raise ParseError(f"unexpected {tok.text!r} in pattern", tok.pos)
 

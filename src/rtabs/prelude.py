@@ -47,9 +47,13 @@ def merge_with_prelude(user: Model) -> Model:
 def load_source(source: str, filename: str | None = None) -> tuple[Model, list[Diagnostic]]:
     """Parse, merge with the prelude, and check.  Returns the merged
     (not yet desugared) model and any diagnostics."""
-    user = parse_model(source, filename)
-    merged = merge_with_prelude(user)
-    return merged, check_model(merged)
+    try:
+        user = parse_model(source, filename)
+        merged = merge_with_prelude(user)
+        return merged, check_model(merged)
+    except RecursionError:  # nesting deeper than parser or checker can follow
+        raise RtabsError(f"{filename or '<source>'}: expression nesting "
+                         "exhausted the host stack") from None
 
 
 def load_model(path: str) -> Model:

@@ -10,9 +10,8 @@ deadlock reports; they have no source syntax.
 from __future__ import annotations
 
 from .nodes import (
-    BINARY_PRECEDENCE, Apply, BinOp, CallAnnots, CaseExpr, ClassDecl,
-    DataDecl, Expr, FuncDecl, GBool, GDuration, GFut, Guard, IfExpr,
-    InterfaceDecl, Lit, MethodDecl, Model, NowExpr, PCtor, PLit, PName,
+    BINARY_PRECEDENCE, Apply, BinOp, CallAnnots, CaseExpr, Expr, GBool,
+    GDuration, GFut, Guard, IfExpr, Lit, Model, NowExpr, PCtor, PLit, PName,
     Pattern, PWildcard, RCall, RDur, RExpr, RGet, RNew, RSyncCall, Rhs,
     SAssign, SAwait, SAwaitCall, SCallStmt, SDuration, SDuration2, SIf,
     SReturn, SSkip, SSuspend, SWhile, Stmt, TypeAst, Unary, Var,

@@ -65,7 +65,9 @@ SCHEDULERS = (None, "fifo(queue)", "edf(queue)", "sjf(queue)")
 # cycle; such a method awaits or gets the future of its call.  A method
 # may await a field that another method's increment makes true, or a
 # clock time (either may block for good, which ends the run in
-# deadlock), and a class may name its scheduler.
+# deadlock), or a delay joined with a clock, deadline or field test that
+# may stop holding before the delay ends, and a class may name its
+# scheduler.
 
 
 class ProgramBuilder:
@@ -95,10 +97,19 @@ class ProgramBuilder:
                                     f"{call} Int w{k} = q{k}.get;"])
         d = self._dur()
         d2 = self._dur()
+        d3 = self.rng.randint(2, 3)
         opts = ["skip;", f"duration({d}, {d});",
                 f"await duration({d2}, {d2});", "suspend;",
-                f"await timeValue(now) >= {self.rng.randint(1, 3)};"]
+                f"await timeValue(now) >= {self.rng.randint(1, 3)};",
+                # delays joined with a test that a tick (or, for a field,
+                # another method) can falsify while the delay runs, which
+                # leaves the delay's timer stale
+                f"await timeValue(now) < 1 && duration({d3}, {d3});",
+                f"await lte(Duration({self.rng.randint(1, 3)}), deadline) "
+                f"&& duration({d3}, {d3});"]
         if fields:
+            opts.append(f"await {self.rng.choice(fields)} < "
+                        f"{self.rng.randint(1, 3)} && duration({d3}, {d3});")
             g = self.rng.choice(fields)
             opts.append(f"{g} = {g} + {self.rng.randint(1, 2)};")
             opts.append(f"if ({g} > {self.rng.randint(0, 2)}) "

@@ -247,3 +247,22 @@ def test_call_depth_is_the_one_explicit_limit(tmp_path):
     res = run_cli("run", path, "--until", "10")
     assert res.returncode == 2
     assert res.stderr.splitlines()[-1] == expected
+
+
+def test_front_end_failures_are_diagnostics_not_tracebacks(tmp_path):
+    cases = [
+        ("{ Int x = 2²; }\n", "1:12: unexpected character '²'"),
+        ("{ Int x = " + "(" * 200 + "1" + ")" * 200 + "; }\n",
+         " expression nesting exhausted the host stack"),
+        ("{ Int x = 1" + " + 1" * 1200 + "; }\n",
+         " expression nesting exhausted the host stack")]
+    if hasattr(sys, "get_int_max_str_digits"):  # Python 3.11 and later
+        digits = "1" * (sys.get_int_max_str_digits() + 1)
+        cases.append((f"{{ Int x = {digits}; }}\n",
+                      "1:11: numeric literal too long"))
+    for k, (source, message) in enumerate(cases):
+        path = write(tmp_path, f"m{k}.rtabs", source)
+        res = run_cli("check", path)
+        assert (res.returncode, res.stderr) == (1, f"{path}:{message}\n")
+        res = run_cli("run", path, "--until", "5")
+        assert (res.returncode, res.stderr) == (2, f"{path}:{message}\n")

@@ -1,4 +1,5 @@
-"""The package imports nothing outside the standard library."""
+"""The package imports nothing outside the standard library, and nothing
+it does not use."""
 
 import ast
 import sys
@@ -23,3 +24,23 @@ def test_sources_import_only_stdlib_and_rtabs():
     for path in sources:
         for name in absolute_imports(path):
             assert name.split(".")[0] in allowed, f"{path.name} imports {name}"
+
+
+def unused_imports(path):
+    """Names a module imports and never mentions again."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_sources_use_every_import():
+    # the package's __init__ imports in order to re-export
+    found = {path.name: unused_imports(path)
+             for path in sorted(SRC_DIR.glob("*.py"))
+             if path.name != "__init__.py"}
+    assert {name: names for name, names in found.items() if names} == {}

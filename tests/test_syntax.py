@@ -1,13 +1,16 @@
 """Front end: lexer, parser, renderer round-trip, checker, desugar."""
 
 import dataclasses
+import hashlib
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from rtabs import (
-    LexError, ParseError, load_source, nodes, parse_expr, parse_model,
+    LexError, ParseError, RtabsError, load_source, nodes, parse_expr,
+    parse_model,
 )
 from rtabs.desugar import desugar
 from rtabs.lexer import tokenize
@@ -63,6 +66,74 @@ def test_lex_errors():
         tokenize("1/0")
     with pytest.raises(LexError):
         tokenize("#")
+
+
+def lexed(source):
+    return [(t.kind, t.text, str(t.pos)) for t in tokenize(source, "f")]
+
+
+def test_lex_positions_across_comments_tabs_and_crlf():
+    source = "a // x\r\n\tb /* one\ntwo\n */ c\r\n  /**/d\n"
+    assert lexed(source) == [
+        ("name", "a", "f:1:1"), ("name", "b", "f:2:2"), ("name", "c", "f:4:5"),
+        ("name", "d", "f:5:7"), ("eof", "", "f:6:1")]
+
+
+def test_lex_error_messages_and_positions():
+    for source, message in [
+            ('x = "ab\ncd"', 'f:1:5: unterminated string literal'),
+            ('  "ab', 'f:1:3: unterminated string literal'),
+            ('"a\\', 'f:1:1: unterminated string literal'),
+            ('\n "ab\\qc"', 'f:2:5: unknown escape \\q'),
+            ("1 /* a\n b", "f:1:3: unterminated block comment"),
+            ("x\n  007/00", "f:2:3: zero denominator in rational literal"),
+            ("\t x # y", "f:1:5: unexpected character '#'"),
+            ("a$b", "f:1:2: unexpected character '$'")]:
+        with pytest.raises(LexError) as err:
+            tokenize(source, "f")
+        assert str(err.value) == message, source
+
+
+def test_lex_number_and_underscore_texts():
+    tokens = tokenize("007/010 007 _ _x __")
+    assert [(t.kind, t.text, t.value) for t in tokens[:-1]] == [
+        ("rat", "7/010", Fraction(7, 10)), ("int", "7", Fraction(7)),
+        ("op", "_", None), ("name", "_x", None), ("name", "__", None)]
+
+
+def test_lex_unicode_letters_and_digits():
+    assert lexed("é ٣ x٣ ٣/٤") == [
+        ("name", "é", "f:1:1"), ("int", "3", "f:1:3"), ("name", "x٣", "f:1:5"),
+        ("rat", "3/٤", "f:1:8"), ("eof", "", "f:1:11")]
+    assert tokenize("٣/٤")[0].value == Fraction(3, 4)
+
+
+def test_lex_longest_operator_match():
+    assert [t.text for t in tokenize("a<=b=>c==d&&e")][:-1] == [
+        "a", "<=", "b", "=>", "c", "==", "d", "&&", "e"]
+    assert [t.text for t in tokenize("< = = > = =")][:-1] == [
+        "<", "=", "=", ">", "=", "="]
+    with pytest.raises(LexError):  # `&` stands only in `&&`
+        tokenize("a & & b")
+    assert [t.text for t in tokenize("<==>=!=||")][:-1] == [
+        "<=", "=>", "=", "!=", "||"]
+
+
+def test_lex_token_stream_of_prelude_and_models_is_pinned():
+    from rtabs.prelude import prelude_source
+    sources = [("prelude.rtabs", prelude_source())] + [
+        (path.name, path.read_text(encoding="utf-8"))
+        for path in sorted(MODELS_DIR.glob("*.rtabs"))]
+    digest = hashlib.sha256()
+    count = 0
+    for name, source in sources:
+        for t in tokenize(source, name):
+            digest.update(repr((t.kind, t.text, t.value, str(t.pos))).encode())
+            digest.update(b"\n")
+            count += 1
+    assert (len(sources), count) == (10, 5812)
+    assert digest.hexdigest() == (
+        "c51d039e88cd6172971c611d7a791b0a132ab1a0222c7f2dce90aed6bc137f9c")
 
 
 # ------------------------------------------------------------------ parser
@@ -215,6 +286,34 @@ def test_round_trip_tricky_expressions():
 def check(source):
     _, diags = load_source(source, "<test>")
     return [d.message for d in diags]
+
+
+def test_lex_crashes_are_lex_errors():
+    # `²` is a digit to str.isdigit but not a decimal digit
+    with pytest.raises(LexError) as err:
+        load_source("{ Int x = 2²; }", "m.rtabs")
+    assert str(err.value) == "m.rtabs:1:12: unexpected character '²'"
+    if hasattr(sys, "get_int_max_str_digits"):  # Python 3.11 and later
+        too_long = "1" * (sys.get_int_max_str_digits() + 1)
+        for literal in (too_long, f"1/{too_long}"):
+            with pytest.raises(LexError) as err:
+                load_source(f"{{ Int x = {literal}; }}", "m.rtabs")
+            assert str(err.value) == "m.rtabs:1:11: numeric literal too long"
+
+
+def nested(depth):
+    return "{ Int x = " + "(" * depth + "1" + ")" * depth + "; }"
+
+
+def test_front_end_nesting_is_reported():
+    for source in (nested(200), "{ Int x = 1" + " + 1" * 1200 + "; }"):
+        with pytest.raises(RtabsError) as err:
+            load_source(source, "m.rtabs")
+        assert str(err.value) == (
+            "m.rtabs: expression nesting exhausted the host stack")
+    # what parsed before still parses
+    assert check(nested(150)) == []
+    assert check("{ Int x = 1" + " + 1" * 150 + "; }") == []
 
 
 def test_clean_models_have_no_diagnostics():
