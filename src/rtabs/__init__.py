@@ -6,35 +6,48 @@ Typical use:
     from rtabs import load_model, simulate
     result = simulate(load_model("model.rtabs"), limit=600)
     print(result.status, len(result.trace))
+
+The exported names resolve lazily (PEP 562): `import rtabs` loads no
+submodule, and the first use of a name imports only the module that
+defines it, so reading a trace never pays for the parser or the engine.
 """
 
-from .engine import (
-    Configuration, Engine, FutureCell, InvocationMessage, ObjectState,
-    ProcessRecord, RunResult, adv, lift, liftall, mte, mte_raw, select,
-    simulate,
-)
-from .errors import (
-    CallDepthError, LexError, ParseError, PolicyError, RtabsError,
-    RtRuntimeError,
-)
-from .metrics import (
-    IncompleteProcess, ProcessOutcome, SeriesPoint, check_deadline_bookkeeping,
-    derive_outcome, derive_outcomes, misses_series,
-)
-from .parser import parse_expr, parse_model
-from .prelude import load_model, load_source, merge_with_prelude, prelude_model
-from .trace import Trace, TraceEvent, read_csv, read_structured
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CallDepthError", "Configuration", "Engine", "FutureCell",
-    "IncompleteProcess", "InvocationMessage", "LexError", "ObjectState",
-    "ParseError", "PolicyError", "ProcessOutcome", "ProcessRecord",
-    "RtRuntimeError", "RtabsError", "RunResult", "SeriesPoint", "Trace",
-    "TraceEvent", "adv", "check_deadline_bookkeeping", "derive_outcome",
-    "derive_outcomes", "lift", "liftall", "load_model", "load_source",
-    "merge_with_prelude", "misses_series", "mte", "mte_raw", "parse_expr",
-    "parse_model", "prelude_model", "read_csv", "read_structured", "select",
-    "simulate",
-]
+# every exported name, by the submodule that defines it
+_EXPORTS = {
+    "engine": (
+        "Configuration", "Engine", "FutureCell", "InvocationMessage",
+        "ObjectState", "ProcessRecord", "RunResult", "adv", "lift", "liftall",
+        "mte", "mte_raw", "select", "simulate",
+    ),
+    "errors": (
+        "CallDepthError", "LexError", "ParseError", "PolicyError",
+        "RtabsError", "RtRuntimeError",
+    ),
+    "metrics": (
+        "IncompleteProcess", "ProcessOutcome", "SeriesPoint",
+        "check_deadline_bookkeeping", "derive_outcome", "derive_outcomes",
+        "misses_series",
+    ),
+    "parser": ("parse_expr", "parse_model"),
+    "prelude": (
+        "load_model", "load_source", "merge_with_prelude", "prelude_model",
+    ),
+    "trace": ("Trace", "TraceEvent", "read_csv", "read_structured"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

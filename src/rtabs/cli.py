@@ -11,16 +11,17 @@ from __future__ import annotations
 import argparse
 import io
 import sys
+from collections import Counter
 from fractions import Fraction
 
-from .engine import DURATION_POLICIES, Engine
+# `metrics` needs only the trace layer; `check` and `run` import the front
+# end and the engine when they start, so reading a trace never loads them
 from .errors import RtabsError
 from .metrics import misses_series
-from .prelude import load_model, load_source
 from .trace import (
     Trace, read_csv_text, read_structured_text, render_csv, render_structured,
 )
-from .values import format_rat
+from .values import DURATION_POLICIES, format_rat
 
 def _fail(message: str, code: int) -> int:
     print(message, file=sys.stderr)
@@ -28,6 +29,8 @@ def _fail(message: str, code: int) -> int:
 
 
 def cmd_check(args) -> int:
+    from .prelude import load_source
+
     try:
         with open(args.model, "r", encoding="utf-8") as handle:
             source = handle.read()
@@ -43,6 +46,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_run(args) -> int:
+    from .engine import Engine
+    from .prelude import load_model
+
     try:
         until = Fraction(args.until)
     except (ValueError, ZeroDivisionError):
@@ -70,11 +76,10 @@ def cmd_run(args) -> int:
     else:
         sys.stdout.write(rendered)
 
-    completed = sum(1 for ev in result.trace if ev.kind == "return")
-    missed = sum(1 for ev in result.trace if ev.kind == "deadline_miss")
+    kinds = Counter(ev.kind for ev in result.trace)
     print(f"{result.status}: clock {format_rat(result.clock)}, "
-          f"{completed} process(es) completed, {missed} deadline miss(es)",
-          file=sys.stderr)
+          f"{kinds['return']} process(es) completed, "
+          f"{kinds['deadline_miss']} deadline miss(es)", file=sys.stderr)
 
     if result.status == "deadlock":
         for line in result.blocked:

@@ -91,15 +91,13 @@ from .nodes import (
 from .pretty import render_expr, render_guard, render_stmt
 from .trace import Trace, TraceEvent
 from .values import (
-    FALSE, INF_DURATION, NULL, BoolVal, DataVal, FutRef, NumVal,
-    ObjRef, StrVal, Value, duration_rat, format_rat, is_duration,
+    DURATION_POLICIES, FALSE, INF_DURATION, NULL, BoolVal, DataVal, FutRef,
+    NumVal, ObjRef, StrVal, Value, duration_rat, format_rat, is_duration,
     is_inf_duration, mk_duration, mk_list, mk_time, num, render_duration_field,
     render_value,
 )
 
 MAIN_CLASS = "<main>"
-
-DURATION_POLICIES = ("worst", "best", "uniform")
 
 # the nine reserved process locals, in reflection order
 PROC_FIELDS = ("destiny", "method", "arrival", "cost", "deadline",

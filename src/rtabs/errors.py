@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from .nodes import Pos
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .nodes import Pos
 
 
 class RtabsError(Exception):

@@ -69,6 +69,10 @@ NULL = NullVal()
 UNIT = DataVal("Unit")
 INF_DURATION = DataVal("InfDuration")
 
+# how a `duration(b, w)` interval is realized: always w, always b, or a
+# seeded uniform draw between them
+DURATION_POLICIES = ("worst", "best", "uniform")
+
 
 def num(x: int | Fraction) -> NumVal:
     return NumVal(Fraction(x))

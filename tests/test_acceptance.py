@@ -3,6 +3,7 @@
 verdicts survive output capture."""
 
 import random
+import re
 import subprocess
 import sys
 import time
@@ -150,8 +151,23 @@ def test_criterion_5_single_request_golden():
     assert ok
 
 
+# the generated forms through which criterion 6 catches a stale timer and
+# a delay whose tick wake-up is lost: a delay joined with a field, `deadline`
+# or `now` test that can stop holding while it runs, and an await on a clock
+# time.  A change to the builder's draws must not lose either of them.
+TIMER_FORMS = {
+    "joined delay": re.compile(r"await [^;]*&& duration\((\d+), \1\);"),
+    "clock await": re.compile(r"await timeValue\(now\) >= \d+;"),
+}
+
+
 def test_criterion_6_reference_inclusion():
     programs = 200
+    sources = [ref.ProgramBuilder(random.Random(seed)).build()[0]
+               for seed in range(programs)]
+    missing = [form for form, pattern in TIMER_FORMS.items()
+               if not any(pattern.search(source) for source in sources)]
+    assert not missing, f"no generated program has a {missing[0]}"
     total_states = 0
     # seeds 0-59 that reach more states than the engine takes steps:
     # most of them must exercise real nondeterminism

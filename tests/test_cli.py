@@ -9,6 +9,7 @@ from rtabs import load_model, simulate
 from rtabs.trace import render_csv
 
 CLI = [sys.executable, "-m", "rtabs.cli"]
+CSV_HEADER = "time,event,object,pid,method,data\n"
 
 DEADLOCK_SRC = "{ Int x = 0; await x > 0; }\n"
 MISS_SRC = """
@@ -154,11 +155,24 @@ def test_metrics_method_breakdown(tmp_path):
 
 
 def test_metrics_rejects_garbage(tmp_path):
-    path = tmp_path / "junk.txt"
-    path.write_text("hello world\n", encoding="utf-8")
-    res = run_cli("metrics", str(path), "--series", "misses")
-    assert res.returncode == 2
-    assert "malformed trace" in res.stderr
+    # besides junk, a bad time, id or data cell after rows that repeat the
+    # column's valid text, which the readers parse once per read
+    row = "1,activate,o3,f4,m,deadline=inf;note=a\\;b\n"
+    record = ('{{"time":"{}","event":"tick","object":null,"pid":null,'
+              '"method":null,"data":{{}}}}\n')
+    texts = [
+        "hello world\n",
+        CSV_HEADER + row * 3 + "1/0,activate,o3,f4,m,deadline=inf\n",
+        CSV_HEADER + row * 3 + "1,activate,o3x,f4,m,deadline=inf\n",
+        CSV_HEADER + row * 3 + "1,activate,o3,f4,m,deadline=inf;note\n",
+        record.format("1") * 3 + record.format("1/x"),
+    ]
+    for text in texts:
+        path = tmp_path / "junk.txt"
+        path.write_text(text, encoding="utf-8")
+        res = run_cli("metrics", str(path), "--series", "misses")
+        assert res.returncode == 2, text
+        assert "malformed trace" in res.stderr, text
 
 
 def test_metrics_rejects_malformed_structured_trace(tmp_path):

@@ -2,8 +2,14 @@
 it does not use."""
 
 import ast
+import json
+import subprocess
 import sys
 from pathlib import Path
+
+from conftest import CLI_ENV, model_file
+from rtabs import simulate
+from rtabs.trace import render_csv
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src" / "rtabs"
 
@@ -44,3 +50,51 @@ def test_sources_use_every_import():
              for path in sorted(SRC_DIR.glob("*.py"))
              if path.name != "__init__.py"}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+# runs `python -m rtabs.cli ARGS...`, then prints, as the last line of
+# stdout, the rtabs modules that the command loaded
+LOADED_BY_CLI = """
+import json, runpy, sys
+try:
+    runpy.run_module("rtabs.cli", run_name="__main__")
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("rtabs."))))
+"""
+
+# in a fresh process, so that each export resolves through the package's
+# module __getattr__ and not from an earlier import
+PACKAGE_SURFACE = """
+import rtabs
+resolved = {name: getattr(rtabs, name) for name in rtabs.__all__}
+star = {}
+exec("from rtabs import *", star)
+assert all(star[name] is value for name, value in resolved.items())
+try:
+    rtabs.no_such_name
+except AttributeError as exc:
+    print(exc)
+"""
+
+
+def run_python(script, *args):
+    res = subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                         capture_output=True, text=True, env=CLI_ENV)
+    assert res.returncode == 0, res.stderr
+    return res.stdout.splitlines()[-1]
+
+
+def test_commands_load_only_what_they_use(tmp_path, single_request_model):
+    trace = tmp_path / "run.csv"
+    trace.write_text(render_csv(simulate(single_request_model, limit=600).trace),
+                     encoding="utf-8")
+    metrics = set(json.loads(run_python(
+        LOADED_BY_CLI, "metrics", trace, "--series", "misses", "--by", "method")))
+    assert "rtabs.trace" in metrics
+    assert not metrics & {"rtabs.engine", "rtabs.nodes", "rtabs.parser"}
+    check = set(json.loads(run_python(
+        LOADED_BY_CLI, "check", model_file("single_request.rtabs"))))
+    assert "rtabs.parser" in check and "rtabs.engine" not in check
+    assert (run_python(PACKAGE_SURFACE)
+            == "module 'rtabs' has no attribute 'no_such_name'")

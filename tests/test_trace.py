@@ -16,6 +16,14 @@ def ev(time, kind, obj=None, pid=None, method=None, data=()):
     return TraceEvent(Fraction(time), kind, obj, pid, method, tuple(data))
 
 
+# the readers parse each distinct time, id and data text once per read:
+# one time, object, pid and escaped data text (`a\;b`, `x\=y`) on many rows
+REPEATED = Trace([ev(Fraction(3, 2), kind, obj=1, pid=2, method="m",
+                     data=[("label", "a;b"), ("note", "x=y")])
+                  for kind in ("activate", "schedule", "return") * 20])
+REPEATED_ROW = "3/2,return,o1,f2,m,label=a\\;b;note=x\\=y\n"
+
+
 def test_tick_row_shape():
     trace = Trace([ev(15, "tick", data=[("delta", "15")])])
     lines = render_csv(trace).splitlines()
@@ -62,10 +70,12 @@ def test_trailing_lone_backslash_rejected():
 
 def test_data_field_separators_survive_csv():
     # commas and quotes exercise the csv quoting layer on top of ours
-    trace = Trace([ev(1, "return", obj=0, pid=1, method="m",
-                      data=[("value", 'Pair(1,"x;y=z")'), ("deadline", "3/2")])])
-    back = read_csv_text(render_csv(trace))
-    assert back.events == trace.events
+    quoted = Trace([ev(1, "return", obj=0, pid=1, method="m",
+                       data=[("value", 'Pair(1,"x;y=z")'), ("deadline", "3/2")])])
+    for trace in (quoted, REPEATED):
+        back = read_csv_text(render_csv(trace))
+        assert back.events == trace.events
+    assert REPEATED_ROW in render_csv(REPEATED)
 
 
 def test_random_data_values_round_trip():
@@ -87,9 +97,26 @@ def test_missing_header_rejected():
         read_csv_text("time,kind,obj\n")
 
 
-def test_unknown_event_kind_rejected():
-    with pytest.raises(RtabsError):
-        read_csv_text("time,event,object,pid,method,data\n0,explode,,,,\n")
+def test_malformed_rows_rejected():
+    # each bad cell follows rows that repeat its column's valid text, so a
+    # reader that remembers parsed texts must still reject it
+    repeats = "time,event,object,pid,method,data\n" + REPEATED_ROW * 3
+    cases = [
+        ("0,explode,,,,\n", RtabsError, "unknown event kind 'explode'"),
+        ("3/x,return,o1,f2,m,note=x\\=y\n", ValueError,
+         "Invalid literal for Fraction: '3/x'"),
+        ("3/2,return,o1x,f2,m,note=x\\=y\n", RtabsError,
+         "malformed id column 'o1x'"),
+        ("3/2,return,o1,o1,m,note=x\\=y\n", RtabsError,
+         "malformed id column 'o1'"),
+        ("3/2,return,o1,f2,m,label=a\\;b;note\n", RtabsError,
+         "malformed data field: 'note'"),
+        ("3/2,return,o1,f2,m\n", RtabsError, "expected 6 columns, got 5"),
+    ]
+    for row, error, message in cases:
+        with pytest.raises(error) as info:
+            read_csv_text(repeats + row)
+        assert str(info.value) == message, row
 
 
 def test_malformed_data_pair_rejected():
@@ -113,6 +140,8 @@ def test_structured_round_trip():
     text = render_structured(trace)
     assert text.splitlines()[0].startswith("{")
     assert read_structured_text(text).events == trace.events
+    text = render_structured(REPEATED)
+    assert read_structured_text(text).events == REPEATED.events
 
 
 def test_structured_empty_trace():
