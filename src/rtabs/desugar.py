@@ -30,8 +30,6 @@ from .nodes import (
 )
 from .values import FALSE, INF_DURATION, UNIT, mk_duration
 
-DEFAULT_POLICY_SOURCE = "default(queue)"
-
 
 def default_policy() -> Expr:
     return Apply("default", (Var("queue"),))

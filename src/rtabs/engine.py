@@ -116,10 +116,6 @@ class ProcessRecord:
     # the absolute deadline; None when infinite.  The only store of a
     # deadline: the `deadline` a model or a Proc sees is derived from it.
     due: Fraction | None = None
-    # the reflected reserved locals other than `deadline`, in PROC_FIELDS
-    # order, kept by lift.  They change only while the process is active,
-    # so making it active drops them.
-    reflected: tuple[Value, ...] | None = None
 
 
 @dataclass
@@ -187,17 +183,12 @@ class RunResult:
 
 
 def lift(p: ProcessRecord, clock: Fraction) -> DataVal:
-    """Project a process's reserved locals at clock into a Proc value.
-    Only the deadline is rebuilt each time: the other fields are kept in
-    `p.reflected` until the process is next made active."""
-    if p.reflected is None:
-        locals_ = p.locals
-        p.reflected = tuple(locals_[name] for name in PROC_FIELDS
-                            if name != "deadline")
-    destiny, method, arrival, cost, start, finish, critical, value = p.reflected
-    return DataVal("Proc", (destiny, method, arrival, cost,
-                            remaining_deadline(p, clock), start, finish,
-                            critical, value))
+    """Project a process's reserved locals at clock into a Proc value."""
+    locals_ = p.locals
+    return DataVal("Proc", (
+        locals_["destiny"], locals_["method"], locals_["arrival"],
+        locals_["cost"], remaining_deadline(p, clock), locals_["start"],
+        locals_["finish"], locals_["critical"], locals_["value"]))
 
 
 def liftall(processes: list[ProcessRecord], clock: Fraction) -> Value:
@@ -276,7 +267,7 @@ def wait(p: ProcessRecord, obj: ObjectState, ctx: EvalContext) -> Wait:
     needs it: the future of `f?`, or of `x = v.get` for a variable v, is
     read straight from p's locals or its object's fields."""
     head = p.body[0]
-    clock = ctx.clock
+    clock = ctx.config.clock
     if isinstance(head, SDuration2):
         return _ZERO if head.best <= clock else head.worst - clock
     if isinstance(head, SAwait):
@@ -307,7 +298,7 @@ def wait(p: ProcessRecord, obj: ObjectState, ctx: EvalContext) -> Wait:
             raise EvalTypeError(
                 f"get applied to {render_value(fut)}, not a future",
                 head.rhs.pos)
-        return _ZERO if ctx.is_resolved(fut.fid) else fut
+        return _ZERO if ctx.config.futures[fut.fid].resolved else fut
     return _ZERO
 
 
@@ -316,8 +307,7 @@ def mte_raw(config: Configuration, program: Program) -> Fraction | None:
     queue when it has none; None when nothing waits for time.  The
     definition of mte: `Engine.advance` reads the same figure from the
     timers that stalled objects registered."""
-    ctx = EvalContext(program, config.clock,
-                      is_resolved=lambda fid: config.futures[fid].resolved)
+    ctx = EvalContext(program, config)
     out: Fraction | None = None
     for obj in config.objects.values():
         for p in obj.queue if obj.active is None else (obj.active,):
@@ -372,9 +362,9 @@ class Engine:
         self.duration_policy = duration_policy
         self.trace = trace if trace is not None else Trace()
         self.config = Configuration()
-        self.booted = False
-        self._next_oid = 0
-        self._next_fid = 0
+        # the one context every evaluation of the run reads the clock and
+        # the futures through
+        self.ctx = EvalContext(self.program, self.config)
         # the oids of the objects that are not stalled, as a heap
         self._awake: list[int] = []
         # what wakes a stalled object: a future's resolution, a time, the
@@ -389,20 +379,10 @@ class Engine:
 
     # ------------------------------------------------------------- plumbing
 
-    def _fresh_oid(self) -> int:
-        oid = self._next_oid
-        self._next_oid += 1
-        return oid
-
     def _fresh_fid(self) -> int:
-        fid = self._next_fid
-        self._next_fid += 1
+        fid = len(self.config.futures)
         self.config.futures[fid] = FutureCell(fid)
         return fid
-
-    def _ctx(self) -> EvalContext:
-        return EvalContext(self.program, self.config.clock,
-                           is_resolved=lambda fid: self.config.futures[fid].resolved)
 
     def _emit(self, kind: str, obj: int | None = None, pid: int | None = None,
               method: str | None = None, data: tuple = ()) -> None:
@@ -413,18 +393,17 @@ class Engine:
 
     def boot(self) -> None:
         """Install the synthetic main object and its main-block process."""
-        assert not self.booted
-        self.booted = True
+        assert not self.config.objects, "booted twice"
         self._create_object(MAIN_CLASS, default_policy(), {}, "main",
                             self.model.main)
 
     def _reserved_locals(self, fid: int, method: str, critical: Value,
-                         cost: Value) -> dict[str, Value]:
+                         cost: Value, arrival: Fraction) -> dict[str, Value]:
         """The reserved locals except `deadline`, which derives from `due`."""
         return {
             "destiny": FutRef(fid),
             "method": StrVal(method),
-            "arrival": mk_time(self.config.clock),
+            "arrival": mk_time(arrival),
             "cost": cost,
             "start": mk_time(0),
             "finish": mk_time(0),
@@ -434,12 +413,11 @@ class Engine:
 
     # ------------------------------------------------------- guard sampling
 
-    def _draw(self, best: Expr, worst: Expr, env, ctx: EvalContext,
-              pos) -> Fraction:
+    def _draw(self, best: Expr, worst: Expr, env, pos) -> Fraction:
         """Evaluate and check duration bounds, then pick a duration by
         the duration policy."""
-        lo = self._bound_rat(eval_expr(best, env, ctx), pos)
-        hi = self._bound_rat(eval_expr(worst, env, ctx), pos)
+        lo = self._bound_rat(eval_expr(best, env, self.ctx), pos)
+        hi = self._bound_rat(eval_expr(worst, env, self.ctx), pos)
         if lo < 0 or hi < lo:
             raise RtRuntimeError(
                 f"malformed duration bounds ({format_rat(lo)}, "
@@ -473,11 +451,10 @@ class Engine:
             return
         clock = self.config.clock
         env = proc_env(p, obj, clock)
-        ctx = self._ctx()
         guards = []
         for g in head.guards:
             if isinstance(g, GDuration):
-                end = clock + self._draw(g.best, g.worst, env, ctx, g.pos)
+                end = clock + self._draw(g.best, g.worst, env, g.pos)
                 g = RDur(end, end)
             guards.append(g)
         p.body[0] = SAwait(tuple(guards), pos=head.pos)
@@ -609,14 +586,13 @@ class Engine:
                 f"{obj.cls}.{msg.method} expects {len(formals)} argument(s), "
                 f"got {len(msg.args)}")
         arg_env = dict(zip(formals, msg.args))
-        cost = eval_expr(mth.cost, arg_env, self._ctx())
+        cost = eval_expr(mth.cost, arg_env, self.ctx)
         if not is_duration(cost):
             raise EvalTypeError(
                 f"cost of {obj.cls}.{msg.method} is {render_value(cost)}, "
                 f"not a Duration")
         locals_ = self._reserved_locals(msg.fid, msg.method, msg.critical,
-                                        cost)
-        locals_["arrival"] = mk_time(msg.timestamp)
+                                        cost, msg.timestamp)
         locals_.update(arg_env)
         label = next((a.value for a in msg.args if isinstance(a, StrVal)), None)
         due = (None if is_inf_duration(msg.deadline)
@@ -647,10 +623,9 @@ class Engine:
         p = obj.active
         assert p is not None and p.body, "active process with empty body"
         clock = self.config.clock
-        ctx = self._ctx()
         self._fix_head(p, obj)
         s = p.body[0]
-        w = wait(p, obj, ctx)
+        w = wait(p, obj, self.ctx)
 
         if isinstance(s, SAwait):
             if w == 0:
@@ -669,10 +644,10 @@ class Engine:
             return "skip"
 
         if isinstance(s, SAssign):
-            return self._step_assign(obj, p, s, ctx)
+            return self._step_assign(obj, p, s)
 
         if isinstance(s, SIf):
-            cond = eval_expr(s.cond, proc_env(p, obj, clock), ctx)
+            cond = eval_expr(s.cond, proc_env(p, obj, clock), self.ctx)
             self._require_bool(cond, s.pos)
             p.body[0:1] = s.then if cond.value else s.els
             return "cond"
@@ -682,7 +657,7 @@ class Engine:
             return "while"
 
         if isinstance(s, SReturn):
-            self._do_return(obj, p, s, proc_env(p, obj, clock), ctx)
+            self._do_return(obj, p, s, proc_env(p, obj, clock))
             return "return"
 
         if isinstance(s, SSuspend):
@@ -692,7 +667,7 @@ class Engine:
 
         if isinstance(s, SDuration):
             end = clock + self._draw(s.best, s.worst, proc_env(p, obj, clock),
-                                     ctx, s.pos)
+                                     s.pos)
             p.body[0] = SDuration2(end, end)
             return "duration"
 
@@ -703,28 +678,28 @@ class Engine:
         raise RtRuntimeError(f"statement was not lowered: {type(s).__name__}",
                              getattr(s, "pos", None))
 
-    def _step_assign(self, obj: ObjectState, p: ProcessRecord, s: SAssign,
-                     ctx: EvalContext) -> str | None:
+    def _step_assign(self, obj: ObjectState, p: ProcessRecord,
+                     s: SAssign) -> str | None:
         rhs = s.rhs
         if rhs is None:
             self._assign(obj, p, s, _type_default(s.decl_type))
             del p.body[0]
             return "assign"
-        env = proc_env(p, obj, ctx.clock)
+        env = proc_env(p, obj, self.config.clock)
         if isinstance(rhs, RExpr):
-            self._assign(obj, p, s, eval_expr(rhs.expr, env, ctx))
+            self._assign(obj, p, s, eval_expr(rhs.expr, env, self.ctx))
             del p.body[0]
             return "assign"
         if isinstance(rhs, RNew):
-            ref = self._new_object(rhs, env, ctx)
+            ref = self._new_object(rhs, env)
             p.body[0] = SAssign(s.decl_type, s.name, RExpr(Lit(ref)), pos=s.pos)
             return "new-object"
         if isinstance(rhs, RCall):
-            fut = self._async_call(obj, rhs, env, ctx)
+            fut = self._async_call(obj, rhs, env)
             p.body[0] = SAssign(s.decl_type, s.name, RExpr(Lit(fut)), pos=s.pos)
             return "async-call"
         if isinstance(rhs, RGet):  # wait found the future resolved
-            fut = eval_expr(rhs.expr, env, ctx)
+            fut = eval_expr(rhs.expr, env, self.ctx)
             value = self.config.futures[fut.fid].value
             p.body[0] = SAssign(s.decl_type, s.name, RExpr(Lit(value)),
                                 pos=s.pos)
@@ -753,10 +728,9 @@ class Engine:
                    data=data)
 
     def _do_return(self, obj: ObjectState, p: ProcessRecord, s: SReturn,
-                   env, ctx: EvalContext) -> None:
-        value = eval_expr(s.expr, env, ctx)
+                   env) -> None:
+        value = eval_expr(s.expr, env, self.ctx)
         clock = self.config.clock
-        p.locals["finish"] = mk_time(clock)
         remaining = remaining_deadline(p, clock)
         self.config.futures[p.pid].resolve(value)
         for oid in self._future_waiters.pop(p.pid, ()):
@@ -775,8 +749,8 @@ class Engine:
 
     # --- Async-Call
 
-    def _async_call(self, obj: ObjectState, rhs: RCall, env,
-                    ctx: EvalContext) -> FutRef:
+    def _async_call(self, obj: ObjectState, rhs: RCall, env) -> FutRef:
+        ctx = self.ctx
         callee = eval_expr(rhs.callee, env, ctx)
         if callee == NULL:
             raise RtRuntimeError(f"call to {rhs.method} on null", rhs.pos)
@@ -808,7 +782,7 @@ class Engine:
 
     # --- New-Object
 
-    def _new_object(self, rhs: RNew, env, ctx: EvalContext) -> ObjRef:
+    def _new_object(self, rhs: RNew, env) -> ObjRef:
         cd = self.program.classes.get(rhs.cls)
         if cd is None:
             raise RtRuntimeError(f"unknown class {rhs.cls}", rhs.pos)
@@ -816,7 +790,7 @@ class Engine:
             raise RtRuntimeError(
                 f"class {rhs.cls} expects {len(cd.params)} argument(s), "
                 f"got {len(rhs.args)}", rhs.pos)
-        args = [eval_expr(a, env, ctx) for a in rhs.args]
+        args = [eval_expr(a, env, self.ctx) for a in rhs.args]
         attrs: dict[str, Value] = {}
         for (_, name), value in zip(cd.params, args):
             attrs[name] = value
@@ -829,7 +803,7 @@ class Engine:
                        method: str, body: tuple[Stmt, ...] | None) -> ObjRef:
         """Install a fresh object; a body becomes its creation process,
         already dispatched under the given method name."""
-        oid = self._fresh_oid()
+        oid = len(self.config.objects)
         attrs["this"] = ObjRef(oid)
         obj = ObjectState(oid, cls, policy, attrs)
         self.config.objects[oid] = obj
@@ -837,13 +811,13 @@ class Engine:
         self._woken.add(oid)
         self._emit("new_object", obj=oid, data=(("class", cls),))
         if body is not None:
-            fid = self._fresh_fid()
+            fid, clock = self._fresh_fid(), self.config.clock
             p = ProcessRecord(
                 pid=fid, oid=oid, method=method,
                 locals=self._reserved_locals(fid, method, FALSE,
-                                             mk_duration(0)),
+                                             mk_duration(0), clock),
                 body=list(body), dispatched=True)
-            p.locals["start"] = mk_time(self.config.clock)
+            p.locals["start"] = mk_time(clock)
             obj.active = p
             self._emit("activate", obj=oid, pid=fid, method=method,
                        data=(("deadline", "inf"), ("cost", "0"),
@@ -857,14 +831,13 @@ class Engine:
     def ready_set(self, obj: ObjectState) -> list[ProcessRecord]:
         """Queued processes whose head statement may fire now, in queue
         order."""
-        ctx = self._ctx()
         waits = []
         for p in obj.queue:
             try:
                 self._fix_head(p, obj)
-                waits.append(wait(p, obj, ctx))
+                waits.append(wait(p, obj, self.ctx))
             except RtRuntimeError as err:
-                _locate(err, obj.oid, p, ctx.clock)
+                _locate(err, obj.oid, p, self.config.clock)
                 raise
         out = [p for p, w in zip(obj.queue, waits) if w == 0]
         if not out:
@@ -878,7 +851,6 @@ class Engine:
         p = self.evaluate_policy(obj, ready)
         obj.queue.remove(p)
         obj.active = p
-        p.reflected = None  # its reserved locals may change from now
         if not p.dispatched:
             p.dispatched = True
             p.locals["start"] = mk_time(self.config.clock)
@@ -893,7 +865,7 @@ class Engine:
         queue; the result must identify one of the ready processes."""
         env = {**obj.attrs, "queue": liftall(ready, self.config.clock)}
         try:
-            choice = eval_expr(obj.policy, env, self._ctx())
+            choice = eval_expr(obj.policy, env, self.ctx)
             if not (isinstance(choice, DataVal) and choice.ctor == "Proc"
                     and len(choice.args) == len(PROC_FIELDS)):
                 raise PolicyError(
@@ -922,7 +894,7 @@ class Engine:
         return _on_big_stack(lambda: self._run(limit, max_steps))
 
     def _run(self, limit: Fraction, max_steps: int | None) -> RunResult:
-        if not self.booted:
+        if not self.config.objects:
             self.boot()
         steps = 0
         while True:
@@ -975,14 +947,13 @@ class Engine:
                    for obj in self.config.objects.values())
 
     def _blocked_report(self) -> list[str]:
-        ctx = self._ctx()
-
         def head(p: ProcessRecord, obj: ObjectState) -> str:
             """p's head, and the future it waits for if it names one."""
             if not p.body:
                 return "`?`"
-            text = f"`{render_stmt(relative(p.body[0], ctx.clock)).strip()}`"
-            w = wait(p, obj, ctx)
+            clock = self.config.clock
+            text = f"`{render_stmt(relative(p.body[0], clock)).strip()}`"
+            w = wait(p, obj, self.ctx)
             return f"{text} (waits for f{w.fid})" if isinstance(w, FutRef) else text
 
         out = []

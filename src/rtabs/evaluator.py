@@ -24,6 +24,12 @@ error about the call itself; a function shadows a constructor of the
 same name, and every model call counts one toward `max_depth`.
 Rationals stay exact throughout.
 
+Code reads nothing of the run but through its `EvalContext`: the clock
+(`now`) and the future table (`f?`, `.get`) of the run's configuration,
+read in place when evaluated, and the call depth.  So the engine builds
+one context when it starts and evaluates every expression of the run
+with it.
+
 Compiling also records one static fact per expression: whether it may
 read the clock, that is contain `now` or a `deadline` variable, itself
 or in the body of a function it calls (`Program.reads_clock`).
@@ -128,9 +134,14 @@ class Program:
 
 @dataclass
 class EvalContext:
+    """What an evaluation reads besides its scope: the program's code,
+    the run's configuration and the call depth.  The configuration is
+    read, never copied: `now` is `config.clock`, and `f?` and a `.get`
+    test `config.futures[fid].resolved`.  So one context serves a whole
+    run; outside a run there is no configuration to read."""
+
     program: Program
-    clock: Fraction = Fraction(0)
-    is_resolved: Callable[[int], bool] = lambda fid: False
+    config: Any = None  # anything with a `clock` and a `futures` table
     max_depth: int = 100_000
     depth: int = field(default=0)
 
@@ -174,7 +185,7 @@ def future_resolved(guard: GFut, value: Value, ctx: EvalContext) -> bool:
         raise EvalTypeError(
             f"{guard.var}? applied to {render_value(value)}, not a future",
             guard.pos)
-    return ctx.is_resolved(value.fid)
+    return ctx.config.futures[value.fid].resolved
 
 
 def _as_num(v: Value, op: str, pos) -> Fraction:
@@ -248,7 +259,7 @@ class _Compiler:
 
     def now(self, e: NowExpr) -> Code:
         self.reads_clock = True
-        return lambda s, c: mk_time(c.clock)
+        return lambda s, c: mk_time(c.config.clock)
 
     def unary(self, e: Unary) -> Code:
         operand, pos = self.expr(e.operand), e.pos

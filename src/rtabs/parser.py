@@ -235,25 +235,20 @@ class Parser:
         methods: list[MethodDecl] = []
         while not self.accept("op", "}"):
             member_annots = self.parse_annotations()
-            mark = self.mark()
-            try:
-                ty = self.parse_type()
-                fname = self.expect("name").text
-                if self.at("op", "=") or self.at("op", ";"):
-                    if member_annots:
-                        raise ParseError("annotations are not allowed on fields",
-                                         self.peek().pos)
-                    init = None
-                    if self.accept("op", "="):
-                        init = self.parse_expr()
-                    self.expect("op", ";")
-                    fields.append(FieldDecl(ty, fname, init, pos=ty.pos))
-                    continue
-                if not self.at("op", "("):
-                    raise ParseError("expected field or method", self.peek().pos)
-            except ParseError:
-                self.restore(mark)
-                raise
+            ty = self.parse_type()
+            fname = self.expect("name").text
+            if self.at("op", "=") or self.at("op", ";"):
+                if member_annots:
+                    raise ParseError("annotations are not allowed on fields",
+                                     self.peek().pos)
+                init = None
+                if self.accept("op", "="):
+                    init = self.parse_expr()
+                self.expect("op", ";")
+                fields.append(FieldDecl(ty, fname, init, pos=ty.pos))
+                continue
+            if not self.at("op", "("):
+                raise ParseError("expected field or method", self.peek().pos)
             mparams = self._separated(self._param, parens=True)
             body = self.parse_block()
             methods.append(MethodDecl(ty, fname, mparams, body,
@@ -459,12 +454,8 @@ class Parser:
             children = (expr.operand,)
         elif isinstance(expr, BinOp):
             children = (expr.left, expr.right)
-        elif isinstance(expr, Apply):
-            children = expr.args
         elif isinstance(expr, IfExpr):
             children = (expr.cond, expr.then, expr.els)
-        elif isinstance(expr, CaseExpr):
-            children = (expr.scrutinee,) + tuple(b.body for b in expr.branches)
         for child in children:
             found = self._find_guard_atom(child)
             if found is not None:

@@ -186,10 +186,16 @@ def render_csv(trace: Trace) -> str:
 
 
 def read_csv_text(text: str) -> Trace:
-    rows = csv.reader(io.StringIO(text))
-    if next(rows, None) != CSV_HEADER:
-        raise RtabsError("missing or malformed trace header")
-    return Trace(list(map(_EventReader().csv_row, rows)))
+    # no field is longer than the text, so while reading it the csv
+    # module's field limit (131,072 characters by default) rejects none
+    limit = csv.field_size_limit(max(len(text), csv.field_size_limit()))
+    try:
+        rows = csv.reader(io.StringIO(text))
+        if next(rows, None) != CSV_HEADER:
+            raise RtabsError("missing or malformed trace header")
+        return Trace(list(map(_EventReader().csv_row, rows)))
+    finally:
+        csv.field_size_limit(limit)
 
 
 def read_csv(path: str) -> Trace:

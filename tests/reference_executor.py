@@ -404,8 +404,7 @@ class ReferenceExecutor:
     # --- plumbing
 
     def _ctx(self, st: RefState) -> EvalContext:
-        return EvalContext(self.program, st.clock,
-                           is_resolved=lambda fid: st.futures[fid].resolved)
+        return EvalContext(self.program, st)
 
     def _fresh_fid(self, st: RefState) -> int:
         fid = st.next_fid
@@ -772,7 +771,7 @@ def check_stalled(eng: Engine) -> None:
     """The engine skips stalled objects, so a stalled object that could
     step is a missed wake-up.  Reads heads through `wait` only, which
     samples nothing, so the check leaves the engine's draws alone."""
-    ctx = eng._ctx()
+    ctx = eng.ctx
     for oid, obj in eng.config.objects.items():
         if not obj.stalled:
             continue

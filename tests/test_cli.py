@@ -143,6 +143,24 @@ def test_trace_file_and_metrics(tmp_path):
     assert lines[-1].endswith(",0")  # nothing missed in this model
 
 
+def test_metrics_reads_a_trace_with_a_long_data_value(tmp_path):
+    # the returned list renders as one data value of about 458,000
+    # characters, beyond the csv module's default field limit
+    model = write(tmp_path, "big.rtabs", """
+def List<Int> build(Int n, List<Int> acc) =
+  if n <= 0 then acc else build(n - 1, Cons(n, acc));
+interface B { List<Int> make(); }
+class BImp implements B { List<Int> make() { return build(20000, Nil); } }
+{ B b = new BImp(); Fut<List<Int>> f = b!make(); }
+""")
+    out = str(tmp_path / "big.csv")
+    assert run_cli("run", model, "--until", "10", "--trace", out).returncode == 0
+    met = run_cli("metrics", out, "--series", "misses")
+    assert met.returncode == 0, met.stderr
+    lines = met.stdout.splitlines()
+    assert lines[0] == "time,misses" and lines[-1] == "0,0"
+
+
 def test_metrics_method_breakdown(tmp_path):
     model = write(tmp_path, "miss.rtabs", MISS_SRC)
     out = str(tmp_path / "miss.csv")

@@ -10,7 +10,7 @@ from rtabs import (
     liftall, load_model, load_source, select, simulate,
 )
 from rtabs.desugar import desugar
-from rtabs.engine import MAIN_CLASS, wait
+from rtabs.engine import MAIN_CLASS, Configuration, wait
 from rtabs.evaluator import EvalContext
 from rtabs.nodes import (
     GBool, GFut, IfExpr, Lit, RDur, RGet, SAssign, SAwait, SDuration2, SSkip,
@@ -55,8 +55,7 @@ def test_wait_answers():
     # conjunct that does not hold
     f, g = FutRef(1), FutRef(2)
     cells = {1: FutureCell(1), 2: FutureCell(2, resolved=True, value=num(0))}
-    ctx = EvalContext(mte_cases.PROGRAM, Fraction(0),
-                      is_resolved=lambda fid: cells[fid].resolved)
+    ctx = EvalContext(mte_cases.PROGRAM, Configuration(futures=cells))
 
     def answer(head, c=TRUE):
         p = mte_cases.proc(9, [head])
@@ -549,6 +548,27 @@ def test_unsatisfiable_guard_deadlocks():
     # each queued process is named with its head
     assert result.blocked == [
         f"o0 ({MAIN_CLASS}): no ready process (queued: f0 at `await x > 0;`)"]
+
+
+# ------------------------------------------------------ process reflection
+
+
+def test_dp_follows_the_values_assigned_before_suspending():
+    # each process sets its own `value`, then suspends; dp picks the least
+    # value of the reflected queue, so once all three have suspended they
+    # resume in value order (1, 2, 3), not in queue order (3, 1, 2)
+    result = run("""
+    interface W { Unit work(Int v); }
+    [Scheduler: dp(queue)] class WImp implements W {
+      Unit work(Int v) { value = v; suspend; }
+    }
+    { W w = new WImp(); w!work(3); w!work(1); w!work(2); }
+    """)
+    assert result.status == "finished"
+    three, one, two = [e.pid for e in events(result, "invoke")]
+    order = [e.pid for e in events(result, "schedule") if e.obj == 1]
+    # all values are 0 at first, and dp keeps the first of equals
+    assert order == [three, one, two] + [one, two, three]
 
 
 # ----------------------------------------------------------- policy errors

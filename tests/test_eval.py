@@ -8,6 +8,7 @@ import pytest
 
 from rtabs import CallDepthError, load_source
 from rtabs.desugar import desugar
+from rtabs.engine import Configuration, FutureCell
 from rtabs.errors import (
     DivisionByZeroError, EvalTypeError, MatchFailureError,
     UnboundVariableError,
@@ -31,7 +32,7 @@ PRELUDE = program()
 
 
 def ev(source, env=None, clock=0, prog=PRELUDE):
-    ctx = EvalContext(prog, Fraction(clock))
+    ctx = EvalContext(prog, Configuration(clock=Fraction(clock)))
     return eval_expr(parse_expr(source), env or {}, ctx)
 
 
@@ -280,7 +281,8 @@ def test_call_depth_error_names_the_call():
 
 
 def test_guard_errors():
-    ctx = EvalContext(PRELUDE, is_resolved=lambda fid: True)
+    ctx = EvalContext(PRELUDE, Configuration(
+        futures={2: FutureCell(2, resolved=True)}))
     cases = [
         (GBool(parse_expr("1 + 1"), pos=Pos(3, 7)), {}, EvalTypeError,
          "guard is 2, not a Bool"),

@@ -52,6 +52,59 @@ def test_sources_use_every_import():
     assert {name: names for name, names in found.items() if names} == {}
 
 
+def mentions(nodes):
+    """The identifiers some syntax trees mention: names, attributes,
+    imported names, and string constants (such as the package's lazy
+    export map or a `setattr` target)."""
+    out = set()
+    for root in nodes:
+        for node in ast.walk(root):
+            if isinstance(node, ast.Name):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+            elif isinstance(node, ast.alias):
+                out.add(node.asname or node.name.split(".")[-1])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                out.add(node.value)
+    return out
+
+
+def module_level_definitions(tree):
+    """(name, statement) for each name a module's own statements define."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            yield stmt.name, stmt
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            for target in targets:
+                for node in ast.walk(target):
+                    if isinstance(node, ast.Name):
+                        yield node.id, stmt
+
+
+def test_every_module_level_name_is_referenced():
+    # referenced somewhere outside its own definition: elsewhere in its
+    # module, in another source file, in a test or in the benchmark
+    root = SRC_DIR.parent.parent
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for folder in ("src", "tests", "bench")
+             for path in sorted((root / folder).rglob("*.py"))}
+    unreferenced = []
+    for path in sorted(SRC_DIR.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = trees[path]
+        elsewhere = mentions(t for p, t in trees.items() if p != path)
+        for name, stmt in module_level_definitions(tree):
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if name not in elsewhere and name not in mentions(
+                    s for s in tree.body if s is not stmt):
+                unreferenced.append(f"{path.name}: {name}")
+    assert unreferenced == []
+
+
 # runs `python -m rtabs.cli ARGS...`, then prints, as the last line of
 # stdout, the rtabs modules that the command loaded
 LOADED_BY_CLI = """

@@ -192,6 +192,20 @@ def test_parse_errors_have_positions():
         assert str(err.value) == message, source
 
 
+def test_guard_atoms_inside_expressions_rejected():
+    # call arguments and case branches are parsed without guard atoms, so
+    # a `?` there is a syntax error; under an operator, an atom parses
+    # and is then rejected where it stands
+    for source, message in [
+            ("{ await f(x?); }", "1:12: unexpected '?' (expected ))"),
+            ("{ await case x { _ => y? }; }", "1:24: unexpected '?' (expected ;)"),
+            ("{ await -x?; }", "1:11: future and duration guards cannot "
+                               "appear inside expressions")]:
+        with pytest.raises(ParseError) as err:
+            parse_model(source)
+        assert str(err.value) == message, source
+
+
 def test_duplicate_annotations_rejected():
     for source, message in [
             ("{ [Deadline: Duration(1), Deadline: Duration(2)] o!m(); }",

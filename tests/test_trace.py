@@ -1,5 +1,6 @@
 """Trace event serialization: CSV and structured round-trips."""
 
+import csv
 import random
 from fractions import Fraction
 
@@ -88,6 +89,14 @@ def test_random_data_values_round_trip():
                           data=[(key, value)])])
         back = read_csv_text(render_csv(trace))
         assert back.events == trace.events
+
+
+def test_data_value_longer_than_the_csv_field_limit_round_trips():
+    limit = csv.field_size_limit()
+    trace = Trace([ev(0, "return", obj=1, pid=2, method="m",
+                      data=[("value", "x" * 200_000)])])
+    assert read_csv_text(render_csv(trace)).events == trace.events
+    assert csv.field_size_limit() == limit  # restored after the read
 
 
 def test_missing_header_rejected():
