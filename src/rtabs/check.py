@@ -8,8 +8,6 @@ arity.  Everything else is left to runtime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .nodes import (
     Apply, BinOp, CaseExpr, ClassDecl, Expr, GBool, GDuration, GFut,
     Guard, IfExpr, Lit, Model, NowExpr, PCtor, PLit, PName, Pattern, Pos,
@@ -29,34 +27,45 @@ ASSIGNABLE_RESERVED = {"value"}
 BUILTIN_TYPES = {"Bool": 0, "Int": 0, "Rat": 0, "String": 0, "Fut": 1}
 
 
-@dataclass
 class Diagnostic:
-    message: str
-    pos: Pos | None
+    __slots__ = ("message", "pos")
+
+    def __init__(self, message: str, pos: Pos | None):
+        self.message = message
+        self.pos = pos
+
+    def __repr__(self) -> str:
+        return f"Diagnostic({self.render()!r})"
 
     def render(self) -> str:
         where = f"{self.pos}: " if self.pos else ""
         return f"{where}error: {self.message}"
 
 
-@dataclass
 class _Tables:
-    datatypes: dict[str, int]  # name -> number of type parameters
-    ctors: dict[str, int]  # name -> arity
-    functions: dict[str, int]  # name -> arity
-    interfaces: dict[str, object]
-    classes: dict[str, ClassDecl]
+    def __init__(self, datatypes: dict[str, int], ctors: dict[str, int],
+                 functions: dict[str, int], interfaces: dict[str, object],
+                 classes: dict[str, ClassDecl]):
+        self.datatypes = datatypes  # name -> number of type parameters
+        self.ctors = ctors  # name -> arity
+        self.functions = functions  # name -> arity
+        self.interfaces = interfaces
+        self.classes = classes
 
 
-@dataclass
 class _Ctx:
     """What is in scope while checking one expression.  `this` is a Var
     gated by allow_this, never a scope entry."""
 
-    scope: set[str]
-    allow_this: bool = False
-    allow_now: bool = False
-    allow_process_vars: bool = False  # deadline/destiny and reserved locals
+    __slots__ = ("scope", "allow_this", "allow_now", "allow_process_vars")
+
+    def __init__(self, scope: set[str], allow_this: bool = False,
+                 allow_now: bool = False, allow_process_vars: bool = False):
+        self.scope = scope
+        self.allow_this = allow_this
+        self.allow_now = allow_now
+        # deadline/destiny and reserved locals
+        self.allow_process_vars = allow_process_vars
 
 
 def check_model(model: Model) -> list[Diagnostic]:

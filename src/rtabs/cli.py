@@ -13,15 +13,40 @@ import io
 import sys
 from collections import Counter
 from fractions import Fraction
+from importlib import import_module
+from typing import TYPE_CHECKING
 
-# `metrics` needs only the trace layer; `check` and `run` import the front
-# end and the engine when they start, so reading a trace never loads them
 from .errors import RtabsError
-from .metrics import misses_series
-from .trace import (
-    Trace, read_csv_text, read_structured_text, render_csv, render_structured,
-)
 from .values import DURATION_POLICIES, format_rat
+
+if TYPE_CHECKING:
+    from .trace import Trace
+
+# Each command imports only the layers it runs: `check` the front end,
+# `run` the front end, the engine and the trace writers, `metrics` the
+# trace readers and the metrics.  These trace and metrics functions are
+# imported on first use, by the commands through `_lazy` or as module
+# attributes (PEP 562); a replacement set as `rtabs.cli.render_csv` (as
+# `bench/traced.py` sets one) is the one the commands call.
+_LAZY = {
+    "read_csv_text": "trace", "read_structured_text": "trace",
+    "render_csv": "trace", "render_structured": "trace",
+    "misses_series": "metrics",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __package__), name)
+    globals()[name] = value
+    return value
+
+
+def _lazy(name: str):
+    return globals()[name] if name in globals() else __getattr__(name)
+
 
 def _fail(message: str, code: int) -> int:
     print(message, file=sys.stderr)
@@ -65,8 +90,8 @@ def cmd_run(args) -> int:
     engine = Engine(model, seed=args.seed, duration_policy=args.duration_policy)
     result = engine.run_until(until)
 
-    rendered = (render_csv(result.trace) if args.format == "csv"
-                else render_structured(result.trace))
+    rendered = (_lazy("render_csv")(result.trace) if args.format == "csv"
+                else _lazy("render_structured")(result.trace))
     if args.trace is not None:
         try:
             with open(args.trace, "w", encoding="utf-8", newline="") as handle:
@@ -96,15 +121,15 @@ def _load_trace(path: str) -> Trace:
     with open(path, "r", encoding="utf-8", newline="") as handle:
         text = handle.read()
     if text.startswith("time,event"):
-        return read_csv_text(text)
+        return _lazy("read_csv_text")(text)
     if text.startswith("{"):
-        return read_structured_text(text)
+        return _lazy("read_structured_text")(text)
     raise RtabsError(f"{path} is not a recognized trace file")
 
 
 def cmd_metrics(args) -> int:
     try:
-        points = misses_series(_load_trace(args.trace), by=args.by)
+        points = _lazy("misses_series")(_load_trace(args.trace), by=args.by)
     except OSError as exc:
         return _fail(f"cannot read {args.trace}: {exc.strerror}", 2)
     except (RtabsError, ValueError, KeyError, ZeroDivisionError) as exc:

@@ -21,8 +21,6 @@ The pass is idempotent: desugar(desugar(m)) == desugar(m).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .nodes import (
     Apply, CallAnnots, ClassDecl, Expr, GFut, Lit, MethodDecl, Model,
     RCall, RExpr, RGet, RNew, RSyncCall, SAssign, SAwait, SAwaitCall,
@@ -39,13 +37,13 @@ def _fut_type() -> TypeAst:
     return TypeAst("Fut", (TypeAst("Unit"),))
 
 
-@dataclass
 class _Lowering:
     """State of one pass: the scheduler annotation of each class by name,
     and the counter for fresh temporaries."""
 
-    schedulers: dict[str, Expr | None]
-    counter: int = 0
+    def __init__(self, schedulers: dict[str, Expr | None]):
+        self.schedulers = schedulers
+        self.counter = 0
 
     def fresh(self) -> str:
         name = f"$t{self.counter}"

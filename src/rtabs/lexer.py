@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import LexError
@@ -39,12 +38,14 @@ _ERRORS = {"open": "unterminated block comment",
            "string": "unterminated string literal"}
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str  # name | int | rat | string | kw | op | eof
-    text: str
-    pos: Pos
-    value: object = None
+    __slots__ = ("kind", "text", "pos", "value")
+
+    def __init__(self, kind: str, text: str, pos: Pos, value: object = None):
+        self.kind = kind  # name | int | rat | string | kw | op | eof
+        self.text = text
+        self.pos = pos
+        self.value = value
 
 
 def _number(m: re.Match, at: Pos) -> Token:

@@ -6,9 +6,10 @@ simulator, never in parsed models.  Statement and expression nodes carry
 an optional source position for diagnostics; it is excluded from
 equality so desugared trees compare structurally.
 
-Trees are immutable values: every node is a frozen dataclass and every
-sequence in it a tuple, so one parsed tree is shared by reference
-between loads, desugared models and all the processes that run it.
+Trees are immutable values: every node is a `Node`, whose fields cannot
+be assigned after construction, and every sequence in it a tuple, so one
+parsed tree is shared by reference between loads, desugared models and
+all the processes that run it.
 Process bodies (`ProcessRecord.body` in the engine) are the only
 mutable statement sequences; a rule that rewrites a statement replaces
 it in the body with a new node.
@@ -20,14 +21,91 @@ conjunct must hold, read left to right.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 
 from .values import Value
 
 
-@dataclass(frozen=True)
-class Pos:
+class Node:
+    """An immutable record of the fields its class annotates, in order
+    after those of its base classes.
+
+    A node is built from its fields, positionally or by keyword; a field
+    whose class attribute is set defaults to it.  Equality, hashing and
+    `repr` read every field except `pos`, as those of a frozen dataclass
+    whose `pos` is neither compared nor shown do: nodes of different
+    classes are never equal.  Nothing here generates code, so defining a
+    node class costs about as much as defining a plain one.
+    """
+
+    _fields: tuple[str, ...] = ()  # every field, in constructor order
+    _keys: tuple[str, ...] = ()  # the fields compared, hashed and shown
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._fields = cls._fields + own
+        cls._keys = tuple(name for name in cls._fields if name != "pos")
+        cls._defaults = {**cls._defaults, **{
+            name: cls.__dict__[name] for name in own if name in cls.__dict__}}
+        cls._names = frozenset(cls._fields)
+        # a node's compared fields: a tuple, a single value, or () for none
+        cls._key = staticmethod(attrgetter(*cls._keys) if cls._keys
+                                else lambda node: ())
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        values = self.__dict__
+        values.update(zip(cls._fields, args))
+        values.update(kwargs)
+        if (len(values) != len(args) + len(kwargs)
+                or not kwargs.keys() <= cls._names):
+            raise _argument_error(cls, args, kwargs)
+        if len(values) < len(cls._fields):
+            for name, default in cls._defaults.items():
+                values.setdefault(name, default)
+            if len(values) < len(cls._fields):
+                raise _argument_error(cls, args, kwargs)
+
+    def __eq__(self, other):
+        cls = self.__class__
+        if other.__class__ is cls:
+            return cls._key(self) == cls._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.__class__._key(self))
+
+    def __repr__(self) -> str:
+        return (type(self).__qualname__ + "(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self._keys) + ")")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _argument_error(cls: type[Node], args: tuple, kwargs: dict) -> TypeError:
+    name, fields = cls.__name__, cls._fields
+    if len(args) > len(fields):
+        return TypeError(f"{name}() takes {len(fields)} arguments "
+                         f"but {len(args)} were given")
+    for key in kwargs:
+        if key not in fields:
+            return TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+        if key in fields[:len(args)]:
+            return TypeError(f"{name}() got multiple values for argument {key!r}")
+    missing = [field for field in fields[len(args):]
+               if field not in kwargs and field not in cls._defaults]
+    return TypeError(f"{name}() missing required argument(s): "
+                     + ", ".join(map(repr, missing)))
+
+
+class Pos(Node):
     line: int
     col: int
     file: str | None = None
@@ -37,18 +115,13 @@ class Pos:
         return f"{prefix}{self.line}:{self.col}"
 
 
-def _pos_field():
-    return field(default=None, compare=False, repr=False)
-
-
 # ---------------------------------------------------------------- types
 
 
-@dataclass(frozen=True)
-class TypeAst:
+class TypeAst(Node):
     name: str
     args: tuple[TypeAst, ...] = ()
-    pos: Pos | None = _pos_field()
+    pos: Pos | None = None
 
     def __str__(self) -> str:
         if self.args:
@@ -59,34 +132,30 @@ class TypeAst:
 # ----------------------------------------------------------- expressions
 
 
-class Expr:
+class Expr(Node):
     pass
 
 
-@dataclass(frozen=True)
 class Lit(Expr):
     value: Value
-    pos: Pos | None = _pos_field()
+    pos: Pos | None = None
 
 
-@dataclass(frozen=True)
 class Var(Expr):
     """A variable, including `this` and the bare `deadline`/`destiny`."""
 
     name: str
-    pos: Pos | None = _pos_field()
+    pos: Pos | None = None
 
 
-@dataclass(frozen=True)
 class NowExpr(Expr):
-    pos: Pos | None = _pos_field()
+    pos: Pos | None = None
 
 
-@dataclass(frozen=True)
 class Unary(Expr):
     op: str  # "!" or "-"
     operand: Expr
-    pos: Pos | None = _pos_field()
+    pos: Pos | None = None
 
 
 # binding strength of each binary operator; all associate to the left
@@ -98,137 +167,121 @@ BINARY_PRECEDENCE = {
 }
 
 
-@dataclass(frozen=True)
 class BinOp(Expr):
     op: str  # a key of BINARY_PRECEDENCE
     left: Expr
     right: Expr
-    pos: Pos | None = _pos_field()
+    pos: Pos | None = None
 
 
-@dataclass(frozen=True)
 class Apply(Expr):
     """Function application or constructor term; resolved dynamically."""
 
     name: str
     args: tuple[Expr, ...]
-    pos: Pos | None = _pos_field()
+    pos: Pos | None = None
 
 
-@dataclass(frozen=True)
 class IfExpr(Expr):
     cond: Expr
     then: Expr
     els: Expr
-    pos: Pos | None = _pos_field()
+    pos: Pos | None = None
 
 
-@dataclass(frozen=True)
-class CaseBranch:
+class CaseBranch(Node):
     pattern: Pattern
     body: Expr
-    pos: Pos | None = _pos_field()
+    pos: Pos | None = None
 
 
-@dataclass(frozen=True)
 class CaseExpr(Expr):
     scrutinee: Expr
     branches: tuple[CaseBranch, ...]
-    pos: Pos | None = _pos_field()
+    pos: Pos | None = None
 
 
 # -------------------------------------------------------------- patterns
 
 
-class Pattern:
+class Pattern(Node):
     pass
 
 
-@dataclass(frozen=True)
 class PWildcard(Pattern):
-    pos: Pos | None = _pos_field()
+    pos: Pos | None = None
 
 
-@dataclass(frozen=True)
 class PLit(Pattern):
     value: Value
-    pos: Pos | None = _pos_field()
+    pos: Pos | None = None
 
 
-@dataclass(frozen=True)
 class PName(Pattern):
     """Variable binder, or nullary constructor if the name is one."""
 
     name: str
-    pos: Pos | None = _pos_field()
+    pos: Pos | None = None
 
 
-@dataclass(frozen=True)
 class PCtor(Pattern):
     name: str
     args: tuple[Pattern, ...]
-    pos: Pos | None = _pos_field()
+    pos: Pos | None = None
 
 
 # ---------------------------------------------------------------- guards
 
 
-class Guard:
+class Guard(Node):
     pass
 
 
-@dataclass(frozen=True)
 class GBool(Guard):
     expr: Expr
-    pos: Pos | None = _pos_field()
+    pos: Pos | None = None
 
 
-@dataclass(frozen=True)
 class GFut(Guard):
     var: str
-    pos: Pos | None = _pos_field()
+    pos: Pos | None = None
 
 
-@dataclass(frozen=True)
 class GDuration(Guard):
     best: Expr
     worst: Expr
-    pos: Pos | None = _pos_field()
+    pos: Pos | None = None
 
 
 # ------------------------------------------------------------ statements
 
 
-class Stmt:
+class Stmt(Node):
     pass
 
 
-@dataclass(frozen=True)
-class CallAnnots:
+class CallAnnots(Node):
     """Deadline/Critical pair attached to call statements (post-desugar)."""
 
     deadline: Expr | None = None
     critical: Expr | None = None
 
 
-class Rhs:
+class Rhs(Node):
     """Right-hand sides of assignment statements."""
 
 
-@dataclass(frozen=True)
 class RExpr(Rhs):
     expr: Expr
 
 
-@dataclass(frozen=True)
 class RNew(Rhs):
     cls: str
     args: tuple[Expr, ...]
     scheduler: Expr | None = None  # resolved by desugar
-    pos: Pos | None = _pos_field()
+    pos: Pos | None = None
 
 
-@dataclass(frozen=True)
 class RCall(Rhs):
     """Asynchronous call o!m(args)."""
 
@@ -236,10 +289,9 @@ class RCall(Rhs):
     method: str
     args: tuple[Expr, ...]
     annots: CallAnnots = CallAnnots()
-    pos: Pos | None = _pos_field()
+    pos: Pos | None = None
 
 
-@dataclass(frozen=True)
 class RSyncCall(Rhs):
     """Synchronous call o.m(args); removed by desugar."""
 
@@ -247,66 +299,57 @@ class RSyncCall(Rhs):
     method: str
     args: tuple[Expr, ...]
     annots: CallAnnots = CallAnnots()
-    pos: Pos | None = _pos_field()
+    pos: Pos | None = None
 
 
-@dataclass(frozen=True)
 class RGet(Rhs):
     expr: Expr
-    pos: Pos | None = _pos_field()
+    pos: Pos | None = None
 
 
-@dataclass(frozen=True)
 class SSkip(Stmt):
-    pos: Pos | None = _pos_field()
+    pos: Pos | None = None
 
 
-@dataclass(frozen=True)
 class SAssign(Stmt):
     """Assignment, optionally declaring a fresh local (decl_type set)."""
 
     decl_type: TypeAst | None
     name: str
     rhs: Rhs | None  # None: declaration without initializer
-    pos: Pos | None = _pos_field()
+    pos: Pos | None = None
 
 
-@dataclass(frozen=True)
 class SIf(Stmt):
     cond: Expr
     then: tuple[Stmt, ...]
     els: tuple[Stmt, ...]
-    pos: Pos | None = _pos_field()
+    pos: Pos | None = None
 
 
-@dataclass(frozen=True)
 class SWhile(Stmt):
     cond: Expr
     body: tuple[Stmt, ...]
-    pos: Pos | None = _pos_field()
+    pos: Pos | None = None
 
 
-@dataclass(frozen=True)
 class SReturn(Stmt):
     expr: Expr
-    pos: Pos | None = _pos_field()
+    pos: Pos | None = None
 
 
-@dataclass(frozen=True)
 class SSuspend(Stmt):
-    pos: Pos | None = _pos_field()
+    pos: Pos | None = None
 
 
-@dataclass(frozen=True)
 class SAwait(Stmt):
     """await g1 && ... && gn: each conjunct a GBool, GFut, GDuration or,
     once sampled, RDur."""
 
     guards: tuple[Guard, ...]
-    pos: Pos | None = _pos_field()
+    pos: Pos | None = None
 
 
-@dataclass(frozen=True)
 class SAwaitCall(Stmt):
     """Sugar: await x = o.m(args); removed by desugar."""
 
@@ -316,10 +359,9 @@ class SAwaitCall(Stmt):
     method: str
     args: tuple[Expr, ...]
     annots: CallAnnots = CallAnnots()
-    pos: Pos | None = _pos_field()
+    pos: Pos | None = None
 
 
-@dataclass(frozen=True)
 class SCallStmt(Stmt):
     """Fire-and-forget o!m(args); desugars to a fresh-variable assign."""
 
@@ -327,80 +369,71 @@ class SCallStmt(Stmt):
     method: str
     args: tuple[Expr, ...]
     annots: CallAnnots = CallAnnots()
-    pos: Pos | None = _pos_field()
+    pos: Pos | None = None
 
 
-@dataclass(frozen=True)
 class SDuration(Stmt):
     best: Expr
     worst: Expr
-    pos: Pos | None = _pos_field()
+    pos: Pos | None = None
 
 
 # ----------------------------------------------------------- declarations
 
 
-@dataclass(frozen=True)
-class CtorDecl:
+class CtorDecl(Node):
     name: str
     arg_types: tuple[TypeAst, ...]
-    pos: Pos | None = _pos_field()
+    pos: Pos | None = None
 
 
-@dataclass(frozen=True)
-class DataDecl:
+class DataDecl(Node):
     name: str
     typarams: tuple[str, ...]
     ctors: tuple[CtorDecl, ...]
-    pos: Pos | None = _pos_field()
+    pos: Pos | None = None
 
 
-@dataclass(frozen=True)
-class FuncDecl:
+class FuncDecl(Node):
     ret: TypeAst
     name: str
     typarams: tuple[str, ...]
     params: tuple[tuple[TypeAst, str], ...]
     body: Expr
-    pos: Pos | None = _pos_field()
+    pos: Pos | None = None
 
 
-@dataclass(frozen=True)
-class MethodSig:
+class MethodSig(Node):
     ret: TypeAst
     name: str
     params: tuple[tuple[TypeAst, str], ...]
-    pos: Pos | None = _pos_field()
+    pos: Pos | None = None
 
 
-@dataclass(frozen=True)
-class InterfaceDecl:
+class InterfaceDecl(Node):
     name: str
     sigs: tuple[MethodSig, ...]
-    pos: Pos | None = _pos_field()
+    pos: Pos | None = None
 
 
-@dataclass(frozen=True)
-class FieldDecl:
+class FieldDecl(Node):
     type: TypeAst
     name: str
     init: Expr | None
-    pos: Pos | None = _pos_field()
+    pos: Pos | None = None
 
 
-@dataclass(frozen=True)
-class MethodDecl:
+class MethodDecl(Node):
     ret: TypeAst
     name: str
     params: tuple[tuple[TypeAst, str], ...]
     body: tuple[Stmt, ...]
     cost: Expr | None = None  # normalized by desugar
     annots: tuple[tuple[str, Expr], ...] = ()
-    pos: Pos | None = _pos_field()
+    pos: Pos | None = None
 
 
-@dataclass(frozen=True)
-class ClassDecl:
+class ClassDecl(Node):
     name: str
     params: tuple[tuple[TypeAst, str], ...]
     interfaces: tuple[str, ...]
@@ -409,17 +442,16 @@ class ClassDecl:
     scheduler: Expr | None = None  # class [Scheduler: ...] annotation
     annots: tuple[tuple[str, Expr], ...] = ()
     init_body: tuple[Stmt, ...] | None = None  # synthesized by desugar
-    pos: Pos | None = _pos_field()
+    pos: Pos | None = None
 
 
-@dataclass(frozen=True)
-class Model:
+class Model(Node):
     datatypes: tuple[DataDecl, ...]
     functions: tuple[FuncDecl, ...]
     interfaces: tuple[InterfaceDecl, ...]
     classes: tuple[ClassDecl, ...]
     main: tuple[Stmt, ...] | None
-    pos: Pos | None = _pos_field()
+    pos: Pos | None = None
 
 
 # ---------------------------------------------------------- runtime forms
@@ -432,13 +464,11 @@ class Model:
 # absolute in process records, so time advance rewrites no node.
 
 
-@dataclass(frozen=True)
 class RDur(Guard):
     best: Fraction
     worst: Fraction
 
 
-@dataclass(frozen=True)
 class SDuration2(Stmt):
     """duration statement after its wait has been sampled."""
 

@@ -12,7 +12,6 @@ of conjuncts, and guard atoms anywhere else are rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, TypeVar
 
 from .errors import ParseError
@@ -31,7 +30,6 @@ from .values import FALSE, NULL, TRUE, NumVal, StrVal
 _T = TypeVar("_T")
 
 
-@dataclass(frozen=True)
 class _FutAtom(Expr):
     """Parser-internal: x? before guard conversion."""
 
@@ -39,7 +37,6 @@ class _FutAtom(Expr):
     pos: Pos | None = None
 
 
-@dataclass(frozen=True)
 class _DurAtom(Expr):
     """Parser-internal: duration(b,w) before guard conversion."""
 

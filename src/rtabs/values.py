@@ -9,59 +9,169 @@ host representation; helpers below build and inspect them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 
 class Value:
-    """Base class for runtime values."""
+    """Base class for runtime values.
+
+    Values are immutable: each class below stores its fields in slots
+    written once, by its constructor, through the slot descriptor.
+    Equality and hashing are those of a frozen dataclass: values of
+    different classes are never equal, so `BoolVal(True) != NumVal(1)`.
+    These classes are written out by hand because the engine builds and
+    compares values at every step.
+    """
 
     __slots__ = ()
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
-@dataclass(frozen=True)
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 class BoolVal(Value):
-    value: bool
+    __slots__ = ("value",)
+
+    def __init__(self, value: bool):
+        _set_bool(self, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.value == other.value
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.value,))
+
+    def __repr__(self) -> str:
+        return f"BoolVal(value={self.value!r})"
 
 
-@dataclass(frozen=True)
 class NumVal(Value):
     """Integer or rational number. Fraction keeps lowest terms itself."""
 
-    value: Fraction
+    __slots__ = ("value",)
+
+    def __init__(self, value: Fraction):
+        _set_num(self, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.value == other.value
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.value,))
+
+    def __repr__(self) -> str:
+        return f"NumVal(value={self.value!r})"
 
 
-@dataclass(frozen=True)
 class StrVal(Value):
-    value: str
+    __slots__ = ("value",)
+
+    def __init__(self, value: str):
+        _set_str(self, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.value == other.value
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.value,))
+
+    def __repr__(self) -> str:
+        return f"StrVal(value={self.value!r})"
 
 
-@dataclass(frozen=True)
 class DataVal(Value):
     """Constructor term, e.g. Cons(1, Nil) or Duration(3/2)."""
 
-    ctor: str
-    args: tuple[Value, ...] = ()
+    __slots__ = ("ctor", "args")
+
+    def __init__(self, ctor: str, args: tuple[Value, ...] = ()):
+        _set_ctor(self, ctor)
+        _set_args(self, args)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.ctor == other.ctor and self.args == other.args
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.ctor, self.args))
+
+    def __repr__(self) -> str:
+        return f"DataVal(ctor={self.ctor!r}, args={self.args!r})"
 
 
-@dataclass(frozen=True)
 class ObjRef(Value):
     """Reference to a concurrent object; not constructible from source."""
 
-    oid: int
+    __slots__ = ("oid",)
+
+    def __init__(self, oid: int):
+        _set_oid(self, oid)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.oid == other.oid
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.oid,))
+
+    def __repr__(self) -> str:
+        return f"ObjRef(oid={self.oid!r})"
 
 
-@dataclass(frozen=True)
 class FutRef(Value):
     """Reference to a future; also serves as a process identifier."""
 
-    fid: int
+    __slots__ = ("fid",)
+
+    def __init__(self, fid: int):
+        _set_fid(self, fid)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.fid == other.fid
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.fid,))
+
+    def __repr__(self) -> str:
+        return f"FutRef(fid={self.fid!r})"
 
 
-@dataclass(frozen=True)
 class NullVal(Value):
-    pass
+    __slots__ = ()
 
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return True
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(())
+
+    def __repr__(self) -> str:
+        return "NullVal()"
+
+
+# each slot's own setter, which `Value.__setattr__` does not intercept
+_set_bool = BoolVal.value.__set__
+_set_num = NumVal.value.__set__
+_set_str = StrVal.value.__set__
+_set_ctor = DataVal.ctor.__set__
+_set_args = DataVal.args.__set__
+_set_oid = ObjRef.oid.__set__
+_set_fid = FutRef.fid.__set__
 
 TRUE = BoolVal(True)
 FALSE = BoolVal(False)

@@ -4,6 +4,7 @@ verdicts survive output capture."""
 
 import random
 import re
+import shutil
 import subprocess
 import sys
 import time
@@ -239,30 +240,54 @@ def test_criterion_7_duration_algebra():
     assert ok, checks
 
 
+def _other_interpreters() -> dict[str, str]:
+    """Version -> path of every CPython >= 3.10 but this one that runs as
+    `python3.N` from PATH.  A name on PATH may still fail to start (a
+    version manager's shim for a version it has not selected), so each
+    is probed first."""
+    found = {}
+    for minor in range(10, 20):
+        exe = shutil.which(f"python3.{minor}")
+        if exe is None or minor == sys.version_info.minor:
+            continue
+        probe = subprocess.run(
+            [exe, "-c", "import sys; assert sys.version_info >= (3, 10) "
+                        "and sys.implementation.name == 'cpython'; "
+                        "print(sys.version.split()[0])"],
+            capture_output=True, text=True)
+        if probe.returncode == 0:
+            found[probe.stdout.strip()] = exe
+    return found
+
+
 def test_criterion_8_rerun_determinism(tmp_path):
     combos = [
         (model_file("media_server_edf.rtabs"), "600", "worst", "0"),
         (model_file("monitor_simple.rtabs"), "200", "uniform", "7"),
         (model_file("single_request.rtabs"), "600", "best", "3"),
     ]
+    # this interpreter twice, then each other one once
+    others = _other_interpreters()
+    runs = [sys.executable, sys.executable, *others.values()]
     identical = 0
     for i, (model, until, policy, seed) in enumerate(combos):
         outs = []
-        for attempt in range(2):
+        for attempt, exe in enumerate(runs):
             path = tmp_path / f"t{i}_{attempt}.csv"
             res = subprocess.run(
-                [sys.executable, "-m", "rtabs.cli", "run", model,
+                [exe, "-m", "rtabs.cli", "run", model,
                  "--until", until, "--duration-policy", policy,
                  "--seed", seed, "--trace", str(path)],
                 capture_output=True, text=True, env=CLI_ENV)
-            assert res.returncode == 0, res.stderr
+            assert res.returncode == 0, (exe, res.stderr)
             outs.append(path.read_bytes())
-        if outs[0] == outs[1]:
+        if all(out == outs[0] for out in outs):
             identical += 1
     ok = identical == len(combos)
+    versions = ", ".join([sys.version.split()[0], *others])
     _report(8, ok, f"{identical}/{len(combos)} (model, seed, policy, limit) "
-                   f"combos byte-identical across fresh processes "
-                   f"(single platform available here)")
+                   f"combos byte-identical across fresh processes and "
+                   f"{1 + len(others)} interpreter(s) ({versions})")
     assert ok
 
 

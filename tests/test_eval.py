@@ -1,6 +1,7 @@
 """Expression evaluator: exact arithmetic, pattern matching, prelude
 functions, and the duration algebra checked against host-side oracles."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -17,8 +18,8 @@ from rtabs.evaluator import EvalContext, Program, eval_expr, eval_guard
 from rtabs.nodes import Apply, GBool, GFut, Lit, Pos
 from rtabs.parser import parse_expr
 from rtabs.values import (
-    FALSE, INF_DURATION, TRUE, BoolVal, DataVal, FutRef, NumVal, StrVal,
-    mk_duration, mk_list, mk_time, num,
+    FALSE, INF_DURATION, NULL, TRUE, BoolVal, DataVal, FutRef, NullVal,
+    NumVal, ObjRef, StrVal, mk_duration, mk_list, mk_time, num,
 )
 
 
@@ -39,6 +40,52 @@ def ev(source, env=None, clock=0, prog=PRELUDE):
 def call(name, *values, prog=PRELUDE):
     ctx = EvalContext(prog)
     return eval_expr(Apply(name, tuple(Lit(v) for v in values)), {}, ctx)
+
+
+# ----------------------------------------------------------------- values
+
+# one value of each class, with the fields of the frozen dataclass it
+# stands in for
+VALUE_CASES = [
+    (BoolVal(True), ("value",)), (NumVal(Fraction(3, 2)), ("value",)),
+    (StrVal("a"), ("value",)), (mk_list([num(1)]), ("ctor", "args")),
+    (ObjRef(1), ("oid",)), (FutRef(1), ("fid",)), (NULL, ()),
+]
+
+
+@pytest.mark.parametrize("value, fields", VALUE_CASES,
+                         ids=[type(value).__name__ for value, _ in VALUE_CASES])
+def test_values_keep_the_frozen_dataclass_contract(value, fields):
+    cls = type(value)
+    twin = dataclasses.make_dataclass(cls.__name__, fields, frozen=True)(
+        *(getattr(value, name) for name in fields))
+    # the same repr and hash, so sets of values iterate as they did
+    assert repr(value) == repr(twin)
+    assert hash(value) == hash(twin)
+    copy = cls(*(getattr(value, name) for name in fields))
+    assert copy == value and hash(copy) == hash(value)
+    assert value != twin
+    assert {value: 1}[copy] == 1
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+
+
+def test_values_of_different_classes_are_unequal():
+    assert BoolVal(True) != NumVal(Fraction(1))
+    assert NumVal(Fraction(1)) != BoolVal(True)
+    assert ObjRef(1) != FutRef(1) and FutRef(1) != ObjRef(1)
+    assert StrVal("Nil") != DataVal("Nil")
+    assert NullVal() == NULL and NULL != DataVal("Null")
+    assert NumVal(Fraction(4, 2)) == NumVal(Fraction(2))
+    assert hash(NumVal(Fraction(4, 2))) == hash(NumVal(Fraction(2)))
+    assert DataVal("Nil") == DataVal("Nil", ())
+    assert repr(mk_duration(1)) == (
+        "DataVal(ctor='Duration', args=(NumVal(value=Fraction(1, 1)),))")
+    assert len({TRUE, BoolVal(True), NumVal(Fraction(1)), ObjRef(1),
+                FutRef(1), NULL, NullVal()}) == 5
 
 
 # ------------------------------------------------------------- arithmetic

@@ -106,14 +106,16 @@ def test_every_module_level_name_is_referenced():
 
 
 # runs `python -m rtabs.cli ARGS...`, then prints, as the last line of
-# stdout, the rtabs modules that the command loaded
+# stdout, the rtabs modules that the command loaded, and `dataclasses` if
+# it did
 LOADED_BY_CLI = """
 import json, runpy, sys
 try:
     runpy.run_module("rtabs.cli", run_name="__main__")
 except SystemExit as exc:
     assert exc.code == 0, exc.code
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("rtabs."))))
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.startswith("rtabs.") or m == "dataclasses")))
 """
 
 # in a fresh process, so that each export resolves through the package's
@@ -148,6 +150,13 @@ def test_commands_load_only_what_they_use(tmp_path, single_request_model):
     assert not metrics & {"rtabs.engine", "rtabs.nodes", "rtabs.parser"}
     check = set(json.loads(run_python(
         LOADED_BY_CLI, "check", model_file("single_request.rtabs"))))
-    assert "rtabs.parser" in check and "rtabs.engine" not in check
+    assert "rtabs.parser" in check
+    assert not check & {"dataclasses", "rtabs.engine", "rtabs.metrics",
+                        "rtabs.trace"}
+    run = set(json.loads(run_python(
+        LOADED_BY_CLI, "run", model_file("single_request.rtabs"),
+        "--until", "600", "--trace", tmp_path / "again.csv")))
+    assert {"rtabs.engine", "rtabs.trace"} <= run
+    assert "rtabs.metrics" not in run
     assert (run_python(PACKAGE_SURFACE)
             == "module 'rtabs' has no attribute 'no_such_name'")

@@ -15,8 +15,8 @@ from rtabs import (
 from rtabs.desugar import desugar
 from rtabs.lexer import tokenize
 from rtabs.nodes import (
-    BINARY_PRECEDENCE, Apply, BinOp, GBool, GDuration, GFut, Lit, RCall,
-    RGet, SAssign, SAwait, SReturn, Var,
+    BINARY_PRECEDENCE, Apply, BinOp, GBool, GDuration, GFut, Lit, Node, Pos,
+    RCall, RGet, SAssign, SAwait, SDuration, SReturn, Var,
 )
 from rtabs.prelude import prelude_model
 from rtabs.pretty import render_expr, render_model
@@ -504,23 +504,26 @@ def test_cost_annotation_kept():
 
 
 def _lists_in(node, path="model"):
-    """Paths of every list reachable through dataclass fields and tuples."""
+    """Paths of every list reachable through node fields and tuples."""
     if isinstance(node, list):
         return [path]
     if isinstance(node, tuple):
         return [p for i, item in enumerate(node)
                 for p in _lists_in(item, f"{path}[{i}]")]
-    if dataclasses.is_dataclass(node):
-        return [p for f in dataclasses.fields(node)
-                for p in _lists_in(getattr(node, f.name), f"{path}.{f.name}")]
+    if isinstance(node, Node):
+        return [p for name in node._fields
+                for p in _lists_in(getattr(node, name), f"{path}.{name}")]
     return []
 
 
 def test_syntax_trees_are_immutable():
     defined = [c for c in vars(nodes).values()
-               if dataclasses.is_dataclass(c) and c.__module__ == nodes.__name__]
+               if isinstance(c, type) and issubclass(c, Node)
+               and c.__module__ == nodes.__name__ and c._fields]
     assert len(defined) > 40
-    assert [c.__name__ for c in defined if not c.__dataclass_params__.frozen] == []
+    assert [c.__name__ for c in defined
+            if c.__setattr__ is not Node.__setattr__
+            or c.__delattr__ is not Node.__delattr__] == []
     trees = [prelude_model(), desugar(prelude_model())]
     for path in sorted(MODELS_DIR.glob("*.rtabs")):
         model, diags = load_source(path.read_text(), path.name)
@@ -529,3 +532,68 @@ def test_syntax_trees_are_immutable():
     assert len(trees) == 20  # the prelude and 9 models, each parsed and desugared
     for tree in trees:
         assert _lists_in(tree) == []
+
+
+def _node_classes(base=Node):
+    for cls in base.__subclasses__():
+        if cls.__module__.startswith("rtabs."):
+            yield cls
+        yield from _node_classes(cls)
+
+
+NODE_CLASSES = sorted(set(_node_classes()),
+                      key=lambda cls: (cls.__module__, cls.__qualname__))
+
+
+def _as_dataclass(cls):
+    """The frozen dataclass that `cls` stands in for: the same fields, with
+    `pos` neither compared nor shown."""
+    return dataclasses.make_dataclass(cls.__qualname__, [
+        (name, object, dataclasses.field(default=None, compare=False, repr=False))
+        if name == "pos" else (name, object) for name in cls._fields],
+        frozen=True)
+
+
+@pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda cls: cls.__qualname__)
+def test_nodes_keep_the_frozen_dataclass_contract(cls):
+    keys = {name: f"<{name}>" for name in cls._fields if name != "pos"}
+    at = {"pos": Pos(1, 2, "m.rtabs")} if "pos" in cls._fields else {}
+    node = cls(**keys, **at)
+    twin = _as_dataclass(cls)(**keys, **at)
+    assert repr(node) == repr(twin)
+    assert node == cls(*(keys.get(name) for name in cls._fields if name in keys))
+    if at:
+        moved = cls(**keys, pos=Pos(7, 1))
+        assert node == moved and hash(node) == hash(moved)
+    for name in keys:
+        assert node != cls(**{**keys, name: "other"}, **at)
+    other = type("Other", (Node,), {"__annotations__": dict.fromkeys(cls._fields)})
+    assert node != other(**keys, **at) and other(**keys, **at) != node
+    assert node != twin
+    for name in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(node, name, None)
+        with pytest.raises(AttributeError):
+            delattr(node, name)
+    required = [name for name in cls._fields if name not in cls._defaults]
+    if required:
+        with pytest.raises(TypeError):
+            cls()
+        with pytest.raises(TypeError):
+            cls(*keys.values(), **{required[0]: None})
+    with pytest.raises(TypeError):
+        cls(**keys, no_such_field=None)
+    with pytest.raises(TypeError):
+        cls(*range(len(cls._fields) + 1))
+    defaulted = cls(**{name: keys.get(name) for name in required})
+    assert all(getattr(defaulted, name) == default
+               for name, default in cls._defaults.items())
+
+
+def test_node_repr_and_equality_examples():
+    one = NumVal(Fraction(1))
+    assert repr(Lit(one, pos=Pos(3, 4))) == "Lit(value=NumVal(value=Fraction(1, 1)))"
+    assert repr(Pos(3, 4)) == "Pos(line=3, col=4, file=None)"
+    assert Pos(3, 4) != Pos(3, 4, "m.rtabs")
+    assert SDuration(Lit(one), Lit(one)) != GDuration(Lit(one), Lit(one))
+    assert {Var("x", pos=Pos(1, 1)): 1}[Var("x")] == 1
