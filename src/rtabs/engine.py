@@ -11,8 +11,10 @@ Time is stored absolute.  A process keeps its absolute deadline in
 conjunct of an await guard) the absolute time it ends, so advancing
 time moves only the clock.  No process keeps a `deadline` local: the
 time left, which models and traces see, is derived from the clock when
-a process's scope is built, when it is lifted into a Proc value, and
-when a head or a deadline is rendered.
+a process's code reads `deadline`, when the process is lifted into a
+Proc value, and when a head or a deadline is rendered.  Its code
+evaluates on its locals, its object's fields and the process itself,
+never on a merged scope (`evaluator.lookup`).
 
 Rule choice is determinized for reproducibility: each step applies a
 rule of the lowest-oid object that has one; per object, pending
@@ -81,12 +83,13 @@ from .errors import (
     UnknownMethodError,
 )
 from .evaluator import (
-    EvalContext, Program, eval_expr, eval_guard, future_resolved,
+    EvalContext, Program, awaited_future, eval_expr, eval_guard,
+    remaining_deadline,
 )
 from .nodes import (
     Expr, GBool, GDuration, GFut, Lit, Model, RCall, RDur, RExpr, RGet, RNew,
     SAssign, SAwait, SDuration, SDuration2, SIf, SReturn, SSkip, SSuspend,
-    SWhile, Stmt, TypeAst, Var,
+    SWhile, Stmt, TypeAst,
 )
 from .pretty import render_expr, render_guard, render_stmt
 from .trace import Trace, TraceEvent
@@ -218,31 +221,6 @@ def select(pid_value: Value, processes: list[ProcessRecord]) -> ProcessRecord | 
 _ZERO = Fraction(0)
 
 
-def remaining_deadline(p: ProcessRecord, clock: Fraction) -> Value:
-    """The time left at clock until p's deadline."""
-    if p.due is None:
-        return INF_DURATION
-    return DataVal("Duration", (NumVal(p.due - clock),))
-
-
-def proc_env(p: ProcessRecord, obj: ObjectState,
-             clock: Fraction) -> dict[str, Value]:
-    """The scope p's statements and guards evaluate in: its locals over
-    its object's fields, and the time left until its deadline."""
-    return {**obj.attrs, **p.locals,
-            "deadline": remaining_deadline(p, clock)}
-
-
-def _read(p: ProcessRecord, obj: ObjectState, name: str) -> Value | None:
-    """What name reads in p's scope when a local or a field holds it,
-    without building the scope; None otherwise, and for `deadline`,
-    which is derived from the clock."""
-    if name == "deadline":
-        return None
-    value = p.locals.get(name)
-    return obj.attrs.get(name) if value is None else value
-
-
 def relative(stmt: Stmt, clock: Fraction) -> Stmt:
     """A sampled head with the absolute ends of its durations replaced by
     the time left at clock, as it is rendered; any other statement as
@@ -263,15 +241,13 @@ def wait(p: ProcessRecord, obj: ObjectState, ctx: EvalContext) -> Wait:
     """What p's head waits for: 0 when it may fire now, a positive delay
     when it may fire once that much time has passed, the unresolved
     future it awaits (`f?`) or gets (`x = e.get`), or None when a
-    boolean conjunct does not hold.  The scope is built only for what
-    needs it: the future of `f?`, or of `x = v.get` for a variable v, is
-    read straight from p's locals or its object's fields."""
+    boolean conjunct does not hold.  Each conjunct and the `.get` target
+    evaluate in p's scope: its locals, then its object's fields."""
     head = p.body[0]
     clock = ctx.config.clock
     if isinstance(head, SDuration2):
         return _ZERO if head.best <= clock else head.worst - clock
     if isinstance(head, SAwait):
-        env = None  # built for the first conjunct that needs it
         end = None  # the latest end of a duration conjunct still running
         for guard in head.guards:
             if isinstance(guard, RDur):
@@ -279,21 +255,15 @@ def wait(p: ProcessRecord, obj: ObjectState, ctx: EvalContext) -> Wait:
                     end = guard.worst
             elif isinstance(guard, GDuration):
                 raise AssertionError("wait on an unsampled duration guard")
-            elif (isinstance(guard, GFut)
-                  and (fut := _read(p, obj, guard.var)) is not None):
-                if not future_resolved(guard, fut, ctx):
+            elif isinstance(guard, GFut):
+                fut = awaited_future(guard, p.locals, ctx, obj.attrs, p)
+                if not ctx.config.futures[fut.fid].resolved:
                     return fut
-            else:
-                if env is None:
-                    env = proc_env(p, obj, clock)
-                if not eval_guard(guard, env, ctx):
-                    return env[guard.var] if isinstance(guard, GFut) else None
+            elif not eval_guard(guard, p.locals, ctx, obj.attrs, p):
+                return None
         return _ZERO if end is None else end - clock
     if isinstance(head, SAssign) and isinstance(head.rhs, RGet):
-        target = head.rhs.expr
-        fut = _read(p, obj, target.name) if isinstance(target, Var) else None
-        if fut is None:
-            fut = eval_expr(target, proc_env(p, obj, clock), ctx)
+        fut = eval_expr(head.rhs.expr, p.locals, ctx, obj.attrs, p)
         if not isinstance(fut, FutRef):
             raise EvalTypeError(
                 f"get applied to {render_value(fut)}, not a future",
@@ -413,11 +383,14 @@ class Engine:
 
     # ------------------------------------------------------- guard sampling
 
-    def _draw(self, best: Expr, worst: Expr, env, pos) -> Fraction:
-        """Evaluate and check duration bounds, then pick a duration by
-        the duration policy."""
-        lo = self._bound_rat(eval_expr(best, env, self.ctx), pos)
-        hi = self._bound_rat(eval_expr(worst, env, self.ctx), pos)
+    def _draw(self, best: Expr, worst: Expr, p: ProcessRecord,
+              obj: ObjectState, pos) -> Fraction:
+        """Evaluate and check duration bounds in p's scope, then pick a
+        duration by the duration policy."""
+        lo = self._bound_rat(
+            eval_expr(best, p.locals, self.ctx, obj.attrs, p), pos)
+        hi = self._bound_rat(
+            eval_expr(worst, p.locals, self.ctx, obj.attrs, p), pos)
         if lo < 0 or hi < lo:
             raise RtRuntimeError(
                 f"malformed duration bounds ({format_rat(lo)}, "
@@ -450,11 +423,10 @@ class Engine:
         else:
             return
         clock = self.config.clock
-        env = proc_env(p, obj, clock)
         guards = []
         for g in head.guards:
             if isinstance(g, GDuration):
-                end = clock + self._draw(g.best, g.worst, env, g.pos)
+                end = clock + self._draw(g.best, g.worst, p, obj, g.pos)
                 g = RDur(end, end)
             guards.append(g)
         p.body[0] = SAwait(tuple(guards), pos=head.pos)
@@ -647,8 +619,10 @@ class Engine:
             return self._step_assign(obj, p, s)
 
         if isinstance(s, SIf):
-            cond = eval_expr(s.cond, proc_env(p, obj, clock), self.ctx)
-            self._require_bool(cond, s.pos)
+            cond = eval_expr(s.cond, p.locals, self.ctx, obj.attrs, p)
+            if not isinstance(cond, BoolVal):
+                raise EvalTypeError(
+                    f"condition is {render_value(cond)}, not a Bool", s.pos)
             p.body[0:1] = s.then if cond.value else s.els
             return "cond"
 
@@ -657,7 +631,7 @@ class Engine:
             return "while"
 
         if isinstance(s, SReturn):
-            self._do_return(obj, p, s, proc_env(p, obj, clock))
+            self._do_return(obj, p, s)
             return "return"
 
         if isinstance(s, SSuspend):
@@ -666,8 +640,7 @@ class Engine:
             return "suspend"
 
         if isinstance(s, SDuration):
-            end = clock + self._draw(s.best, s.worst, proc_env(p, obj, clock),
-                                     s.pos)
+            end = clock + self._draw(s.best, s.worst, p, obj, s.pos)
             p.body[0] = SDuration2(end, end)
             return "duration"
 
@@ -685,21 +658,21 @@ class Engine:
             self._assign(obj, p, s, _type_default(s.decl_type))
             del p.body[0]
             return "assign"
-        env = proc_env(p, obj, self.config.clock)
         if isinstance(rhs, RExpr):
-            self._assign(obj, p, s, eval_expr(rhs.expr, env, self.ctx))
+            self._assign(obj, p, s,
+                         eval_expr(rhs.expr, p.locals, self.ctx, obj.attrs, p))
             del p.body[0]
             return "assign"
         if isinstance(rhs, RNew):
-            ref = self._new_object(rhs, env)
+            ref = self._new_object(obj, p, rhs)
             p.body[0] = SAssign(s.decl_type, s.name, RExpr(Lit(ref)), pos=s.pos)
             return "new-object"
         if isinstance(rhs, RCall):
-            fut = self._async_call(obj, rhs, env)
+            fut = self._async_call(obj, p, rhs)
             p.body[0] = SAssign(s.decl_type, s.name, RExpr(Lit(fut)), pos=s.pos)
             return "async-call"
         if isinstance(rhs, RGet):  # wait found the future resolved
-            fut = eval_expr(rhs.expr, env, self.ctx)
+            fut = eval_expr(rhs.expr, p.locals, self.ctx, obj.attrs, p)
             value = self.config.futures[fut.fid].value
             p.body[0] = SAssign(s.decl_type, s.name, RExpr(Lit(value)),
                                 pos=s.pos)
@@ -716,20 +689,15 @@ class Engine:
         else:
             raise UnboundVariableError(f"unbound variable {s.name}", s.pos)
 
-    def _require_bool(self, v: Value, pos) -> None:
-        if not isinstance(v, BoolVal):
-            raise EvalTypeError(
-                f"condition is {render_value(v)}, not a Bool", pos)
-
     def _suspend(self, obj: ObjectState, p: ProcessRecord, data: tuple) -> None:
         obj.active = None
         obj.queue.append(p)
         self._emit("suspend", obj=obj.oid, pid=p.pid, method=p.method,
                    data=data)
 
-    def _do_return(self, obj: ObjectState, p: ProcessRecord, s: SReturn,
-                   env) -> None:
-        value = eval_expr(s.expr, env, self.ctx)
+    def _do_return(self, obj: ObjectState, p: ProcessRecord,
+                   s: SReturn) -> None:
+        value = eval_expr(s.expr, p.locals, self.ctx, obj.attrs, p)
         clock = self.config.clock
         remaining = remaining_deadline(p, clock)
         self.config.futures[p.pid].resolve(value)
@@ -749,22 +717,23 @@ class Engine:
 
     # --- Async-Call
 
-    def _async_call(self, obj: ObjectState, rhs: RCall, env) -> FutRef:
-        ctx = self.ctx
-        callee = eval_expr(rhs.callee, env, ctx)
+    def _async_call(self, obj: ObjectState, p: ProcessRecord,
+                    rhs: RCall) -> FutRef:
+        ctx, env, fields = self.ctx, p.locals, obj.attrs
+        callee = eval_expr(rhs.callee, env, ctx, fields, p)
         if callee == NULL:
             raise RtRuntimeError(f"call to {rhs.method} on null", rhs.pos)
         if not isinstance(callee, ObjRef):
             raise EvalTypeError(
                 f"call target is {render_value(callee)}, not an object",
                 rhs.pos)
-        args = tuple(eval_expr(a, env, ctx) for a in rhs.args)
-        deadline = eval_expr(rhs.annots.deadline, env, ctx)
+        args = tuple(eval_expr(a, env, ctx, fields, p) for a in rhs.args)
+        deadline = eval_expr(rhs.annots.deadline, env, ctx, fields, p)
         if not is_duration(deadline):
             raise EvalTypeError(
                 f"deadline is {render_value(deadline)}, not a Duration",
                 rhs.pos)
-        critical = eval_expr(rhs.annots.critical, env, ctx)
+        critical = eval_expr(rhs.annots.critical, env, ctx, fields, p)
         if not isinstance(critical, BoolVal):
             raise EvalTypeError(
                 f"criticality is {render_value(critical)}, not a Bool",
@@ -782,7 +751,8 @@ class Engine:
 
     # --- New-Object
 
-    def _new_object(self, rhs: RNew, env) -> ObjRef:
+    def _new_object(self, obj: ObjectState, p: ProcessRecord,
+                    rhs: RNew) -> ObjRef:
         cd = self.program.classes.get(rhs.cls)
         if cd is None:
             raise RtRuntimeError(f"unknown class {rhs.cls}", rhs.pos)
@@ -790,7 +760,8 @@ class Engine:
             raise RtRuntimeError(
                 f"class {rhs.cls} expects {len(cd.params)} argument(s), "
                 f"got {len(rhs.args)}", rhs.pos)
-        args = [eval_expr(a, env, self.ctx) for a in rhs.args]
+        args = [eval_expr(a, p.locals, self.ctx, obj.attrs, p)
+                for a in rhs.args]
         attrs: dict[str, Value] = {}
         for (_, name), value in zip(cd.params, args):
             attrs[name] = value
@@ -863,19 +834,19 @@ class Engine:
                         ready: list[ProcessRecord]) -> ProcessRecord:
         """Run the object's scheduling expression over the reflected ready
         queue; the result must identify one of the ready processes."""
-        env = {**obj.attrs, "queue": liftall(ready, self.config.clock)}
+        queue = {"queue": liftall(ready, self.config.clock)}
         try:
-            choice = eval_expr(obj.policy, env, self.ctx)
+            choice = eval_expr(obj.policy, queue, self.ctx, obj.attrs)
             if not (isinstance(choice, DataVal) and choice.ctor == "Proc"
                     and len(choice.args) == len(PROC_FIELDS)):
                 raise PolicyError(
                     f"scheduler of o{obj.oid} returned {render_value(choice)}, "
-                    f"not a process", getattr(obj.policy, "pos", None))
+                    f"not a process", obj.policy.pos)
             p = select(choice.args[0], ready)
             if p is None:
                 raise PolicyError(
                     f"scheduler of o{obj.oid} selected a process outside the "
-                    f"ready queue", getattr(obj.policy, "pos", None))
+                    f"ready queue", obj.policy.pos)
         except RtRuntimeError as err:
             if err.stmt is None:
                 err.stmt = f"[Scheduler: {render_expr(obj.policy)}]"

@@ -2,20 +2,21 @@
 
 Expressions are compiled, not walked (Feeley & Lapalme, "Using closures
 for code generation", 1987): each `Expr` becomes a Python closure
-`(scope, ctx) -> Value`, and each `Pattern` a matcher
-`(value, scope) -> bool` that allocates nothing.  A program's compiled
-code lives in its `Program`, built once and shared by every evaluation:
+`(frame, ctx) -> Value`, and each `Pattern` a matcher
+`(value, frame) -> bool` that allocates nothing.  Code runs on one list
+frame per evaluation or call, and each `case` binder resolves to a slot
+of it.  Compiled code lives in the `Program`, shared by every evaluation:
 
 - A function body is compiled together with the first expression that
-  calls it.  Its formals, then each `case` binder in it, resolve to
-  slots of one list frame per call, so a body never sees its caller's
-  variables.
+  calls it.  Its formals take the first slots of its frame, so a body
+  never sees its caller's variables.
 - Any other expression (a statement's, a guard's, a `[Scheduler:]`
   policy) is compiled the first time it is evaluated and kept by the
-  identity of its node, which the cache holds.  It evaluates in a plain
-  dict; a `case` branch in it evaluates under a copy of the dict with
-  the pattern's binders written over it.  A bare literal is never
-  compiled or kept: the engine builds one at every assignment step.
+  identity of its node, which the cache holds.  Its frame's first slots
+  hold its scope (`lookup`): a process's locals, its object's fields and
+  the process itself, whose time left `deadline` reads; or a plain dict.
+  A bare literal is never compiled or kept: the engine builds one at
+  every assignment step.
 
 A case binder shadows an outer variable of the same name.  A name reads
 its scope value, else a nullary constructor, else it is an unbound
@@ -52,18 +53,23 @@ from .nodes import (
     PWildcard, Unary, Var,
 )
 from .values import (
-    BoolVal, DataVal, FALSE, FutRef, NumVal, StrVal, TRUE, Value,
-    is_time, mk_duration, mk_time, render_value,
+    INF_DURATION, BoolVal, DataVal, FALSE, FutRef, NumVal, StrVal, TRUE,
+    Value, is_time, mk_duration, mk_time, render_value,
 )
 
 Env = dict[str, Value]
-# a compiled expression; its scope is an Env at top level and a list
-# frame in a function body
-Code = Callable[[Any, "EvalContext"], Value]
+# a compiled expression, run on a list frame
+Code = Callable[[list, "EvalContext"], Value]
 # a compiled pattern: whether the value matches, writing its binders
-# into the scope; None for a pattern that matches anything and binds
+# into the frame; None for a pattern that matches anything and binds
 # nothing
-Matcher = Callable[[Value, Any], bool]
+Matcher = Callable[[Value, list], bool]
+# a compiled top-level expression: its node, its code, whether it may
+# read the clock, and its frame's binder slots after the scope
+Entry = tuple[Expr, Code, bool, tuple[None, ...]]
+
+_SCOPE = 3  # a top-level frame's first slots: see `lookup`
+_NO_FIELDS: Env = {}
 
 
 class Function:
@@ -87,10 +93,9 @@ class Program:
     classes: dict[str, ClassDecl]
     # compiled function bodies by name
     bodies: dict[str, Function] = field(default_factory=dict, repr=False)
-    # compiled top-level expressions by node identity: (node, code,
-    # whether it may read the clock); holding the node keeps its id
-    code: dict[int, tuple[Expr, Code, bool]] = field(default_factory=dict,
-                                                     repr=False)
+    # compiled top-level expressions by node identity; holding the node
+    # keeps its id
+    code: dict[int, Entry] = field(default_factory=dict, repr=False)
 
     @staticmethod
     def from_model(model: Model) -> Program:
@@ -104,12 +109,13 @@ class Program:
         classes = {cd.name: cd for cd in model.classes}
         return Program(functions, ctor_arity, classes)
 
-    def compiled(self, expr: Expr) -> tuple[Expr, Code, bool]:
+    def compiled(self, expr: Expr) -> Entry:
         entry = self.code.get(id(expr))
         if entry is None:
             compiler = _Compiler(self, None)
             code = compiler.expr(expr)
-            entry = (expr, code, compiler.reaches_clock())
+            entry = (expr, code, compiler.reaches_clock(),
+                     (None,) * (compiler.size - _SCOPE))
             self.code[id(expr)] = entry
         return entry
 
@@ -123,8 +129,7 @@ class Program:
             fd = self.functions[name]
             # registered before its body compiles, so recursion finds it
             fn = self.bodies[name] = Function()
-            slots = {pname: i for i, (_, pname) in enumerate(fd.params)}
-            compiler = _Compiler(self, slots)
+            compiler = _Compiler(self, [pname for _, pname in fd.params])
             fn.body = compiler.expr(fd.body)
             fn.pad = (None,) * (compiler.size - len(fd.params))
             fn.reads_clock = compiler.reads_clock
@@ -146,46 +151,71 @@ class EvalContext:
     depth: int = field(default=0)
 
 
-def eval_expr(expr: Expr, env: Env, ctx: EvalContext) -> Value:
+def remaining_deadline(p: Any, clock: Fraction) -> Value:
+    """The time left at clock until process p's deadline, `p.due`."""
+    if p.due is None:
+        return INF_DURATION
+    return DataVal("Duration", (NumVal(p.due - clock),))
+
+
+def lookup(name: str, env: Env, fields: Env, proc: Any,
+           ctx: EvalContext) -> Value | None:
+    """What a name that no binder holds reads in a scope: in process
+    proc's, `deadline` is its time left; any other name reads env (its
+    locals), else fields (its object's).  None when neither holds it."""
+    if proc is not None and name == "deadline":
+        return remaining_deadline(proc, ctx.config.clock)
+    value = env.get(name)
+    return fields.get(name) if value is None else value
+
+
+def eval_expr(expr: Expr, env: Env, ctx: EvalContext,
+              fields: Env = _NO_FIELDS, proc: Any = None) -> Value:
+    """The value of expr in a scope (see `lookup`); a plain dict env is
+    a scope with no fields and no process."""
     if type(expr) is Lit:
         return expr.value
     try:
-        return ctx.program.compiled(expr)[1](env, ctx)
+        _, code, _, pad = ctx.program.compiled(expr)
+        return code([env, fields, proc, *pad], ctx)
     except RecursionError:
         raise CallDepthError(
             "expression nesting exhausted the host stack") from None
 
 
-def eval_guard(guard: Guard, env: Env, ctx: EvalContext) -> bool:
-    """Reduce one conjunct of an await guard to a boolean; the guard holds
-    when every conjunct does.  A duration conjunct holds once its best
-    bound is not positive.  Sampled conjuncts (RDur) are the engine's,
-    which compares their absolute ends with the clock itself."""
+def eval_guard(guard: Guard, env: Env, ctx: EvalContext,
+               fields: Env = _NO_FIELDS, proc: Any = None) -> bool:
+    """Reduce one conjunct of an await guard in a scope to a boolean; the
+    guard holds when every conjunct does.  A duration conjunct holds once
+    its best bound is not positive.  Sampled conjuncts (RDur) are the
+    engine's, which compares their absolute ends with the clock itself."""
     if isinstance(guard, GBool):
-        value = eval_expr(guard.expr, env, ctx)
+        value = eval_expr(guard.expr, env, ctx, fields, proc)
         if not isinstance(value, BoolVal):
             raise EvalTypeError(
                 f"guard is {render_value(value)}, not a Bool", guard.pos)
         return value.value
     if isinstance(guard, GFut):
-        value = env.get(guard.var)
-        if value is None:
-            raise UnboundVariableError(f"unbound variable {guard.var}",
-                                       guard.pos)
-        return future_resolved(guard, value, ctx)
+        fut = awaited_future(guard, env, ctx, fields, proc)
+        return ctx.config.futures[fut.fid].resolved
     if isinstance(guard, GDuration):
-        best = eval_expr(guard.best, env, ctx)
+        best = eval_expr(guard.best, env, ctx, fields, proc)
         return _as_num(best, "duration", guard.pos) <= 0
     raise EvalTypeError(f"cannot evaluate guard {guard!r}")
 
 
-def future_resolved(guard: GFut, value: Value, ctx: EvalContext) -> bool:
-    """Whether the future that `guard.var` holds, value, has resolved."""
+def awaited_future(guard: GFut, env: Env, ctx: EvalContext,
+                   fields: Env = _NO_FIELDS, proc: Any = None) -> FutRef:
+    """The future that `guard.var` holds in the scope."""
+    value = lookup(guard.var, env, fields, proc, ctx)
+    if value is None:
+        raise UnboundVariableError(f"unbound variable {guard.var}",
+                                   guard.pos)
     if not isinstance(value, FutRef):
         raise EvalTypeError(
             f"{guard.var}? applied to {render_value(value)}, not a future",
             guard.pos)
-    return ctx.config.futures[value.fid].resolved
+    return value
 
 
 def _as_num(v: Value, op: str, pos) -> Fraction:
@@ -199,14 +229,17 @@ _COMPARISONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
 
 
 class _Compiler:
-    """Compiles the expressions of one scope: a function body, whose
-    names resolve to frame slots, or a top-level expression (`slots` is
-    None), whose names are looked up in a dict."""
+    """Compiles the expressions of one frame: a function body's, whose
+    formals take its first slots, or top-level code's (`formals` is
+    None), whose first `_SCOPE` slots hold its scope.  Each case binder
+    takes a slot after those."""
 
-    def __init__(self, program: Program, slots: dict[str, int] | None):
+    def __init__(self, program: Program, formals: list[str] | None):
         self.program = program
-        self.slots = slots
-        self.size = 0 if slots is None else len(slots)  # frame slots
+        self.top = formals is None  # whether free names read the scope
+        self.slots = ({} if formals is None
+                      else {name: i for i, name in enumerate(formals)})
+        self.size = _SCOPE if formals is None else len(formals)
         self.reads_clock = False  # it contains `now` or reads `deadline`
         self.calls: set[Function] = set()
 
@@ -235,21 +268,21 @@ class _Compiler:
 
     def var(self, e: Var) -> Code:
         name, pos = e.name, e.pos
+        slot = self.slots.get(name)
+        if slot is not None:
+            return lambda s, c: s[slot]
         ctor = DataVal(name) if self.program.ctor_arity.get(name) == 0 else None
-        if self.slots is None:
+        if self.top:
             self.reads_clock |= name == "deadline"
 
-            def lookup(s, c):
-                value = s.get(name)
+            def read(s, c):
+                value = lookup(name, s[0], s[1], s[2], c)
                 if value is not None:
                     return value
                 if ctor is not None:
                     return ctor
                 raise UnboundVariableError(f"unbound variable {name}", pos)
-            return lookup
-        slot = self.slots.get(name)
-        if slot is not None:
-            return lambda s, c: s[slot]
+            return read
         if ctor is not None:
             return lambda s, c: ctor
 
@@ -400,38 +433,24 @@ class _Compiler:
         scrutinee, pos = self.expr(e.scrutinee), e.pos
         branches = []
         for branch in e.branches:
-            outer = None if self.slots is None else dict(self.slots)
+            outer = dict(self.slots)
             matcher = self.pattern(branch.pattern)
             branches.append((matcher, self.expr(branch.body)))
             self.slots = outer  # a binder's scope is its branch
-        if self.slots is None:
-            def case_in_dict(s, c):
-                v = scrutinee(s, c)
-                for matcher, body in branches:
-                    if matcher is None:
-                        return body(s, c)
-                    bindings: Env = {}
-                    if matcher(v, bindings):
-                        return body({**s, **bindings}, c)
-                raise MatchFailureError(
-                    f"no branch matches {render_value(v)}", pos)
-            return case_in_dict
 
-        def case_in_frame(s, c):
+        def case(s, c):
             v = scrutinee(s, c)
             for matcher, body in branches:
                 if matcher is None or matcher(v, s):
                     return body(s, c)
             raise MatchFailureError(f"no branch matches {render_value(v)}",
                                     pos)
-        return case_in_frame
+        return case
 
     # --- patterns
 
-    def binder(self, name: str) -> int | str:
-        """Where a binder writes: a fresh frame slot, or its name."""
-        if self.slots is None:
-            return name
+    def binder(self, name: str) -> int:
+        """The fresh frame slot a binder writes."""
         slot = self.slots[name] = self.size
         self.size += 1
         return slot
@@ -451,10 +470,10 @@ class _Compiler:
                 name = pat.name
                 return lambda v, s: (type(v) is DataVal and v.ctor == name
                                      and v.args == ())
-            key = self.binder(pat.name)
+            slot = self.binder(pat.name)
 
             def bind(v, s):
-                s[key] = v
+                s[slot] = v
                 return True
             return bind
         if isinstance(pat, PCtor):
@@ -472,8 +491,8 @@ class _Compiler:
             def match_binders(v, s):
                 if type(v) is DataVal and v.ctor == name and len(v.args) == n:
                     args = v.args
-                    for i, key in binds:
-                        s[key] = args[i]
+                    for i, slot in binds:
+                        s[slot] = args[i]
                     return True
                 return False
             return match_binders

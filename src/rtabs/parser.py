@@ -441,7 +441,7 @@ class Parser:
         if bad is not None:
             raise ParseError(
                 "future and duration guards cannot appear inside expressions", bad)
-        return (GBool(expr, pos=getattr(expr, "pos", None)),)
+        return (GBool(expr, pos=expr.pos),)
 
     def _find_guard_atom(self, expr: Expr) -> Pos | None:
         if isinstance(expr, (_FutAtom, _DurAtom)):

@@ -9,7 +9,7 @@ shadowing still works because later definitions win at table build.
 
 from __future__ import annotations
 
-import importlib.resources
+import os
 from functools import lru_cache
 
 from .check import Diagnostic, check_model
@@ -23,8 +23,9 @@ PRELUDE_FILENAME = "<prelude>"
 
 @lru_cache(maxsize=1)
 def prelude_source() -> str:
-    resource = importlib.resources.files("rtabs").joinpath("prelude.rtabs")
-    return resource.read_text(encoding="utf-8")
+    path = os.path.join(os.path.dirname(__file__), "prelude.rtabs")
+    with open(path, encoding="utf-8") as handle:
+        return handle.read()
 
 
 @lru_cache(maxsize=1)

@@ -314,6 +314,84 @@ def test_method_local_shadows_field():
     assert values["field"] == "7"
 
 
+# a probe with a local n (1) over a field n (100), called with deadline 50,
+# reaches its site after 4, with 46 left; a site returns 47 only if it
+# reads the local n and `deadline` as the time left
+SCOPE_MODEL = """
+interface One {{ Rat one(); }}
+class OneImp implements One {{ Rat one() {{ return 1; }} }}
+class BoxImp(Rat v) implements One {{ Rat one() {{ return v; }} }}
+
+interface Echo {{ Rat echo(Rat v); }}
+class EchoImp implements Echo {{
+  Rat echo(Rat v) {{
+    Rat out = 0;
+    if (critical) {{ out = v + durationValue(deadline) - 47; }}
+    return out;
+  }}
+}}
+
+interface Probe {{ Rat probe(); }}
+{annotation} class ProbeImp implements Probe {{
+  Int n = 100;
+  Rat k = 100;
+  Fut<Rat> held;
+  Fut<Rat> g;
+  Rat probe() {{
+    Int n = 1;
+    Rat r = 0;
+    duration(4, 4);
+    {site}
+  }}
+}}
+
+{{ Probe p = new ProbeImp(); [Deadline: Duration(50)] Fut<Rat> f = p!probe();
+  Rat r = f.get; }}
+"""
+
+# (class annotation, the probe's code from its site on); a field `k` and
+# a null field `g` stand behind a case binder and a local of those names
+SCOPE_SITES = {
+    "await guard": (
+        "", "await n == 1 && durationValue(deadline) == 46; return 47;"),
+    "future in a field": ("", """One o = new OneImp(); held = o!one();
+        await held? && n == 1 && durationValue(deadline) == 46; return 47;"""),
+    "future in a local": ("", """One o = new OneImp(); Fut<Rat> g = o!one();
+        await g? && n == 1 && durationValue(deadline) == 46; return 47;"""),
+    "if condition": ("", """if (n == 1 && durationValue(deadline) == 46) {
+        r = 47; } return r;"""),
+    "assignment": ("", "r = n + durationValue(deadline); return r;"),
+    "return": ("", "return n + durationValue(deadline);"),
+    "duration bounds": ("", """duration(n + durationValue(deadline), 47 * n);
+        return timeValue(now) - 4;"""),
+    "await duration bounds": ("", """await duration(n + durationValue(deadline),
+        47 * n); return timeValue(now) - 4;"""),
+    "new arguments": ("", """One b = new BoxImp(n + durationValue(deadline));
+        Fut<Rat> x = b!one(); r = x.get; return r;"""),
+    "call arguments and annotations": ("", """Echo e = new EchoImp();
+        [Deadline: Duration(n + durationValue(deadline))] [Critical: n == 1]
+        Fut<Rat> x = e!echo(n + durationValue(deadline)); r = x.get;
+        return r;"""),
+    "get target": ("", """One o = new OneImp(); Fut<Rat> g = o!one();
+        r = (if n == 1 && durationValue(deadline) == 46 then g else held).get;
+        return r + 46;"""),
+    "case binder in a statement": (
+        "", "return case n { k => k + durationValue(deadline); };"),
+    "case binder in a policy": (
+        "[Scheduler: case head(queue) { k => k; }]",
+        "return n + durationValue(deadline);"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(SCOPE_SITES))
+def test_every_site_reads_locals_over_fields_and_the_time_left(site):
+    annotation, code = SCOPE_SITES[site]
+    result = run(SCOPE_MODEL.format(annotation=annotation, site=code))
+    assert result.status == "finished", result.error
+    assert [e.get("value") for e in events(result, "return")
+            if e.method == "probe"] == ["47"]
+
+
 def test_blocking_get_resumes_on_resolution():
     result = run("""
     interface S { Int val(); }

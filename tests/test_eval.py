@@ -182,10 +182,14 @@ def test_case_binder_shadows_outer_variable():
 
 def test_failed_branch_leaks_no_binding():
     # the first branch binds x before failing on 3; the second branch
-    # must still see the outer x
+    # must still see the outer x, also inside the second branch of a
+    # case that binds x first
     prog = program("data Pair<A, B> = Pair(A, B);")
-    source = "case Pair(1, 2) { Pair(x, 3) => 0; Pair(_, _) => x; }"
-    assert ev(source, {"x": num(9)}, prog=prog) == num(9)
+    for source in (
+            "case Pair(1, 2) { Pair(x, 3) => 0; Pair(_, _) => x; }",
+            "case Pair(1, 2) { Pair(x, 3) => 0; Pair(_, y) =>"
+            " case Pair(y, 2) { Pair(x, 3) => 0; Pair(_, _) => x; }; }"):
+        assert ev(source, {"x": num(9)}, prog=prog) == num(9)
 
 
 def test_function_shadowing_last_wins():

@@ -105,17 +105,22 @@ def test_every_module_level_name_is_referenced():
     assert unreferenced == []
 
 
+# standard modules that a command should load only if it uses them:
+# `dataclasses`, and `importlib.resources` with what it imports
+COSTLY_STDLIB = {"dataclasses", "importlib.resources", "pathlib", "tempfile",
+                 "zipfile"}
+
 # runs `python -m rtabs.cli ARGS...`, then prints, as the last line of
-# stdout, the rtabs modules that the command loaded, and `dataclasses` if
-# it did
-LOADED_BY_CLI = """
+# stdout, the rtabs modules that the command loaded, and those of
+# COSTLY_STDLIB that it did
+LOADED_BY_CLI = f"""
 import json, runpy, sys
 try:
     runpy.run_module("rtabs.cli", run_name="__main__")
 except SystemExit as exc:
     assert exc.code == 0, exc.code
 print(json.dumps(sorted(m for m in sys.modules
-                        if m.startswith("rtabs.") or m == "dataclasses")))
+                        if m.startswith("rtabs.") or m in {COSTLY_STDLIB!r})))
 """
 
 # in a fresh process, so that each export resolves through the package's
@@ -133,8 +138,9 @@ except AttributeError as exc:
 """
 
 
-def run_python(script, *args):
-    res = subprocess.run([sys.executable, "-c", script, *map(str, args)],
+def run_python(script, *args, flags=()):
+    res = subprocess.run([sys.executable, *flags, "-c", script,
+                          *map(str, args)],
                          capture_output=True, text=True, env=CLI_ENV)
     assert res.returncode == 0, res.stderr
     return res.stdout.splitlines()[-1]
@@ -153,6 +159,13 @@ def test_commands_load_only_what_they_use(tmp_path, single_request_model):
     assert "rtabs.parser" in check
     assert not check & {"dataclasses", "rtabs.engine", "rtabs.metrics",
                         "rtabs.trace"}
+    # without site, which may import importlib.resources itself, `check`
+    # loads none of it: the prelude is read as a plain file
+    bare = set(json.loads(run_python(
+        LOADED_BY_CLI, "check", model_file("single_request.rtabs"),
+        flags=("-S",))))
+    assert "rtabs.parser" in bare
+    assert not bare & COSTLY_STDLIB
     run = set(json.loads(run_python(
         LOADED_BY_CLI, "run", model_file("single_request.rtabs"),
         "--until", "600", "--trace", tmp_path / "again.csv")))
