@@ -63,15 +63,13 @@ earliest timer still live less the clock, and a tick consults no object
 that has not been woken since the last one.
 
 `simulate`, `Engine.run_until` and `rtabs run` share one loop
-(`run_until`), which runs on a dedicated big-stack thread.
+(`run_until`), run on the caller's thread in `errors.deep_recursion`.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
-import sys
-import threading
 from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -80,7 +78,7 @@ from fractions import Fraction
 from .desugar import default_policy
 from .errors import (
     EvalTypeError, PolicyError, RtRuntimeError, UnboundVariableError,
-    UnknownMethodError,
+    UnknownMethodError, deep_recursion,
 )
 from .evaluator import (
     EvalContext, Program, awaited_future, eval_expr, eval_guard,
@@ -107,7 +105,7 @@ PROC_FIELDS = ("destiny", "method", "arrival", "cost", "deadline",
                "start", "finish", "critical", "value")
 
 
-@dataclass
+@dataclass(eq=False)  # records compare by identity
 class ProcessRecord:
     pid: int
     oid: int
@@ -121,7 +119,7 @@ class ProcessRecord:
     due: Fraction | None = None
 
 
-@dataclass
+@dataclass(eq=False)
 class ObjectState:
     oid: int
     cls: str
@@ -323,14 +321,14 @@ class Engine:
     """Deterministic interpreter for a checked, desugared model."""
 
     def __init__(self, model: Model, seed: int = 0,
-                 duration_policy: str = "worst", trace: Trace | None = None):
+                 duration_policy: str = "worst"):
         if duration_policy not in DURATION_POLICIES:
             raise ValueError(f"unknown duration policy {duration_policy!r}")
         self.model = model
         self.program = Program.from_model(model)
         self.rng = random.Random(seed)
         self.duration_policy = duration_policy
-        self.trace = trace if trace is not None else Trace()
+        self.trace = Trace()
         self.config = Configuration()
         # the one context every evaluation of the run reads the clock and
         # the futures through
@@ -859,10 +857,9 @@ class Engine:
                   max_steps: int | None = None) -> RunResult:
         """Alternate instantaneous steps and maximal time advances until
         the model terminates, the clock would pass the limit, the
-        configuration deadlocks, or a runtime error surfaces.  The loop
-        runs on a big-stack thread, whatever the caller's stack."""
-        limit = Fraction(limit)
-        return _on_big_stack(lambda: self._run(limit, max_steps))
+        configuration deadlocks, or a runtime error surfaces."""
+        with deep_recursion():
+            return self._run(Fraction(limit), max_steps)
 
     def _run(self, limit: Fraction, max_steps: int | None) -> RunResult:
         if not self.config.objects:
@@ -939,38 +936,6 @@ class Engine:
                 out.append(f"o{oid} ({obj.cls}): no ready process "
                            f"(queued: {queued})")
         return out
-
-
-# model functions recurse once per list element, so deep lists need a
-# deep host stack; simulations run on a dedicated big-stack thread and
-# the interpreter's own depth cap fires long before this limit
-_STACK_BYTES = 512 * 1024 * 1024
-_RECURSION_LIMIT = 2_000_000
-
-
-def _on_big_stack(fn):
-    box: dict = {}
-
-    def runner():
-        old = sys.getrecursionlimit()
-        sys.setrecursionlimit(_RECURSION_LIMIT)
-        try:
-            box["value"] = fn()
-        except BaseException as exc:  # re-raised on the calling thread
-            box["error"] = exc
-        finally:
-            sys.setrecursionlimit(old)
-
-    old_size = threading.stack_size(_STACK_BYTES)
-    try:
-        thread = threading.Thread(target=runner, name="rtabs-sim")
-        thread.start()
-        thread.join()
-    finally:
-        threading.stack_size(old_size)
-    if "error" in box:
-        raise box["error"]
-    return box["value"]
 
 
 def _type_default(ty: TypeAst | None) -> Value:

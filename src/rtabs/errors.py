@@ -1,11 +1,25 @@
-"""Exception types shared across the interpreter."""
+"""Exception types, and the recursion scope, shared across the interpreter."""
 
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .nodes import Pos
+
+
+@contextmanager
+def deep_recursion():
+    """Run the front end or `Engine.run_until` under a recursion limit
+    that `NESTING_LIMIT` and `max_depth` keep every model well below."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(2_000_000)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
 
 
 class RtabsError(Exception):

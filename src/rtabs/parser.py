@@ -28,6 +28,7 @@ from .nodes import (
 from .values import FALSE, NULL, TRUE, NumVal, StrVal
 
 _T = TypeVar("_T")
+NESTING_LIMIT = 10_000
 
 
 class _FutAtom(Expr):
@@ -49,6 +50,7 @@ class Parser:
     def __init__(self, tokens: list[Token]):
         self.toks = tokens
         self.idx = 0
+        self.depth = 0  # levels of nesting entered and not yet left
 
     # ------------------------------------------------------- plumbing
 
@@ -77,12 +79,6 @@ class Parser:
             raise ParseError(f"unexpected {tok.text!r}", tok.pos, {want})
         return self.next()
 
-    def mark(self) -> int:
-        return self.idx
-
-    def restore(self, mark: int) -> None:
-        self.idx = mark
-
     def _separated(self, item: Callable[[], _T], sep: str = ",",
                    parens: bool = False) -> tuple[_T, ...]:
         """`item (sep item)*`; with `parens`, `( )` or `( item, ... )`."""
@@ -99,6 +95,15 @@ class Parser:
 
     def _name(self) -> str:
         return self.expect("name").text
+
+    def _enter(self) -> None:
+        """Enter one level: each expression, unary operand and block nests
+        in what holds it.  A level past NESTING_LIMIT is an error, which
+        bounds every later walk of the tree; leaving decrements `depth`."""
+        self.depth += 1
+        if self.depth > NESTING_LIMIT:
+            raise ParseError(f"nesting deeper than {NESTING_LIMIT} levels",
+                             self.peek().pos)
 
     # ---------------------------------------------------------- model
 
@@ -256,10 +261,12 @@ class Parser:
     # ------------------------------------------------------ statements
 
     def parse_block(self) -> tuple[Stmt, ...]:
+        self._enter()
         self.expect("op", "{")
         stmts: list[Stmt] = []
         while not self.accept("op", "}"):
             stmts.append(self.parse_stmt())
+        self.depth -= 1
         return tuple(stmts)
 
     def parse_stmt(self) -> Stmt:
@@ -313,8 +320,8 @@ class Parser:
                        ) -> tuple[TypeAst | None, str] | None:
         """Consume `Type name` followed by an operator in `decl_follow`, or
         `name` followed by `=`; else consume nothing and return None.
-        Only this lookahead backtracks."""
-        mark = self.mark()
+        Only this lookahead backtracks; it enters no nesting."""
+        mark = self.idx
         try:
             ty = self.parse_type()
             nm = self.accept("name")
@@ -322,7 +329,7 @@ class Parser:
                 return ty, nm.text
         except ParseError:
             pass
-        self.restore(mark)
+        self.idx = mark
         if self.at("name") and self.peek(1).kind == "op" and self.peek(1).text == "=":
             return None, self.next().text
         return None
@@ -462,7 +469,10 @@ class Parser:
     # ----------------------------------------------------- expressions
 
     def parse_expr(self, guard_atoms: bool = False) -> Expr:
-        return self._parse_binary(1, guard_atoms)
+        self._enter()
+        expr = self._parse_binary(1, guard_atoms)
+        self.depth -= 1
+        return expr
 
     def _parse_binary(self, min_prec: int, ga: bool) -> Expr:
         left = self._parse_unary(ga)
@@ -479,7 +489,9 @@ class Parser:
         tok = self.peek()
         if tok.kind == "op" and tok.text in ("!", "-"):
             self.next()
+            self._enter()
             operand = self._parse_unary(ga)
+            self.depth -= 1
             return Unary(tok.text, operand, pos=tok.pos)
         return self._parse_postfix(ga)
 

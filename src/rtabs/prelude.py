@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from .check import Diagnostic, check_model
 from .desugar import desugar
-from .errors import RtabsError
+from .errors import RtabsError, deep_recursion
 from .nodes import Model
 from .parser import parse_model
 
@@ -49,9 +49,9 @@ def load_source(source: str, filename: str | None = None) -> tuple[Model, list[D
     """Parse, merge with the prelude, and check.  Returns the merged
     (not yet desugared) model and any diagnostics."""
     try:
-        user = parse_model(source, filename)
-        merged = merge_with_prelude(user)
-        return merged, check_model(merged)
+        with deep_recursion():
+            merged = merge_with_prelude(parse_model(source, filename))
+            return merged, check_model(merged)
     except RecursionError:  # nesting deeper than parser or checker can follow
         raise RtabsError(f"{filename or '<source>'}: expression nesting "
                          "exhausted the host stack") from None
@@ -64,4 +64,5 @@ def load_model(path: str) -> Model:
     merged, diags = load_source(source, path)
     if diags:
         raise RtabsError("\n".join(d.render() for d in diags))
-    return desugar(merged)
+    with deep_recursion():
+        return desugar(merged)

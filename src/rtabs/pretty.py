@@ -4,7 +4,8 @@ parse(render(model)) equals model structurally, which the test suite
 relies on.  That holds for await guards too: the flat tuple of
 conjuncts renders joined by ` && ` and parses back to the same tuple.
 Runtime forms render in a readable bracketed style for error and
-deadlock reports; they have no source syntax.
+deadlock reports; they have no source syntax.  Joins take lists, not
+generators, which would recurse on the C stack.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ def render_expr(expr: Expr, parent_prec: int = 0) -> str:
             return "(" + text + ")"
         return text
     if isinstance(expr, Apply):
-        return expr.name + "(" + ", ".join(render_expr(a) for a in expr.args) + ")"
+        return expr.name + "(" + ", ".join([render_expr(a) for a in expr.args]) + ")"
     if isinstance(expr, IfExpr):
         text = (f"if {render_expr(expr.cond)} then {render_expr(expr.then)} "
                 f"else {render_expr(expr.els)}")
@@ -48,9 +49,9 @@ def render_expr(expr: Expr, parent_prec: int = 0) -> str:
             return "(" + text + ")"
         return text
     if isinstance(expr, CaseExpr):
-        branches = " ".join(
+        branches = " ".join([
             f"{render_pattern(b.pattern)} => {render_expr(b.body)};"
-            for b in expr.branches)
+            for b in expr.branches])
         return f"case {render_expr(expr.scrutinee)} {{ {branches} }}"
     raise TypeError(f"cannot render {expr!r}")
 
@@ -63,7 +64,7 @@ def render_pattern(pat: Pattern) -> str:
     if isinstance(pat, PName):
         return pat.name
     if isinstance(pat, PCtor):
-        return pat.name + "(" + ", ".join(render_pattern(a) for a in pat.args) + ")"
+        return pat.name + "(" + ", ".join([render_pattern(a) for a in pat.args]) + ")"
     raise TypeError(f"cannot render {pat!r}")
 
 
@@ -71,7 +72,7 @@ def render_guard(guards: tuple[Guard, ...]) -> str:
     # a boolean conjunct that binds looser than && is parenthesised when
     # it has neighbours, so the text parses back to the same conjuncts
     prec = BINARY_PRECEDENCE["&&"] + 1 if len(guards) > 1 else 0
-    return " && ".join(_render_conjunct(g, prec) for g in guards)
+    return " && ".join([_render_conjunct(g, prec) for g in guards])
 
 
 def _render_conjunct(guard: Guard, prec: int) -> str:
@@ -101,11 +102,11 @@ def _render_rhs(rhs: Rhs) -> str:
     if isinstance(rhs, RExpr):
         return render_expr(rhs.expr)
     if isinstance(rhs, RNew):
-        args = ", ".join(render_expr(a) for a in rhs.args)
+        args = ", ".join([render_expr(a) for a in rhs.args])
         return f"new {rhs.cls}({args})"
     if isinstance(rhs, (RCall, RSyncCall)):
         sep = "!" if isinstance(rhs, RCall) else "."
-        args = ", ".join(render_expr(a) for a in rhs.args)
+        args = ", ".join([render_expr(a) for a in rhs.args])
         return f"{render_expr(rhs.callee)}{sep}{rhs.method}({args})"
     if isinstance(rhs, RGet):
         return render_expr(rhs.expr) + ".get"
@@ -141,12 +142,12 @@ def render_stmt(stmt: Stmt, indent: int = 0) -> str:
         return f"{pad}await {render_guard(stmt.guards)};"
     if isinstance(stmt, SAwaitCall):
         decl = f"{render_type(stmt.decl_type)} " if stmt.decl_type else ""
-        args = ", ".join(render_expr(a) for a in stmt.args)
+        args = ", ".join([render_expr(a) for a in stmt.args])
         annots = _render_call_annots(stmt.annots)
         return (f"{pad}{annots}await {decl}{stmt.name} = "
                 f"{render_expr(stmt.callee)}.{stmt.method}({args});")
     if isinstance(stmt, SCallStmt):
-        args = ", ".join(render_expr(a) for a in stmt.args)
+        args = ", ".join([render_expr(a) for a in stmt.args])
         annots = _render_call_annots(stmt.annots)
         return f"{pad}{annots}{render_expr(stmt.callee)}!{stmt.method}({args});"
     if isinstance(stmt, SDuration):
@@ -159,12 +160,12 @@ def render_stmt(stmt: Stmt, indent: int = 0) -> str:
 def render_block(stmts: tuple[Stmt, ...], indent: int = 0) -> str:
     if not stmts:
         return "{ }"
-    inner = "\n".join(render_stmt(s, indent + 1) for s in stmts)
+    inner = "\n".join([render_stmt(s, indent + 1) for s in stmts])
     return "{\n" + inner + "\n" + "  " * indent + "}"
 
 
 def _render_params(params: tuple[tuple[TypeAst, str], ...]) -> str:
-    return ", ".join(f"{render_type(t)} {n}" for t, n in params)
+    return ", ".join([f"{render_type(t)} {n}" for t, n in params])
 
 
 def render_model(model: Model) -> str:
@@ -178,7 +179,7 @@ def render_model(model: Model) -> str:
             for ctor in dd.ctors:
                 if ctor.arg_types:
                     ctors.append(ctor.name + "("
-                                 + ", ".join(render_type(t) for t in ctor.arg_types)
+                                 + ", ".join([render_type(t) for t in ctor.arg_types])
                                  + ")")
                 else:
                     ctors.append(ctor.name)
@@ -190,9 +191,9 @@ def render_model(model: Model) -> str:
             head += "<" + ", ".join(fd.typarams) + ">"
         parts.append(f"{head}({_render_params(fd.params)}) = {render_expr(fd.body)};")
     for idecl in model.interfaces:
-        sigs = "\n".join(
+        sigs = "\n".join([
             f"  {render_type(s.ret)} {s.name}({_render_params(s.params)});"
-            for s in idecl.sigs)
+            for s in idecl.sigs])
         body = f"\n{sigs}\n" if sigs else " "
         parts.append(f"interface {idecl.name} {{{body}}}")
     for cd in model.classes:

@@ -98,9 +98,15 @@ class DataVal(Value):
         _set_args(self, args)
 
     def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.ctor == other.ctor and self.args == other.args
-        return NotImplemented
+        # each argument's own `__eq__`, so a deep list spares the C stack
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self.ctor != other.ctor or len(self.args) != len(other.args):
+            return False
+        for mine, theirs in zip(self.args, other.args):
+            if mine is not theirs and mine.__eq__(theirs) is not True:
+                return False
+        return True
 
     def __hash__(self):
         return hash((self.ctor, self.args))
@@ -264,7 +270,8 @@ def render_value(v: Value) -> str:
     if isinstance(v, DataVal):
         if not v.args:
             return v.ctor
-        return v.ctor + "(" + ",".join(render_value(a) for a in v.args) + ")"
+        # a list, not a generator, which would recurse on the C stack
+        return v.ctor + "(" + ",".join([render_value(a) for a in v.args]) + ")"
     if isinstance(v, ObjRef):
         return f"o{v.oid}"
     if isinstance(v, FutRef):

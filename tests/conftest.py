@@ -1,6 +1,9 @@
 """Shared paths and cached model loads for the test suite."""
 
 import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -76,6 +79,30 @@ class SImp implements S {
 
 def model_file(name: str) -> str:
     return str(MODELS_DIR / name)
+
+
+def other_interpreters(minimum: tuple[int, int]
+                       ) -> tuple[dict[str, str], list[str]]:
+    """Version -> path of every CPython >= minimum but this one that runs
+    as `python3.N` from PATH, and the names on PATH that did not start.
+    A name on PATH may fail to start (a version manager's shim for a
+    version it has not selected), so each is probed first."""
+    found, skipped = {}, []
+    for minor in range(minimum[1], 20):
+        name = f"python3.{minor}"
+        exe = shutil.which(name)
+        if exe is None or minor == sys.version_info.minor:
+            continue
+        probe = subprocess.run(
+            [exe, "-c", f"import sys; assert sys.version_info >= {minimum!r} "
+                        "and sys.implementation.name == 'cpython'; "
+                        "print(sys.version.split()[0])"],
+            capture_output=True, text=True)
+        if probe.returncode == 0:
+            found[probe.stdout.strip()] = exe
+        else:
+            skipped.append(name)
+    return found, skipped
 
 
 @pytest.fixture(scope="session")

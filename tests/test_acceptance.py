@@ -4,7 +4,6 @@ verdicts survive output capture."""
 
 import random
 import re
-import shutil
 import subprocess
 import sys
 import time
@@ -22,7 +21,7 @@ from rtabs.values import (
 )
 
 import conftest
-from conftest import CLI_ENV, GOLDEN_DIR, model_file
+from conftest import CLI_ENV, GOLDEN_DIR, model_file, other_interpreters
 import mte_cases
 import reference_executor as ref
 
@@ -240,26 +239,6 @@ def test_criterion_7_duration_algebra():
     assert ok, checks
 
 
-def _other_interpreters() -> dict[str, str]:
-    """Version -> path of every CPython >= 3.10 but this one that runs as
-    `python3.N` from PATH.  A name on PATH may still fail to start (a
-    version manager's shim for a version it has not selected), so each
-    is probed first."""
-    found = {}
-    for minor in range(10, 20):
-        exe = shutil.which(f"python3.{minor}")
-        if exe is None or minor == sys.version_info.minor:
-            continue
-        probe = subprocess.run(
-            [exe, "-c", "import sys; assert sys.version_info >= (3, 10) "
-                        "and sys.implementation.name == 'cpython'; "
-                        "print(sys.version.split()[0])"],
-            capture_output=True, text=True)
-        if probe.returncode == 0:
-            found[probe.stdout.strip()] = exe
-    return found
-
-
 def test_criterion_8_rerun_determinism(tmp_path):
     combos = [
         (model_file("media_server_edf.rtabs"), "600", "worst", "0"),
@@ -267,7 +246,7 @@ def test_criterion_8_rerun_determinism(tmp_path):
         (model_file("single_request.rtabs"), "600", "best", "3"),
     ]
     # this interpreter twice, then each other one once
-    others = _other_interpreters()
+    others, skipped = other_interpreters((3, 10))
     runs = [sys.executable, sys.executable, *others.values()]
     identical = 0
     for i, (model, until, policy, seed) in enumerate(combos):
@@ -285,9 +264,12 @@ def test_criterion_8_rerun_determinism(tmp_path):
             identical += 1
     ok = identical == len(combos)
     versions = ", ".join([sys.version.split()[0], *others])
+    not_started = (f"; {', '.join(skipped)} on PATH did not start"
+                   if skipped else "")
     _report(8, ok, f"{identical}/{len(combos)} (model, seed, policy, limit) "
                    f"combos byte-identical across fresh processes and "
-                   f"{1 + len(others)} interpreter(s) ({versions})")
+                   f"{1 + len(others)} interpreter(s) ({versions})"
+                   f"{not_started}")
     assert ok
 
 

@@ -205,8 +205,8 @@ def test_call_depth_capped():
 
 
 def test_recursion_within_cap():
-    # bounded by the host stack here; the cli runs models on a big-stack
-    # thread, so model-level lists can go far deeper there
+    # outside a run, under the caller's recursion limit; runs raise it
+    # (`errors.deep_recursion`), so model-level lists go far deeper there
     prog = program("""
     def Int count(Int n) = if n <= 0 then 0 else 1 + count(n - 1);
     """)

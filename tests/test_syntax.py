@@ -9,8 +9,7 @@ from pathlib import Path
 import pytest
 
 from rtabs import (
-    LexError, ParseError, RtabsError, load_source, nodes, parse_expr,
-    parse_model,
+    LexError, ParseError, load_source, nodes, parse_expr, parse_model,
 )
 from rtabs.desugar import desugar
 from rtabs.lexer import tokenize
@@ -18,6 +17,7 @@ from rtabs.nodes import (
     BINARY_PRECEDENCE, Apply, BinOp, GBool, GDuration, GFut, Lit, Node, Pos,
     RCall, RGet, SAssign, SAwait, SDuration, SReturn, Var,
 )
+from rtabs.parser import NESTING_LIMIT
 from rtabs.prelude import prelude_model
 from rtabs.pretty import render_expr, render_model
 from rtabs.values import UNIT, NumVal
@@ -319,15 +319,24 @@ def nested(depth):
     return "{ Int x = " + "(" * depth + "1" + ")" * depth + "; }"
 
 
+def negated(depth):
+    return "{ Int x = " + "- " * depth + "1; }"
+
+
 def test_front_end_nesting_is_reported():
-    for source in (nested(200), "{ Int x = 1" + " + 1" * 1200 + "; }"):
-        with pytest.raises(RtabsError) as err:
+    # the main block and the initialiser of `x` are the first two levels,
+    # so the innermost `1` is one level past the limit at NESTING_LIMIT - 1
+    # parentheses or unary operators
+    for deep in (nested, negated):
+        source = deep(NESTING_LIMIT - 1)
+        with pytest.raises(ParseError) as err:
             load_source(source, "m.rtabs")
         assert str(err.value) == (
-            "m.rtabs: expression nesting exhausted the host stack")
-    # what parsed before still parses
-    assert check(nested(150)) == []
-    assert check("{ Int x = 1" + " + 1" * 150 + "; }") == []
+            f"m.rtabs:1:{source.index('1') + 1}: "
+            f"nesting deeper than {NESTING_LIMIT} levels")
+        assert check(deep(NESTING_LIMIT - 2)) == []
+    assert check(nested(500)) == []
+    assert check("{ Int x = 1" + " + 1" * 1000 + "; }") == []
 
 
 def test_clean_models_have_no_diagnostics():
