@@ -1,9 +1,9 @@
 """Static well-formedness checks.
 
 This is not a type checker.  It resolves names (types, functions,
-constructors, variables), enforces reserved-variable rules, validates
-annotation placement, and checks interface completeness by name and
-arity.  Everything else is left to runtime.
+constructors, variables), enforces reserved-variable rules, and checks
+interface completeness by name and arity.  Where an annotation may stand
+is the parser's to decide.  Everything else is left to runtime.
 """
 
 from __future__ import annotations
@@ -190,12 +190,9 @@ class _Checker:
             if fld.init is not None:
                 ctx = _Ctx(scope=set(attrs), allow_this=True)
                 self.check_expr(fld.init, ctx)
-        for name, expr in cd.annots:
-            if name != "Scheduler":
-                self.err(f"annotation {name} is not allowed on a class", cd.pos)
-            else:
-                ctx = _Ctx(scope=attrs | {"queue"}, allow_this=True, allow_now=True)
-                self.check_expr(expr, ctx)
+        if cd.scheduler is not None:
+            ctx = _Ctx(scope=attrs | {"queue"}, allow_this=True, allow_now=True)
+            self.check_expr(cd.scheduler, ctx)
         method_names: set[str] = set()
         for mth in cd.methods:
             if mth.name in method_names:
@@ -220,12 +217,9 @@ class _Checker:
     def check_method(self, mth, attrs: set[str]) -> None:
         self.check_type(mth.ret, set())
         formals = self.check_params(mth.params, set())
-        for name, expr in mth.annots:
-            if name != "Cost":
-                self.err(f"annotation {name} is not allowed on a method", mth.pos)
-            else:
-                # cost is evaluated at bind time under the formals alone
-                self.check_expr(expr, _Ctx(scope=set(formals)))
+        if mth.cost is not None:
+            # cost is evaluated at bind time under the formals alone
+            self.check_expr(mth.cost, _Ctx(scope=set(formals)))
         ctx = _Ctx(scope=attrs | formals, allow_this=True, allow_now=True,
                    allow_process_vars=True)
         self.check_stmts(mth.body, ctx)
@@ -263,17 +257,11 @@ class _Checker:
                 self.check_guard(guard, ctx)
             return
         if isinstance(stmt, SAwaitCall):
-            self.check_expr(stmt.callee, ctx)
-            for arg in stmt.args:
-                self.check_expr(arg, ctx)
-            self.check_call_annots(stmt.annots, ctx)
+            self.check_rhs(stmt.call, ctx)
             self.check_target(stmt.decl_type, stmt.name, stmt.pos, ctx)
             return
         if isinstance(stmt, SCallStmt):
-            self.check_expr(stmt.callee, ctx)
-            for arg in stmt.args:
-                self.check_expr(arg, ctx)
-            self.check_call_annots(stmt.annots, ctx)
+            self.check_rhs(stmt.call, ctx)
             return
         if isinstance(stmt, SDuration):
             self.check_expr(stmt.best, ctx)
@@ -316,20 +304,14 @@ class _Checker:
                                  allow_now=True)
                 self.check_expr(rhs.scheduler, sched_ctx)
         elif isinstance(rhs, (RCall, RSyncCall)):
-            self.check_expr(rhs.callee, ctx)
-            for arg in rhs.args:
-                self.check_expr(arg, ctx)
-            self.check_call_annots(rhs.annots, ctx)
+            for expr in (rhs.callee, *rhs.args, rhs.annots.deadline,
+                         rhs.annots.critical):
+                if expr is not None:
+                    self.check_expr(expr, ctx)
         elif isinstance(rhs, RGet):
             self.check_expr(rhs.expr, ctx)
         else:
             raise TypeError(f"cannot check {rhs!r}")
-
-    def check_call_annots(self, annots, ctx: _Ctx) -> None:
-        if annots.deadline is not None:
-            self.check_expr(annots.deadline, ctx)
-        if annots.critical is not None:
-            self.check_expr(annots.critical, ctx)
 
     # ------------------------------------------------------ expressions
 

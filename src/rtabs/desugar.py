@@ -53,7 +53,7 @@ class _Lowering:
 
 def desugar(model: Model) -> Model:
     """Lower a model into a new one; the input model is left unchanged."""
-    lw = _Lowering({cd.name: _class_scheduler(cd) for cd in model.classes})
+    lw = _Lowering({cd.name: cd.scheduler for cd in model.classes})
     classes = tuple(_desugar_class(cd, lw) for cd in model.classes)
     main = None
     if model.main is not None:
@@ -62,14 +62,7 @@ def desugar(model: Model) -> Model:
                  classes, main, pos=model.pos)
 
 
-def _class_scheduler(cd: ClassDecl) -> Expr | None:
-    if cd.scheduler is not None:
-        return cd.scheduler
-    return dict(cd.annots).get("Scheduler")
-
-
 def _desugar_class(cd: ClassDecl, lw: _Lowering) -> ClassDecl:
-    scheduler = _class_scheduler(cd)
     methods = tuple(_desugar_method(m, lw) for m in cd.methods
                     if m.name != "init")
     init_body = cd.init_body
@@ -77,17 +70,14 @@ def _desugar_class(cd: ClassDecl, lw: _Lowering) -> ClassDecl:
         user_init = next((m for m in cd.methods if m.name == "init"), None)
         init_body = _build_init_body(cd, user_init, methods, lw)
     return ClassDecl(cd.name, cd.params, cd.interfaces, cd.fields, methods,
-                     scheduler=scheduler, annots=cd.annots,
-                     init_body=init_body, pos=cd.pos)
+                     scheduler=cd.scheduler, init_body=init_body, pos=cd.pos)
 
 
 def _desugar_method(mth: MethodDecl, lw: _Lowering) -> MethodDecl:
-    cost = mth.cost
-    if cost is None:
-        cost = dict(mth.annots).get("Cost", Lit(mk_duration(0)))
+    cost = Lit(mk_duration(0)) if mth.cost is None else mth.cost
     body = _terminate(_desugar_stmts(mth.body, lw))
     return MethodDecl(mth.ret, mth.name, mth.params, body, cost=cost,
-                      annots=mth.annots, pos=mth.pos)
+                      pos=mth.pos)
 
 
 def _build_init_body(cd: ClassDecl, user_init: MethodDecl | None,
@@ -104,7 +94,7 @@ def _build_init_body(cd: ClassDecl, user_init: MethodDecl | None,
             init_stmts = init_stmts[:-1]
         stmts.extend(init_stmts)
     if any(m.name == "run" for m in methods):
-        call = RCall(Var("this"), "run", (), annots=_full_annots(CallAnnots()))
+        call = _lower(RCall(Var("this"), "run", ()))
         stmts.append(SAssign(_fut_type(), lw.fresh(), call))
     if not stmts:
         return None
@@ -118,10 +108,13 @@ def _terminate(stmts: tuple[Stmt, ...]) -> tuple[Stmt, ...]:
     return stmts + (SReturn(Lit(UNIT)),)
 
 
-def _full_annots(annots: CallAnnots) -> CallAnnots:
-    deadline = annots.deadline if annots.deadline is not None else Lit(INF_DURATION)
-    critical = annots.critical if annots.critical is not None else Lit(FALSE)
-    return CallAnnots(deadline=deadline, critical=critical)
+def _lower(call: RCall | RSyncCall) -> RCall:
+    """The asynchronous call that `call` makes, with the default Deadline
+    and Critical in place of those it leaves out."""
+    deadline, critical = call.annots.deadline, call.annots.critical
+    return RCall(call.callee, call.method, call.args, CallAnnots(
+        Lit(INF_DURATION) if deadline is None else deadline,
+        Lit(FALSE) if critical is None else critical), pos=call.pos)
 
 
 def _desugar_stmts(stmts: tuple[Stmt, ...], lw: _Lowering) -> tuple[Stmt, ...]:
@@ -136,14 +129,10 @@ def _desugar_stmt(stmt: Stmt, lw: _Lowering) -> list[Stmt]:
         rhs = stmt.rhs
         if isinstance(rhs, RSyncCall):
             tmp = lw.fresh()
-            call = RCall(rhs.callee, rhs.method, rhs.args,
-                         annots=_full_annots(rhs.annots), pos=rhs.pos)
-            return [SAssign(_fut_type(), tmp, call, pos=stmt.pos),
+            return [SAssign(_fut_type(), tmp, _lower(rhs), pos=stmt.pos),
                     SAssign(stmt.decl_type, stmt.name, RGet(Var(tmp)), pos=stmt.pos)]
         if isinstance(rhs, RCall):
-            lowered = RCall(rhs.callee, rhs.method, rhs.args,
-                            annots=_full_annots(rhs.annots), pos=rhs.pos)
-            return [SAssign(stmt.decl_type, stmt.name, lowered, pos=stmt.pos)]
+            return [SAssign(stmt.decl_type, stmt.name, _lower(rhs), pos=stmt.pos)]
         if isinstance(rhs, RNew) and rhs.scheduler is None:
             scheduler = lw.schedulers.get(rhs.cls)
             if scheduler is None:
@@ -153,15 +142,11 @@ def _desugar_stmt(stmt: Stmt, lw: _Lowering) -> list[Stmt]:
         return [stmt]
     if isinstance(stmt, SAwaitCall):
         tmp = lw.fresh()
-        call = RCall(stmt.callee, stmt.method, stmt.args,
-                     annots=_full_annots(stmt.annots), pos=stmt.pos)
-        return [SAssign(_fut_type(), tmp, call, pos=stmt.pos),
+        return [SAssign(_fut_type(), tmp, _lower(stmt.call), pos=stmt.pos),
                 SAwait((GFut(tmp),), pos=stmt.pos),
                 SAssign(stmt.decl_type, stmt.name, RGet(Var(tmp)), pos=stmt.pos)]
     if isinstance(stmt, SCallStmt):
-        call = RCall(stmt.callee, stmt.method, stmt.args,
-                     annots=_full_annots(stmt.annots), pos=stmt.pos)
-        return [SAssign(_fut_type(), lw.fresh(), call, pos=stmt.pos)]
+        return [SAssign(_fut_type(), lw.fresh(), _lower(stmt.call), pos=stmt.pos)]
     if isinstance(stmt, SIf):
         return [SIf(stmt.cond, _desugar_stmts(stmt.then, lw),
                     _desugar_stmts(stmt.els, lw), pos=stmt.pos)]

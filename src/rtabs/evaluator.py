@@ -48,9 +48,8 @@ from .errors import (
     RtRuntimeError, UnboundVariableError,
 )
 from .nodes import (
-    Apply, BinOp, CaseExpr, ClassDecl, Expr, FuncDecl, GBool, GDuration,
-    GFut, Guard, IfExpr, Lit, Model, NowExpr, PCtor, PLit, PName, Pattern,
-    PWildcard, Unary, Var,
+    Apply, BinOp, CaseExpr, ClassDecl, Expr, FuncDecl, GBool, GFut, IfExpr,
+    Lit, Model, NowExpr, PCtor, PLit, PName, Pattern, PWildcard, Unary, Var,
 )
 from .values import (
     INF_DURATION, BoolVal, DataVal, FALSE, FutRef, NumVal, StrVal, TRUE,
@@ -183,25 +182,15 @@ def eval_expr(expr: Expr, env: Env, ctx: EvalContext,
             "expression nesting exhausted the host stack") from None
 
 
-def eval_guard(guard: Guard, env: Env, ctx: EvalContext,
+def eval_guard(guard: GBool, env: Env, ctx: EvalContext,
                fields: Env = _NO_FIELDS, proc: Any = None) -> bool:
-    """Reduce one conjunct of an await guard in a scope to a boolean; the
-    guard holds when every conjunct does.  A duration conjunct holds once
-    its best bound is not positive.  Sampled conjuncts (RDur) are the
-    engine's, which compares their absolute ends with the clock itself."""
-    if isinstance(guard, GBool):
-        value = eval_expr(guard.expr, env, ctx, fields, proc)
-        if not isinstance(value, BoolVal):
-            raise EvalTypeError(
-                f"guard is {render_value(value)}, not a Bool", guard.pos)
-        return value.value
-    if isinstance(guard, GFut):
-        fut = awaited_future(guard, env, ctx, fields, proc)
-        return ctx.config.futures[fut.fid].resolved
-    if isinstance(guard, GDuration):
-        best = eval_expr(guard.best, env, ctx, fields, proc)
-        return _as_num(best, "duration", guard.pos) <= 0
-    raise EvalTypeError(f"cannot evaluate guard {guard!r}")
+    """Whether a boolean conjunct of an await guard holds in a scope.
+    `engine.wait` reads the other conjuncts itself."""
+    value = eval_expr(guard.expr, env, ctx, fields, proc)
+    if not isinstance(value, BoolVal):
+        raise EvalTypeError(
+            f"guard is {render_value(value)}, not a Bool", guard.pos)
+    return value.value
 
 
 def awaited_future(guard: GFut, env: Env, ctx: EvalContext,

@@ -22,7 +22,6 @@ conjunct must hold, read left to right.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import attrgetter
 
 from .values import Value
 
@@ -35,8 +34,11 @@ class Node:
     whose class attribute is set defaults to it.  Equality, hashing and
     `repr` read every field except `pos`, as those of a frozen dataclass
     whose `pos` is neither compared nor shown do: nodes of different
-    classes are never equal.  Nothing here generates code, so defining a
-    node class costs about as much as defining a plain one.
+    classes are never equal.  Both recurse through Python calls only, never
+    C tuple comparison, so a tree as deep as the parser's nesting limit
+    compares and hashes within the recursion limit on every interpreter;
+    a node's hash is kept once computed.  Nothing here generates code, so
+    defining a node class costs about as much as defining a plain one.
     """
 
     _fields: tuple[str, ...] = ()  # every field, in constructor order
@@ -51,9 +53,6 @@ class Node:
         cls._defaults = {**cls._defaults, **{
             name: cls.__dict__[name] for name in own if name in cls.__dict__}}
         cls._names = frozenset(cls._fields)
-        # a node's compared fields: a tuple, a single value, or () for none
-        cls._key = staticmethod(attrgetter(*cls._keys) if cls._keys
-                                else lambda node: ())
 
     def __init__(self, *args, **kwargs):
         cls = type(self)
@@ -70,13 +69,23 @@ class Node:
                 raise _argument_error(cls, args, kwargs)
 
     def __eq__(self, other):
-        cls = self.__class__
-        if other.__class__ is cls:
-            return cls._key(self) == cls._key(other)
-        return NotImplemented
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if other is self:
+            return True
+        mine, theirs = self.__dict__, other.__dict__
+        for name in self._keys:
+            if not _same(mine[name], theirs[name]):
+                return False
+        return True
 
     def __hash__(self):
-        return hash(self.__class__._key(self))
+        values = self.__dict__
+        cached = values.get("_hash")
+        if cached is None:
+            cached = values["_hash"] = hash(
+                tuple([_hash(values[name]) for name in self._keys]))
+        return cached
 
     def __repr__(self) -> str:
         return (type(self).__qualname__ + "(" + ", ".join(
@@ -87,6 +96,31 @@ class Node:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _same(a, b) -> bool:
+    """`a == b` for two field values, as tuple comparison gives it, but
+    recursing through Python calls only: item by item through a tuple,
+    and through a node's own `__eq__`."""
+    if a.__class__ is tuple:
+        if b.__class__ is not tuple or len(a) != len(b):
+            return False
+        for x, y in zip(a, b):
+            if not _same(x, y):
+                return False
+        return True
+    if isinstance(a, Node):
+        return a.__class__ is b.__class__ and a.__eq__(b)
+    return a == b
+
+
+def _hash(value) -> int:
+    """The hash of a field value, through Python calls only."""
+    if value.__class__ is tuple:
+        return hash(tuple([_hash(item) for item in value]))
+    if isinstance(value, Node):
+        return value.__hash__()
+    return hash(value)
 
 
 def _argument_error(cls: type[Node], args: tuple, kwargs: dict) -> TypeError:
@@ -261,7 +295,8 @@ class Stmt(Node):
 
 
 class CallAnnots(Node):
-    """Deadline/Critical pair attached to call statements (post-desugar)."""
+    """The Deadline/Critical annotations of a call; desugar fills in the
+    ones left out."""
 
     deadline: Expr | None = None
     critical: Expr | None = None
@@ -355,20 +390,14 @@ class SAwaitCall(Stmt):
 
     decl_type: TypeAst | None
     name: str
-    callee: Expr
-    method: str
-    args: tuple[Expr, ...]
-    annots: CallAnnots = CallAnnots()
+    call: RSyncCall
     pos: Pos | None = None
 
 
 class SCallStmt(Stmt):
     """Fire-and-forget o!m(args); desugars to a fresh-variable assign."""
 
-    callee: Expr
-    method: str
-    args: tuple[Expr, ...]
-    annots: CallAnnots = CallAnnots()
+    call: RCall
     pos: Pos | None = None
 
 
@@ -428,8 +457,7 @@ class MethodDecl(Node):
     name: str
     params: tuple[tuple[TypeAst, str], ...]
     body: tuple[Stmt, ...]
-    cost: Expr | None = None  # normalized by desugar
-    annots: tuple[tuple[str, Expr], ...] = ()
+    cost: Expr | None = None  # [Cost: ...]; desugar supplies the default
     pos: Pos | None = None
 
 
@@ -440,7 +468,6 @@ class ClassDecl(Node):
     fields: tuple[FieldDecl, ...]
     methods: tuple[MethodDecl, ...]
     scheduler: Expr | None = None  # class [Scheduler: ...] annotation
-    annots: tuple[tuple[str, Expr], ...] = ()
     init_body: tuple[Stmt, ...] | None = None  # synthesized by desugar
     pos: Pos | None = None
 

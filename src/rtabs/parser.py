@@ -205,9 +205,9 @@ class Parser:
             sigs.append(MethodSig(ret, mname, params, pos=ret.pos))
         return InterfaceDecl(name, tuple(sigs), pos=pos)
 
-    def parse_annotations(self) -> tuple[tuple[str, Expr], ...]:
+    def parse_annotations(self) -> dict[str, Expr]:
         """The `[Name: expr, ...]` groups in front of a declaration or
-        statement, in source order; a name may appear only once."""
+        statement, by name in source order; a name may appear only once."""
         annots: dict[str, Expr] = {}
 
         def annotation() -> None:
@@ -220,11 +220,22 @@ class Parser:
         while self.accept("op", "["):
             self._separated(annotation)
             self.expect("op", "]")
-        return tuple(annots.items())
+        return annots
+
+    def _only(self, annots: dict[str, Expr], names: tuple[str, ...],
+              where: str, pos: Pos | None = None) -> dict[str, Expr]:
+        """`annots`, if each of them may stand on `where`; any other is an
+        error at `pos`, or else at its expression."""
+        for name, expr in annots.items():
+            if name not in names:
+                raise ParseError(f"annotation {name} is not allowed on {where}",
+                                 pos or expr.pos)
+        return annots
 
     def parse_class(self) -> ClassDecl:
         annots = self.parse_annotations()
         pos = self.expect("kw", "class").pos
+        scheduler = self._only(annots, ("Scheduler",), "a class").get("Scheduler")
         name = self.expect("name").text
         params: tuple[tuple[TypeAst, str], ...] = ()
         if self.at("op", "("):
@@ -251,12 +262,13 @@ class Parser:
                 continue
             if not self.at("op", "("):
                 raise ParseError("expected field or method", self.peek().pos)
+            cost = self._only(member_annots, ("Cost",), "a method").get("Cost")
             mparams = self._separated(self._param, parens=True)
             body = self.parse_block()
-            methods.append(MethodDecl(ty, fname, mparams, body,
-                                      annots=member_annots, pos=ty.pos))
+            methods.append(MethodDecl(ty, fname, mparams, body, cost=cost,
+                                      pos=ty.pos))
         return ClassDecl(name, params, interfaces, tuple(fields),
-                         tuple(methods), annots=annots, pos=pos)
+                         tuple(methods), scheduler=scheduler, pos=pos)
 
     # ------------------------------------------------------ statements
 
@@ -334,26 +346,24 @@ class Parser:
             return None, self.next().text
         return None
 
-    def _parse_await(self, annots: tuple[tuple[str, Expr], ...]) -> Stmt:
+    def _parse_await(self, annots: dict[str, Expr]) -> Stmt:
         tok = self.expect("kw", "await")
         # await [T] x = o.m(args);  (call sugar)
         target = self._assign_target(("=",))
         if target is not None:
-            decl_type, name = target
             self.expect("op", "=")
             callee = self.parse_expr()
             self.expect("op", ".")
-            method, args = self._call_tail()
+            call = self._call(RSyncCall, callee, annots, tok.pos)
             self.expect("op", ";")
-            return SAwaitCall(decl_type, name, callee, method, args,
-                              annots=self._call_annots(annots), pos=tok.pos)
+            return SAwaitCall(*target, call, pos=tok.pos)
         if annots:
             raise ParseError("annotations are not allowed on await guards", tok.pos)
         guards = self.parse_guard()
         self.expect("op", ";")
         return SAwait(guards, pos=tok.pos)
 
-    def _parse_simple_stmt(self, annots: tuple[tuple[str, Expr], ...]) -> Stmt:
+    def _parse_simple_stmt(self, annots: dict[str, Expr]) -> Stmt:
         start = self.peek()
         # declaration `Type name [= rhs];` or assignment `name = rhs;`
         target = self._assign_target(("=", ";"))
@@ -370,55 +380,44 @@ class Parser:
         # fire-and-forget call: expr ! m (args) ;
         callee = self.parse_expr()
         if self.accept("op", "!"):
-            method, args = self._call_tail()
+            call = self._call(RCall, callee, annots, start.pos)
             self.expect("op", ";")
-            return SCallStmt(callee, method, args,
-                             annots=self._call_annots(annots), pos=start.pos)
+            return SCallStmt(call, pos=start.pos)
         raise ParseError("expected a statement", start.pos)
 
-    def _check_stmt_annots(self, annots: tuple[tuple[str, Expr], ...], rhs: Rhs | None,
+    def _check_stmt_annots(self, annots: dict[str, Expr], rhs: Rhs | None,
                            pos: Pos) -> None:
         if annots and not isinstance(rhs, (RNew, RCall, RSyncCall)):
             raise ParseError(
                 "annotations are only allowed on calls and new-object statements", pos)
 
-    def _call_annots(self, annots: tuple[tuple[str, Expr], ...]) -> CallAnnots:
-        for name, expr in annots:
-            if name not in ("Deadline", "Critical"):
-                raise ParseError(f"annotation {name} is not allowed on a call",
-                                 expr.pos)
-        named = dict(annots)
-        return CallAnnots(named.get("Deadline"), named.get("Critical"))
+    def _call(self, node: Callable[..., _T], callee: Expr,
+              annots: dict[str, Expr], pos: Pos) -> _T:
+        """The call `name ( expr, ... )` after `callee!` or `callee.`, as a
+        `node` that carries the call annotations in `annots`."""
+        method = self._name()
+        args = self._separated(self.parse_expr, parens=True)
+        named = self._only(annots, ("Deadline", "Critical"), "a call")
+        return node(callee, method, args, CallAnnots(
+            named.get("Deadline"), named.get("Critical")), pos=pos)
 
-    def parse_rhs(self, annots: tuple[tuple[str, Expr], ...]) -> Rhs:
+    def parse_rhs(self, annots: dict[str, Expr]) -> Rhs:
         tok = self.peek()
         if self.accept("kw", "new"):
             cls = self.expect("name").text
             args: tuple[Expr, ...] = ()
             if self.at("op", "("):
                 args = self._separated(self.parse_expr, parens=True)
-            for name, _ in annots:
-                if name != "Scheduler":
-                    raise ParseError(
-                        f"annotation {name} is not allowed on new", tok.pos)
-            return RNew(cls, args, scheduler=dict(annots).get("Scheduler"),
-                        pos=tok.pos)
+            named = self._only(annots, ("Scheduler",), "new", tok.pos)
+            return RNew(cls, args, scheduler=named.get("Scheduler"), pos=tok.pos)
         expr = self.parse_expr()
         if self.accept("op", "!"):
-            method, args = self._call_tail()
-            return RCall(expr, method, args,
-                         annots=self._call_annots(annots), pos=tok.pos)
+            return self._call(RCall, expr, annots, tok.pos)
         if self.accept("op", "."):
             if self.accept("kw", "get"):
                 return RGet(expr, pos=tok.pos)
-            method, args = self._call_tail()
-            return RSyncCall(expr, method, args,
-                             annots=self._call_annots(annots), pos=tok.pos)
+            return self._call(RSyncCall, expr, annots, tok.pos)
         return RExpr(expr)
-
-    def _call_tail(self) -> tuple[str, tuple[Expr, ...]]:
-        """`name ( expr, ... )` after `!` or `.`."""
-        return self._name(), self._separated(self.parse_expr, parens=True)
 
     def _duration(self, node: Callable[..., _T]) -> _T:
         """`duration ( best , worst )` as a statement or guard atom."""

@@ -11,11 +11,11 @@ generators, which would recurse on the C stack.
 from __future__ import annotations
 
 from .nodes import (
-    BINARY_PRECEDENCE, Apply, BinOp, CallAnnots, CaseExpr, Expr, GBool,
-    GDuration, GFut, Guard, IfExpr, Lit, Model, NowExpr, PCtor, PLit, PName,
-    Pattern, PWildcard, RCall, RDur, RExpr, RGet, RNew, RSyncCall, Rhs,
-    SAssign, SAwait, SAwaitCall, SCallStmt, SDuration, SDuration2, SIf,
-    SReturn, SSkip, SSuspend, SWhile, Stmt, TypeAst, Unary, Var,
+    BINARY_PRECEDENCE, Apply, BinOp, CaseExpr, Expr, GBool, GDuration, GFut,
+    Guard, IfExpr, Lit, Model, NowExpr, PCtor, PLit, PName, Pattern,
+    PWildcard, RCall, RDur, RExpr, RGet, RNew, RSyncCall, Rhs, SAssign,
+    SAwait, SAwaitCall, SCallStmt, SDuration, SDuration2, SIf, SReturn, SSkip,
+    SSuspend, SWhile, Stmt, TypeAst, Unary, Var,
 )
 from .values import format_rat, render_value
 
@@ -87,14 +87,19 @@ def _render_conjunct(guard: Guard, prec: int) -> str:
     raise TypeError(f"cannot render {guard!r}")
 
 
-def _render_call_annots(annots: CallAnnots) -> str:
-    parts = []
-    if annots.deadline is not None:
-        parts.append(f"Deadline: {render_expr(annots.deadline)}")
-    if annots.critical is not None:
-        parts.append(f"Critical: {render_expr(annots.critical)}")
-    if parts:
-        return "[" + ", ".join(parts) + "] "
+def _render_annots(**annots: Expr | None) -> str:
+    """`[Name: expr, ...] ` for the annotations that are set, else ""."""
+    parts = [f"{name}: {render_expr(expr)}"
+             for name, expr in annots.items() if expr is not None]
+    return "[" + ", ".join(parts) + "] " if parts else ""
+
+
+def _rhs_annots(rhs: Rhs | None) -> str:
+    if isinstance(rhs, RNew):
+        return _render_annots(Scheduler=rhs.scheduler)
+    if isinstance(rhs, (RCall, RSyncCall)):
+        return _render_annots(Deadline=rhs.annots.deadline,
+                              Critical=rhs.annots.critical)
     return ""
 
 
@@ -118,11 +123,7 @@ def render_stmt(stmt: Stmt, indent: int = 0) -> str:
     if isinstance(stmt, SSkip):
         return pad + "skip;"
     if isinstance(stmt, SAssign):
-        head = ""
-        if isinstance(stmt.rhs, RNew) and stmt.rhs.scheduler is not None:
-            head = f"[Scheduler: {render_expr(stmt.rhs.scheduler)}] "
-        elif isinstance(stmt.rhs, (RCall, RSyncCall)):
-            head = _render_call_annots(stmt.rhs.annots)
+        head = _rhs_annots(stmt.rhs)
         decl = f"{render_type(stmt.decl_type)} " if stmt.decl_type else ""
         if stmt.rhs is None:
             return f"{pad}{head}{decl}{stmt.name};"
@@ -142,14 +143,10 @@ def render_stmt(stmt: Stmt, indent: int = 0) -> str:
         return f"{pad}await {render_guard(stmt.guards)};"
     if isinstance(stmt, SAwaitCall):
         decl = f"{render_type(stmt.decl_type)} " if stmt.decl_type else ""
-        args = ", ".join([render_expr(a) for a in stmt.args])
-        annots = _render_call_annots(stmt.annots)
-        return (f"{pad}{annots}await {decl}{stmt.name} = "
-                f"{render_expr(stmt.callee)}.{stmt.method}({args});")
+        return (f"{pad}{_rhs_annots(stmt.call)}await {decl}{stmt.name} = "
+                f"{_render_rhs(stmt.call)};")
     if isinstance(stmt, SCallStmt):
-        args = ", ".join([render_expr(a) for a in stmt.args])
-        annots = _render_call_annots(stmt.annots)
-        return f"{pad}{annots}{render_expr(stmt.callee)}!{stmt.method}({args});"
+        return f"{pad}{_rhs_annots(stmt.call)}{_render_rhs(stmt.call)};"
     if isinstance(stmt, SDuration):
         return f"{pad}duration({render_expr(stmt.best)}, {render_expr(stmt.worst)});"
     if isinstance(stmt, SDuration2):
@@ -198,9 +195,7 @@ def render_model(model: Model) -> str:
         parts.append(f"interface {idecl.name} {{{body}}}")
     for cd in model.classes:
         lines: list[str] = []
-        for name, expr in cd.annots:
-            lines.append(f"[{name}: {render_expr(expr)}]")
-        head = f"class {cd.name}"
+        head = _render_annots(Scheduler=cd.scheduler) + f"class {cd.name}"
         if cd.params:
             head += f"({_render_params(cd.params)})"
         if cd.interfaces:
@@ -210,9 +205,8 @@ def render_model(model: Model) -> str:
             init = f" = {render_expr(fld.init)}" if fld.init is not None else ""
             lines.append(f"  {render_type(fld.type)} {fld.name}{init};")
         for mth in cd.methods:
-            for name, expr in mth.annots:
-                lines.append(f"  [{name}: {render_expr(expr)}]")
-            lines.append(f"  {render_type(mth.ret)} {mth.name}"
+            lines.append(f"  {_render_annots(Cost=mth.cost)}"
+                         f"{render_type(mth.ret)} {mth.name}"
                          f"({_render_params(mth.params)}) "
                          + render_block(mth.body, 1))
         lines.append("}")

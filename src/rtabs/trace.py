@@ -16,6 +16,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from .errors import RtabsError
 from .values import format_rat, parse_rat
@@ -111,36 +112,21 @@ def _id_column(text: str, prefix: str) -> int | None:
     return int(text[1:])
 
 
-def _memo(parse):
-    """`parse`, remembering the result for each text it has seen.  A text
-    that fails to parse raises before anything is stored for it, so it
-    raises again wherever it recurs."""
-    results = {}
-
-    def parsed(text):
-        try:
-            return results[text]
-        except KeyError:
-            result = results[text] = parse(text)
-            return result
-
-    return parsed
-
-
 class _EventReader:
     """Builds the events of one trace read, from CSV rows or JSONL lines.
 
     A trace repeats few distinct times, ids and data texts over many rows
     (a bench trace of 12,278 rows has 821 distinct times), so each distinct
-    cell text is parsed once per read.  The memos live only as long as the
-    read.
+    cell text is parsed once per read.  The caches live only as long as the
+    read; a text that fails to parse stores nothing, so it raises again
+    wherever it recurs.
     """
 
     def __init__(self):
-        self.time = _memo(parse_rat)
-        self.obj = _memo(lambda text: _id_column(text, "o"))
-        self.pid = _memo(lambda text: _id_column(text, "f"))
-        self.data = _memo(parse_data)
+        self.time = cache(parse_rat)
+        self.obj = cache(lambda text: _id_column(text, "o"))
+        self.pid = cache(lambda text: _id_column(text, "f"))
+        self.data = cache(parse_data)
 
     def csv_row(self, row: list[str]) -> TraceEvent:
         if len(row) != len(CSV_HEADER):

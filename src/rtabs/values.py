@@ -243,20 +243,9 @@ def parse_rat(s: str) -> Fraction:
     return Fraction(s)
 
 
-def escape_string(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch == "\\":
-            out.append("\\\\")
-        elif ch == '"':
-            out.append('\\"')
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\t":
-            out.append("\\t")
-        else:
-            out.append(ch)
-    return "".join(out)
+# the escapes of a string literal's text, as the lexer reads them back
+_STRING_ESCAPES = str.maketrans(
+    {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t"})
 
 
 def render_value(v: Value) -> str:
@@ -266,7 +255,7 @@ def render_value(v: Value) -> str:
     if isinstance(v, NumVal):
         return format_rat(v.value)
     if isinstance(v, StrVal):
-        return '"' + escape_string(v.value) + '"'
+        return '"' + v.value.translate(_STRING_ESCAPES) + '"'
     if isinstance(v, DataVal):
         if not v.args:
             return v.ctor

@@ -77,6 +77,20 @@ class SImp implements S {
 ]
 
 
+def nested_sources(depth):
+    """Models nested `depth` levels deep by parentheses, by calls and by
+    `if` blocks.  The main block is the first level and the initialiser
+    of `x` the second; in each, the first level past the nesting limit
+    begins at the last `1` or `True`."""
+    n = depth - 2
+    return [
+        "{ Int x = " + "(" * n + "1" + ")" * n + "; }\n",
+        ("def Int f(Int x) = x + 1;\n"
+         "{ Int x = " + "f(" * n + "1" + ")" * n + "; }\n"),
+        "{ " + "if True { " * (depth - 1) + "skip; " + "} " * (depth - 1)
+        + "}\n"]
+
+
 def model_file(name: str) -> str:
     return str(MODELS_DIR / name)
 

@@ -40,7 +40,7 @@ from rtabs.engine import (
 )
 from rtabs.evaluator import EvalContext, Program, eval_expr, eval_guard
 from rtabs.nodes import (
-    GDuration, Lit, RCall, RDur, RExpr, RGet, RNew, SAssign, SAwait,
+    GDuration, GFut, Lit, RCall, RDur, RExpr, RGet, RNew, SAssign, SAwait,
     SDuration, SDuration2, SIf, SReturn, SSkip, SSuspend, SWhile,
 )
 from rtabs.values import (
@@ -637,8 +637,7 @@ class ReferenceExecutor:
     def _guard_mte(self, st, g, env):
         if isinstance(g, RDur):
             return Fraction(0) if g.best <= 0 else g.worst
-        return (Fraction(0)
-                if eval_guard(g, env, self._ctx(st)) else None)
+        return Fraction(0) if _holds(g, env, self._ctx(st)) else None
 
     def _proc_mte(self, st, obj, p):
         head = p.body[0]
@@ -710,9 +709,14 @@ class ReferenceExecutor:
 
 
 def _holds(g, env, ctx) -> bool:
-    """One conjunct; a sampled duration holds once no time is left."""
+    """One conjunct: `f?` holds once f's future is resolved, and a
+    duration once no time is left; a boolean one is the evaluator's."""
     if isinstance(g, RDur):
         return g.best <= 0
+    if isinstance(g, GFut):
+        return ctx.config.futures[env[g.var].fid].resolved
+    if isinstance(g, GDuration):
+        return _as_rat(eval_expr(g.best, env, ctx)) <= 0
     return eval_guard(g, env, ctx)
 
 

@@ -5,7 +5,8 @@ import subprocess
 import sys
 
 from conftest import (
-    CLI_ENV, RUNTIME_ERROR_CASES, model_file, other_interpreters,
+    CLI_ENV, RUNTIME_ERROR_CASES, model_file, nested_sources,
+    other_interpreters,
 )
 from rtabs import load_model, simulate
 from rtabs.parser import NESTING_LIMIT
@@ -325,20 +326,6 @@ def test_deep_values_agree_across_interpreters(tmp_path):
         context = (exe, f"did not start: {skipped}", res.stderr[-500:])
         assert res.returncode == 0, context
         assert out.read_text(encoding="utf-8") == expected, context
-
-
-def nested_sources(depth):
-    """Models nested `depth` levels deep by parentheses, by calls and by
-    `if` blocks.  The main block is the first level and the initialiser
-    of `x` the second; in each, the first level past the nesting limit
-    begins at the last `1` or `True`."""
-    n = depth - 2
-    return [
-        "{ Int x = " + "(" * n + "1" + ")" * n + "; }\n",
-        ("def Int f(Int x) = x + 1;\n"
-         "{ Int x = " + "f(" * n + "1" + ")" * n + "; }\n"),
-        "{ " + "if True { " * (depth - 1) + "skip; " + "} " * (depth - 1)
-        + "}\n"]
 
 
 def test_nesting_within_the_limit_checks_and_runs(tmp_path):

@@ -9,12 +9,14 @@ import pytest
 
 from rtabs import CallDepthError, load_source
 from rtabs.desugar import desugar
-from rtabs.engine import Configuration, FutureCell
+from rtabs.engine import Configuration
 from rtabs.errors import (
     DivisionByZeroError, EvalTypeError, MatchFailureError,
     UnboundVariableError,
 )
-from rtabs.evaluator import EvalContext, Program, eval_expr, eval_guard
+from rtabs.evaluator import (
+    EvalContext, Program, awaited_future, eval_expr, eval_guard,
+)
 from rtabs.nodes import Apply, GBool, GFut, Lit, Pos
 from rtabs.parser import parse_expr
 from rtabs.values import (
@@ -332,22 +334,21 @@ def test_call_depth_error_names_the_call():
 
 
 def test_guard_errors():
-    ctx = EvalContext(PRELUDE, Configuration(
-        futures={2: FutureCell(2, resolved=True)}))
+    ctx = EvalContext(PRELUDE)
     cases = [
-        (GBool(parse_expr("1 + 1"), pos=Pos(3, 7)), {}, EvalTypeError,
-         "guard is 2, not a Bool"),
-        (GFut("f", pos=Pos(3, 7)), {"f": num(1)}, EvalTypeError,
-         "f? applied to 1, not a future"),
-        (GFut("f", pos=Pos(3, 7)), {}, UnboundVariableError,
+        (eval_guard, GBool(parse_expr("1 + 1"), pos=Pos(3, 7)), {},
+         EvalTypeError, "guard is 2, not a Bool"),
+        (awaited_future, GFut("f", pos=Pos(3, 7)), {"f": num(1)},
+         EvalTypeError, "f? applied to 1, not a future"),
+        (awaited_future, GFut("f", pos=Pos(3, 7)), {}, UnboundVariableError,
          "unbound variable f"),
     ]
-    for guard, env, error, message in cases:
+    for read, guard, env, error, message in cases:
         with pytest.raises(error) as info:
-            eval_guard(guard, env, ctx)
+            read(guard, env, ctx)
         assert type(info.value) is error
         assert (info.value.message, info.value.pos) == (message, Pos(3, 7))
-    assert eval_guard(GFut("f"), {"f": FutRef(2)}, ctx) is True
+    assert awaited_future(GFut("f"), {"f": FutRef(2)}, ctx) == FutRef(2)
 
 
 def test_each_raise_is_a_fresh_error():

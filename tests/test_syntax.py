@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -23,6 +24,7 @@ from rtabs.pretty import render_expr, render_model
 from rtabs.values import UNIT, NumVal
 
 import reference_executor as ref
+from conftest import CLI_ENV, nested_sources, other_interpreters
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 
@@ -227,7 +229,7 @@ def test_annotated_class_vs_annotated_main_statement():
     [Scheduler: fifo(queue)] class C implements I { Unit m() { skip; } }
     { I x = new C(); [Deadline: Duration(3)] x!m(); }
     """)
-    assert ("Scheduler" in [n for n, _ in model.classes[0].annots])
+    assert model.classes[0].scheduler == Apply("fifo", (Var("queue"),))
     assert model.main is not None
     assert desugar(model).classes[0].scheduler is not None
 
@@ -267,6 +269,38 @@ def test_round_trip_models():
     """)
     for seed in range(200):
         render_parse_round_trip(ref.generate_model(seed)[1])
+
+
+# parses each model file named on the command line twice; the two trees
+# must be equal and hash alike
+NODE_COMPARE = """\
+import sys
+from rtabs.errors import deep_recursion
+from rtabs.parser import parse_model
+for path in sys.argv[1:]:
+    with open(path, encoding="utf-8") as handle:
+        source = handle.read()
+    with deep_recursion():
+        model, again = parse_model(source), parse_model(source)
+        assert again == model and hash(again) == hash(model), path
+"""
+
+
+def test_deep_models_compare_across_interpreters(tmp_path):
+    # comparing or hashing a tree as deep as the nesting limit must
+    # recurse through Python calls only, under each interpreter alike.
+    # Two parses stand in for a render round trip: rendered, the blocks
+    # model indents each of its 10,000 levels and runs to some 200 MB
+    paths = []
+    for k, source in enumerate(nested_sources(NESTING_LIMIT)):
+        paths.append(tmp_path / f"m{k}.rtabs")
+        paths[-1].write_text(source, encoding="utf-8")
+    others, skipped = other_interpreters((3, 11))
+    for exe in [sys.executable, *others.values()]:
+        res = subprocess.run([exe, "-c", NODE_COMPARE, *map(str, paths)],
+                             capture_output=True, text=True, env=CLI_ENV)
+        assert res.returncode == 0, (exe, f"did not start: {skipped}",
+                                     res.stderr[-500:])
 
 
 def test_round_trip_prelude():
@@ -405,8 +439,15 @@ def test_keyword_misuse_diagnostics():
 
 
 def test_annotation_placement():
-    msgs = check("class C { [Deadline: Duration(1)] Unit m() { skip; } }")
-    assert any("not allowed on a method" in m for m in msgs)
+    # the parser rejects a misplaced annotation where its expression begins
+    for source, message in [
+            ("class C { [Deadline: Duration(1)] Unit m() { skip; } }",
+             "<test>:1:22: annotation Deadline is not allowed on a method"),
+            ("[Cost: Duration(1)] class C { }",
+             "<test>:1:8: annotation Cost is not allowed on a class")]:
+        with pytest.raises(ParseError) as err:
+            check(source)
+        assert str(err.value) == message, source
 
 
 # ----------------------------------------------------------------- desugar
