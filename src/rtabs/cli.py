@@ -53,14 +53,19 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+def _unreadable(path: str, exc: OSError | UnicodeDecodeError) -> int:
+    reason = exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"
+    return _fail(f"cannot read {path}: {reason}", 2)
+
+
 def cmd_check(args) -> int:
     from .prelude import load_source
 
     try:
         with open(args.model, "r", encoding="utf-8") as handle:
             source = handle.read()
-    except OSError as exc:
-        return _fail(f"cannot read {args.model}: {exc.strerror}", 2)
+    except (OSError, UnicodeDecodeError) as exc:
+        return _unreadable(args.model, exc)
     try:
         _, diagnostics = load_source(source, args.model)
     except RtabsError as exc:
@@ -82,8 +87,8 @@ def cmd_run(args) -> int:
         return _fail("--until must be positive", 2)
     try:
         model = load_model(args.model)
-    except OSError as exc:
-        return _fail(f"cannot read {args.model}: {exc.strerror}", 2)
+    except (OSError, UnicodeDecodeError) as exc:
+        return _unreadable(args.model, exc)
     except RtabsError as exc:
         return _fail(str(exc), 2)
 

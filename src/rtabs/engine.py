@@ -25,16 +25,15 @@ interleavings of the underlying nondeterministic semantics.
 The loop is incremental.  An object visited without a rule applying is
 stalled and skipped until an event that may let it step: a message for
 it, the resolution of a future one of its blocked heads waits for, or a
-tick that reaches the earliest time one of them may fire (any tick, for
-a head with a boolean conjunct or a `.get` target that may read the
-clock, as the evaluator records for each expression).  The visit
-registers these wake-ups from the waits it has just computed.  Only an
-object's own steps change its fields and processes, so no other event
-can.  Visiting a stalled object again would draw nothing: with an active
-process its queue is not consulted, and without one its last visit
-computed the ready set, which samples every queued head.  So the rules
-applied and the random draws are those of visiting every object in
-creation order after every step.
+tick that reaches the earliest time one of them may fire (any tick, if
+computing one of their waits read the clock, as the evaluation context
+records in `clock_read`).  The visit registers these wake-ups from the
+waits it has just computed.  Only an object's own steps change its
+fields and processes, so no other event can.  Visiting a stalled object
+again would draw nothing: with an active process its queue is not
+consulted, and without one its last visit computed the ready set, which
+samples every queued head.  So the rules applied and the random draws
+are those of visiting every object in creation order after every step.
 
 Scheduling decisions call back into the modeled language: the object's
 policy expression is evaluated with `queue` bound to the reflected list
@@ -56,11 +55,12 @@ it from the wake-ups instead.  At quiescence every object is stalled,
 and the visit that stalled it registered a timer at the absolute time
 its earliest head may fire, if one waits for time.  Those waits are
 still exact: times are absolute, only an object's own steps change its
-fields, a future's resolution wakes the objects that wait for it, and an
-object with a head whose wait a tick may change otherwise (one that may
-read the clock) wakes at every tick and registers again.  So mte is the
-earliest timer still live less the clock, and a tick consults no object
-that has not been woken since the last one.
+fields, a future's resolution wakes the objects that wait for it, and a
+wait depends only on what its evaluation read, so an object with a head
+whose wait a tick may change otherwise (one whose wait read the clock)
+wakes at every tick and registers again.  So mte is the earliest timer
+still live less the clock, and a tick consults no object that has not
+been woken since the last one.
 
 `simulate`, `Engine.run_until` and `rtabs run` share one loop
 (`run_until`), run on the caller's thread in `errors.deep_recursion`.
@@ -85,7 +85,7 @@ from .evaluator import (
     remaining_deadline,
 )
 from .nodes import (
-    Expr, GBool, GDuration, GFut, Lit, Model, RCall, RDur, RExpr, RGet, RNew,
+    Expr, GDuration, GFut, Lit, Model, RCall, RDur, RExpr, RGet, RNew,
     SAssign, SAwait, SDuration, SDuration2, SIf, SReturn, SSkip, SSuspend,
     SWhile, Stmt, TypeAst,
 )
@@ -478,32 +478,19 @@ class Engine:
 
     # --- stalling and waking
 
-    def _register(self, obj: ObjectState,
-                  blocked: Iterable[tuple[ProcessRecord, Wait]]) -> None:
+    def _register(self, obj: ObjectState, waits: Iterable[Wait],
+                  tick: bool) -> None:
         """Register what wakes an object that no rule applies to, from
         its blocked heads' waits: each future named, one timer at the
-        earliest time one may fire, and the next tick if a tick may
-        change what one waits for other than by shortening its delay,
-        that is, if it may read the clock."""
-        reads_clock = self.program.reads_clock
+        earliest time one may fire, and the next tick if computing a
+        wait read the clock.  A wait depends only on what it read, so
+        otherwise a tick changes none but by shortening its delay."""
         soonest = None  # the least delay until one of them may fire
-        tick = False
-        for p, w in blocked:
-            head = p.body[0]
+        for w in waits:
             if isinstance(w, FutRef):
                 self._future_waiters.setdefault(w.fid, set()).add(obj.oid)
-                # a tick may change the future a `.get` target names
-                if isinstance(head, SAssign) and reads_clock(head.rhs.expr):
-                    tick = True
-                continue
-            if w is not None and (soonest is None or w < soonest):
+            elif w is not None and (soonest is None or w < soonest):
                 soonest = w
-            # a tick may enable a boolean conjunct that does not hold, or
-            # disable one that holds, only if it may read the clock
-            if isinstance(head, SAwait) and any(
-                    isinstance(g, GBool) and reads_clock(g.expr)
-                    for g in head.guards):
-                tick = True
         if soonest is not None:
             obj.wake_at = self.config.clock + soonest
             heapq.heappush(self._timers, (obj.wake_at, obj.oid))
@@ -595,6 +582,7 @@ class Engine:
         clock = self.config.clock
         self._fix_head(p, obj)
         s = p.body[0]
+        self.ctx.clock_read = False  # reads by the wait, not by the draws
         w = wait(p, obj, self.ctx)
 
         if isinstance(s, SAwait):
@@ -606,7 +594,7 @@ class Engine:
             return "await-false"
 
         if w != 0:  # the object waits for the clock or a future
-            self._register(obj, [(p, w)])
+            self._register(obj, (w,), self.ctx.clock_read)
             return None
 
         if isinstance(s, SSkip):
@@ -800,17 +788,21 @@ class Engine:
     def ready_set(self, obj: ObjectState) -> list[ProcessRecord]:
         """Queued processes whose head statement may fire now, in queue
         order."""
+        ctx = self.ctx
         waits = []
+        tick = False  # whether computing a wait read the clock
         for p in obj.queue:
             try:
                 self._fix_head(p, obj)
-                waits.append(wait(p, obj, self.ctx))
+                ctx.clock_read = False  # reads by the wait, not by the draws
+                waits.append(wait(p, obj, ctx))
             except RtRuntimeError as err:
                 _locate(err, obj.oid, p, self.config.clock)
                 raise
+            tick = tick or ctx.clock_read
         out = [p for p, w in zip(obj.queue, waits) if w == 0]
         if not out:
-            self._register(obj, zip(obj.queue, waits))
+            self._register(obj, waits, tick)
         return out
 
     def _try_schedule(self, obj: ObjectState) -> bool:

@@ -29,11 +29,9 @@ Code reads nothing of the run but through its `EvalContext`: the clock
 (`now`) and the future table (`f?`, `.get`) of the run's configuration,
 read in place when evaluated, and the call depth.  So the engine builds
 one context when it starts and evaluates every expression of the run
-with it.
-
-Compiling also records one static fact per expression: whether it may
-read the clock, that is contain `now` or a `deadline` variable, itself
-or in the body of a function it calls (`Program.reads_clock`).
+with it.  Reading the clock, through `now` or a `deadline` variable, also
+sets the context's `clock_read`: the engine clears it before evaluating
+a blocked head, so it learns whether a tick alone may change the head.
 """
 
 from __future__ import annotations
@@ -63,9 +61,9 @@ Code = Callable[[list, "EvalContext"], Value]
 # into the frame; None for a pattern that matches anything and binds
 # nothing
 Matcher = Callable[[Value, list], bool]
-# a compiled top-level expression: its node, its code, whether it may
-# read the clock, and its frame's binder slots after the scope
-Entry = tuple[Expr, Code, bool, tuple[None, ...]]
+# a compiled top-level expression: its node, its code and its frame's
+# binder slots after the scope
+Entry = tuple[Expr, Code, tuple[None, ...]]
 
 _SCOPE = 3  # a top-level frame's first slots: see `lookup`
 _NO_FIELDS: Env = {}
@@ -74,12 +72,10 @@ _NO_FIELDS: Env = {}
 class Function:
     """A model function's compiled body and what it needs per call."""
 
-    __slots__ = ("body", "pad", "reads_clock", "calls")
+    __slots__ = ("body", "pad")
 
     body: Code
     pad: tuple[None, ...]  # the frame's binder slots, after the formals
-    reads_clock: bool  # the body itself contains `now`
-    calls: set[Function]
 
 
 @dataclass
@@ -113,14 +109,9 @@ class Program:
         if entry is None:
             compiler = _Compiler(self, None)
             code = compiler.expr(expr)
-            entry = (expr, code, compiler.reaches_clock(),
-                     (None,) * (compiler.size - _SCOPE))
+            entry = (expr, code, (None,) * (compiler.size - _SCOPE))
             self.code[id(expr)] = entry
         return entry
-
-    def reads_clock(self, expr: Expr) -> bool:
-        """Whether evaluating expr may read the clock."""
-        return not isinstance(expr, Lit) and self.compiled(expr)[2]
 
     def function(self, name: str) -> Function:
         fn = self.bodies.get(name)
@@ -131,8 +122,6 @@ class Program:
             compiler = _Compiler(self, [pname for _, pname in fd.params])
             fn.body = compiler.expr(fd.body)
             fn.pad = (None,) * (compiler.size - len(fd.params))
-            fn.reads_clock = compiler.reads_clock
-            fn.calls = compiler.calls
         return fn
 
 
@@ -148,6 +137,8 @@ class EvalContext:
     config: Any = None  # anything with a `clock` and a `futures` table
     max_depth: int = 100_000
     depth: int = field(default=0)
+    # set by every read of the clock; whoever asks clears it first
+    clock_read: bool = field(default=False, init=False)
 
 
 def remaining_deadline(p: Any, clock: Fraction) -> Value:
@@ -163,6 +154,7 @@ def lookup(name: str, env: Env, fields: Env, proc: Any,
     proc's, `deadline` is its time left; any other name reads env (its
     locals), else fields (its object's).  None when neither holds it."""
     if proc is not None and name == "deadline":
+        ctx.clock_read = True
         return remaining_deadline(proc, ctx.config.clock)
     value = env.get(name)
     return fields.get(name) if value is None else value
@@ -175,7 +167,7 @@ def eval_expr(expr: Expr, env: Env, ctx: EvalContext,
     if type(expr) is Lit:
         return expr.value
     try:
-        _, code, _, pad = ctx.program.compiled(expr)
+        _, code, pad = ctx.program.compiled(expr)
         return code([env, fields, proc, *pad], ctx)
     except RecursionError:
         raise CallDepthError(
@@ -229,20 +221,6 @@ class _Compiler:
         self.slots = ({} if formals is None
                       else {name: i for i, name in enumerate(formals)})
         self.size = _SCOPE if formals is None else len(formals)
-        self.reads_clock = False  # it contains `now` or reads `deadline`
-        self.calls: set[Function] = set()
-
-    def reaches_clock(self) -> bool:
-        """Whether the code compiled may read the clock, itself or in the
-        body of a function it calls, directly or not."""
-        seen: set[Function] = set()
-        stack = list(self.calls)
-        while stack:
-            fn = stack.pop()
-            if fn not in seen:
-                seen.add(fn)
-                stack.extend(fn.calls)
-        return self.reads_clock or any(fn.reads_clock for fn in seen)
 
     def expr(self, e: Expr) -> Code:
         compile_ = _COMPILE.get(type(e))
@@ -262,8 +240,6 @@ class _Compiler:
             return lambda s, c: s[slot]
         ctor = DataVal(name) if self.program.ctor_arity.get(name) == 0 else None
         if self.top:
-            self.reads_clock |= name == "deadline"
-
             def read(s, c):
                 value = lookup(name, s[0], s[1], s[2], c)
                 if value is not None:
@@ -280,8 +256,10 @@ class _Compiler:
         return unbound
 
     def now(self, e: NowExpr) -> Code:
-        self.reads_clock = True
-        return lambda s, c: mk_time(c.config.clock)
+        def now(s, c):
+            c.clock_read = True
+            return mk_time(c.config.clock)
+        return now
 
     def unary(self, e: Unary) -> Code:
         operand, pos = self.expr(e.operand), e.pos
@@ -386,9 +364,7 @@ class _Compiler:
                     args, EvalTypeError,
                     f"{name} expects {len(fd.params)} argument(s), got {n}",
                     pos)
-            fn = self.program.function(name)
-            self.calls.add(fn)
-            return _call(fn, args, name, pos)
+            return _call(self.program.function(name), args, name, pos)
         arity = self.program.ctor_arity.get(name)
         if arity is None:
             return _after_args(args, UnboundVariableError,

@@ -5,7 +5,9 @@ relies on.  That holds for await guards too: the flat tuple of
 conjuncts renders joined by ` && ` and parses back to the same tuple.
 Runtime forms render in a readable bracketed style for error and
 deadlock reports; they have no source syntax.  Joins take lists, not
-generators, which would recurse on the C stack.
+generators, which would recurse on the C stack.  A block appends its
+pieces to one list, joined once, so no level copies the text of the
+levels inside it.
 """
 
 from __future__ import annotations
@@ -120,6 +122,10 @@ def _render_rhs(rhs: Rhs) -> str:
 
 def render_stmt(stmt: Stmt, indent: int = 0) -> str:
     pad = "  " * indent
+    if isinstance(stmt, (SIf, SWhile)):
+        out = [pad]
+        _put_stmt(stmt, indent, out)
+        return "".join(out)
     if isinstance(stmt, SSkip):
         return pad + "skip;"
     if isinstance(stmt, SAssign):
@@ -128,13 +134,6 @@ def render_stmt(stmt: Stmt, indent: int = 0) -> str:
         if stmt.rhs is None:
             return f"{pad}{head}{decl}{stmt.name};"
         return f"{pad}{head}{decl}{stmt.name} = {_render_rhs(stmt.rhs)};"
-    if isinstance(stmt, SIf):
-        out = f"{pad}if {render_expr(stmt.cond)} {render_block(stmt.then, indent)}"
-        if stmt.els:
-            out += f" else {render_block(stmt.els, indent)}"
-        return out
-    if isinstance(stmt, SWhile):
-        return f"{pad}while {render_expr(stmt.cond)} {render_block(stmt.body, indent)}"
     if isinstance(stmt, SReturn):
         return f"{pad}return {render_expr(stmt.expr)};"
     if isinstance(stmt, SSuspend):
@@ -155,10 +154,33 @@ def render_stmt(stmt: Stmt, indent: int = 0) -> str:
 
 
 def render_block(stmts: tuple[Stmt, ...], indent: int = 0) -> str:
-    if not stmts:
-        return "{ }"
-    inner = "\n".join([render_stmt(s, indent + 1) for s in stmts])
-    return "{\n" + inner + "\n" + "  " * indent + "}"
+    out: list[str] = []
+    _put_block(stmts, indent, out)
+    return "".join(out)
+
+
+def _put_block(stmts: tuple[Stmt, ...], indent: int, out: list[str]) -> None:
+    out.append("{" if stmts else "{ }")
+    for s in stmts:
+        out.append("\n" + "  " * (indent + 1))
+        _put_stmt(s, indent + 1, out)
+    if stmts:
+        out.append("\n" + "  " * indent + "}")
+
+
+def _put_stmt(stmt: Stmt, indent: int, out: list[str]) -> None:
+    """A statement's text after its indent."""
+    if isinstance(stmt, SIf):
+        out.append(f"if {render_expr(stmt.cond)} ")
+        _put_block(stmt.then, indent, out)
+        if stmt.els:
+            out.append(" else ")
+            _put_block(stmt.els, indent, out)
+    elif isinstance(stmt, SWhile):
+        out.append(f"while {render_expr(stmt.cond)} ")
+        _put_block(stmt.body, indent, out)
+    else:
+        out.append(render_stmt(stmt))
 
 
 def _render_params(params: tuple[tuple[TypeAst, str], ...]) -> str:

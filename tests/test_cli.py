@@ -71,6 +71,26 @@ def test_check_missing_file():
     assert "cannot read" in res.stderr
 
 
+def not_utf8(tmp_path):
+    path = tmp_path / "latin1.rtabs"
+    path.write_bytes(b"\xff{ skip; }\n")
+    return str(path)
+
+
+def test_check_rejects_a_file_that_is_not_utf8(tmp_path):
+    path = not_utf8(tmp_path)
+    res = run_cli("check", path)
+    assert (res.returncode, res.stderr) == (
+        2, f"cannot read {path}: not UTF-8 text\n")
+
+
+def test_run_rejects_a_file_that_is_not_utf8(tmp_path):
+    path = not_utf8(tmp_path)
+    res = run_cli("run", path, "--until", "5")
+    assert (res.returncode, res.stdout, res.stderr) == (
+        2, "", f"cannot read {path}: not UTF-8 text\n")
+
+
 def test_run_trace_on_stdout_and_summary_on_stderr():
     res = run_cli("run", model_file("single_request.rtabs"), "--until", "600")
     assert res.returncode == 0

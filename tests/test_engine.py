@@ -234,11 +234,11 @@ def test_delay_whose_guard_stops_holding_makes_no_tick():
 
 def test_register_sets_a_tick_timer_only_for_what_may_read_the_clock():
     # a stalled object wakes at the next tick only if a tick may change
-    # what blocks it: a boolean conjunct or a `.get` target that reads
-    # `now` or `deadline`, itself or through the functions it calls.
-    # That wake-up is kept apart from the timer at the least delay, so
-    # it hides no delay.  The checker keeps `now` out of function
-    # bodies; the evaluator does not rely on that.
+    # what blocks it: computing a blocked head's wait read `now` or
+    # `deadline`, itself or through the functions it calls.  That
+    # wake-up is kept apart from the timer at the least delay, so it
+    # hides no delay.  The checker keeps `now` out of function bodies;
+    # the evaluator does not rely on that.
     model, diags = load_source("""
     def Bool late(Int t) = timeValue(now) > t;
     def Bool later(Int t) = late(t + 1);
@@ -246,15 +246,20 @@ def test_register_sets_a_tick_timer_only_for_what_may_read_the_clock():
     """, "<engine-test>")
     assert [d.message for d in diags] == ["now is not available here"]
     engine = Engine(desugar(model))
+    engine.config.futures.update({1: FutureCell(1), 2: FutureCell(2)})
+    fields = {"s": num(1), "q": num(0), "myturn": num(5), "c": TRUE,
+              "f": FutRef(1), "g": FutRef(2), "x": num(0)}
 
-    def wakes(*blocked):
-        """(whether the object waits for the next tick, its timer)"""
+    def wakes(*heads):
+        """(whether the object waits for the next tick, its timer) once
+        the ready set of an idle object with these heads is empty"""
         engine._timers.clear()
         engine._tick_waiters.clear()
-        procs = [(mte_cases.proc(pid, [head]), w)
-                 for pid, (head, w) in enumerate(blocked, 1)]
-        obj = mte_cases.idle(0, [p for p, _ in procs])
-        engine._register(obj, procs)
+        obj = mte_cases.idle(0, [
+            mte_cases.proc(pid, [head], deadline=mk_duration(10))
+            for pid, head in enumerate(heads, 1)])
+        obj.attrs.update(fields)
+        assert engine.ready_set(obj) == []
         assert engine._timers == ([] if obj.wake_at is None
                                   else [(obj.wake_at, 0)])
         return 0 in engine._tick_waiters, obj.wake_at
@@ -266,21 +271,23 @@ def test_register_sets_a_tick_timer_only_for_what_may_read_the_clock():
         return SAssign(None, "x", RGet(parse_expr(source)))
 
     three = Fraction(3)
-    assert wakes((guard("s > 0 && q + 1 == myturn"), None)) == (False, None)
-    assert wakes((guard("length(Cons(s, Nil)) > 1"), None)) == (False, None)
-    assert wakes((guard("later(3)"), None)) == (True, None)
-    assert wakes((guard("durationValue(deadline) < 5"), None)) == (True, None)
-    assert wakes((get("if c then f else g"), FutRef(1))) == (False, None)
-    assert wakes((get("if timeValue(now) < 5 then f else g"),
-                  FutRef(1))) == (True, None)
-    assert wakes((SAwait((GFut("f"),)), FutRef(1))) == (False, None)
-    # a delay sets the timer; a conjunct that holds but may read the
-    # clock may stop holding at a tick, so it also sets a tick wake-up
+    assert wakes(guard("s > 0 && q + 1 == myturn")) == (False, None)
+    assert wakes(guard("length(Cons(s, Nil)) > 1")) == (False, None)
+    assert wakes(guard("later(3)")) == (True, None)
+    assert wakes(guard("durationValue(deadline) < 5")) == (True, None)
+    assert wakes(get("if c then f else g")) == (False, None)
+    assert wakes(get("if timeValue(now) < 5 then f else g")) == (True, None)
+    assert wakes(SAwait((GFut("f"),))) == (False, None)
+    # a clock-reading conjunct that is never reached reads nothing
+    assert wakes(guard("x > 0 && later(3)")) == (False, None)
+    # one that holds before an unresolved future still read the clock
+    assert wakes(guard("later(-5)", GFut("f"))) == (True, None)
+    # a delay sets the timer; a conjunct that holds but read the clock
+    # may stop holding at a tick, so it also sets a tick wake-up
     dur = RDur(three, three)
-    assert wakes((guard("s > 0", dur), three)) == (False, three)
-    assert wakes((guard("later(3)", dur), three)) == (True, three)
-    assert wakes((guard("later(3)"), None),
-                 (SDuration2(three, three), three)) == (True, three)
+    assert wakes(guard("s > 0", dur)) == (False, three)
+    assert wakes(guard("later(-5)", dur)) == (True, three)
+    assert wakes(guard("later(3)"), SDuration2(three, three)) == (True, three)
 
 
 def test_compiled_code_does_not_grow_with_run_length():

@@ -13,6 +13,7 @@ from rtabs import (
     LexError, ParseError, load_source, nodes, parse_expr, parse_model,
 )
 from rtabs.desugar import desugar
+from rtabs.errors import deep_recursion
 from rtabs.lexer import tokenize
 from rtabs.nodes import (
     BINARY_PRECEDENCE, Apply, BinOp, GBool, GDuration, GFut, Lit, Node, Pos,
@@ -301,6 +302,15 @@ def test_deep_models_compare_across_interpreters(tmp_path):
                              capture_output=True, text=True, env=CLI_ENV)
         assert res.returncode == 0, (exe, f"did not start: {skipped}",
                                      res.stderr[-500:])
+
+
+def test_deeply_nested_blocks_round_trip():
+    # rendering appends each level's text to one list, so 2,000 nested
+    # `if` blocks take a fraction of a second, not the half minute that
+    # copying every deeper level's text at each level took
+    with deep_recursion():
+        model = parse_model(nested_sources(2000)[2])
+        assert parse_model(render_model(model)) == model
 
 
 def test_round_trip_prelude():
