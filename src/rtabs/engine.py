@@ -108,7 +108,6 @@ PROC_FIELDS = ("destiny", "method", "arrival", "cost", "deadline",
 @dataclass(eq=False)  # records compare by identity
 class ProcessRecord:
     pid: int
-    oid: int
     method: str
     locals: dict[str, Value]
     body: list[Stmt]
@@ -554,9 +553,8 @@ class Engine:
         label = next((a.value for a in msg.args if isinstance(a, StrVal)), None)
         due = (None if is_inf_duration(msg.deadline)
                else self.config.clock + duration_rat(msg.deadline))
-        return ProcessRecord(pid=msg.fid, oid=obj.oid, method=msg.method,
-                             locals=locals_, body=list(mth.body), label=label,
-                             due=due)
+        return ProcessRecord(pid=msg.fid, method=msg.method, locals=locals_,
+                             body=list(mth.body), label=label, due=due)
 
     def _bind_and_enqueue(self, obj: ObjectState, msg: InvocationMessage) -> None:
         try:
@@ -770,7 +768,7 @@ class Engine:
         if body is not None:
             fid, clock = self._fresh_fid(), self.config.clock
             p = ProcessRecord(
-                pid=fid, oid=oid, method=method,
+                pid=fid, method=method,
                 locals=self._reserved_locals(fid, method, FALSE,
                                              mk_duration(0), clock),
                 body=list(body), dispatched=True)

@@ -91,6 +91,20 @@ class Node:
         return (type(self).__qualname__ + "(" + ", ".join(
             f"{name}={getattr(self, name)!r}" for name in self._keys) + ")")
 
+    def children(self):
+        """The nodes among this node's fields, in field order, those of a
+        tuple field in turn; other values, such as the `(TypeAst, name)`
+        pairs of a declaration's parameters, are skipped."""
+        values = self.__dict__
+        for name in self._keys:
+            value = values[name]
+            if value.__class__ is tuple:
+                for item in value:
+                    if isinstance(item, Node):
+                        yield item
+            elif isinstance(value, Node):
+                yield value
+
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 

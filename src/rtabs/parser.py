@@ -450,16 +450,10 @@ class Parser:
         return (GBool(expr, pos=expr.pos),)
 
     def _find_guard_atom(self, expr: Expr) -> Pos | None:
+        """Where the first guard atom in `expr` stands, if any."""
         if isinstance(expr, (_FutAtom, _DurAtom)):
             return expr.pos
-        children: tuple[Expr, ...] = ()
-        if isinstance(expr, Unary):
-            children = (expr.operand,)
-        elif isinstance(expr, BinOp):
-            children = (expr.left, expr.right)
-        elif isinstance(expr, IfExpr):
-            children = (expr.cond, expr.then, expr.els)
-        for child in children:
+        for child in expr.children():
             found = self._find_guard_atom(child)
             if found is not None:
                 return found

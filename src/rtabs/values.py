@@ -240,7 +240,12 @@ def format_rat(r: Fraction) -> str:
 
 
 def parse_rat(s: str) -> Fraction:
-    return Fraction(s)
+    """The rational that `format_rat` writes as `s`; any other text, such
+    as `1.5`, `+3`, `1e3` or `3/6`, is a ValueError."""
+    r = Fraction(s)
+    if format_rat(r) != s:
+        raise ValueError(f"not a rational as traces write it: {s!r}")
+    return r
 
 
 # the escapes of a string literal's text, as the lexer reads them back

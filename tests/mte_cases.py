@@ -25,7 +25,7 @@ from rtabs.values import (
 PROGRAM = Program.from_model(desugar(load_source("", "<empty>")[0]))
 
 
-def proc(pid, body, deadline=INF_DURATION, oid=0, clock=0):
+def proc(pid, body, deadline=INF_DURATION, clock=0):
     """A process whose deadline, given as the time left at clock, is
     kept absolute in `due`, as the engine keeps it; a sampled head in
     body is already absolute (all cases but one run at clock 0)."""
@@ -35,8 +35,8 @@ def proc(pid, body, deadline=INF_DURATION, oid=0, clock=0):
         "critical": FALSE, "value": num(0),
     }
     due = None if is_inf_duration(deadline) else clock + duration_rat(deadline)
-    return ProcessRecord(pid=pid, oid=oid, method="m", locals=locals_,
-                         body=body, due=due)
+    return ProcessRecord(pid=pid, method="m", locals=locals_, body=body,
+                         due=due)
 
 
 def busy(oid, active):
@@ -133,7 +133,7 @@ def case_ready_guard_wins_globally():
 
 def case_adv_decrements_deadlines():
     p1 = proc(1, [SSkip()], deadline=mk_duration(10))
-    p2 = proc(2, [SSkip()], deadline=INF_DURATION, oid=1)
+    p2 = proc(2, [SSkip()], deadline=INF_DURATION)
     cfg = config(busy(0, p1), idle(1, [p2]))
     adv(cfg, Fraction(2))
     assert cfg.clock == Fraction(2)

@@ -260,6 +260,12 @@ def test_metrics_rejects_malformed_rationals(tmp_path):
                       '"pid":null,"method":null,"data":{}}\n'),
         ("bad.csv", header + "0,activate,o3,f4,m,deadline=abc\n"
                     "1,return,o3,f4,m,value=0\n"),
+        # rationals that Fraction reads but a trace never holds
+        ("bad.csv", header + "1.5,activate,o3,f4,m,deadline=inf\n"),
+        ("bad.csv", header + "0,activate,o3,f4,m,deadline=1e1\n"
+                    "1,return,o3,f4,m,value=0\n"),
+        ("bad.jsonl", '{"time":"+3","event":"tick","object":null,'
+                      '"pid":null,"method":null,"data":{}}\n'),
     ]
     for name, text in traces:
         path = tmp_path / name

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from rtabs import (
-    LexError, ParseError, load_source, nodes, parse_expr, parse_model,
+    LexError, ParseError, RtabsError, load_source, nodes, parse_expr,
+    parse_model,
 )
 from rtabs.desugar import desugar
 from rtabs.errors import deep_recursion
@@ -406,9 +408,70 @@ def test_value_assignable_only_in_methods():
     assert any("queue" in m for m in msgs)
 
 
+# a class to call and create, and a function to apply, for the rows below
+UNKNOWN_NAME_DECLS = ("interface I { Int m(Int a); } "
+                      "class C(Int p) implements I { Int m(Int a) { return a; } } "
+                      "def Int f(Int x) = x; ")
+
+# one row per expression position, each with `zz` standing there
+UNKNOWN_NAME_ROWS = [
+    # statements
+    "{ if (zz) { skip; } }",
+    "{ while (zz) { skip; } }",
+    "{ return zz; }",
+    "{ duration(zz, 1); }",
+    "{ duration(1, zz); }",
+    "{ await duration(zz, 1); }",
+    "{ await duration(1, zz); }",
+    "{ await True && zz; }",
+    "{ Int x = 0; x = zz; }",
+    "{ zz = 1; }",
+    "{ Int x = zz.get; }",
+    # calls, in the `!`, `.` and await-call forms
+    "{ zz!m(1); }",
+    "{ I o = new C(1); o!m(zz); }",
+    "{ I o = new C(1); [Deadline: zz] o!m(1); }",
+    "{ I o = new C(1); [Critical: zz] o!m(1); }",
+    "{ Int x = zz.m(1); }",
+    "{ I o = new C(1); Int x = o.m(zz); }",
+    "{ I o = new C(1); [Deadline: zz] Int x = o.m(1); }",
+    "{ I o = new C(1); [Critical: zz] Int x = o.m(1); }",
+    "{ await Int x = zz.m(1); }",
+    "{ I o = new C(1); await Int x = o.m(zz); }",
+    "{ I o = new C(1); [Deadline: zz] await Int x = o.m(1); }",
+    "{ I o = new C(1); [Critical: zz] await Int x = o.m(1); }",
+    # objects, and the other annotated expressions
+    "{ I o = new C(zz); }",
+    "[Scheduler: zz] class D { }",
+    "{ [Scheduler: zz] I o = new C(1); }",
+    "class D { [Cost: zz] Unit n() { skip; } }",
+    "class D { Int k = zz; }",
+    "def Int g(Int x) = zz;",
+    # expressions
+    "def Int g(Int x) = case zz { _ => 1; };",
+    "def Int g(Int x) = case x { _ => zz; };",
+    "def Int g(Int x) = zz + 1;",
+    "def Int g(Int x) = 1 + zz;",
+    "def Int g(Int x) = -zz;",
+    "def Int g(Int x) = if zz then 1 else 2;",
+    "def Int g(Int x) = if True then zz else 2;",
+    "def Int g(Int x) = if True then 1 else zz;",
+    "def Int g(Int x) = f(zz);",
+    "def List<Int> g(Int x) = Cons(zz, Nil);",
+]
+
+
 def test_unknown_names_reported():
-    msgs = check("class C { Unit m() { x = 1; } }")
-    assert any("unknown variable x" in m for m in msgs)
+    # no expression position goes unchecked
+    for row in UNKNOWN_NAME_ROWS:
+        source = UNKNOWN_NAME_DECLS + row
+        _, diags = load_source(source, "<test>")
+        at = f"<test>:1:{source.index('zz') + 1}"
+        assert [(str(d.pos), d.message) for d in diags] == [
+            (at, "unknown variable zz")], row
+
+
+def test_unknown_types_and_classes_reported():
     msgs = check("{ Foo f = new Bar(); }")
     assert any("unknown type Foo" in m for m in msgs)
     assert any("unknown class Bar" in m for m in msgs)
@@ -446,6 +509,63 @@ def test_keyword_misuse_diagnostics():
         ("5:16", f"deadline {only}"),
         ("9:24", f"deadline {only}"),
     ]
+
+
+# what a mutant puts in place of a name: the names the checker resolves
+# by context, constructors, prelude functions and unknown names
+MUTANT_NAMES = (
+    "this", "now", "deadline", "destiny", "queue", "value", "method", "cost",
+    "arrival", "critical", "Nil", "Cons", "Duration", "InfDuration", "Unit",
+    "head", "length", "edf", "schedulerH", "zz", "q1")
+
+
+def name_mutants(sources, count, rng):
+    """`count` mutants of `sources`, each with 1 or 2 name tokens
+    replaced by names drawn from MUTANT_NAMES."""
+    spans = []  # per source, the (offset, length) of each name token
+    for source in sources:
+        starts = [0]
+        for line in source.splitlines(keepends=True):
+            starts.append(starts[-1] + len(line))
+        spans.append([(starts[t.pos.line - 1] + t.pos.col - 1, len(t.text))
+                      for t in tokenize(source) if t.kind == "name"])
+    mutants = []
+    while len(mutants) < count:
+        index = rng.randrange(len(sources))
+        source, names = sources[index], spans[index]
+        if not names:
+            continue
+        picked = rng.sample(names, min(len(names), rng.randint(1, 2)))
+        for offset, length in sorted(picked, reverse=True):
+            source = (source[:offset] + rng.choice(MUTANT_NAMES)
+                      + source[offset + length:])
+        mutants.append(source)
+    return mutants
+
+
+def test_check_diagnostics_are_pinned():
+    # the rendered diagnostics, or the error, of every source below; a
+    # change to how names resolve changes the digest
+    models = [path.read_text(encoding="utf-8")
+              for path in sorted(MODELS_DIR.glob("*.rtabs"))]
+    generated = [ref.generate_model(seed)[1] for seed in range(200)]
+    bases = models + generated + [KEYWORD_MISUSE_SRC]
+    sources = [""] + bases + name_mutants(bases, 600, random.Random(20))
+    digest = hashlib.sha256()
+    parsed = flagged = 0
+    for number, source in enumerate(sources):
+        try:
+            _, diags = load_source(source, f"<src-{number}>")
+        except RtabsError as exc:
+            lines = [f"{type(exc).__name__}: {exc}"]
+        else:
+            parsed += 1
+            flagged += bool(diags)
+            lines = [d.render() for d in diags]
+        digest.update("\n".join(lines + [""]).encode())
+    assert (len(sources), parsed, flagged) == (811, 636, 357)
+    assert digest.hexdigest() == (
+        "2b53e7c85c5ef9ed5a7afeddcdcc76007700f26a7d0bedd6cf970d8f9a936dca")
 
 
 def test_annotation_placement():

@@ -114,6 +114,8 @@ def test_malformed_rows_rejected():
         ("0,explode,,,,\n", RtabsError, "unknown event kind 'explode'"),
         ("3/x,return,o1,f2,m,note=x\\=y\n", ValueError,
          "Invalid literal for Fraction: '3/x'"),
+        ("3/6,return,o1,f2,m,note=x\\=y\n", ValueError,
+         "not a rational as traces write it: '3/6'"),
         ("3/2,return,o1x,f2,m,note=x\\=y\n", RtabsError,
          "malformed id column 'o1x'"),
         ("3/2,return,o1,o1,m,note=x\\=y\n", RtabsError,
