@@ -6,15 +6,21 @@ queue of suspended or pending ones), futures, and the global clock.
 Execution alternates two phases: apply instantaneous rules until
 quiescence, then advance the clock by the maximum time elapse (mte).
 
+A process runs as a continuation over the immutable desugared tree
+(`ProcessRecord`): a step moves its place or pushes or pops a frame,
+and builds no syntax node.  What a rule would write into a statement is
+kept beside it: the sampled ends of the head, the value a second half
+stores.
+
 Time is stored absolute.  A process keeps its absolute deadline in
-`due`, and a sampled duration (the `duration` statement, a duration
-conjunct of an await guard) the absolute time it ends, so advancing
-time moves only the clock.  No process keeps a `deadline` local: the
-time left, which models and traces see, is derived from the clock when
-a process's code reads `deadline`, when the process is lifted into a
-Proc value, and when a head or a deadline is rendered.  Its code
-evaluates on its locals, its object's fields and the process itself,
-never on a merged scope (`evaluator.lookup`).
+`due` and the ends of its sampled head (a `duration` statement, the
+duration conjuncts of an await) in `sample`, so advancing time moves
+only the clock.  No process keeps a `deadline` local: the time left,
+which models and traces see, is derived from the clock when a process's
+code reads `deadline`, when the process is lifted into a Proc value,
+and when a head or a deadline is rendered.  Its code evaluates on its
+locals, its object's fields and the process itself, never on a merged
+scope (`evaluator.lookup`).
 
 Rule choice is determinized for reproducibility: each step applies a
 rule of the lowest-oid object that has one; per object, pending
@@ -85,9 +91,8 @@ from .evaluator import (
     remaining_deadline,
 )
 from .nodes import (
-    Expr, GDuration, GFut, Lit, Model, RCall, RDur, RExpr, RGet, RNew,
-    SAssign, SAwait, SDuration, SDuration2, SIf, SReturn, SSkip, SSuspend,
-    SWhile, Stmt, TypeAst,
+    Expr, GDuration, GFut, Lit, Model, RCall, RExpr, RGet, RNew, SAssign,
+    SAwait, SDuration, SIf, SReturn, SSkip, SSuspend, SWhile, Stmt,
 )
 from .pretty import render_expr, render_guard, render_stmt
 from .trace import Trace, TraceEvent
@@ -110,12 +115,35 @@ class ProcessRecord:
     pid: int
     method: str
     locals: dict[str, Value]
-    body: list[Stmt]
+    # the head is block[index]; frames holds the (block, index) places to
+    # resume, innermost last.  A block is left as soon as it is done.
+    block: tuple[Stmt, ...]
+    index: int = 0
+    frames: list[tuple[tuple[Stmt, ...], int]] = field(default_factory=list)
+    looping: bool = False  # the head is a `while` whose `cond` step is next
+    # the absolute ends of the head's sampled durations, in order; None
+    # until the head is sampled
+    sample: tuple[Fraction, ...] | None = None
+    pending: Value | None = None  # what the second half of the head stores
     dispatched: bool = False
     label: str | None = None
     # the absolute deadline; None when infinite.  The only store of a
     # deadline: the `deadline` a model or a Proc sees is derived from it.
     due: Fraction | None = None
+
+    def proceed(self) -> None:
+        """Move past the head, leaving every block that is done."""
+        self.sample = self.pending = None
+        index = self.index + 1
+        while index == len(self.block) and self.frames:
+            self.block, index = self.frames.pop()
+        self.index = index
+
+    def enter(self, block: tuple[Stmt, ...]) -> None:
+        """Run block, then resume at the current head."""
+        if block:
+            self.frames.append((self.block, self.index))
+            self.block, self.index = block, 0
 
 
 @dataclass(eq=False)
@@ -133,10 +161,6 @@ class ObjectState:
     # while stalled, the earliest time one of its blocked heads may fire,
     # if one waits for time; the one live entry of the timer heap
     wake_at: Fraction | None = None
-
-    def processes(self) -> list[ProcessRecord]:
-        out = [self.active] if self.active is not None else []
-        return out + list(self.queue)
 
 
 @dataclass
@@ -205,31 +229,11 @@ def select(pid_value: Value, processes: list[ProcessRecord]) -> ProcessRecord | 
 
 # ------------------------------------------------------------ time machinery
 #
-# Times are stored absolute: a process's deadline (`due`) and the ends of
-# a sampled duration (SDuration2, RDur) are clock times, so advancing
-# time only moves the clock.  What a model or a trace sees is the time
-# left, derived here: remaining_deadline for `deadline`, relative for a
-# sampled head.
-#
 # wait and mte require the duration conjuncts of await guards in head
 # position to be sampled already (the engine fixes them before
 # consulting any of them).
 
 _ZERO = Fraction(0)
-
-
-def relative(stmt: Stmt, clock: Fraction) -> Stmt:
-    """A sampled head with the absolute ends of its durations replaced by
-    the time left at clock, as it is rendered; any other statement as
-    it is."""
-    if isinstance(stmt, SDuration2):
-        return SDuration2(stmt.best - clock, stmt.worst - clock)
-    if isinstance(stmt, SAwait) and any(isinstance(g, RDur) for g in stmt.guards):
-        return SAwait(tuple(
-            RDur(g.best - clock, g.worst - clock) if isinstance(g, RDur) else g
-            for g in stmt.guards), pos=stmt.pos)
-    return stmt
-
 
 Wait = Fraction | FutRef | None
 
@@ -240,33 +244,30 @@ def wait(p: ProcessRecord, obj: ObjectState, ctx: EvalContext) -> Wait:
     future it awaits (`f?`) or gets (`x = e.get`), or None when a
     boolean conjunct does not hold.  Each conjunct and the `.get` target
     evaluate in p's scope: its locals, then its object's fields."""
-    head = p.body[0]
-    clock = ctx.config.clock
-    if isinstance(head, SDuration2):
-        return _ZERO if head.best <= clock else head.worst - clock
+    head = p.block[p.index]
     if isinstance(head, SAwait):
-        end = None  # the latest end of a duration conjunct still running
         for guard in head.guards:
-            if isinstance(guard, RDur):
-                if guard.best > clock and (end is None or guard.worst > end):
-                    end = guard.worst
-            elif isinstance(guard, GDuration):
-                raise AssertionError("wait on an unsampled duration guard")
-            elif isinstance(guard, GFut):
+            if isinstance(guard, GFut):
                 fut = awaited_future(guard, p.locals, ctx, obj.attrs, p)
                 if not ctx.config.futures[fut.fid].resolved:
                     return fut
+            elif isinstance(guard, GDuration):
+                if p.sample is None:
+                    raise AssertionError("wait on an unsampled duration guard")
             elif not eval_guard(guard, p.locals, ctx, obj.attrs, p):
                 return None
-        return _ZERO if end is None else end - clock
-    if isinstance(head, SAssign) and isinstance(head.rhs, RGet):
+    elif (isinstance(head, SAssign) and isinstance(head.rhs, RGet)
+          and p.pending is None):
         fut = eval_expr(head.rhs.expr, p.locals, ctx, obj.attrs, p)
         if not isinstance(fut, FutRef):
             raise EvalTypeError(
                 f"get applied to {render_value(fut)}, not a future",
                 head.rhs.pos)
         return _ZERO if ctx.config.futures[fut.fid].resolved else fut
-    return _ZERO
+    if p.sample is None:
+        return _ZERO
+    left = max(p.sample) - ctx.config.clock  # the longest time left
+    return left if left > 0 else _ZERO
 
 
 def mte_raw(config: Configuration, program: Program) -> Fraction | None:
@@ -297,8 +298,26 @@ def _locate(err: RtRuntimeError, oid: int, p: ProcessRecord | None,
     if p is not None and err.pid is None:
         err.pid = p.pid
         err.method = p.method
-        if err.stmt is None and p.body:
-            err.stmt = render_stmt(relative(p.body[0], clock)).strip()
+        if err.stmt is None:
+            err.stmt = render_head(p, clock)
+
+
+def render_head(p: ProcessRecord, clock: Fraction) -> str:
+    """p's head as the rules step it, for reports: a `while` whose `cond`
+    step is next unrolled once, a second half assigning the value it
+    stores, a sampled head with the time left (the nodes built here are
+    the only ones a run builds, and only to be printed)."""
+    s = p.block[p.index]
+    if p.looping:
+        s = SIf(s.cond, s.body + (s,), (), pos=s.pos)
+    elif p.pending is not None:
+        s = SAssign(s.decl_type, s.name, RExpr(Lit(p.pending)), pos=s.pos)
+    elif isinstance(s, SAwait):
+        return f"await {render_guard(s.guards, p.sample, clock)};"
+    elif p.sample is not None:
+        left = format_rat(p.sample[0] - clock)
+        return f"duration[{left}, {left}];"
+    return render_stmt(s)
 
 
 def mte(config: Configuration, program: Program) -> Value:
@@ -307,9 +326,7 @@ def mte(config: Configuration, program: Program) -> Value:
 
 
 def adv(config: Configuration, delta: Fraction) -> None:
-    """Advance the clock by delta.  Deadlines and pending durations are
-    absolute, so the time left on each shrinks by delta without any
-    term being rewritten."""
+    """Advance the clock by delta; every stored time is absolute."""
     config.clock += delta
 
 
@@ -408,25 +425,15 @@ class Engine:
 
     def _fix_head(self, p: ProcessRecord, obj: ObjectState) -> None:
         """Sample the duration conjuncts of p's await head, left to right,
-        each becoming an RDur that ends that long after now.  Every other
-        conjunct is kept, and a head with nothing left to sample stays as
-        it is, so fixing is idempotent and draws nothing twice."""
-        head = p.body[0] if p.body else None
-        if not isinstance(head, SAwait):
-            return
-        for g in head.guards:
-            if isinstance(g, GDuration):
-                break
-        else:
+        each ending that long after now.  A sampled head stays as it is,
+        so fixing is idempotent and draws nothing twice."""
+        head = p.block[p.index]
+        if p.sample is not None or not isinstance(head, SAwait):
             return
         clock = self.config.clock
-        guards = []
-        for g in head.guards:
-            if isinstance(g, GDuration):
-                end = clock + self._draw(g.best, g.worst, p, obj, g.pos)
-                g = RDur(end, end)
-            guards.append(g)
-        p.body[0] = SAwait(tuple(guards), pos=head.pos)
+        ends = [clock + self._draw(g.best, g.worst, p, obj, g.pos)
+                for g in head.guards if isinstance(g, GDuration)]
+        p.sample = tuple(ends) if ends else None
 
     def _fix_woken_heads(self) -> None:
         """Sample the heads of the objects woken or created since the
@@ -436,7 +443,7 @@ class Engine:
         objects = self.config.objects
         for oid in sorted(self._woken):
             obj = objects[oid]
-            for p in obj.processes():
+            for p in [obj.active, *obj.queue] if obj.active else obj.queue:
                 try:
                     self._fix_head(p, obj)
                 except RtRuntimeError as err:
@@ -554,7 +561,7 @@ class Engine:
         due = (None if is_inf_duration(msg.deadline)
                else self.config.clock + duration_rat(msg.deadline))
         return ProcessRecord(pid=msg.fid, method=msg.method, locals=locals_,
-                             body=list(mth.body), label=label, due=due)
+                             block=mth.body, label=label, due=due)
 
     def _bind_and_enqueue(self, obj: ObjectState, msg: InvocationMessage) -> None:
         try:
@@ -576,18 +583,17 @@ class Engine:
 
     def _step_active(self, obj: ObjectState) -> str | None:
         p = obj.active
-        assert p is not None and p.body, "active process with empty body"
-        clock = self.config.clock
+        assert p is not None, "no active process"
         self._fix_head(p, obj)
-        s = p.body[0]
+        s = p.block[p.index]
         self.ctx.clock_read = False  # reads by the wait, not by the draws
         w = wait(p, obj, self.ctx)
 
         if isinstance(s, SAwait):
             if w == 0:
-                del p.body[0]
+                p.proceed()
                 return "await-true"
-            guard = render_guard(relative(s, clock).guards)
+            guard = render_guard(s.guards, p.sample, self.config.clock)
             self._suspend(obj, p, (("guard", guard),))
             return "await-false"
 
@@ -596,82 +602,84 @@ class Engine:
             return None
 
         if isinstance(s, SSkip):
-            del p.body[0]
+            p.proceed()
             return "skip"
 
         if isinstance(s, SAssign):
             return self._step_assign(obj, p, s)
 
-        if isinstance(s, SIf):
+        if isinstance(s, SWhile) and not p.looping:
+            p.looping = True  # unrolled: `if cond { body; while ... }`
+            return "while"
+
+        if isinstance(s, (SIf, SWhile)):
             cond = eval_expr(s.cond, p.locals, self.ctx, obj.attrs, p)
             if not isinstance(cond, BoolVal):
                 raise EvalTypeError(
                     f"condition is {render_value(cond)}, not a Bool", s.pos)
-            p.body[0:1] = s.then if cond.value else s.els
+            p.looping = False
+            if isinstance(s, SIf):
+                p.proceed()
+                p.enter(s.then if cond.value else s.els)
+            elif cond.value:
+                p.enter(s.body)  # the loop is the head again after its body
+            else:
+                p.proceed()
             return "cond"
-
-        if isinstance(s, SWhile):
-            p.body[0] = SIf(s.cond, s.body + (s,), (), pos=s.pos)
-            return "while"
 
         if isinstance(s, SReturn):
             self._do_return(obj, p, s)
             return "return"
 
         if isinstance(s, SSuspend):
-            del p.body[0]
+            p.proceed()
             self._suspend(obj, p, ())
             return "suspend"
 
         if isinstance(s, SDuration):
-            end = clock + self._draw(s.best, s.worst, p, obj, s.pos)
-            p.body[0] = SDuration2(end, end)
-            return "duration"
-
-        if isinstance(s, SDuration2):
-            del p.body[0]
+            if p.sample is None:
+                p.sample = (self.config.clock
+                            + self._draw(s.best, s.worst, p, obj, s.pos),)
+                return "duration"
+            p.proceed()  # wait found it ended
             return "duration-done"
 
         raise RtRuntimeError(f"statement was not lowered: {type(s).__name__}",
                              getattr(s, "pos", None))
 
     def _step_assign(self, obj: ObjectState, p: ProcessRecord,
-                     s: SAssign) -> str | None:
+                     s: SAssign) -> str:
+        """One step of an assignment.  A `new`, call or `.get` takes two:
+        the first computes the value, kept as `p.pending`, and the second
+        stores it."""
         rhs = s.rhs
-        if rhs is None:
-            self._assign(obj, p, s, _type_default(s.decl_type))
-            del p.body[0]
-            return "assign"
-        if isinstance(rhs, RExpr):
-            self._assign(obj, p, s,
-                         eval_expr(rhs.expr, p.locals, self.ctx, obj.attrs, p))
-            del p.body[0]
-            return "assign"
-        if isinstance(rhs, RNew):
-            ref = self._new_object(obj, p, rhs)
-            p.body[0] = SAssign(s.decl_type, s.name, RExpr(Lit(ref)), pos=s.pos)
+        if p.pending is not None:
+            value = p.pending
+        elif rhs is None:
+            value = _DEFAULTS.get(s.decl_type.name, NULL)
+        elif isinstance(rhs, RExpr):
+            value = eval_expr(rhs.expr, p.locals, self.ctx, obj.attrs, p)
+        elif isinstance(rhs, RNew):
+            p.pending = self._new_object(obj, p, rhs)
             return "new-object"
-        if isinstance(rhs, RCall):
-            fut = self._async_call(obj, p, rhs)
-            p.body[0] = SAssign(s.decl_type, s.name, RExpr(Lit(fut)), pos=s.pos)
+        elif isinstance(rhs, RCall):
+            p.pending = self._async_call(obj, p, rhs)
             return "async-call"
-        if isinstance(rhs, RGet):  # wait found the future resolved
+        elif isinstance(rhs, RGet):  # wait found the future resolved
             fut = eval_expr(rhs.expr, p.locals, self.ctx, obj.attrs, p)
-            value = self.config.futures[fut.fid].value
-            p.body[0] = SAssign(s.decl_type, s.name, RExpr(Lit(value)),
-                                pos=s.pos)
+            p.pending = self.config.futures[fut.fid].value
             return "read-fut"
-        raise RtRuntimeError(f"call was not lowered: {type(rhs).__name__}",
-                             s.pos)
-
-    def _assign(self, obj: ObjectState, p: ProcessRecord, s: SAssign,
-                value: Value) -> None:
+        else:
+            raise RtRuntimeError(
+                f"call was not lowered: {type(rhs).__name__}", s.pos)
         if s.decl_type is not None or s.name in p.locals:
             p.locals[s.name] = value
         elif s.name in obj.attrs:
             obj.attrs[s.name] = value
         else:
             raise UnboundVariableError(f"unbound variable {s.name}", s.pos)
+        p.proceed()
+        return "assign"
 
     def _suspend(self, obj: ObjectState, p: ProcessRecord, data: tuple) -> None:
         obj.active = None
@@ -750,9 +758,9 @@ class Engine:
         for (_, name), value in zip(cd.params, args):
             attrs[name] = value
         for fd in cd.fields:
-            attrs[fd.name] = _type_default(fd.type)
-        policy = rhs.scheduler if rhs.scheduler is not None else default_policy()
-        return self._create_object(rhs.cls, policy, attrs, "init", cd.init_body)
+            attrs[fd.name] = _DEFAULTS.get(fd.type.name, NULL)
+        return self._create_object(rhs.cls, rhs.scheduler, attrs, "init",
+                                   cd.init_body)
 
     def _create_object(self, cls: str, policy: Expr, attrs: dict[str, Value],
                        method: str, body: tuple[Stmt, ...] | None) -> ObjRef:
@@ -771,7 +779,7 @@ class Engine:
                 pid=fid, method=method,
                 locals=self._reserved_locals(fid, method, FALSE,
                                              mk_duration(0), clock),
-                body=list(body), dispatched=True)
+                block=body, dispatched=True)
             p.locals["start"] = mk_time(clock)
             obj.active = p
             self._emit("activate", obj=oid, pid=fid, method=method,
@@ -873,14 +881,8 @@ class Engine:
 
     def advance(self, limit: Fraction) -> str | None:
         """At quiescence, stop with "finished", "deadlock" or "time_limit",
-        or advance the clock by mte, emit the tick and return None.
-
-        Every object is stalled here, and each registered, from the
-        waits it last computed, a timer at the earliest time one of its
-        heads may fire.  Times are absolute, and an object whose heads'
-        waits a tick may change otherwise wakes at every tick, so the
-        earliest live timer less the clock is mte (`mte_raw`), found
-        without consulting any object."""
+        or advance the clock by mte, emit the tick and return None.  mte
+        is the earliest live timer less the clock (module docstring)."""
         self._fix_woken_heads()
         at = self._next_timer()
         if at is None:
@@ -907,10 +909,7 @@ class Engine:
     def _blocked_report(self) -> list[str]:
         def head(p: ProcessRecord, obj: ObjectState) -> str:
             """p's head, and the future it waits for if it names one."""
-            if not p.body:
-                return "`?`"
-            clock = self.config.clock
-            text = f"`{render_stmt(relative(p.body[0], clock)).strip()}`"
+            text = f"`{render_head(p, self.config.clock)}`"
             w = wait(p, obj, self.ctx)
             return f"{text} (waits for f{w.fid})" if isinstance(w, FutRef) else text
 
@@ -928,16 +927,8 @@ class Engine:
         return out
 
 
-def _type_default(ty: TypeAst | None) -> Value:
-    if ty is None:
-        return NULL
-    if ty.name in ("Int", "Rat"):
-        return num(0)
-    if ty.name == "Bool":
-        return FALSE
-    if ty.name == "String":
-        return StrVal("")
-    return NULL
+# the value of a variable declared without an initializer, by type name
+_DEFAULTS = {"Int": num(0), "Rat": num(0), "Bool": FALSE, "String": StrVal("")}
 
 
 def simulate(model: Model, limit: Fraction | int, seed: int = 0,

@@ -15,8 +15,6 @@ of it.  Compiled code lives in the `Program`, shared by every evaluation:
   identity of its node, which the cache holds.  Its frame's first slots
   hold its scope (`lookup`): a process's locals, its object's fields and
   the process itself, whose time left `deadline` reads; or a plain dict.
-  A bare literal is never compiled or kept: the engine builds one at
-  every assignment step.
 
 A case binder shadows an outer variable of the same name.  A name reads
 its scope value, else a nullary constructor, else it is an unbound
@@ -164,8 +162,6 @@ def eval_expr(expr: Expr, env: Env, ctx: EvalContext,
               fields: Env = _NO_FIELDS, proc: Any = None) -> Value:
     """The value of expr in a scope (see `lookup`); a plain dict env is
     a scope with no fields and no process."""
-    if type(expr) is Lit:
-        return expr.value
     try:
         _, code, pad = ctx.program.compiled(expr)
         return code([env, fields, proc, *pad], ctx)

@@ -1,18 +1,17 @@
 """Abstract syntax.
 
-Source forms are produced by the parser; the runtime forms at the bottom
-(SDuration2 and RDur) only ever appear in process bodies inside the
-simulator, never in parsed models.  Statement and expression nodes carry
-an optional source position for diagnostics; it is excluded from
-equality so desugared trees compare structurally.
+Every node is produced by the parser or by desugaring; running a model
+builds none (a report may build the one statement it prints).
+Statement and expression nodes carry an optional source position for
+diagnostics; it is excluded from equality so desugared trees compare
+structurally.
 
 Trees are immutable values: every node is a `Node`, whose fields cannot
 be assigned after construction, and every sequence in it a tuple, so one
 parsed tree is shared by reference between loads, desugared models and
-all the processes that run it.
-Process bodies (`ProcessRecord.body` in the engine) are the only
-mutable statement sequences; a rule that rewrites a statement replaces
-it in the body with a new node.
+all the processes that run it.  A process runs as a continuation over
+the tree (`ProcessRecord` in the engine), which keeps its own state, such
+as the sampled ends of its head, beside the statements, never in them.
 
 An await guard `g1 && ... && gn` is the flat tuple of its conjuncts in
 source order (`SAwait.guards`); however the source nests them, every
@@ -20,8 +19,6 @@ conjunct must hold, read left to right.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .values import Value
 
@@ -392,8 +389,7 @@ class SSuspend(Stmt):
 
 
 class SAwait(Stmt):
-    """await g1 && ... && gn: each conjunct a GBool, GFut, GDuration or,
-    once sampled, RDur."""
+    """await g1 && ... && gn: each conjunct a GBool, GFut or GDuration."""
 
     guards: tuple[Guard, ...]
     pos: Pos | None = None
@@ -493,25 +489,3 @@ class Model(Node):
     classes: tuple[ClassDecl, ...]
     main: tuple[Stmt, ...] | None
     pos: Pos | None = None
-
-
-# ---------------------------------------------------------- runtime forms
-#
-# Introduced by execution rules only.  A sampled duration statement is an
-# SDuration2 and a sampled duration conjunct an RDur, both with plain
-# Fraction bounds; the other conjuncts of a sampled await stay in source
-# form.  In the engine the bounds are absolute: the clock times at which
-# the wait may end (best) and must end (worst).  Deadlines are kept
-# absolute in process records, so time advance rewrites no node.
-
-
-class RDur(Guard):
-    best: Fraction
-    worst: Fraction
-
-
-class SDuration2(Stmt):
-    """duration statement after its wait has been sampled."""
-
-    best: Fraction
-    worst: Fraction

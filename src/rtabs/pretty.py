@@ -3,8 +3,9 @@
 parse(render(model)) equals model structurally, which the test suite
 relies on.  That holds for await guards too: the flat tuple of
 conjuncts renders joined by ` && ` and parses back to the same tuple.
-Runtime forms render in a readable bracketed style for error and
-deadlock reports; they have no source syntax.  Joins take lists, not
+A sampled duration renders with the time left in a bracketed style,
+`duration[t, t]`, for error and deadlock reports and suspend events; it
+has no source syntax.  Joins take lists, not
 generators, which would recurse on the C stack.  A block appends its
 pieces to one list, joined once, so no level copies the text of the
 levels inside it.
@@ -12,12 +13,15 @@ levels inside it.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from fractions import Fraction
+
 from .nodes import (
     BINARY_PRECEDENCE, Apply, BinOp, CaseExpr, Expr, GBool, GDuration, GFut,
     Guard, IfExpr, Lit, Model, NowExpr, PCtor, PLit, PName, Pattern,
-    PWildcard, RCall, RDur, RExpr, RGet, RNew, RSyncCall, Rhs, SAssign,
-    SAwait, SAwaitCall, SCallStmt, SDuration, SDuration2, SIf, SReturn, SSkip,
-    SSuspend, SWhile, Stmt, TypeAst, Unary, Var,
+    PWildcard, RCall, RExpr, RGet, RNew, RSyncCall, Rhs, SAssign, SAwait,
+    SAwaitCall, SCallStmt, SDuration, SIf, SReturn, SSkip, SSuspend, SWhile,
+    Stmt, TypeAst, Unary, Var,
 )
 from .values import format_rat, render_value
 
@@ -70,22 +74,32 @@ def render_pattern(pat: Pattern) -> str:
     raise TypeError(f"cannot render {pat!r}")
 
 
-def render_guard(guards: tuple[Guard, ...]) -> str:
+def render_guard(guards: tuple[Guard, ...],
+                 ends: tuple[Fraction, ...] | None = None,
+                 clock: Fraction = Fraction(0)) -> str:
+    """The conjuncts joined by ` && `; given the absolute `ends` of the
+    duration conjuncts in order, those render with the time left at
+    clock."""
     # a boolean conjunct that binds looser than && is parenthesised when
     # it has neighbours, so the text parses back to the same conjuncts
     prec = BINARY_PRECEDENCE["&&"] + 1 if len(guards) > 1 else 0
-    return " && ".join([_render_conjunct(g, prec) for g in guards])
+    ends = iter(ends or ())
+    return " && ".join([_render_conjunct(g, prec, ends, clock)
+                        for g in guards])
 
 
-def _render_conjunct(guard: Guard, prec: int) -> str:
+def _render_conjunct(guard: Guard, prec: int, ends: Iterator[Fraction],
+                     clock: Fraction) -> str:
     if isinstance(guard, GBool):
         return render_expr(guard.expr, prec)
     if isinstance(guard, GFut):
         return guard.var + "?"
     if isinstance(guard, GDuration):
+        end = next(ends, None)
+        if end is not None:  # sampled: the time left
+            left = format_rat(end - clock)
+            return f"duration[{left}, {left}]"
         return f"duration({render_expr(guard.best)}, {render_expr(guard.worst)})"
-    if isinstance(guard, RDur):
-        return f"duration[{format_rat(guard.best)}, {format_rat(guard.worst)}]"
     raise TypeError(f"cannot render {guard!r}")
 
 
@@ -148,8 +162,6 @@ def render_stmt(stmt: Stmt, indent: int = 0) -> str:
         return f"{pad}{_rhs_annots(stmt.call)}{_render_rhs(stmt.call)};"
     if isinstance(stmt, SDuration):
         return f"{pad}duration({render_expr(stmt.best)}, {render_expr(stmt.worst)});"
-    if isinstance(stmt, SDuration2):
-        return f"{pad}duration[{format_rat(stmt.best)}, {format_rat(stmt.worst)}];"
     raise TypeError(f"cannot render {stmt!r}")
 
 

@@ -91,7 +91,8 @@ class StrVal(Value):
 class DataVal(Value):
     """Constructor term, e.g. Cons(1, Nil) or Duration(3/2)."""
 
-    __slots__ = ("ctor", "args")
+    # `_hash` is unset until the first `__hash__`, which keeps it
+    __slots__ = ("ctor", "args", "_hash")
 
     def __init__(self, ctor: str, args: tuple[Value, ...] = ()):
         _set_ctor(self, ctor)
@@ -109,10 +110,31 @@ class DataVal(Value):
         return True
 
     def __hash__(self):
-        return hash((self.ctor, self.args))
+        # `hash((ctor, args))`, with each argument hashed through its own
+        # `__hash__`, so a deep list spares the C stack
+        try:
+            return self._hash
+        except AttributeError:
+            args = _tuple_hash([arg.__hash__() for arg in self.args])
+            _set_hash(self, _tuple_hash([hash(self.ctor), args]))
+            return self._hash
 
     def __repr__(self) -> str:
         return f"DataVal(ctor={self.ctor!r}, args={self.args!r})"
+
+
+_MASK = (1 << 64) - 1
+
+
+def _tuple_hash(lanes: list[int]) -> int:
+    """The hash of a tuple whose items hash to lanes, as CPython's
+    `tuplehash` (Objects/tupleobject.c, a 64-bit build) computes it."""
+    acc = 2870177450012600261
+    for lane in lanes:
+        acc = (acc + (lane & _MASK) * 14029467366897019727) & _MASK
+        acc = ((acc << 31 | acc >> 33) & _MASK) * 11400714785074694791 & _MASK
+    acc = (acc + (len(lanes) ^ 2870177450012600261 ^ 3527539)) & _MASK
+    return 1546275796 if acc == _MASK else acc - (acc >> 63 << 64)
 
 
 class ObjRef(Value):
@@ -176,6 +198,7 @@ _set_num = NumVal.value.__set__
 _set_str = StrVal.value.__set__
 _set_ctor = DataVal.ctor.__set__
 _set_args = DataVal.args.__set__
+_set_hash = DataVal._hash.__set__
 _set_oid = ObjRef.oid.__set__
 _set_fid = FutRef.fid.__set__
 

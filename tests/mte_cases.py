@@ -12,10 +12,10 @@ from rtabs import (
     mte, mte_raw,
 )
 from rtabs.desugar import default_policy, desugar
-from rtabs.engine import relative, remaining_deadline
+from rtabs.engine import remaining_deadline, render_head
 from rtabs.evaluator import Program
 from rtabs.nodes import (
-    GBool, GFut, Lit, RDur, RGet, SAssign, SAwait, SDuration2, SSkip,
+    GBool, GDuration, GFut, Lit, RGet, SAssign, SAwait, SDuration, SSkip,
 )
 from rtabs.values import (
     FALSE, INF_DURATION, TRUE, FutRef, StrVal, duration_rat,
@@ -25,18 +25,28 @@ from rtabs.values import (
 PROGRAM = Program.from_model(desugar(load_source("", "<empty>")[0]))
 
 
-def proc(pid, body, deadline=INF_DURATION, clock=0):
-    """A process whose deadline, given as the time left at clock, is
-    kept absolute in `due`, as the engine keeps it; a sampled head in
-    body is already absolute (all cases but one run at clock 0)."""
+def proc(pid, body, deadline=INF_DURATION, clock=0, sample=None):
+    """A process running body, whose deadline, given as the time left at
+    clock, is kept absolute in `due`, as the engine keeps it; the sample
+    of its head is already absolute (all cases but one run at clock 0)."""
     locals_ = {
         "destiny": FutRef(pid), "method": StrVal("m"), "arrival": mk_time(0),
         "cost": mk_duration(0), "start": mk_time(0), "finish": mk_time(0),
         "critical": FALSE, "value": num(0),
     }
     due = None if is_inf_duration(deadline) else clock + duration_rat(deadline)
-    return ProcessRecord(pid=pid, method="m", locals=locals_, body=body,
-                         due=due)
+    return ProcessRecord(pid=pid, method="m", locals=locals_,
+                         block=tuple(body), sample=sample, due=due)
+
+
+def duration(best, worst):
+    """A `duration` statement with literal bounds."""
+    return SDuration(Lit(num(best)), Lit(num(worst)))
+
+
+def conjunct(best, worst):
+    """A duration conjunct with literal bounds."""
+    return GDuration(Lit(num(best)), Lit(num(worst)))
 
 
 def busy(oid, active):
@@ -64,21 +74,21 @@ def _raw(cfg):
 
 
 def case_busy_duration():
-    # a pending duration2 head on the active process bounds mte by its worst
-    cfg = config(busy(0, proc(1, [SDuration2(Fraction(3), Fraction(5))])))
+    # a sampled duration head on the active process bounds mte by its end
+    cfg = config(busy(0, proc(1, [duration(3, 5)], sample=(Fraction(5),))))
     assert _raw(cfg) == Fraction(5)
     assert mte(cfg, PROGRAM) == mk_duration(5)
 
 
 def case_elapsed_duration_is_enabled():
-    # best <= 0 means the head may fire now, so no time may pass
-    cfg = config(busy(0, proc(1, [SDuration2(Fraction(0), Fraction(5))])))
+    # an end at the clock means the head may fire now, so no time may pass
+    cfg = config(busy(0, proc(1, [duration(0, 5)], sample=(Fraction(0),))))
     assert _raw(cfg) == Fraction(0)
 
 
 def case_idle_await_duration():
-    # an idle object waits at most the guard's worst bound
-    waiting = proc(1, [SAwait((RDur(Fraction(2), Fraction(4)),))])
+    # an idle object waits at most until the guard's sampled end
+    waiting = proc(1, [SAwait((conjunct(2, 4),))], sample=(Fraction(4),))
     cfg = config(idle(0, [waiting]))
     assert _raw(cfg) == Fraction(4)
     assert mte(cfg, PROGRAM) == mk_duration(4)
@@ -86,8 +96,8 @@ def case_idle_await_duration():
 
 def case_idle_min_over_queue():
     cfg = config(idle(0, [
-        proc(1, [SAwait((RDur(Fraction(2), Fraction(4)),))]),
-        proc(2, [SDuration2(Fraction(3), Fraction(3))]),
+        proc(1, [SAwait((conjunct(2, 4),))], sample=(Fraction(4),)),
+        proc(2, [duration(3, 3)], sample=(Fraction(3),)),
     ]))
     assert _raw(cfg) == Fraction(3)
 
@@ -103,21 +113,21 @@ def case_blocked_get_is_infinite():
 
 
 def case_false_conjunct_is_infinite():
-    guards = (RDur(Fraction(2), Fraction(5)), GBool(Lit(FALSE)))
-    cfg = config(idle(0, [proc(1, [SAwait(guards)])]))
+    guards = (conjunct(2, 5), GBool(Lit(FALSE)))
+    cfg = config(idle(0, [proc(1, [SAwait(guards)], sample=(Fraction(5),))]))
     assert _raw(cfg) is None
     assert mte(cfg, PROGRAM) == INF_DURATION
 
 
 def case_conjunction_takes_max():
-    guards = (RDur(Fraction(2), Fraction(5)), GBool(Lit(TRUE)))
-    cfg = config(idle(0, [proc(1, [SAwait(guards)])]))
+    guards = (conjunct(2, 5), GBool(Lit(TRUE)))
+    cfg = config(idle(0, [proc(1, [SAwait(guards)], sample=(Fraction(5),))]))
     assert _raw(cfg) == Fraction(5)
 
 
 def case_ready_guard_wins_globally():
     # a satisfied guard anywhere pins mte to zero across objects
-    waiting = busy(0, proc(1, [SDuration2(Fraction(4), Fraction(4))]))
+    waiting = busy(0, proc(1, [duration(4, 4)], sample=(Fraction(4),)))
     ready = idle(1, [proc(2, [SAwait((GBool(Lit(TRUE)),))])])
     cfg = config(waiting, ready)
     assert _raw(cfg) == Fraction(0)
@@ -128,7 +138,7 @@ def case_ready_guard_wins_globally():
 
 # adv only moves the clock; what it must change is what the engine
 # derives from the clock: the time left until a deadline
-# (remaining_deadline) and on a sampled head (relative)
+# (remaining_deadline) and on a sampled head (as render_head shows it)
 
 
 def case_adv_decrements_deadlines():
@@ -142,36 +152,40 @@ def case_adv_decrements_deadlines():
 
 
 def case_adv_decrements_head_duration():
-    p = proc(1, [SDuration2(Fraction(3), Fraction(5))])
-    cfg = config(busy(0, p))
+    # duration heads sampled to end at 3 and at 5
+    p = proc(1, [duration(3, 3)], sample=(Fraction(3),))
+    q = proc(2, [duration(5, 5)], sample=(Fraction(5),))
+    cfg = config(busy(0, p), busy(1, q))
     adv(cfg, Fraction(2))
-    assert relative(p.body[0], cfg.clock) == SDuration2(Fraction(1), Fraction(3))
+    assert render_head(p, cfg.clock) == "duration[1, 1];"
+    assert render_head(q, cfg.clock) == "duration[3, 3];"
 
 
 def case_adv_decrements_guard_durations_only():
-    p = proc(1, [SAwait((RDur(Fraction(2), Fraction(4)), GFut("f")))])
+    p = proc(1, [SAwait((conjunct(2, 2), conjunct(4, 4), GFut("f")))],
+             sample=(Fraction(2), Fraction(4)))
     cfg = config(idle(0, [p]))
     adv(cfg, Fraction(2))
-    assert relative(p.body[0], cfg.clock) == SAwait(
-        (RDur(Fraction(0), Fraction(2)), GFut("f")))
+    assert (render_head(p, cfg.clock)
+            == "await duration[0, 0] && duration[2, 2] && f?;")
 
 
 def case_adv_leaves_everything_else():
-    # only head statements move; later statements keep their bounds, and
-    # deadlines past zero keep counting down (lateness tracking)
-    p = proc(1, [SSkip(), SDuration2(Fraction(3), Fraction(3))],
-             deadline=mk_duration(1), clock=7)
+    # only the head's sample is read at the new clock; later statements
+    # keep their bounds, and deadlines past zero keep counting down
+    # (lateness tracking)
+    p = proc(1, [SSkip(), duration(3, 3)], deadline=mk_duration(1), clock=7)
     cfg = config(busy(0, p), clock=7)
     adv(cfg, Fraction(2))
     assert cfg.clock == Fraction(9)
-    assert p.body[0] == SSkip()
-    assert p.body[1] == SDuration2(Fraction(3), Fraction(3))
+    assert p.block[p.index] == SSkip() and p.sample is None
+    assert p.block[1] == duration(3, 3)
     assert remaining_deadline(p, cfg.clock) == mk_duration(-1)
 
 
 CASES = [
-    ("busy duration2 head bounds mte by worst", case_busy_duration),
-    ("elapsed duration2 head is enabled (mte 0)", case_elapsed_duration_is_enabled),
+    ("busy duration head bounds mte by its end", case_busy_duration),
+    ("elapsed duration head is enabled (mte 0)", case_elapsed_duration_is_enabled),
     ("idle await-duration guard bounds mte", case_idle_await_duration),
     ("idle object takes the min over its queue", case_idle_min_over_queue),
     ("blocked get yields infinite mte", case_blocked_get_is_infinite),
@@ -179,7 +193,7 @@ CASES = [
     ("guard conjunction takes the max", case_conjunction_takes_max),
     ("satisfied guard pins global mte to zero", case_ready_guard_wins_globally),
     ("adv decrements finite deadlines only", case_adv_decrements_deadlines),
-    ("adv decrements the head duration2", case_adv_decrements_head_duration),
+    ("adv decrements the head duration", case_adv_decrements_head_duration),
     ("adv decrements duration guards, keeps others", case_adv_decrements_guard_durations_only),
     ("adv leaves non-head statements untouched", case_adv_leaves_everything_else),
 ]

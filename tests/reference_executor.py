@@ -14,6 +14,11 @@ containers, each object's attrs and queue, each process's locals and
 body, and the futures).  A state digest is built from the nodes and
 values themselves, not from their rendered text.
 
+Unlike the engine, which runs a process as a continuation over the
+immutable tree, the reference executor keeps a flat body and rewrites
+it, with the runtime forms below holding the time left.  `digest_proc`
+maps an engine process to that form.
+
 An await guard is the flat tuple of its conjuncts, as in the engine; it
 holds when every conjunct does.  Digests canonicalize unsampled literal
 duration conjuncts (GDuration) to sampled ones (RDur) so that
@@ -35,18 +40,37 @@ from fractions import Fraction
 from rtabs import load_source
 from rtabs.desugar import desugar
 from rtabs.engine import (
-    MAIN_CLASS, Engine, ProcessRecord, mte_raw, relative, remaining_deadline,
-    wait,
+    MAIN_CLASS, Engine, ProcessRecord, mte_raw, remaining_deadline, wait,
 )
 from rtabs.evaluator import EvalContext, Program, eval_expr, eval_guard
 from rtabs.nodes import (
-    GDuration, GFut, Lit, RCall, RDur, RExpr, RGet, RNew, SAssign, SAwait,
-    SDuration, SDuration2, SIf, SReturn, SSkip, SSuspend, SWhile,
+    GDuration, GFut, Guard, Lit, RCall, RExpr, RGet, RNew, SAssign, SAwait,
+    SDuration, SIf, SReturn, SSkip, SSuspend, Stmt, SWhile,
 )
 from rtabs.values import (
     FALSE, INF_DURATION, NULL, FutRef, NumVal, ObjRef, StrVal, duration_rat,
     is_duration, is_inf_duration, mk_duration, mk_time, num,
 )
+
+# ------------------------------------------------------------ runtime forms
+#
+# A sampled duration statement is an SDuration2 and a sampled duration
+# conjunct an RDur, both with the time left until the wait may end
+# (best) and must end (worst); the other conjuncts of a sampled await
+# stay in source form.
+
+
+class RDur(Guard):
+    best: Fraction
+    worst: Fraction
+
+
+class SDuration2(Stmt):
+    """duration statement after its wait has been sampled."""
+
+    best: Fraction
+    worst: Fraction
+
 
 LIMIT = Fraction(24)
 STATE_CAP = 60_000
@@ -260,14 +284,46 @@ def _lit_rat(e):
 
 def digest_proc(p, clock):
     """A reference process as it is; an engine process with its absolute
-    deadline and duration ends turned into the time left at clock, as
-    the reference executor keeps them."""
-    locals_, body = p.locals, p.body
+    deadline turned into the time left at clock, and its continuation
+    into the flat body the reference executor keeps."""
+    locals_ = p.locals
     if isinstance(p, ProcessRecord):
         locals_ = dict(locals_, deadline=remaining_deadline(p, clock))
-        body = [relative(s, clock) for s in body]
+        body = flat_body(p, clock)
+    else:
+        body = p.body
     return (p.pid, p.method, p.dispatched, frozenset(locals_.items()),
             tuple(map(digest_stmt, body)))
+
+
+def flat_body(p: ProcessRecord, clock) -> list:
+    """An engine process's continuation as one body, as the reference
+    executor rewrites it: the frames top-down, with the head written
+    out.  A `while` whose condition is next is the loop unrolled once,
+    the second half of a `new`, call or `.get` assigns the literal it
+    stores, and a sampled head holds the time left at clock."""
+    head = p.block[p.index]
+    if p.looping:
+        head = SIf(head.cond, head.body + (head,), ())
+    elif p.pending is not None:
+        head = SAssign(head.decl_type, head.name, RExpr(Lit(p.pending)))
+    elif p.sample is not None:
+        left = iter([end - clock for end in p.sample])
+        if isinstance(head, SDuration):
+            t = next(left)
+            head = SDuration2(t, t)
+        else:
+            guards = []
+            for g in head.guards:
+                if isinstance(g, GDuration):
+                    t = next(left)
+                    g = RDur(t, t)
+                guards.append(g)
+            head = SAwait(tuple(guards))
+    body = [head, *p.block[p.index + 1:]]
+    for block, index in reversed(p.frames):
+        body.extend(block[index:])
+    return body
 
 
 def digest_config(cfg) -> tuple:
@@ -781,7 +837,8 @@ def check_stalled(eng: Engine) -> None:
             continue
         assert not obj.inbox, f"stalled o{oid} has a message"
         if obj.active is not None:
-            assert not isinstance(obj.active.body[0], SAwait), (
+            p = obj.active
+            assert not isinstance(p.block[p.index], SAwait), (
                 f"stalled o{oid} has an active await head")
             assert wait(obj.active, obj, ctx) != 0, f"stalled o{oid} can step"
         else:

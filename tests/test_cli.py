@@ -16,6 +16,17 @@ CLI = [sys.executable, "-m", "rtabs.cli"]
 CSV_HEADER = "time,event,object,pid,method,data\n"
 
 DEADLOCK_SRC = "{ Int x = 0; await x > 0; }\n"
+# the main process waits for a self-call that never returns, behind a
+# duration conjunct sampled at 0 whose time left is 2 once b's tick ends
+SAMPLED_DEADLOCK_SRC = """
+interface A { Int f(); Unit tick(); }
+class AImp implements A {
+  Int f() { Int x = this.f(); return x; }
+  Unit tick() { duration(1, 1); }
+}
+{ A a = new AImp(); A b = new AImp(); b!tick(); Fut<Int> g = a!f();
+  await duration(3, 3) && g?; }
+"""
 MISS_SRC = """
 interface S { Unit slow(); }
 class SImp implements S { Unit slow() { duration(7, 7); } }
@@ -126,6 +137,18 @@ def test_run_deadlock_exit_code(tmp_path):
     assert res.returncode == 3
     assert res.stderr.startswith("deadlock: clock 0, ")
     assert "no ready process" in res.stderr
+    assert res.stderr.splitlines()[1:] == [
+        "o0 (<main>): no ready process (queued: f0 at `await x > 0;`)"]
+    # a sampled head shows the time left on its duration conjuncts
+    path = write(tmp_path, "sampled.rtabs", SAMPLED_DEADLOCK_SRC)
+    res = run_cli("run", path, "--until", "10")
+    assert res.returncode == 3
+    assert res.stderr.splitlines() == [
+        "deadlock: clock 1, 1 process(es) completed, 0 deadline miss(es)",
+        "o0 (<main>): no ready process (queued: f0 at "
+        "`await duration[2, 2] && g?;` (waits for f2))",
+        "o1 (AImp): process f2 (f) blocked at `Int x = $t0.get;` "
+        "(waits for f3)"]
 
 
 def test_run_runtime_error_exit_code(tmp_path):
@@ -352,6 +375,33 @@ def test_deep_values_agree_across_interpreters(tmp_path):
         context = (exe, f"did not start: {skipped}", res.stderr[-500:])
         assert res.returncode == 0, context
         assert out.read_text(encoding="utf-8") == expected, context
+
+
+DEEP_HASH_SCRIPT = """\
+from rtabs.errors import deep_recursion
+from rtabs.nodes import Lit
+from rtabs.values import mk_list, num
+with deep_recursion():
+    value, twin = (mk_list([num(i) for i in range(20000)]) for _ in range(2))
+    assert hash(value) == hash(twin) and {value: 1}[twin] == 1
+    assert hash(Lit(value)) == hash(Lit(twin))
+    print(hash(value))
+"""
+
+
+def test_deep_values_hash_across_interpreters():
+    # a value as deep as a 20,000-element list hashes, on its own and in
+    # a syntax node, through Python calls only, under each interpreter
+    # alike; with one hash seed every interpreter gives the same hash
+    others, skipped = other_interpreters((3, 11))
+    hashes = set()
+    for exe in [sys.executable, *others.values()]:
+        res = subprocess.run([exe, "-c", DEEP_HASH_SCRIPT], capture_output=True,
+                             text=True, env=dict(CLI_ENV, PYTHONHASHSEED="0"))
+        assert res.returncode == 0, (exe, f"did not start: {skipped}",
+                                     res.stderr[-500:])
+        hashes.add(res.stdout)
+    assert len(hashes) == 1
 
 
 def test_nesting_within_the_limit_checks_and_runs(tmp_path):

@@ -13,8 +13,7 @@ from rtabs.desugar import desugar
 from rtabs.engine import MAIN_CLASS, Configuration, wait
 from rtabs.evaluator import EvalContext
 from rtabs.nodes import (
-    GBool, GFut, IfExpr, Lit, RDur, RGet, SAssign, SAwait, SDuration2, SSkip,
-    Var,
+    GBool, GFut, IfExpr, Lit, Node, RGet, SAssign, SAwait, SSkip, Var,
 )
 from rtabs.parser import parse_expr
 from rtabs.trace import render_csv
@@ -57,8 +56,8 @@ def test_wait_answers():
     cells = {1: FutureCell(1), 2: FutureCell(2, resolved=True, value=num(0))}
     ctx = EvalContext(mte_cases.PROGRAM, Configuration(futures=cells))
 
-    def answer(head, c=TRUE):
-        p = mte_cases.proc(9, [head])
+    def answer(head, c=TRUE, sample=None):
+        p = mte_cases.proc(9, [head], sample=sample)
         p.locals.update(f=f, g=g, c=c)
         return wait(p, mte_cases.idle(0, [p]), ctx)
 
@@ -70,8 +69,9 @@ def test_wait_answers():
     assert answer(SAwait((GFut("g"),))) == 0
     assert answer(get(Var("g"))) == 0
     assert answer(get(pick), c=FALSE) == 0
-    assert answer(SDuration2(Fraction(3), Fraction(3))) == 3
-    assert answer(SAwait((RDur(Fraction(2), Fraction(4)), GFut("g")))) == 4
+    assert answer(mte_cases.duration(3, 3), sample=(Fraction(3),)) == 3
+    assert answer(SAwait((mte_cases.conjunct(2, 4), GFut("g"))),
+                  sample=(Fraction(4),)) == 4
     assert answer(SAwait((GFut("f"),))) == f
     assert answer(SAwait((GBool(Lit(TRUE)), GFut("f")))) == f
     assert answer(get(Var("f"))) == f
@@ -250,13 +250,15 @@ def test_register_sets_a_tick_timer_only_for_what_may_read_the_clock():
     fields = {"s": num(1), "q": num(0), "myturn": num(5), "c": TRUE,
               "f": FutRef(1), "g": FutRef(2), "x": num(0)}
 
-    def wakes(*heads):
+    def wakes(*heads, sample=None):
         """(whether the object waits for the next tick, its timer) once
-        the ready set of an idle object with these heads is empty"""
+        the ready set of an idle object with these heads is empty; the
+        last head has the given sample"""
         engine._timers.clear()
         engine._tick_waiters.clear()
         obj = mte_cases.idle(0, [
-            mte_cases.proc(pid, [head], deadline=mk_duration(10))
+            mte_cases.proc(pid, [head], deadline=mk_duration(10),
+                           sample=sample if pid == len(heads) else None)
             for pid, head in enumerate(heads, 1)])
         obj.attrs.update(fields)
         assert engine.ready_set(obj) == []
@@ -284,10 +286,11 @@ def test_register_sets_a_tick_timer_only_for_what_may_read_the_clock():
     assert wakes(guard("later(-5)", GFut("f"))) == (True, None)
     # a delay sets the timer; a conjunct that holds but read the clock
     # may stop holding at a tick, so it also sets a tick wake-up
-    dur = RDur(three, three)
-    assert wakes(guard("s > 0", dur)) == (False, three)
-    assert wakes(guard("later(-5)", dur)) == (True, three)
-    assert wakes(guard("later(3)"), SDuration2(three, three)) == (True, three)
+    dur = mte_cases.conjunct(3, 3)
+    assert wakes(guard("s > 0", dur), sample=(three,)) == (False, three)
+    assert wakes(guard("later(-5)", dur), sample=(three,)) == (True, three)
+    assert wakes(guard("later(3)"), mte_cases.duration(3, 3),
+                 sample=(three,)) == (True, three)
 
 
 def test_compiled_code_does_not_grow_with_run_length():
@@ -300,6 +303,42 @@ def test_compiled_code_does_not_grow_with_run_length():
         sizes.append((len(program.bodies), len(program.code)))
     assert sizes[0] == sizes[1]
     assert min(sizes[0]) > 0
+
+
+def test_running_builds_no_syntax(monkeypatch):
+    # a process runs as a continuation over the desugared tree: no rule,
+    # sampling or time advance builds a node, whatever statements run
+    small = load("""
+    interface W { Int work(Int n); }
+    class WImp implements W {
+      Int done = 0;
+      Int work(Int n) {
+        Int i = 0;
+        while (i < n) { duration(1, 2); i = i + 1; }
+        if (i > 1) { done = done + i; } else { skip; }
+        return i;
+      }
+    }
+    { W w = new WImp(); Fut<Int> f = w!work(3);
+      await duration(1, 1) && f?; Int r = f.get; }
+    """)
+    media = load_model(model_file("media_server_sjf.rtabs"))
+    node_init = Node.__init__
+    built = 0
+
+    def counted(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        node_init(self, *args, **kwargs)
+
+    for model, limit in ((small, 100), (media, 600)):
+        engine = Engine(model, duration_policy="uniform")
+        engine.boot()
+        monkeypatch.setattr(Node, "__init__", counted)
+        result = engine.run_until(limit)
+        monkeypatch.undo()
+        assert result.status == "finished" and result.steps > 20
+        assert built == 0
 
 
 def test_method_local_shadows_field():
@@ -508,8 +547,9 @@ def test_uniform_seeds_vary():
 
 
 def test_fix_head_samples_once():
-    # a sampled head keeps its parsed conjuncts with only the duration
-    # conjunct replaced; fixing it again neither rebuilds it nor draws again
+    # sampling a head draws once for its duration conjunct and leaves the
+    # parsed head, with its other conjuncts, as it is; fixing it again
+    # neither samples it again nor draws again
     eng = Engine(load("""
     interface I { Unit m(); }
     class C implements I { Fut<Int> f; Unit m() { await duration(1, 3) && f?; } }
@@ -520,17 +560,16 @@ def test_fix_head_samples_once():
         pass
     obj = eng.config.objects[1]
     p = obj.queue[0]
-    parsed = p.body[0]
+    parsed = p.block[p.index]
     state = eng.rng.getstate()
     eng._fix_head(p, obj)
-    fixed = p.body[0]
+    fixed = p.sample
     assert eng.rng.getstate() != state
-    assert isinstance(fixed, SAwait) and fixed.pos == parsed.pos
-    assert [type(g) for g in fixed.guards] == [RDur, GFut]
-    assert fixed.guards[1] is parsed.guards[1]
+    assert len(fixed) == 1 and 1 <= fixed[0] <= 3
+    assert p.block[p.index] is parsed and isinstance(parsed.guards[1], GFut)
     state = eng.rng.getstate()
     eng._fix_head(p, obj)
-    assert p.body[0] is fixed
+    assert p.sample is fixed
     assert eng.rng.getstate() == state
 
 
@@ -539,6 +578,14 @@ def test_zero_duration_needs_no_tick():
     assert result.status == "finished"
     assert result.clock == 0
     assert events(result, "tick") == []
+
+
+SECOND_HALF_SRC = """
+interface I { Int m(); }
+class C implements I { Int m() { return 1; } }
+{ I p = new C(); Fut<Int> g = p!m(); Bool c = False;
+  if (c) { I o = p; Fut<Int> f = g; Int r = 0; }
+  """
 
 
 def test_malformed_duration_bounds_error():
@@ -551,6 +598,22 @@ def test_malformed_duration_bounds_error():
         assert result.trace.events[-1].kind == "error", name
         assert result.trace.events[-1].pid == result.error.pid is not None, name
         assert result.trace.events[-1].method == method, name
+    # an error in a `while` condition shows the loop unrolled once, as
+    # the rules step it
+    result = run("{ Int x = 0; while (x) { x = x + 1; } }")
+    assert result.error.describe() == (
+        "condition is 0, not a Bool at <engine-test>:1:14 in object o0 "
+        "process f0 statement `if x {\n  x = x + 1;\n  while x {\n"
+        "    x = x + 1;\n  }\n}`")
+    # one at the second half of a `new`, a call or a `.get` (the checker
+    # lets a name declared in a branch be assigned after it) shows the
+    # value the half stores
+    for tail, stmt in (("o = new C();", "o = o2;"), ("f = p!m();", "f = f2;"),
+                       ("r = g.get;", "r = 1;")):
+        result = run(SECOND_HALF_SRC + tail + " }")
+        assert result.error.describe() == (
+            f"unbound variable {tail[0]} at <engine-test>:6:3 in object o0 "
+            f"process f0 statement `{stmt}`")
 
 
 # ------------------------------------------------------------- time limits
