@@ -19,7 +19,7 @@ from __future__ import annotations
 from .nodes import (
     Apply, CaseExpr, ClassDecl, GFut, InterfaceDecl, Model, Node, NowExpr,
     PCtor, PLit, PName, Pattern, Pos, PWildcard, RNew, SAssign, SAwaitCall,
-    TypeAst, Var,
+    SIf, SWhile, Stmt, TypeAst, Var,
 )
 
 # process-local variables maintained by the runtime; `value` is the one
@@ -272,6 +272,22 @@ class _Checker:
         elif name not in scope:
             self.err(f"unknown variable {name}", node.pos)
 
+    def check_block(self, block: tuple[Stmt, ...], scope: set[str]) -> None:
+        """A nested block's declarations stay in it: it is checked in its
+        own copy of the scope."""
+        inner = set(scope)
+        for stmt in block:
+            self.check_node(stmt, inner)
+
+    def check_if(self, node: SIf, scope: set[str]) -> None:
+        self.check_node(node.cond, scope)
+        self.check_block(node.then, scope)
+        self.check_block(node.els, scope)
+
+    def check_while(self, node: SWhile, scope: set[str]) -> None:
+        self.check_node(node.cond, scope)
+        self.check_block(node.body, scope)
+
     def check_new(self, node: RNew, scope: set[str]) -> None:
         cd = self.classes.get(node.cls)
         if cd is None:
@@ -294,7 +310,8 @@ class _Checker:
     RULES = {
         Var: check_var, NowExpr: check_now, Apply: check_apply,
         CaseExpr: check_case, SAssign: check_assign,
-        SAwaitCall: check_await_call, RNew: check_new, GFut: check_fut,
+        SAwaitCall: check_await_call, SIf: check_if, SWhile: check_while,
+        RNew: check_new, GFut: check_fut,
     }
 
     def check_pattern(self, pat: Pattern, binders: set[str] | None = None) -> set[str]:

@@ -4,6 +4,12 @@ Three subcommands: `check` (static diagnostics), `run` (simulate and
 export a trace), `metrics` (aggregate an exported trace).  Machine
 output goes to stdout, prose to stderr.  Exit codes are a contract:
 0 success, 1 check diagnostics, 2 I/O or runtime error, 3 deadlock.
+
+`run` streams its trace: the run's trace sink (`_TraceWriter`) holds
+only the events since the last tick, and at each tick writes them to
+the output and flushes it.  However the run stops, even by an
+interruption, the output ends with whole rows: a prefix of the trace
+that `metrics` reads.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ import argparse
 import io
 import sys
 from collections import Counter
+from contextlib import nullcontext
 from fractions import Fraction
 from importlib import import_module
 from typing import TYPE_CHECKING
@@ -20,7 +27,9 @@ from .errors import RtabsError
 from .values import DURATION_POLICIES, format_rat
 
 if TYPE_CHECKING:
-    from .trace import Trace
+    from typing import TextIO
+
+    from .trace import Trace, TraceEvent
 
 # Each command imports only the layers it runs: `check` the front end,
 # `run` the front end, the engine and the trace writers, `metrics` the
@@ -75,6 +84,37 @@ def cmd_check(args) -> int:
     return 1 if diagnostics else 0
 
 
+class _TraceWriter:
+    """The trace sink of `rtabs run`.  It keeps the events since the last
+    tick; at each tick, and when told to at the end of the run, it
+    renders them, writes them to `out` (after the CSV header, the first
+    time) and flushes.  It counts the events by kind for the summary."""
+
+    def __init__(self, out: TextIO, structured: bool):
+        self.out = out
+        self.structured = structured
+        self.render = _lazy("render_structured" if structured
+                            else "render_csv")
+        self.header = not structured  # the CSV header is still to be written
+        self.pending: list[TraceEvent] = []
+        self.kinds: Counter[str] = Counter()
+
+    def append(self, event: TraceEvent) -> None:
+        self.pending.append(event)
+        if event.kind == "tick":
+            self.write()
+
+    def write(self) -> None:
+        batch, self.pending = self.pending, []
+        if not (batch or self.header):
+            return
+        self.kinds.update(event.kind for event in batch)
+        self.out.write(self.render(batch) if self.structured
+                       else self.render(batch, header=self.header))
+        self.header = False
+        self.out.flush()
+
+
 def cmd_run(args) -> int:
     from .engine import Engine
     from .prelude import load_model
@@ -92,21 +132,22 @@ def cmd_run(args) -> int:
     except RtabsError as exc:
         return _fail(str(exc), 2)
 
-    engine = Engine(model, seed=args.seed, duration_policy=args.duration_policy)
-    result = engine.run_until(until)
+    target = "stdout" if args.trace is None else args.trace
+    try:
+        output = (nullcontext(sys.stdout) if args.trace is None
+                  else open(args.trace, "w", encoding="utf-8", newline=""))
+        with output as out:
+            writer = _TraceWriter(out, args.format == "structured")
+            engine = Engine(model, seed=args.seed,
+                            duration_policy=args.duration_policy, trace=writer)
+            try:
+                result = engine.run_until(until)
+            finally:
+                writer.write()  # whatever is pending, however the run stops
+    except OSError as exc:
+        return _fail(f"cannot write {target}: {exc.strerror}", 2)
 
-    rendered = (_lazy("render_csv")(result.trace) if args.format == "csv"
-                else _lazy("render_structured")(result.trace))
-    if args.trace is not None:
-        try:
-            with open(args.trace, "w", encoding="utf-8", newline="") as handle:
-                handle.write(rendered)
-        except OSError as exc:
-            return _fail(f"cannot write {args.trace}: {exc.strerror}", 2)
-    else:
-        sys.stdout.write(rendered)
-
-    kinds = Counter(ev.kind for ev in result.trace)
+    kinds = writer.kinds
     print(f"{result.status}: clock {format_rat(result.clock)}, "
           f"{kinds['return']} process(es) completed, "
           f"{kinds['deadline_miss']} deadline miss(es)", file=sys.stderr)

@@ -70,6 +70,10 @@ been woken since the last one.
 
 `simulate`, `Engine.run_until` and `rtabs run` share one loop
 (`run_until`), run on the caller's thread in `errors.deep_recursion`.
+The run appends its events to a trace sink, anything with
+`append(event)`: an in-memory `Trace` unless the caller passes another
+(`rtabs run` passes a writer that streams them to its output).  The
+run's `RunResult.trace` is that sink.
 """
 
 from __future__ import annotations
@@ -95,7 +99,7 @@ from .nodes import (
     SAwait, SDuration, SIf, SReturn, SSkip, SSuspend, SWhile, Stmt,
 )
 from .pretty import render_expr, render_guard, render_stmt
-from .trace import Trace, TraceEvent
+from .trace import Trace, TraceEvent, TraceSink
 from .values import (
     DURATION_POLICIES, FALSE, INF_DURATION, NULL, BoolVal, DataVal, FutRef,
     NumVal, ObjRef, StrVal, Value, duration_rat, format_rat, is_duration,
@@ -196,7 +200,7 @@ class Configuration:
 @dataclass
 class RunResult:
     status: str  # finished | time_limit | deadlock | error | step_limit
-    trace: Trace
+    trace: TraceSink  # the sink the run appended its events to
     clock: Fraction
     steps: int
     error: RtRuntimeError | None = None
@@ -284,7 +288,8 @@ def mte_raw(config: Configuration, program: Program) -> Fraction | None:
             except RtRuntimeError as err:
                 _locate(err, obj.oid, p, config.clock)
                 raise
-            if type(w) is Fraction and (out is None or w < out):  # a delay
+            if (w is not None and not isinstance(w, FutRef)  # a delay
+                    and (out is None or w < out)):
                 out = w
     return out
 
@@ -334,17 +339,19 @@ def adv(config: Configuration, delta: Fraction) -> None:
 
 
 class Engine:
-    """Deterministic interpreter for a checked, desugared model."""
+    """Deterministic interpreter for a checked, desugared model; its
+    events go to `trace`, an in-memory `Trace` unless one is given."""
 
     def __init__(self, model: Model, seed: int = 0,
-                 duration_policy: str = "worst"):
+                 duration_policy: str = "worst",
+                 trace: TraceSink | None = None):
         if duration_policy not in DURATION_POLICIES:
             raise ValueError(f"unknown duration policy {duration_policy!r}")
         self.model = model
         self.program = Program.from_model(model)
         self.rng = random.Random(seed)
         self.duration_policy = duration_policy
-        self.trace = Trace()
+        self.trace = Trace() if trace is None else trace
         self.config = Configuration()
         # the one context every evaluation of the run reads the clock and
         # the futures through

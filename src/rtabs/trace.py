@@ -1,6 +1,10 @@
 """Simulation traces.
 
-Every engine transition of interest appends one TraceEvent.  The CSV
+Every engine transition of interest appends one TraceEvent to the
+run's trace sink: anything with `append(event)`.  The in-memory `Trace`
+is the default; `rtabs run` streams the events to its output instead.
+The writers render any iterable of events, so a trace may be written in
+batches whose texts, joined, are the text of the whole.  The CSV
 format is the stable interchange surface: columns
 `time,event,object,pid,method,data`, where data is `;`-separated
 `key=value` pairs.  Values inside data escape `\\`, `;` and `=` with a
@@ -14,9 +18,11 @@ import csv
 import io
 import json
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from typing import Protocol
 
 from .errors import RtabsError
 from .values import format_rat, parse_rat
@@ -43,6 +49,12 @@ class TraceEvent:
             if k == key:
                 return v
         return None
+
+
+class TraceSink(Protocol):
+    """Where a run's events go, in the order they happen."""
+
+    def append(self, event: TraceEvent) -> None: ...
 
 
 @dataclass
@@ -162,11 +174,14 @@ class _EventReader:
                           tuple(data.items()))
 
 
-def render_csv(trace: Trace) -> str:
+def render_csv(events: Iterable[TraceEvent], header: bool = True) -> str:
+    """The CSV rows of `events`, after the header unless `header` is
+    false (for a batch after the first)."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for event in trace.events:
+    if header:
+        writer.writerow(CSV_HEADER)
+    for event in events:
         writer.writerow(_event_row(event))
     return out.getvalue()
 
@@ -189,9 +204,9 @@ def read_csv(path: str) -> Trace:
         return read_csv_text(handle.read())
 
 
-def render_structured(trace: Trace) -> str:
+def render_structured(events: Iterable[TraceEvent]) -> str:
     lines = []
-    for event in trace.events:
+    for event in events:
         record = {
             "time": format_rat(event.time),
             "event": event.kind,

@@ -133,6 +133,15 @@ def case_ready_guard_wins_globally():
     assert _raw(cfg) == Fraction(0)
 
 
+def case_integral_delay():
+    # a delay is any wait that is neither None nor a future, whatever its
+    # number type: an int time left bounds mte as a Fraction does
+    cfg = config(busy(0, proc(1, [duration(3, 5)], sample=(5,))))
+    cfg.clock = 0
+    assert _raw(cfg) == 5
+    assert mte(cfg, PROGRAM) == mk_duration(5)
+
+
 # --------------------------------------------------------------- adv cases
 
 
@@ -192,6 +201,7 @@ CASES = [
     ("false boolean conjunct yields infinite mte", case_false_conjunct_is_infinite),
     ("guard conjunction takes the max", case_conjunction_takes_max),
     ("satisfied guard pins global mte to zero", case_ready_guard_wins_globally),
+    ("an integral delay bounds mte", case_integral_delay),
     ("adv decrements finite deadlines only", case_adv_decrements_deadlines),
     ("adv decrements the head duration", case_adv_decrements_head_duration),
     ("adv decrements duration guards, keeps others", case_adv_decrements_guard_durations_only),

@@ -127,8 +127,8 @@ def test_criterion_4_time_machinery_table():
             check()
         except AssertionError as exc:
             failures.append(f"{name}: {exc}")
-    ok = not failures and len(mte_cases.CASES) == 12
-    _report(4, ok, f"{len(mte_cases.CASES) - len(failures)}/12 table cases "
+    ok = not failures and len(mte_cases.CASES) == 13
+    _report(4, ok, f"{len(mte_cases.CASES) - len(failures)}/13 table cases "
                    f"exact" + (f"; failing: {failures}" if failures else ""))
     assert ok, failures
 

@@ -3,14 +3,19 @@ trace files, and metrics aggregation."""
 
 import subprocess
 import sys
+from collections import Counter
 
+import pytest
+
+import rtabs.cli
 from conftest import (
-    CLI_ENV, RUNTIME_ERROR_CASES, model_file, nested_sources,
+    CLI_ENV, MODELS_DIR, RUNTIME_ERROR_CASES, model_file, nested_sources,
     other_interpreters,
 )
-from rtabs import load_model, simulate
+from rtabs import Engine, load_model, simulate
 from rtabs.parser import NESTING_LIMIT
-from rtabs.trace import render_csv
+from rtabs.trace import read_csv_text, render_csv, render_structured
+from rtabs.values import format_rat
 
 CLI = [sys.executable, "-m", "rtabs.cli"]
 CSV_HEADER = "time,event,object,pid,method,data\n"
@@ -309,6 +314,98 @@ def test_structured_format_round_trip(tmp_path):
     met = run_cli("metrics", out, "--series", "misses")
     assert met.returncode == 0
     assert met.stdout.splitlines()[0] == "time,misses"
+
+
+def summary(result):
+    """The summary line of a run, from the counts of its trace."""
+    kinds = Counter(event.kind for event in result.trace)
+    return (f"{result.status}: clock {format_rat(result.clock)}, "
+            f"{kinds['return']} process(es) completed, "
+            f"{kinds['deadline_miss']} deadline miss(es)")
+
+
+@pytest.mark.parametrize("path", sorted(MODELS_DIR.glob("*.rtabs")),
+                         ids=lambda path: path.stem)
+def test_streamed_trace_and_summary_match_the_library(path, capsys):
+    # byte for byte the writers' text of the whole trace, in both
+    # encodings, and the summary counted from that trace
+    flags = ["--until", "600", "--duration-policy", "uniform", "--seed", "5"]
+    result = simulate(load_model(str(path)), 600, seed=5,
+                      duration_policy="uniform")
+    for fmt, render in (("csv", render_csv), ("structured", render_structured)):
+        rtabs.cli.main(["run", str(path), *flags, "--format", fmt])
+        out, err = capsys.readouterr()
+        assert out == render(result.trace), fmt
+        assert err.splitlines()[0] == summary(result), fmt
+
+
+def test_run_holds_at_most_one_tick_of_events(tmp_path, monkeypatch):
+    # every event is rendered once, in batches no longer than the longest
+    # run of events that ends at a tick or at the end of the trace
+    path = model_file("media_server_sjf.rtabs")
+    trace = simulate(load_model(path), 600).trace
+    runs, length = [], 0
+    for event in trace:
+        length += 1
+        if event.kind == "tick":
+            runs.append(length)
+            length = 0
+    runs.append(length)
+    batches = []
+    render = rtabs.cli.render_csv
+
+    def counted(events, **kw):
+        batches.append(len(events))
+        return render(events, **kw)
+
+    monkeypatch.setattr(rtabs.cli, "render_csv", counted)
+    out = tmp_path / "run.csv"
+    assert rtabs.cli.main(["run", path, "--until", "600",
+                           "--trace", str(out)]) == 0
+    assert sum(batches) == len(trace)
+    assert 1 < len(batches) and max(batches) <= max(runs)
+    assert out.read_text(encoding="utf-8") == render_csv(trace)
+
+
+def test_interrupted_run_leaves_a_readable_prefix(tmp_path, monkeypatch):
+    # interrupted at the time advance after its fifth tick, the run has
+    # written every event before it, in whole rows
+    path = model_file("media_server_sjf.rtabs")
+    full = render_csv(simulate(load_model(path), 600).trace).splitlines()
+    sixth_tick = [k for k, row in enumerate(full)
+                  if row.split(",")[1] == "tick"][5]
+    advance, ticks = Engine.advance, []
+
+    def interrupted(engine, limit):
+        if len(ticks) == 5:
+            raise KeyboardInterrupt
+        ticks.append(limit)
+        return advance(engine, limit)
+
+    monkeypatch.setattr(Engine, "advance", interrupted)
+    out = tmp_path / "cut.csv"
+    with pytest.raises(KeyboardInterrupt):
+        rtabs.cli.main(["run", path, "--until", "600", "--trace", str(out)])
+    text = out.read_text(encoding="utf-8")
+    assert text.splitlines() == full[:sixth_tick]
+    assert len(read_csv_text(text)) == sixth_tick - 1
+    met = run_cli("metrics", str(out), "--series", "misses")
+    assert met.returncode == 0, met.stderr
+
+
+def test_unwritable_trace_fails_before_the_run(tmp_path):
+    out = tmp_path / "missing" / "run.csv"
+    res = run_cli("run", model_file("single_request.rtabs"), "--until", "600",
+                  "--trace", str(out))
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr.startswith(f"cannot write {out}: ")
+    assert len(res.stderr.splitlines()) == 1  # and no summary line
+    # a model that cannot be loaded leaves no trace file
+    out = tmp_path / "run.csv"
+    path = write(tmp_path, "bad.rtabs", "{ y = 1; }\n")
+    res = run_cli("run", path, "--until", "600", "--trace", str(out))
+    assert res.returncode == 2 and "unknown variable y" in res.stderr
+    assert not out.exists()
 
 
 DEPTH_SRC = """\

@@ -45,7 +45,7 @@ def events(result, kind):
 def test_mte_adv_table():
     for name, check in mte_cases.CASES:
         check()
-    assert len(mte_cases.CASES) == 12
+    assert len(mte_cases.CASES) == 13
 
 
 def test_wait_answers():
@@ -605,12 +605,16 @@ def test_malformed_duration_bounds_error():
         "condition is 0, not a Bool at <engine-test>:1:14 in object o0 "
         "process f0 statement `if x {\n  x = x + 1;\n  while x {\n"
         "    x = x + 1;\n  }\n}`")
-    # one at the second half of a `new`, a call or a `.get` (the checker
-    # lets a name declared in a branch be assigned after it) shows the
-    # value the half stores
+    # one at the second half of a `new`, a call or a `.get` shows the
+    # value the half stores; a name declared in a branch and assigned
+    # after it reaches the run only past the checker, which rejects it
     for tail, stmt in (("o = new C();", "o = o2;"), ("f = p!m();", "f = f2;"),
                        ("r = g.get;", "r = 1;")):
-        result = run(SECOND_HALF_SRC + tail + " }")
+        model, diags = load_source(SECOND_HALF_SRC + tail + " }",
+                                   "<engine-test>")
+        assert [d.render() for d in diags] == [
+            f"<engine-test>:6:3: error: unknown variable {tail[0]}"]
+        result = simulate(desugar(model), 1000)
         assert result.error.describe() == (
             f"unbound variable {tail[0]} at <engine-test>:6:3 in object o0 "
             f"process f0 statement `{stmt}`")

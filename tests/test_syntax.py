@@ -471,6 +471,22 @@ def test_unknown_names_reported():
             (at, "unknown variable zz")], row
 
 
+def test_declarations_stay_in_their_block():
+    # a name declared in a branch or a loop body is not in scope after
+    # it, nor in the other branch; one declared before stays in reach
+    for source in (
+            "{ Bool c = False; if (c) { Int x = 1; } else { skip; } x = 2; }",
+            "{ Bool c = False; if (c) { skip; } else { Int x = 1; } x = 2; }",
+            "{ Bool c = False; if (c) { Int x = 1; } else { x = 2; } }",
+            "{ Bool c = False; while (c) { Int x = 1; c = False; } x = 2; }"):
+        _, diags = load_source(source, "<test>")
+        at = f"<test>:1:{source.rindex('x = 2') + 1}"
+        assert [(str(d.pos), d.message) for d in diags] == [
+            (at, "unknown variable x")], source
+    assert check("{ Int x = 0; Bool c = True; if (c) { x = 1; } "
+                 "while (c) { x = 2; c = False; } x = 3; }") == []
+
+
 def test_unknown_types_and_classes_reported():
     msgs = check("{ Foo f = new Bar(); }")
     assert any("unknown type Foo" in m for m in msgs)
