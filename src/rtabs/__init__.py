@@ -21,7 +21,7 @@ _EXPORTS = {
     "engine": (
         "Configuration", "Engine", "FutureCell", "InvocationMessage",
         "ObjectState", "ProcessRecord", "RunResult", "adv", "lift", "liftall",
-        "mte", "mte_raw", "select", "simulate",
+        "mte_raw", "select", "simulate",
     ),
     "errors": (
         "CallDepthError", "LexError", "ParseError", "PolicyError",
@@ -36,7 +36,7 @@ _EXPORTS = {
     "prelude": (
         "load_model", "load_source", "merge_with_prelude", "prelude_model",
     ),
-    "trace": ("Trace", "TraceEvent", "read_csv", "read_structured"),
+    "trace": ("TraceEvent", "read_csv", "read_structured"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

@@ -29,7 +29,7 @@ from .values import DURATION_POLICIES, format_rat
 if TYPE_CHECKING:
     from typing import TextIO
 
-    from .trace import Trace, TraceEvent
+    from .trace import TraceEvent
 
 # Each command imports only the layers it runs: `check` the front end,
 # `run` the front end, the engine and the trace writers, `metrics` the
@@ -163,7 +163,7 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _load_trace(path: str) -> Trace:
+def _load_trace(path: str) -> list[TraceEvent]:
     with open(path, "r", encoding="utf-8", newline="") as handle:
         text = handle.read()
     if text.startswith("time,event"):
@@ -176,8 +176,8 @@ def _load_trace(path: str) -> Trace:
 def cmd_metrics(args) -> int:
     try:
         points = _lazy("misses_series")(_load_trace(args.trace), by=args.by)
-    except OSError as exc:
-        return _fail(f"cannot read {args.trace}: {exc.strerror}", 2)
+    except (OSError, UnicodeDecodeError) as exc:
+        return _unreadable(args.trace, exc)
     except (RtabsError, ValueError, KeyError, ZeroDivisionError) as exc:
         return _fail(f"malformed trace: {exc}", 2)
     out = io.StringIO()

@@ -68,12 +68,19 @@ wakes at every tick and registers again.  So mte is the earliest timer
 still live less the clock, and a tick consults no object that has not
 been woken since the last one.
 
+Every process, the `main` block's and each object's `init` included,
+is created as a method's process is: it is activated (an `activate`
+event), and each dispatch (`_dispatch`) makes it the active process and
+emits `schedule`, the first one also setting its `start`.  A creation
+process is dispatched at once, with an infinite deadline, cost 0 and
+criticality False.
+
 `simulate`, `Engine.run_until` and `rtabs run` share one loop
 (`run_until`), run on the caller's thread in `errors.deep_recursion`.
 The run appends its events to a trace sink, anything with
-`append(event)`: an in-memory `Trace` unless the caller passes another
-(`rtabs run` passes a writer that streams them to its output).  The
-run's `RunResult.trace` is that sink.
+`append(event)`: a new list unless the caller passes another (`rtabs
+run` passes a writer that streams them to its output).  The run's
+`RunResult.trace` is that sink.
 """
 
 from __future__ import annotations
@@ -99,7 +106,7 @@ from .nodes import (
     SAwait, SDuration, SIf, SReturn, SSkip, SSuspend, SWhile, Stmt,
 )
 from .pretty import render_expr, render_guard, render_stmt
-from .trace import Trace, TraceEvent, TraceSink
+from .trace import TraceEvent, TraceSink
 from .values import (
     DURATION_POLICIES, FALSE, INF_DURATION, NULL, BoolVal, DataVal, FutRef,
     NumVal, ObjRef, StrVal, Value, duration_rat, format_rat, is_duration,
@@ -125,8 +132,9 @@ class ProcessRecord:
     index: int = 0
     frames: list[tuple[tuple[Stmt, ...], int]] = field(default_factory=list)
     looping: bool = False  # the head is a `while` whose `cond` step is next
-    # the absolute ends of the head's sampled durations, in order; None
-    # until the head is sampled
+    # the absolute ends of the head's sampled durations, in order: () for
+    # an await head with no duration conjunct; None until the head is
+    # sampled
     sample: tuple[Fraction, ...] | None = None
     pending: Value | None = None  # what the second half of the head stores
     dispatched: bool = False
@@ -268,7 +276,7 @@ def wait(p: ProcessRecord, obj: ObjectState, ctx: EvalContext) -> Wait:
                 f"get applied to {render_value(fut)}, not a future",
                 head.rhs.pos)
         return _ZERO if ctx.config.futures[fut.fid].resolved else fut
-    if p.sample is None:
+    if not p.sample:
         return _ZERO
     left = max(p.sample) - ctx.config.clock  # the longest time left
     return left if left > 0 else _ZERO
@@ -325,11 +333,6 @@ def render_head(p: ProcessRecord, clock: Fraction) -> str:
     return render_stmt(s)
 
 
-def mte(config: Configuration, program: Program) -> Value:
-    raw = mte_raw(config, program)
-    return INF_DURATION if raw is None else mk_duration(raw)
-
-
 def adv(config: Configuration, delta: Fraction) -> None:
     """Advance the clock by delta; every stored time is absolute."""
     config.clock += delta
@@ -340,7 +343,7 @@ def adv(config: Configuration, delta: Fraction) -> None:
 
 class Engine:
     """Deterministic interpreter for a checked, desugared model; its
-    events go to `trace`, an in-memory `Trace` unless one is given."""
+    events go to `trace`, a new list unless a sink is given."""
 
     def __init__(self, model: Model, seed: int = 0,
                  duration_policy: str = "worst",
@@ -351,7 +354,7 @@ class Engine:
         self.program = Program.from_model(model)
         self.rng = random.Random(seed)
         self.duration_policy = duration_policy
-        self.trace = Trace() if trace is None else trace
+        self.trace = [] if trace is None else trace
         self.config = Configuration()
         # the one context every evaluation of the run reads the clock and
         # the futures through
@@ -438,9 +441,8 @@ class Engine:
         if p.sample is not None or not isinstance(head, SAwait):
             return
         clock = self.config.clock
-        ends = [clock + self._draw(g.best, g.worst, p, obj, g.pos)
-                for g in head.guards if isinstance(g, GDuration)]
-        p.sample = tuple(ends) if ends else None
+        p.sample = tuple([clock + self._draw(g.best, g.worst, p, obj, g.pos)
+                          for g in head.guards if isinstance(g, GDuration)])
 
     def _fix_woken_heads(self) -> None:
         """Sample the heads of the objects woken or created since the
@@ -578,9 +580,13 @@ class Engine:
             err.pid, err.method = msg.fid, msg.method
             raise
         obj.queue.append(p)
-        data = [("deadline", render_duration_field(msg.deadline)),
+        self._emit_activate(obj, p, msg.deadline, msg.critical)
+
+    def _emit_activate(self, obj: ObjectState, p: ProcessRecord,
+                       deadline: Value, critical: Value) -> None:
+        data = [("deadline", render_duration_field(deadline)),
                 ("cost", render_duration_field(p.locals["cost"])),
-                ("critical", render_value(msg.critical))]
+                ("critical", render_value(critical))]
         if p.label is not None:
             data.append(("label", p.label))
         self._emit("activate", obj=obj.oid, pid=p.pid, method=p.method,
@@ -772,7 +778,7 @@ class Engine:
     def _create_object(self, cls: str, policy: Expr, attrs: dict[str, Value],
                        method: str, body: tuple[Stmt, ...] | None) -> ObjRef:
         """Install a fresh object; a body becomes its creation process,
-        already dispatched under the given method name."""
+        activated and dispatched at once under the given method name."""
         oid = len(self.config.objects)
         attrs["this"] = ObjRef(oid)
         obj = ObjectState(oid, cls, policy, attrs)
@@ -781,19 +787,13 @@ class Engine:
         self._woken.add(oid)
         self._emit("new_object", obj=oid, data=(("class", cls),))
         if body is not None:
-            fid, clock = self._fresh_fid(), self.config.clock
-            p = ProcessRecord(
-                pid=fid, method=method,
-                locals=self._reserved_locals(fid, method, FALSE,
-                                             mk_duration(0), clock),
-                block=body, dispatched=True)
-            p.locals["start"] = mk_time(clock)
-            obj.active = p
-            self._emit("activate", obj=oid, pid=fid, method=method,
-                       data=(("deadline", "inf"), ("cost", "0"),
-                             ("critical", "False")))
-            self._emit("schedule", obj=oid, pid=fid, method=method,
-                       data=(("deadline", "inf"),))
+            fid = self._fresh_fid()
+            locals_ = self._reserved_locals(fid, method, FALSE, mk_duration(0),
+                                            self.config.clock)
+            p = ProcessRecord(pid=fid, method=method, locals=locals_,
+                              block=body)
+            self._emit_activate(obj, p, INF_DURATION, FALSE)
+            self._dispatch(obj, p)
         return ObjRef(oid)
 
     # --- Schedule
@@ -824,6 +824,11 @@ class Engine:
             return False
         p = self.evaluate_policy(obj, ready)
         obj.queue.remove(p)
+        self._dispatch(obj, p)
+        return True
+
+    def _dispatch(self, obj: ObjectState, p: ProcessRecord) -> None:
+        """Make p the active process; its first dispatch is its start."""
         obj.active = p
         if not p.dispatched:
             p.dispatched = True
@@ -831,7 +836,6 @@ class Engine:
         deadline = remaining_deadline(p, self.config.clock)
         self._emit("schedule", obj=obj.oid, pid=p.pid, method=p.method,
                    data=(("deadline", render_duration_field(deadline)),))
-        return True
 
     def evaluate_policy(self, obj: ObjectState,
                         ready: list[ProcessRecord]) -> ProcessRecord:

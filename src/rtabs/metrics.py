@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import RtabsError
-from .trace import Trace, TraceEvent
+from .trace import TraceEvent
 from .values import parse_rat
 
 
@@ -93,7 +93,7 @@ class SeriesPoint:
     breakdown: dict[str, int] | None = None  # cumulative, key -> misses
 
 
-def _collect(trace: Trace):
+def _collect(trace: list[TraceEvent]):
     """Group the per-process lifecycle events by pid."""
     activates: dict[int, TraceEvent] = {}
     first_schedule: dict[int, Fraction] = {}
@@ -129,7 +129,8 @@ def _build_outcome(pid: int, act: TraceEvent, start: Fraction,
     )
 
 
-def derive_outcomes(trace: Trace) -> tuple[dict[int, ProcessOutcome], list[int]]:
+def derive_outcomes(
+        trace: list[TraceEvent]) -> tuple[dict[int, ProcessOutcome], list[int]]:
     """Outcomes for every completed process, plus the pids that were still
     alive (invoked or activated but not returned) when the trace ends."""
     activates, first_schedule, returns, invoked = _collect(trace)
@@ -145,14 +146,15 @@ def derive_outcomes(trace: Trace) -> tuple[dict[int, ProcessOutcome], list[int]]
     return outcomes, incomplete
 
 
-def derive_outcome(trace: Trace, pid: int) -> ProcessOutcome:
+def derive_outcome(trace: list[TraceEvent], pid: int) -> ProcessOutcome:
     outcomes, _ = derive_outcomes(trace)
     if pid not in outcomes:
         raise IncompleteProcess(f"process f{pid} did not complete")
     return outcomes[pid]
 
 
-def misses_series(trace: Trace, by: str | None = None) -> list[SeriesPoint]:
+def misses_series(trace: list[TraceEvent],
+                  by: str | None = None) -> list[SeriesPoint]:
     """Cumulative deadline-miss counts, one point per return event.  With
     by="method" each point also carries per-method (label-refined)
     cumulative counts."""
@@ -179,7 +181,7 @@ def misses_series(trace: Trace, by: str | None = None) -> list[SeriesPoint]:
     return points
 
 
-def check_deadline_bookkeeping(trace: Trace) -> list[str]:
+def check_deadline_bookkeeping(trace: list[TraceEvent]) -> list[str]:
     """Verify d0 - remaining = clock - arrival on every schedule and
     return event of processes with a finite initial deadline; returns a
     list of violation descriptions (empty when the invariant holds)."""

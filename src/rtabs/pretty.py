@@ -26,10 +26,6 @@ from .nodes import (
 from .values import format_rat, render_value
 
 
-def render_type(ty: TypeAst) -> str:
-    return str(ty)
-
-
 def render_expr(expr: Expr, parent_prec: int = 0) -> str:
     if isinstance(expr, Lit):
         return render_value(expr.value)
@@ -144,7 +140,7 @@ def render_stmt(stmt: Stmt, indent: int = 0) -> str:
         return pad + "skip;"
     if isinstance(stmt, SAssign):
         head = _rhs_annots(stmt.rhs)
-        decl = f"{render_type(stmt.decl_type)} " if stmt.decl_type else ""
+        decl = f"{stmt.decl_type} " if stmt.decl_type else ""
         if stmt.rhs is None:
             return f"{pad}{head}{decl}{stmt.name};"
         return f"{pad}{head}{decl}{stmt.name} = {_render_rhs(stmt.rhs)};"
@@ -155,7 +151,7 @@ def render_stmt(stmt: Stmt, indent: int = 0) -> str:
     if isinstance(stmt, SAwait):
         return f"{pad}await {render_guard(stmt.guards)};"
     if isinstance(stmt, SAwaitCall):
-        decl = f"{render_type(stmt.decl_type)} " if stmt.decl_type else ""
+        decl = f"{stmt.decl_type} " if stmt.decl_type else ""
         return (f"{pad}{_rhs_annots(stmt.call)}await {decl}{stmt.name} = "
                 f"{_render_rhs(stmt.call)};")
     if isinstance(stmt, SCallStmt):
@@ -196,7 +192,7 @@ def _put_stmt(stmt: Stmt, indent: int, out: list[str]) -> None:
 
 
 def _render_params(params: tuple[tuple[TypeAst, str], ...]) -> str:
-    return ", ".join([f"{render_type(t)} {n}" for t, n in params])
+    return ", ".join([f"{t} {n}" for t, n in params])
 
 
 def render_model(model: Model) -> str:
@@ -210,20 +206,20 @@ def render_model(model: Model) -> str:
             for ctor in dd.ctors:
                 if ctor.arg_types:
                     ctors.append(ctor.name + "("
-                                 + ", ".join([render_type(t) for t in ctor.arg_types])
+                                 + ", ".join([str(t) for t in ctor.arg_types])
                                  + ")")
                 else:
                     ctors.append(ctor.name)
             head += " = " + " | ".join(ctors)
         parts.append(head + ";")
     for fd in model.functions:
-        head = f"def {render_type(fd.ret)} {fd.name}"
+        head = f"def {fd.ret} {fd.name}"
         if fd.typarams:
             head += "<" + ", ".join(fd.typarams) + ">"
         parts.append(f"{head}({_render_params(fd.params)}) = {render_expr(fd.body)};")
     for idecl in model.interfaces:
         sigs = "\n".join([
-            f"  {render_type(s.ret)} {s.name}({_render_params(s.params)});"
+            f"  {s.ret} {s.name}({_render_params(s.params)});"
             for s in idecl.sigs])
         body = f"\n{sigs}\n" if sigs else " "
         parts.append(f"interface {idecl.name} {{{body}}}")
@@ -237,10 +233,10 @@ def render_model(model: Model) -> str:
         lines.append(head + " {")
         for fld in cd.fields:
             init = f" = {render_expr(fld.init)}" if fld.init is not None else ""
-            lines.append(f"  {render_type(fld.type)} {fld.name}{init};")
+            lines.append(f"  {fld.type} {fld.name}{init};")
         for mth in cd.methods:
             lines.append(f"  {_render_annots(Cost=mth.cost)}"
-                         f"{render_type(mth.ret)} {mth.name}"
+                         f"{mth.ret} {mth.name}"
                          f"({_render_params(mth.params)}) "
                          + render_block(mth.body, 1))
         lines.append("}")

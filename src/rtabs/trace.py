@@ -1,8 +1,9 @@
 """Simulation traces.
 
 Every engine transition of interest appends one TraceEvent to the
-run's trace sink: anything with `append(event)`.  The in-memory `Trace`
-is the default; `rtabs run` streams the events to its output instead.
+run's trace sink: anything with `append(event)`.  In memory a trace is
+a plain `list[TraceEvent]`, the default sink and what the readers
+return; `rtabs run` streams the events to its output instead.
 The writers render any iterable of events, so a trace may be written in
 batches whose texts, joined, are the text of the whole.  The CSV
 format is the stable interchange surface: columns
@@ -19,7 +20,7 @@ import io
 import json
 import re
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import Protocol
@@ -55,20 +56,6 @@ class TraceSink(Protocol):
     """Where a run's events go, in the order they happen."""
 
     def append(self, event: TraceEvent) -> None: ...
-
-
-@dataclass
-class Trace:
-    events: list[TraceEvent] = field(default_factory=list)
-
-    def append(self, event: TraceEvent) -> None:
-        self.events.append(event)
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def __len__(self) -> int:
-        return len(self.events)
 
 
 def _escape(value: str) -> str:
@@ -186,7 +173,7 @@ def render_csv(events: Iterable[TraceEvent], header: bool = True) -> str:
     return out.getvalue()
 
 
-def read_csv_text(text: str) -> Trace:
+def read_csv_text(text: str) -> list[TraceEvent]:
     # no field is longer than the text, so while reading it the csv
     # module's field limit (131,072 characters by default) rejects none
     limit = csv.field_size_limit(max(len(text), csv.field_size_limit()))
@@ -194,12 +181,12 @@ def read_csv_text(text: str) -> Trace:
         rows = csv.reader(io.StringIO(text))
         if next(rows, None) != CSV_HEADER:
             raise RtabsError("missing or malformed trace header")
-        return Trace(list(map(_EventReader().csv_row, rows)))
+        return list(map(_EventReader().csv_row, rows))
     finally:
         csv.field_size_limit(limit)
 
 
-def read_csv(path: str) -> Trace:
+def read_csv(path: str) -> list[TraceEvent]:
     with open(path, "r", encoding="utf-8", newline="") as handle:
         return read_csv_text(handle.read())
 
@@ -219,11 +206,11 @@ def render_structured(events: Iterable[TraceEvent]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def read_structured_text(text: str) -> Trace:
+def read_structured_text(text: str) -> list[TraceEvent]:
     event = _EventReader().jsonl_line
-    return Trace([event(line) for line in text.splitlines() if line.strip()])
+    return [event(line) for line in text.splitlines() if line.strip()]
 
 
-def read_structured(path: str) -> Trace:
+def read_structured(path: str) -> list[TraceEvent]:
     with open(path, "r", encoding="utf-8") as handle:
         return read_structured_text(handle.read())

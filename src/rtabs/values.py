@@ -20,7 +20,8 @@ class Value:
     Equality and hashing are those of a frozen dataclass: values of
     different classes are never equal, so `BoolVal(True) != NumVal(1)`.
     These classes are written out by hand because the engine builds and
-    compares values at every step.
+    compares values at every step; the three scalar classes share one
+    hand-written body (`_Scalar`), since only their class differs.
     """
 
     __slots__ = ()
@@ -32,11 +33,14 @@ class Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class BoolVal(Value):
+class _Scalar(Value):
+    """One `value` field: the shared body of `BoolVal`, `NumVal` and
+    `StrVal`, which differ only in their class."""
+
     __slots__ = ("value",)
 
-    def __init__(self, value: bool):
-        _set_bool(self, value)
+    def __init__(self, value):
+        _set_value(self, value)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -47,45 +51,21 @@ class BoolVal(Value):
         return hash((self.value,))
 
     def __repr__(self) -> str:
-        return f"BoolVal(value={self.value!r})"
+        return f"{self.__class__.__name__}(value={self.value!r})"
 
 
-class NumVal(Value):
+class BoolVal(_Scalar):
+    __slots__ = ()
+
+
+class NumVal(_Scalar):
     """Integer or rational number. Fraction keeps lowest terms itself."""
 
-    __slots__ = ("value",)
-
-    def __init__(self, value: Fraction):
-        _set_num(self, value)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.value == other.value
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value,))
-
-    def __repr__(self) -> str:
-        return f"NumVal(value={self.value!r})"
+    __slots__ = ()
 
 
-class StrVal(Value):
-    __slots__ = ("value",)
-
-    def __init__(self, value: str):
-        _set_str(self, value)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.value == other.value
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value,))
-
-    def __repr__(self) -> str:
-        return f"StrVal(value={self.value!r})"
+class StrVal(_Scalar):
+    __slots__ = ()
 
 
 class DataVal(Value):
@@ -193,9 +173,7 @@ class NullVal(Value):
 
 
 # each slot's own setter, which `Value.__setattr__` does not intercept
-_set_bool = BoolVal.value.__set__
-_set_num = NumVal.value.__set__
-_set_str = StrVal.value.__set__
+_set_value = _Scalar.value.__set__
 _set_ctor = DataVal.ctor.__set__
 _set_args = DataVal.args.__set__
 _set_hash = DataVal._hash.__set__

@@ -107,6 +107,15 @@ def test_run_rejects_a_file_that_is_not_utf8(tmp_path):
         2, "", f"cannot read {path}: not UTF-8 text\n")
 
 
+def test_metrics_rejects_a_trace_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(
+        b"time,event,object,pid,method,data\n0,tick,,,,delta=\xff\n")
+    res = run_cli("metrics", str(path), "--series", "misses")
+    assert (res.returncode, res.stdout, res.stderr) == (
+        2, "", f"cannot read {path}: not UTF-8 text\n")
+
+
 def test_run_trace_on_stdout_and_summary_on_stderr():
     res = run_cli("run", model_file("single_request.rtabs"), "--until", "600")
     assert res.returncode == 0

@@ -9,13 +9,15 @@ from rtabs import (
     Engine, FutureCell, InvocationMessage, ObjectState, PolicyError, lift,
     liftall, load_model, load_source, select, simulate,
 )
+from rtabs.check import RESERVED
 from rtabs.desugar import desugar
-from rtabs.engine import MAIN_CLASS, Configuration, wait
+from rtabs.engine import MAIN_CLASS, PROC_FIELDS, Configuration, wait
 from rtabs.evaluator import EvalContext
 from rtabs.nodes import (
     GBool, GFut, IfExpr, Lit, Node, RGet, SAssign, SAwait, SSkip, Var,
 )
 from rtabs.parser import parse_expr
+from rtabs.prelude import prelude_model
 from rtabs.trace import render_csv
 from rtabs.values import (
     FALSE, TRUE, DataVal, FutRef, StrVal, mk_duration, mk_list, mk_time, num,
@@ -110,6 +112,25 @@ def test_select_by_reflected_pid():
     assert select(FutRef(9), ps) is None
 
 
+def test_reserved_process_fields_agree():
+    # the prelude's Proc, PROC_FIELDS, lift, the engine's reserved locals
+    # and the checker's reserved process names state the same nine fields
+    proc_ctor, = [c for d in prelude_model().datatypes for c in d.ctors
+                  if c.name == "Proc"]
+    assert len(proc_ctor.arg_types) == len(PROC_FIELDS) == 9
+    p = mte_cases.proc(1, [], deadline=mk_duration(7))
+    p.locals = {name: StrVal(name) for name in PROC_FIELDS
+                if name != "deadline"}
+    assert [a.value if isinstance(a, StrVal) else a
+            for a in lift(p, Fraction(0)).args] == [
+        mk_duration(7) if name == "deadline" else name
+        for name in PROC_FIELDS]
+    reserved = Engine(load("{ skip; }"))._reserved_locals(
+        0, "m", FALSE, mk_duration(0), Fraction(0))
+    assert set(reserved) | {"deadline"} == set(PROC_FIELDS)
+    assert RESERVED - {"queue"} == set(PROC_FIELDS)
+
+
 # ----------------------------------------------------------------- binding
 
 
@@ -150,7 +171,7 @@ def test_empty_model_finishes_at_zero():
     result = run("{ skip; }")
     assert result.status == "finished"
     assert result.clock == 0
-    first = result.trace.events[0]
+    first = result.trace[0]
     assert first.kind == "new_object" and first.get("class") == MAIN_CLASS
 
 
@@ -551,9 +572,13 @@ def test_fix_head_samples_once():
     # parsed head, with its other conjuncts, as it is; fixing it again
     # neither samples it again nor draws again
     eng = Engine(load("""
-    interface I { Unit m(); }
-    class C implements I { Fut<Int> f; Unit m() { await duration(1, 3) && f?; } }
-    { I o = new C(); o!m(); }
+    interface I { Unit m(); Unit n(); }
+    class C implements I {
+      Fut<Int> f;
+      Unit m() { await duration(1, 3) && f?; }
+      Unit n() { await f?; }
+    }
+    { I o = new C(); o!m(); o!n(); }
     """), duration_policy="uniform")
     eng.boot()
     while eng.exec_step() != "activation":
@@ -571,6 +596,15 @@ def test_fix_head_samples_once():
     eng._fix_head(p, obj)
     assert p.sample is fixed
     assert eng.rng.getstate() == state
+    # an await head with no duration conjunct samples to (), not None, so
+    # it counts as sampled and is not scanned again; it draws nothing
+    assert eng.exec_step() == "activation"
+    q = obj.queue[1]
+    eng._fix_head(q, obj)
+    assert q.sample == ()
+    assert eng.rng.getstate() == state
+
+
 
 
 def test_zero_duration_needs_no_tick():
@@ -595,9 +629,9 @@ def test_malformed_duration_bounds_error():
         assert result.status == "error", name
         assert message in result.error.describe(), name
         assert result.clock == clock, name
-        assert result.trace.events[-1].kind == "error", name
-        assert result.trace.events[-1].pid == result.error.pid is not None, name
-        assert result.trace.events[-1].method == method, name
+        assert result.trace[-1].kind == "error", name
+        assert result.trace[-1].pid == result.error.pid is not None, name
+        assert result.trace[-1].method == method, name
     # an error in a `while` condition shows the loop unrolled once, as
     # the rules step it
     result = run("{ Int x = 0; while (x) { x = x + 1; } }")

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from rtabs import (
-    IncompleteProcess, Trace, TraceEvent, check_deadline_bookkeeping,
+    IncompleteProcess, TraceEvent, check_deadline_bookkeeping,
     derive_outcome, derive_outcomes, misses_series, simulate,
 )
 from rtabs.trace import read_csv_text, render_csv
@@ -32,8 +32,8 @@ def lifecycle(pid, method, arrival, deadline, cost, finish, remaining,
 
 
 def test_outcome_identities():
-    trace = Trace(lifecycle(4, "request", 15, "40", "2", 17, "38",
-                            label="Photo"))
+    trace = lifecycle(4, "request", 15, "40", "2", 17, "38",
+                      label="Photo")
     out = derive_outcome(trace, 4)
     assert out.arrival == 15
     assert out.absolute_deadline == 55
@@ -46,7 +46,7 @@ def test_outcome_identities():
 
 
 def test_missed_outcome():
-    trace = Trace(lifecycle(2, "slow", 0, "10", "1", 13, "-3"))
+    trace = lifecycle(2, "slow", 0, "10", "1", 13, "-3")
     out = derive_outcome(trace, 2)
     assert out.lateness == 3
     assert out.tardiness == 3
@@ -55,7 +55,7 @@ def test_missed_outcome():
 
 
 def test_infinite_deadline_never_misses():
-    trace = Trace(lifecycle(7, "bg", 0, "inf", "inf", 500, "inf"))
+    trace = lifecycle(7, "bg", 0, "inf", "inf", 500, "inf")
     out = derive_outcome(trace, 7)
     assert out.absolute_deadline is None
     assert out.lateness is None
@@ -65,15 +65,15 @@ def test_infinite_deadline_never_misses():
 
 
 def test_start_is_first_schedule_event():
-    trace = Trace(lifecycle(3, "m", 0, "20", "1", 9, "11", start=5))
+    trace = lifecycle(3, "m", 0, "20", "1", 9, "11", start=5)
     out = derive_outcome(trace, 3)
     assert out.start == 5
     assert out.response == 9
 
 
 def test_rational_bookkeeping():
-    trace = Trace(lifecycle(1, "m", Fraction(1, 3), "1/2", "1/6",
-                            Fraction(5, 6), "0"))
+    trace = lifecycle(1, "m", Fraction(1, 3), "1/2", "1/6",
+                      Fraction(5, 6), "0")
     out = derive_outcome(trace, 1)
     assert out.absolute_deadline == Fraction(5, 6)
     assert out.lateness == 0
@@ -85,11 +85,11 @@ def test_incomplete_processes_listed():
     rows.append(ev(5, "invoke", obj=1, pid=9, method="pending",
                    data=[("caller", "o0"), ("deadline", "inf"),
                          ("critical", "False")]))
-    outcomes, incomplete = derive_outcomes(Trace(rows))
+    outcomes, incomplete = derive_outcomes(rows)
     assert set(outcomes) == {1}
     assert incomplete == [9]
     with pytest.raises(IncompleteProcess):
-        derive_outcome(Trace(rows), 9)
+        derive_outcome(rows, 9)
 
 
 def test_misses_series_cumulative():
@@ -97,7 +97,7 @@ def test_misses_series_cumulative():
             + lifecycle(2, "b", 0, "10", "1", 13, "-3")
             + lifecycle(3, "a", 0, "15", "1", 20, "-5"))
     rows.sort(key=lambda e: e.time)
-    points = misses_series(Trace(rows))
+    points = misses_series(rows)
     assert [(p.time, p.misses) for p in points] == [(5, 0), (13, 1), (20, 2)]
     assert all(p.breakdown is None for p in points)
 
@@ -107,14 +107,14 @@ def test_misses_series_method_breakdown():
             + lifecycle(2, "b", 0, "10", "1", 13, "-3")
             + lifecycle(3, "a", 0, "15", "1", 20, "-5"))
     rows.sort(key=lambda e: e.time)
-    points = misses_series(Trace(rows), by="method")
+    points = misses_series(rows, by="method")
     assert points[0].breakdown == {}
     assert points[1].breakdown == {"b": 1}
     assert points[2].breakdown == {"b": 1, "a": 1}
     # snapshots must not alias each other
     assert points[1].breakdown is not points[2].breakdown
     with pytest.raises(ValueError):
-        misses_series(Trace(rows), by="pid")
+        misses_series(rows, by="pid")
 
 
 def test_series_round_trips_through_csv(single_request_model):
@@ -138,7 +138,7 @@ def test_bookkeeping_catches_tampering(single_request_model):
     pid = rows[idx].pid
     rows[idx] = dataclasses.replace(rows[idx], data=(("value", "True"),
                                                      ("deadline", "999")))
-    violations = check_deadline_bookkeeping(Trace(rows))
+    violations = check_deadline_bookkeeping(rows)
     assert violations and f"f{pid}" in violations[0]
 
 
@@ -149,5 +149,5 @@ def test_bookkeeping_catches_finiteness_flip(single_request_model):
                if e.kind == "return" and e.get("deadline") not in (None, "inf"))
     rows[idx] = dataclasses.replace(rows[idx], data=(("value", "True"),
                                                      ("deadline", "inf")))
-    violations = check_deadline_bookkeeping(Trace(rows))
+    violations = check_deadline_bookkeeping(rows)
     assert violations and "finiteness" in violations[0]

@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from rtabs import RtabsError, Trace, TraceEvent
+from rtabs import RtabsError, TraceEvent
 from rtabs.trace import (
-    format_data, parse_data, read_csv_text, read_structured_text, render_csv,
-    render_structured,
+    format_data, parse_data, read_csv_text, read_structured,
+    read_structured_text, render_csv, render_structured,
 )
 
 
@@ -19,32 +19,32 @@ def ev(time, kind, obj=None, pid=None, method=None, data=()):
 
 # the readers parse each distinct time, id and data text once per read:
 # one time, object, pid and escaped data text (`a\;b`, `x\=y`) on many rows
-REPEATED = Trace([ev(Fraction(3, 2), kind, obj=1, pid=2, method="m",
-                     data=[("label", "a;b"), ("note", "x=y")])
-                  for kind in ("activate", "schedule", "return") * 20])
+REPEATED = [ev(Fraction(3, 2), kind, obj=1, pid=2, method="m",
+               data=[("label", "a;b"), ("note", "x=y")])
+            for kind in ("activate", "schedule", "return") * 20]
 REPEATED_ROW = "3/2,return,o1,f2,m,label=a\\;b;note=x\\=y\n"
 
 
 def test_tick_row_shape():
-    trace = Trace([ev(15, "tick", data=[("delta", "15")])])
+    trace = [ev(15, "tick", data=[("delta", "15")])]
     lines = render_csv(trace).splitlines()
     assert lines[0] == "time,event,object,pid,method,data"
     assert lines[1] == "15,tick,,,,delta=15"
 
 
 def test_object_and_pid_columns():
-    trace = Trace([ev(0, "schedule", obj=3, pid=7, method="run",
-                      data=[("deadline", "inf")])])
+    trace = [ev(0, "schedule", obj=3, pid=7, method="run",
+                data=[("deadline", "inf")])]
     assert render_csv(trace).splitlines()[1] == "0,schedule,o3,f7,run,deadline=inf"
     back = read_csv_text(render_csv(trace))
-    assert back.events[0].obj == 3
-    assert back.events[0].pid == 7
+    assert back[0].obj == 3
+    assert back[0].pid == 7
 
 
 def test_rational_times_round_trip():
-    trace = Trace([ev(Fraction(7, 3), "tick", data=[("delta", "7/3")])])
+    trace = [ev(Fraction(7, 3), "tick", data=[("delta", "7/3")])]
     back = read_csv_text(render_csv(trace))
-    assert back.events[0].time == Fraction(7, 3)
+    assert back[0].time == Fraction(7, 3)
 
 
 def test_data_escaping_round_trip():
@@ -71,11 +71,11 @@ def test_trailing_lone_backslash_rejected():
 
 def test_data_field_separators_survive_csv():
     # commas and quotes exercise the csv quoting layer on top of ours
-    quoted = Trace([ev(1, "return", obj=0, pid=1, method="m",
-                       data=[("value", 'Pair(1,"x;y=z")'), ("deadline", "3/2")])])
+    quoted = [ev(1, "return", obj=0, pid=1, method="m",
+                 data=[("value", 'Pair(1,"x;y=z")'), ("deadline", "3/2")])]
     for trace in (quoted, REPEATED):
         back = read_csv_text(render_csv(trace))
-        assert back.events == trace.events
+        assert back == trace
     assert REPEATED_ROW in render_csv(REPEATED)
 
 
@@ -85,17 +85,17 @@ def test_random_data_values_round_trip():
     for _ in range(200):
         value = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
         key = "k" + str(rng.randint(0, 9))
-        trace = Trace([ev(0, "resolve", obj=0, pid=0, method="m",
-                          data=[(key, value)])])
+        trace = [ev(0, "resolve", obj=0, pid=0, method="m",
+                    data=[(key, value)])]
         back = read_csv_text(render_csv(trace))
-        assert back.events == trace.events
+        assert back == trace
 
 
 def test_data_value_longer_than_the_csv_field_limit_round_trips():
     limit = csv.field_size_limit()
-    trace = Trace([ev(0, "return", obj=1, pid=2, method="m",
-                      data=[("value", "x" * 200_000)])])
-    assert read_csv_text(render_csv(trace)).events == trace.events
+    trace = [ev(0, "return", obj=1, pid=2, method="m",
+                data=[("value", "x" * 200_000)])]
+    assert read_csv_text(render_csv(trace)) == trace
     assert csv.field_size_limit() == limit  # restored after the read
 
 
@@ -142,19 +142,26 @@ def test_event_get():
 
 
 def test_structured_round_trip():
-    trace = Trace([
+    trace = [
         ev(0, "new_object", obj=1, data=[("class", "ServerImp")]),
         ev(Fraction(1, 2), "tick", data=[("delta", "1/2")]),
         ev(1, "return", obj=1, pid=2, method="m",
            data=[("value", "True"), ("deadline", "-3")]),
-    ])
+    ]
     text = render_structured(trace)
     assert text.splitlines()[0].startswith("{")
-    assert read_structured_text(text).events == trace.events
+    assert read_structured_text(text) == trace
     text = render_structured(REPEATED)
-    assert read_structured_text(text).events == REPEATED.events
+    assert read_structured_text(text) == REPEATED
+
+
+def test_structured_file_round_trip(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    text = render_structured(REPEATED)
+    path.write_text(text, encoding="utf-8")
+    assert read_structured(str(path)) == read_structured_text(text) == REPEATED
 
 
 def test_structured_empty_trace():
-    assert render_structured(Trace()) == ""
-    assert read_structured_text("").events == []
+    assert render_structured([]) == ""
+    assert read_structured_text("") == []
