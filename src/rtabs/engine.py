@@ -562,7 +562,7 @@ class Engine:
         if not is_duration(cost):
             raise EvalTypeError(
                 f"cost of {obj.cls}.{msg.method} is {render_value(cost)}, "
-                f"not a Duration")
+                f"not a Duration", mth.cost.pos)
         locals_ = self._reserved_locals(msg.fid, msg.method, msg.critical,
                                         cost, msg.timestamp)
         locals_.update(arg_env)

@@ -192,7 +192,7 @@ def check_deadline_bookkeeping(trace: list[TraceEvent]) -> list[str]:
             continue
         act = activates.get(ev.pid)
         if act is None:
-            continue  # bootstrap processes carry their own activate; skip others
+            continue  # only a cut or hand-written trace lacks an activate
         d0 = _parse_dur(act.get("deadline"))
         remaining = _parse_dur(ev.get("deadline"))
         if d0 is None and remaining is None:

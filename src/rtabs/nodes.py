@@ -135,19 +135,10 @@ def _hash(value) -> int:
 
 
 def _argument_error(cls: type[Node], args: tuple, kwargs: dict) -> TypeError:
-    name, fields = cls.__name__, cls._fields
-    if len(args) > len(fields):
-        return TypeError(f"{name}() takes {len(fields)} arguments "
-                         f"but {len(args)} were given")
-    for key in kwargs:
-        if key not in fields:
-            return TypeError(f"{name}() got an unexpected keyword argument {key!r}")
-        if key in fields[:len(args)]:
-            return TypeError(f"{name}() got multiple values for argument {key!r}")
-    missing = [field for field in fields[len(args):]
-               if field not in kwargs and field not in cls._defaults]
-    return TypeError(f"{name}() missing required argument(s): "
-                     + ", ".join(map(repr, missing)))
+    given = [repr(arg) for arg in args] + [
+        f"{key}={value!r}" for key, value in kwargs.items()]
+    return TypeError(f"{cls.__name__}({', '.join(cls._fields)}) cannot be "
+                     f"built from ({', '.join(given)})")
 
 
 class Pos(Node):

@@ -25,10 +25,12 @@ from .nodes import (
     SCallStmt, SDuration, SIf, SReturn, SSkip, SSuspend, SWhile, Stmt,
     TypeAst, Unary, Var,
 )
-from .values import FALSE, NULL, TRUE, NumVal, StrVal
+from .values import FALSE, NULL, TRUE, NumVal, StrVal, Value
 
 _T = TypeVar("_T")
 NESTING_LIMIT = 10_000
+# the keywords that are literals, in expressions and patterns alike
+_KEYWORD_LITERALS = {"True": TRUE, "False": FALSE, "null": NULL}
 
 
 class _FutAtom(Expr):
@@ -496,24 +498,27 @@ class Parser:
             return _FutAtom(expr.name, pos=pos)
         return expr
 
-    def _parse_primary(self, ga: bool) -> Expr:
+    def _literal(self) -> Value | None:
+        """The value of the literal token next, which is consumed; None,
+        consuming nothing, if the next token is no literal."""
         tok = self.peek()
         if tok.kind == "int" or tok.kind == "rat":
-            self.next()
-            return Lit(NumVal(tok.value), pos=tok.pos)
-        if tok.kind == "string":
-            self.next()
-            return Lit(StrVal(tok.value), pos=tok.pos)
+            value = NumVal(tok.value)
+        elif tok.kind == "string":
+            value = StrVal(tok.value)
+        elif tok.kind == "kw" and tok.text in _KEYWORD_LITERALS:
+            value = _KEYWORD_LITERALS[tok.text]
+        else:
+            return None
+        self.next()
+        return value
+
+    def _parse_primary(self, ga: bool) -> Expr:
+        tok = self.peek()
+        value = self._literal()
+        if value is not None:
+            return Lit(value, pos=tok.pos)
         if tok.kind == "kw":
-            if tok.text == "True":
-                self.next()
-                return Lit(TRUE, pos=tok.pos)
-            if tok.text == "False":
-                self.next()
-                return Lit(FALSE, pos=tok.pos)
-            if tok.text == "null":
-                self.next()
-                return Lit(NULL, pos=tok.pos)
             if tok.text == "now":
                 self.next()
                 return NowExpr(pos=tok.pos)
@@ -577,15 +582,8 @@ class Parser:
             self.next()
             lit = self.expect("int") if self.at("int") else self.expect("rat")
             return PLit(NumVal(-lit.value), pos=tok.pos)
-        if tok.kind in ("int", "rat"):
-            self.next()
-            return PLit(NumVal(tok.value), pos=tok.pos)
-        if tok.kind == "string":
-            self.next()
-            return PLit(StrVal(tok.value), pos=tok.pos)
-        if tok.kind == "kw" and tok.text in ("True", "False", "null"):
-            self.next()
-            value = {"True": TRUE, "False": FALSE, "null": NULL}[tok.text]
+        value = self._literal()
+        if value is not None:
             return PLit(value, pos=tok.pos)
         if tok.kind == "name":
             self.next()

@@ -131,34 +131,9 @@ def _render_rhs(rhs: Rhs) -> str:
 
 
 def render_stmt(stmt: Stmt, indent: int = 0) -> str:
-    pad = "  " * indent
-    if isinstance(stmt, (SIf, SWhile)):
-        out = [pad]
-        _put_stmt(stmt, indent, out)
-        return "".join(out)
-    if isinstance(stmt, SSkip):
-        return pad + "skip;"
-    if isinstance(stmt, SAssign):
-        head = _rhs_annots(stmt.rhs)
-        decl = f"{stmt.decl_type} " if stmt.decl_type else ""
-        if stmt.rhs is None:
-            return f"{pad}{head}{decl}{stmt.name};"
-        return f"{pad}{head}{decl}{stmt.name} = {_render_rhs(stmt.rhs)};"
-    if isinstance(stmt, SReturn):
-        return f"{pad}return {render_expr(stmt.expr)};"
-    if isinstance(stmt, SSuspend):
-        return pad + "suspend;"
-    if isinstance(stmt, SAwait):
-        return f"{pad}await {render_guard(stmt.guards)};"
-    if isinstance(stmt, SAwaitCall):
-        decl = f"{stmt.decl_type} " if stmt.decl_type else ""
-        return (f"{pad}{_rhs_annots(stmt.call)}await {decl}{stmt.name} = "
-                f"{_render_rhs(stmt.call)};")
-    if isinstance(stmt, SCallStmt):
-        return f"{pad}{_rhs_annots(stmt.call)}{_render_rhs(stmt.call)};"
-    if isinstance(stmt, SDuration):
-        return f"{pad}duration({render_expr(stmt.best)}, {render_expr(stmt.worst)});"
-    raise TypeError(f"cannot render {stmt!r}")
+    out = ["  " * indent]
+    _put_stmt(stmt, indent, out)
+    return "".join(out)
 
 
 def render_block(stmts: tuple[Stmt, ...], indent: int = 0) -> str:
@@ -187,8 +162,31 @@ def _put_stmt(stmt: Stmt, indent: int, out: list[str]) -> None:
     elif isinstance(stmt, SWhile):
         out.append(f"while {render_expr(stmt.cond)} ")
         _put_block(stmt.body, indent, out)
+    elif isinstance(stmt, SSkip):
+        out.append("skip;")
+    elif isinstance(stmt, SAssign):
+        head = _rhs_annots(stmt.rhs)
+        decl = f"{stmt.decl_type} " if stmt.decl_type else ""
+        if stmt.rhs is None:
+            out.append(f"{head}{decl}{stmt.name};")
+        else:
+            out.append(f"{head}{decl}{stmt.name} = {_render_rhs(stmt.rhs)};")
+    elif isinstance(stmt, SReturn):
+        out.append(f"return {render_expr(stmt.expr)};")
+    elif isinstance(stmt, SSuspend):
+        out.append("suspend;")
+    elif isinstance(stmt, SAwait):
+        out.append(f"await {render_guard(stmt.guards)};")
+    elif isinstance(stmt, SAwaitCall):
+        decl = f"{stmt.decl_type} " if stmt.decl_type else ""
+        out.append(f"{_rhs_annots(stmt.call)}await {decl}{stmt.name} = "
+                   f"{_render_rhs(stmt.call)};")
+    elif isinstance(stmt, SCallStmt):
+        out.append(f"{_rhs_annots(stmt.call)}{_render_rhs(stmt.call)};")
+    elif isinstance(stmt, SDuration):
+        out.append(f"duration({render_expr(stmt.best)}, {render_expr(stmt.worst)});")
     else:
-        out.append(render_stmt(stmt))
+        raise TypeError(f"cannot render {stmt!r}")
 
 
 def _render_params(params: tuple[tuple[TypeAst, str], ...]) -> str:

@@ -20,8 +20,9 @@ class Value:
     Equality and hashing are those of a frozen dataclass: values of
     different classes are never equal, so `BoolVal(True) != NumVal(1)`.
     These classes are written out by hand because the engine builds and
-    compares values at every step; the three scalar classes share one
-    hand-written body (`_Scalar`), since only their class differs.
+    compares values at every step; the five one-field classes share one
+    hand-written body (`_Scalar`), since only their class and the name
+    of their field differ.
     """
 
     __slots__ = ()
@@ -34,10 +35,12 @@ class Value:
 
 
 class _Scalar(Value):
-    """One `value` field: the shared body of `BoolVal`, `NumVal` and
-    `StrVal`, which differ only in their class."""
+    """One field: the shared body of `BoolVal`, `NumVal`, `StrVal`,
+    `ObjRef` and `FutRef`, which differ only in their class and in the
+    name of that field (`_field`, which `repr` shows)."""
 
     __slots__ = ("value",)
+    _field = "value"
 
     def __init__(self, value):
         _set_value(self, value)
@@ -51,7 +54,7 @@ class _Scalar(Value):
         return hash((self.value,))
 
     def __repr__(self) -> str:
-        return f"{self.__class__.__name__}(value={self.value!r})"
+        return f"{self.__class__.__name__}({self._field}={self.value!r})"
 
 
 class BoolVal(_Scalar):
@@ -117,44 +120,20 @@ def _tuple_hash(lanes: list[int]) -> int:
     return 1546275796 if acc == _MASK else acc - (acc >> 63 << 64)
 
 
-class ObjRef(Value):
+class ObjRef(_Scalar):
     """Reference to a concurrent object; not constructible from source."""
 
-    __slots__ = ("oid",)
-
-    def __init__(self, oid: int):
-        _set_oid(self, oid)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.oid == other.oid
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.oid,))
-
-    def __repr__(self) -> str:
-        return f"ObjRef(oid={self.oid!r})"
+    __slots__ = ()
+    _field = "oid"
+    oid = _Scalar.value
 
 
-class FutRef(Value):
+class FutRef(_Scalar):
     """Reference to a future; also serves as a process identifier."""
 
-    __slots__ = ("fid",)
-
-    def __init__(self, fid: int):
-        _set_fid(self, fid)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.fid == other.fid
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.fid,))
-
-    def __repr__(self) -> str:
-        return f"FutRef(fid={self.fid!r})"
+    __slots__ = ()
+    _field = "fid"
+    fid = _Scalar.value
 
 
 class NullVal(Value):
@@ -177,8 +156,6 @@ _set_value = _Scalar.value.__set__
 _set_ctor = DataVal.ctor.__set__
 _set_args = DataVal.args.__set__
 _set_hash = DataVal._hash.__set__
-_set_oid = ObjRef.oid.__set__
-_set_fid = FutRef.fid.__set__
 
 TRUE = BoolVal(True)
 FALSE = BoolVal(False)

@@ -33,12 +33,19 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
+ONE_METHOD = ("interface I { Unit m(); }\n"
+              "class C implements I { Unit m() { skip; } }\n")
 # (name, model source, message, clock, method) of models that stop with a
 # runtime error in the named method: bad duration bounds, get on a null
 # future at a queued head, a raising conjunct behind an unresolved future,
 # an error raised while sampling a queued head during time advance, a
-# non-Bool guard, whose message carries the guard's source position, and
-# a message whose cost raises while it is bound to a busy object
+# non-Bool guard, whose message carries the guard's source position, a
+# message whose cost raises while it is bound to a busy object, the
+# checked model's calls whose callee, deadline or criticality has the
+# wrong value, a cost that is no Duration, whose message carries the
+# cost's position, and calls that bind to no method or to one of another
+# arity, which the checker lets through: a call on the main object, and
+# a call through an interface that the callee's class does not implement
 RUNTIME_ERROR_CASES = [
     ("malformed bounds", "{ duration(5, 2); }\n",
      "malformed duration bounds", 0, "main"),
@@ -74,6 +81,31 @@ class SImp implements S {
 }
 { S s = new SImp(); s!slow(); await duration(1, 1); s!m(0); }
 """, "division by zero", 1, "m"),
+    ("null callee", "interface I { Unit m(); }\n{ I o; o!m(); }\n",
+     "call to m on null", 0, "main"),
+    ("Int callee", "{ Int o = 1; o!m(); }\n",
+     "call target is 1, not an object", 0, "main"),
+    ("Int deadline", ONE_METHOD + "{ I o = new C(); [Deadline: 3] o!m(); }\n",
+     "deadline is 3, not a Duration", 0, "main"),
+    ("Int criticality", ONE_METHOD + "{ I o = new C(); [Critical: 1] o!m(); }\n",
+     "criticality is 1, not a Bool", 0, "main"),
+    ("Int cost", """
+interface I { Unit m(); }
+class C implements I { [Cost: 3] Unit m() { skip; } }
+{ I o = new C(); o!m(); }
+""", "cost of C.m is 3, not a Duration at ", 0, "m"),
+    ("call on the main object", "{ this!m(); }\n",
+     "object o0 has no class <main>", 0, "m"),
+    ("method of another interface", ONE_METHOD + """
+interface J { Unit z(); }
+{ J o = new C(); o!z(); }
+""", "class C has no method z", 0, "z"),
+    ("arity of another interface", """
+interface I { Unit m(Int a, Int b); }
+interface J { Unit m(Int a); }
+class C implements J { Unit m(Int a) { skip; } }
+{ I o = new C(); o!m(1, 2); }
+""", "C.m expects 1 argument(s), got 2", 0, "m"),
 ]
 
 

@@ -199,6 +199,57 @@ def test_while_loop_computes():
     assert ret[0].get("value") == "120"
 
 
+def test_else_if_and_declarations_without_initializer_run():
+    result = run("""
+    interface P {
+      Int pick(Int n); Int zero(); String empty(); Bool no(); Fut<Int> none();
+    }
+    class PImp implements P {
+      Int pick(Int n) {
+        Int r = 0;
+        if n == 1 { r = 10; } else if n == 2 { r = 20; } else { r = 30; }
+        return r;
+      }
+      Int zero() { Int x; return x; }
+      String empty() { String s; return s; }
+      Bool no() { Bool z; return z; }
+      Fut<Int> none() { Fut<Int> g; return g; }
+    }
+    { P p = new PImp(); Int a = p.pick(1); Int b = p.pick(2); Int c = p.pick(3);
+      Int x = p.zero(); String s = p.empty(); Bool z = p.no();
+      Fut<Int> g = p.none(); }
+    """)
+    assert result.status == "finished"
+    assert [(e.method, e.get("value")) for e in events(result, "return")
+            if e.method != "main"] == [
+        ("pick", "10"), ("pick", "20"), ("pick", "30"), ("zero", "0"),
+        ("empty", '""'), ("no", "False"), ("none", "null")]
+
+
+@pytest.mark.parametrize("tail", ["", " return Unit;"])
+def test_user_init_runs_before_run(tail):
+    # the user's init runs in the init process, a trailing return dropped,
+    # so that the self-call to run that follows it still fires
+    result = run("""
+    interface I { Unit run(); }
+    class C implements I {
+      Int x = 1;
+      Unit init() { duration(2, 2); x = 10;%s }
+      Unit run() { duration(x, x); }
+    }
+    { I o = new C(); }
+    """ % tail)
+    assert result.status == "finished" and result.clock == 12
+    assert [e.method for e in events(result, "return")] == [
+        "main", "init", "run"]
+
+
+def test_duration_valued_bounds():
+    src = "{ duration(Duration(1), Duration(2)); }"
+    assert run(src, duration_policy="worst").clock == 2
+    assert run(src, duration_policy="best").clock == 1
+
+
 def test_get_target_reading_the_clock_is_woken_by_ticks():
     # at clock 1 the target is f, unresolved; from clock 5 it is g,
     # resolved since 1, so a tick must wake main even though f is still

@@ -117,6 +117,13 @@ def test_comparisons_and_strings():
         ev('1 < "a"')
 
 
+def test_inequality_and_division_of_variables():
+    env = {"a": num(7), "b": num(2)}
+    assert ev("a != b", env) == TRUE
+    assert ev("a != a", env) == FALSE
+    assert ev("a / b", env) == num(Fraction(7, 2))
+
+
 def test_unary_and_if():
     assert ev("!(1 == 2)") == TRUE
     assert ev("-(2 + 3)") == num(-5)
@@ -176,6 +183,25 @@ def test_literal_patterns():
     """)
     assert call("sign", num(0), prog=prog) == num(0)
     assert call("sign", num(-7), prog=prog) == num(-1)
+
+
+def test_literal_and_constructor_patterns():
+    # one literal of each kind, and a constructor pattern with a literal
+    # argument, which the general constructor matcher matches
+    prog = program("""
+    def Int negative(Int n) = case n { -1 => 1; _ => 0; };
+    def Int word(String s) = case s { "a" => 1; _ => 0; };
+    def Int flag(Bool b) = case b { True => 1; _ => 0; };
+    def Int none(Fut<Int> f) = case f { null => 1; _ => 0; };
+    def Int one(List<Int> l) = case l { Cons(1, _) => 1; _ => 0; };
+    """)
+    for name, hit, miss in [
+            ("negative", num(-1), num(1)), ("word", StrVal("a"), StrVal("b")),
+            ("flag", TRUE, FALSE), ("none", NULL, FutRef(1)),
+            ("one", mk_list([num(1), num(2)]), mk_list([num(2)])),
+            ("one", mk_list([num(1)]), DataVal("Nil"))]:
+        assert call(name, hit, prog=prog) == num(1), name
+        assert call(name, miss, prog=prog) == num(0), name
 
 
 def test_case_binder_shadows_outer_variable():

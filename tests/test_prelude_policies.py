@@ -16,8 +16,8 @@ from rtabs.desugar import desugar
 from rtabs.evaluator import EvalContext, Program, eval_expr
 from rtabs.parser import parse_expr
 from rtabs.values import (
-    FALSE, INF_DURATION, BoolVal, DataVal, FutRef, StrVal, mk_duration,
-    mk_list, mk_time, num,
+    INF_DURATION, BoolVal, DataVal, FutRef, StrVal, mk_duration, mk_list,
+    mk_time, num,
 )
 
 

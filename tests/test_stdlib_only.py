@@ -1,5 +1,5 @@
-"""The package imports nothing outside the standard library, and nothing
-it does not use."""
+"""The package imports nothing outside the standard library, and neither
+it nor its tests import anything they do not use."""
 
 import ast
 import json
@@ -46,9 +46,11 @@ def unused_imports(path):
 
 def test_sources_use_every_import():
     # the package's __init__ imports in order to re-export
-    found = {path.name: unused_imports(path)
-             for path in sorted(SRC_DIR.glob("*.py"))
-             if path.name != "__init__.py"}
+    paths = [path for path in sorted(SRC_DIR.glob("*.py"))
+             if path.name != "__init__.py"]
+    paths += sorted(Path(__file__).resolve().parent.glob("*.py"))
+    found = {f"{path.parent.name}/{path.name}": unused_imports(path)
+             for path in paths}
     assert {name: names for name, names in found.items() if names} == {}
 
 

@@ -19,7 +19,7 @@ from rtabs.errors import deep_recursion
 from rtabs.lexer import tokenize
 from rtabs.nodes import (
     BINARY_PRECEDENCE, Apply, BinOp, GBool, GDuration, GFut, Lit, Node, Pos,
-    RCall, RGet, SAssign, SAwait, SDuration, SReturn, Var,
+    RCall, RGet, SAssign, SAwait, SDuration, SIf, SReturn, Var,
 )
 from rtabs.parser import NESTING_LIMIT
 from rtabs.prelude import prelude_model
@@ -289,6 +289,25 @@ for path in sys.argv[1:]:
 """
 
 
+def test_else_if_is_an_if_in_the_else_block():
+    source = ("{ Int x = 2; if x == 1 { x = 10; } else if x == 2 { x = 20; }"
+              " else { x = 30; } }")
+    outer = parse_model(source).main[1]
+    assert isinstance(outer, SIf) and len(outer.els) == 1
+    inner = outer.els[0]
+    assert isinstance(inner, SIf) and inner.cond == parse_expr("x == 2")
+    assert len(inner.then) == len(inner.els) == 1
+    render_parse_round_trip(source)
+
+
+def test_round_trip_literal_patterns_and_bare_declarations():
+    render_parse_round_trip("""
+    def Int f(Rat n) = case n { -1 => 0; -1/2 => 1; "a" => 2; True => 3;
+                                null => 4; Cons(1, _) => 5; _ => 6; };
+    class C { Unit m() { Int x; Fut<Int> g; await Int y = this.n(); } }
+    """)
+
+
 def test_deep_models_compare_across_interpreters(tmp_path):
     # comparing or hashing a tree as deep as the nesting limit must
     # recurse through Python calls only, under each interpreter alike.
@@ -524,6 +543,49 @@ def test_keyword_misuse_diagnostics():
         ("8:16", f"destiny {only}"),
         ("5:16", f"deadline {only}"),
         ("9:24", f"deadline {only}"),
+    ]
+
+
+DECLARATION_ERRORS_SRC = """\
+data D = A | B(Int);
+data D = E;
+data F = A;
+data Pair<X, Y> = Pair(X, Y);
+interface I { Unit n(); }
+interface I { Unit m(Int x); }
+class C { }
+class C(Int p, Int p) implements I {
+  Int k = 0;
+  Int k = 1;
+  Unit m() { skip; }
+  Unit m() { skip; }
+}
+def Int f(D d) = case d { B(value) => 0; B(x, y) => 1; G(z) => 2; B => 3; _ => 4; };
+def Int g(Pair<Int, Int> q) = case q { Pair(v, v) => v; };
+{ I o = new C(1); }
+"""
+
+
+def test_declaration_and_pattern_diagnostics():
+    # each duplicate declaration, arity mismatch and pattern error; the
+    # later of two declarations of a name is the one reported, and the one
+    # that counts
+    _, diags = load_source(DECLARATION_ERRORS_SRC, "<test>")
+    assert [d.render() for d in diags] == [
+        "<test>:2:1: error: duplicate datatype D",
+        "<test>:3:10: error: constructor A declared more than once",
+        "<test>:6:1: error: duplicate interface I",
+        "<test>:8:1: error: duplicate class C",
+        "<test>:14:29: error: value is a reserved name",
+        "<test>:14:42: error: constructor B expects 1 argument(s), got 2",
+        "<test>:14:56: error: unknown constructor G",
+        "<test>:14:67: error: constructor B expects 1 argument(s)",
+        "<test>:15:48: error: duplicate binder v in pattern",
+        "<test>:8:16: error: duplicate parameter p",
+        "<test>:10:3: error: duplicate attribute k",
+        "<test>:12:3: error: duplicate method m in class C",
+        "<test>:11:3: error: method m in C has 0 parameter(s), I declares 1",
+        "<test>:16:9: error: class C expects 2 argument(s), got 1",
     ]
 
 
