@@ -5,8 +5,10 @@ can be analyzed without re-running the simulation.  Conventions:
 
 - arrival r = time of the activate event; relative deadline d and cost c
   come from its payload (d may be infinite, rendered `inf`);
-- start s = time of the first schedule event, finish f = time of the
-  return event;
+- a process is complete once a return event follows its activate
+  event; outcomes come in the order the processes returned;
+- start s = time of its first schedule event, or its arrival if it has
+  none; finish f = time of the return event;
 - absolute deadline D = r + d, response R = f - r, lateness L = f - D,
   tardiness E = max(0, L), laxity X = d - c;
 - a process misses its deadline iff L > 0, which is exactly a negative
@@ -93,57 +95,41 @@ class SeriesPoint:
     breakdown: dict[str, int] | None = None  # cumulative, key -> misses
 
 
-def _collect(trace: list[TraceEvent]):
-    """Group the per-process lifecycle events by pid."""
-    activates: dict[int, TraceEvent] = {}
-    first_schedule: dict[int, Fraction] = {}
-    returns: dict[int, TraceEvent] = {}
-    invoked: dict[int, None] = {}  # insertion-ordered set of pids
-    for ev in trace:
-        if ev.pid is None:
-            continue
-        if ev.kind == "invoke":
-            invoked.setdefault(ev.pid)
-        elif ev.kind == "activate":
-            activates[ev.pid] = ev
-            invoked.setdefault(ev.pid)
-        elif ev.kind == "schedule":
-            first_schedule.setdefault(ev.pid, ev.time)
-        elif ev.kind == "return":
-            returns[ev.pid] = ev
-    return activates, first_schedule, returns, invoked
-
-
-def _build_outcome(pid: int, act: TraceEvent, start: Fraction,
-                   ret: TraceEvent) -> ProcessOutcome:
-    return ProcessOutcome(
-        pid=pid,
-        method=act.method or "?",
-        label=act.get("label"),
-        arrival=act.time,
-        cost=_parse_dur(act.get("cost")),
-        deadline=_parse_dur(act.get("deadline")),
-        start=start,
-        finish=ret.time,
-        critical=act.get("critical") == "True",
-    )
-
-
 def derive_outcomes(
         trace: list[TraceEvent]) -> tuple[dict[int, ProcessOutcome], list[int]]:
-    """Outcomes for every completed process, plus the pids that were still
-    alive (invoked or activated but not returned) when the trace ends."""
-    activates, first_schedule, returns, invoked = _collect(trace)
+    """Outcomes for every completed process, in the order they returned,
+    plus the pids that were still alive (invoked or activated but not
+    returned) when the trace ends, in the order they were first seen."""
+    activates: dict[int, TraceEvent] = {}
+    starts: dict[int, Fraction] = {}
+    alive: dict[int, None] = {}  # insertion-ordered set of pids
     outcomes: dict[int, ProcessOutcome] = {}
-    incomplete: list[int] = []
-    for pid in invoked:
-        act = activates.get(pid)
-        ret = returns.get(pid)
-        if act is None or ret is None or pid not in first_schedule:
-            incomplete.append(pid)
+    for ev in trace:
+        pid = ev.pid
+        if pid is None:
             continue
-        outcomes[pid] = _build_outcome(pid, act, first_schedule[pid], ret)
-    return outcomes, incomplete
+        if ev.kind == "invoke":
+            alive.setdefault(pid)
+        elif ev.kind == "activate":
+            activates[pid] = ev
+            alive.setdefault(pid)
+        elif ev.kind == "schedule":
+            starts.setdefault(pid, ev.time)
+        elif ev.kind == "return" and pid in activates:
+            act = activates[pid]
+            alive.pop(pid, None)
+            outcomes[pid] = ProcessOutcome(
+                pid=pid,
+                method=act.method or "?",
+                label=act.get("label"),
+                arrival=act.time,
+                cost=_parse_dur(act.get("cost")),
+                deadline=_parse_dur(act.get("deadline")),
+                start=starts.get(pid, act.time),
+                finish=ev.time,
+                critical=act.get("critical") == "True",
+            )
+    return outcomes, list(alive)
 
 
 def derive_outcome(trace: list[TraceEvent], pid: int) -> ProcessOutcome:
@@ -155,28 +141,21 @@ def derive_outcome(trace: list[TraceEvent], pid: int) -> ProcessOutcome:
 
 def misses_series(trace: list[TraceEvent],
                   by: str | None = None) -> list[SeriesPoint]:
-    """Cumulative deadline-miss counts, one point per return event.  With
+    """Cumulative deadline-miss counts, one point per completed process
+    in the order they returned (see `derive_outcomes`).  With
     by="method" each point also carries per-method (label-refined)
     cumulative counts."""
     if by not in (None, "method"):
         raise ValueError(f"unsupported breakdown {by!r}")
-    activates, first_schedule, _, _ = _collect(trace)
     points: list[SeriesPoint] = []
     total = 0
     per_key: dict[str, int] = {}
-    for ev in trace:
-        if ev.kind != "return" or ev.pid is None:
-            continue
-        act = activates.get(ev.pid)
-        if act is None:
-            continue
-        outcome = _build_outcome(ev.pid, act,
-                                 first_schedule.get(ev.pid, act.time), ev)
+    for outcome in derive_outcomes(trace)[0].values():
         if outcome.missed:
             total += 1
             key = outcome.series_key()
             per_key[key] = per_key.get(key, 0) + 1
-        points.append(SeriesPoint(ev.time, total,
+        points.append(SeriesPoint(outcome.finish, total,
                                   dict(per_key) if by == "method" else None))
     return points
 
@@ -185,7 +164,7 @@ def check_deadline_bookkeeping(trace: list[TraceEvent]) -> list[str]:
     """Verify d0 - remaining = clock - arrival on every schedule and
     return event of processes with a finite initial deadline; returns a
     list of violation descriptions (empty when the invariant holds)."""
-    activates, _, _, _ = _collect(trace)
+    activates = {ev.pid: ev for ev in trace if ev.kind == "activate"}
     violations = []
     for ev in trace:
         if ev.kind not in ("schedule", "return") or ev.pid is None:

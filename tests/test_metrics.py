@@ -92,6 +92,43 @@ def test_incomplete_processes_listed():
         derive_outcome(rows, 9)
 
 
+def test_return_without_schedule_completes_for_both_readers():
+    # a return after the activate completes a process, with or without a
+    # schedule; its start then falls back to its arrival
+    rows = [
+        ev(0, "activate", obj=1, pid=4, method="m",
+           data=[("deadline", "5"), ("cost", "1"), ("critical", "False")]),
+        ev(7, "return", obj=1, pid=4, method="m",
+           data=[("value", "True"), ("deadline", "-2")]),
+    ]
+    outcomes, incomplete = derive_outcomes(rows)
+    assert set(outcomes) == {4}
+    assert incomplete == []
+    assert outcomes[4].start == 0
+    assert outcomes[4].missed
+    assert derive_outcome(rows, 4) == outcomes[4]
+    assert misses_series(rows)[-1].misses == 1
+
+
+def test_outcomes_and_points_come_in_return_order():
+    rows = (lifecycle(1, "a", 0, "10", "1", 9, "1")
+            + lifecycle(2, "b", 1, "3", "1", 6, "-2"))
+    rows.sort(key=lambda e: e.time)
+    outcomes, _ = derive_outcomes(rows)
+    assert list(outcomes) == [2, 1]
+    points = misses_series(rows)
+    assert [(p.time, p.misses) for p in points] == [(6, 1), (9, 1)]
+
+
+def test_return_before_activate_does_not_complete():
+    rows = lifecycle(3, "m", 2, "10", "1", 5, "5")
+    rows.insert(0, rows.pop())  # the return is read first
+    outcomes, incomplete = derive_outcomes(rows)
+    assert outcomes == {}
+    assert incomplete == [3]
+    assert misses_series(rows) == []
+
+
 def test_misses_series_cumulative():
     rows = (lifecycle(1, "a", 0, "10", "1", 5, "5")
             + lifecycle(2, "b", 0, "10", "1", 13, "-3")
