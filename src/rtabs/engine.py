@@ -12,7 +12,9 @@ and builds no syntax node.  What a rule would write into a statement is
 kept beside it: the sampled ends of the head, the value a second half
 stores.
 
-Time is stored absolute.  A process keeps its absolute deadline in
+Time is stored absolute and exact: the clock and every stored time is
+an `int` when integral, else a `Fraction` (`values.exact`).  A process
+keeps its absolute deadline in
 `due` and the ends of its sampled head (a `duration` statement, the
 duration conjuncts of an await) in `sample`, so advancing time moves
 only the clock.  No process keeps a `deadline` local: the time left,
@@ -109,9 +111,9 @@ from .pretty import render_expr, render_guard, render_stmt
 from .trace import TraceEvent, TraceSink
 from .values import (
     DURATION_POLICIES, FALSE, INF_DURATION, NULL, BoolVal, DataVal, FutRef,
-    NumVal, ObjRef, StrVal, Value, duration_rat, format_rat, is_duration,
-    is_inf_duration, mk_duration, mk_list, mk_time, num, render_duration_field,
-    render_value,
+    NumVal, ObjRef, Rat, StrVal, Value, duration_rat, exact, format_rat,
+    is_duration, is_inf_duration, mk_duration, mk_list, mk_time, num,
+    render_duration_field, render_value,
 )
 
 MAIN_CLASS = "<main>"
@@ -135,13 +137,13 @@ class ProcessRecord:
     # the absolute ends of the head's sampled durations, in order: () for
     # an await head with no duration conjunct; None until the head is
     # sampled
-    sample: tuple[Fraction, ...] | None = None
+    sample: tuple[Rat, ...] | None = None
     pending: Value | None = None  # what the second half of the head stores
     dispatched: bool = False
     label: str | None = None
     # the absolute deadline; None when infinite.  The only store of a
     # deadline: the `deadline` a model or a Proc sees is derived from it.
-    due: Fraction | None = None
+    due: Rat | None = None
 
     def proceed(self) -> None:
         """Move past the head, leaving every block that is done."""
@@ -172,7 +174,7 @@ class ObjectState:
     stalled: bool = False
     # while stalled, the earliest time one of its blocked heads may fire,
     # if one waits for time; the one live entry of the timer heap
-    wake_at: Fraction | None = None
+    wake_at: Rat | None = None
 
 
 @dataclass
@@ -183,7 +185,7 @@ class InvocationMessage:
     fid: int
     deadline: Value
     critical: Value
-    timestamp: Fraction
+    timestamp: Rat
 
 
 @dataclass
@@ -202,14 +204,14 @@ class FutureCell:
 class Configuration:
     objects: dict[int, ObjectState] = field(default_factory=dict)
     futures: dict[int, FutureCell] = field(default_factory=dict)
-    clock: Fraction = Fraction(0)
+    clock: Rat = 0
 
 
 @dataclass
 class RunResult:
     status: str  # finished | time_limit | deadlock | error | step_limit
     trace: TraceSink  # the sink the run appended its events to
-    clock: Fraction
+    clock: Rat
     steps: int
     error: RtRuntimeError | None = None
     blocked: list[str] = field(default_factory=list)
@@ -218,7 +220,7 @@ class RunResult:
 # ------------------------------------------------------- process reflection
 
 
-def lift(p: ProcessRecord, clock: Fraction) -> DataVal:
+def lift(p: ProcessRecord, clock: Rat) -> DataVal:
     """Project a process's reserved locals at clock into a Proc value."""
     locals_ = p.locals
     return DataVal("Proc", (
@@ -227,7 +229,7 @@ def lift(p: ProcessRecord, clock: Fraction) -> DataVal:
         locals_["finish"], locals_["critical"], locals_["value"]))
 
 
-def liftall(processes: list[ProcessRecord], clock: Fraction) -> Value:
+def liftall(processes: list[ProcessRecord], clock: Rat) -> Value:
     return mk_list([lift(p, clock) for p in processes])
 
 
@@ -245,9 +247,9 @@ def select(pid_value: Value, processes: list[ProcessRecord]) -> ProcessRecord | 
 # position to be sampled already (the engine fixes them before
 # consulting any of them).
 
-_ZERO = Fraction(0)
+_ZERO = 0
 
-Wait = Fraction | FutRef | None
+Wait = Rat | FutRef | None
 
 
 def wait(p: ProcessRecord, obj: ObjectState, ctx: EvalContext) -> Wait:
@@ -282,13 +284,13 @@ def wait(p: ProcessRecord, obj: ObjectState, ctx: EvalContext) -> Wait:
     return left if left > 0 else _ZERO
 
 
-def mte_raw(config: Configuration, program: Program) -> Fraction | None:
+def mte_raw(config: Configuration, program: Program) -> Rat | None:
     """The least delay over each object's active process, or over its
     queue when it has none; None when nothing waits for time.  The
     definition of mte: `Engine.advance` reads the same figure from the
     timers that stalled objects registered."""
     ctx = EvalContext(program, config)
-    out: Fraction | None = None
+    out: Rat | None = None
     for obj in config.objects.values():
         for p in obj.queue if obj.active is None else (obj.active,):
             try:
@@ -303,7 +305,7 @@ def mte_raw(config: Configuration, program: Program) -> Fraction | None:
 
 
 def _locate(err: RtRuntimeError, oid: int, p: ProcessRecord | None,
-            clock: Fraction) -> None:
+            clock: Rat) -> None:
     """Name the object, process and head statement an error arose at,
     unless an inner handler already did."""
     if err.obj is None:
@@ -315,7 +317,7 @@ def _locate(err: RtRuntimeError, oid: int, p: ProcessRecord | None,
             err.stmt = render_head(p, clock)
 
 
-def render_head(p: ProcessRecord, clock: Fraction) -> str:
+def render_head(p: ProcessRecord, clock: Rat) -> str:
     """p's head as the rules step it, for reports: a `while` whose `cond`
     step is next unrolled once, a second half assigning the value it
     stores, a sampled head with the time left (the nodes built here are
@@ -333,9 +335,9 @@ def render_head(p: ProcessRecord, clock: Fraction) -> str:
     return render_stmt(s)
 
 
-def adv(config: Configuration, delta: Fraction) -> None:
+def adv(config: Configuration, delta: Rat) -> None:
     """Advance the clock by delta; every stored time is absolute."""
-    config.clock += delta
+    config.clock = exact(config.clock + delta)
 
 
 # ------------------------------------------------------------------- engine
@@ -365,7 +367,7 @@ class Engine:
         # next tick.  An entry (t, oid) of the timer heap is live only
         # while objects[oid].wake_at == t; the others are dropped unread.
         self._future_waiters: dict[int, set[int]] = {}
-        self._timers: list[tuple[Fraction, int]] = []
+        self._timers: list[tuple[Rat, int]] = []
         self._tick_waiters: set[int] = set()
         # the oids of the objects woken or created since the last tick,
         # the only ones whose heads may not be sampled yet
@@ -392,7 +394,7 @@ class Engine:
                             self.model.main)
 
     def _reserved_locals(self, fid: int, method: str, critical: Value,
-                         cost: Value, arrival: Fraction) -> dict[str, Value]:
+                         cost: Value, arrival: Rat) -> dict[str, Value]:
         """The reserved locals except `deadline`, which derives from `due`."""
         return {
             "destiny": FutRef(fid),
@@ -408,7 +410,7 @@ class Engine:
     # ------------------------------------------------------- guard sampling
 
     def _draw(self, best: Expr, worst: Expr, p: ProcessRecord,
-              obj: ObjectState, pos) -> Fraction:
+              obj: ObjectState, pos) -> Rat:
         """Evaluate and check duration bounds in p's scope, then pick a
         duration by the duration policy."""
         lo = self._bound_rat(
@@ -423,9 +425,10 @@ class Engine:
             return hi
         if self.duration_policy == "best":
             return lo
-        return lo + (hi - lo) * Fraction(self.rng.randint(0, 1000), 1000)
+        return exact(lo + (hi - lo)
+                     * Fraction(self.rng.randint(0, 1000), 1000))
 
-    def _bound_rat(self, v: Value, pos) -> Fraction:
+    def _bound_rat(self, v: Value, pos) -> Rat:
         if isinstance(v, NumVal):
             return v.value
         if is_duration(v) and not is_inf_duration(v):
@@ -441,7 +444,8 @@ class Engine:
         if p.sample is not None or not isinstance(head, SAwait):
             return
         clock = self.config.clock
-        p.sample = tuple([clock + self._draw(g.best, g.worst, p, obj, g.pos)
+        p.sample = tuple([exact(clock + self._draw(g.best, g.worst, p, obj,
+                                                   g.pos))
                           for g in head.guards if isinstance(g, GDuration)])
 
     def _fix_woken_heads(self) -> None:
@@ -507,7 +511,7 @@ class Engine:
             elif w is not None and (soonest is None or w < soonest):
                 soonest = w
         if soonest is not None:
-            obj.wake_at = self.config.clock + soonest
+            obj.wake_at = exact(self.config.clock + soonest)
             heapq.heappush(self._timers, (obj.wake_at, obj.oid))
         if tick:
             self._tick_waiters.add(obj.oid)
@@ -520,7 +524,7 @@ class Engine:
             heapq.heappush(self._awake, oid)
             self._woken.add(oid)
 
-    def _next_timer(self) -> Fraction | None:
+    def _next_timer(self) -> Rat | None:
         """The earliest live timer, dropping the stale entries before it;
         None when no stalled object waits for time."""
         timers, objects = self._timers, self.config.objects
@@ -568,7 +572,7 @@ class Engine:
         locals_.update(arg_env)
         label = next((a.value for a in msg.args if isinstance(a, StrVal)), None)
         due = (None if is_inf_duration(msg.deadline)
-               else self.config.clock + duration_rat(msg.deadline))
+               else exact(self.config.clock + duration_rat(msg.deadline)))
         return ProcessRecord(pid=msg.fid, method=msg.method, locals=locals_,
                              block=mth.body, label=label, due=due)
 
@@ -651,8 +655,9 @@ class Engine:
 
         if isinstance(s, SDuration):
             if p.sample is None:
-                p.sample = (self.config.clock
-                            + self._draw(s.best, s.worst, p, obj, s.pos),)
+                end = self.config.clock + self._draw(s.best, s.worst, p, obj,
+                                                     s.pos)
+                p.sample = (exact(end),)
                 return "duration"
             p.proceed()  # wait found it ended
             return "duration-done"
@@ -862,15 +867,15 @@ class Engine:
 
     # ------------------------------------------------------------ main loop
 
-    def run_until(self, limit: Fraction | int,
+    def run_until(self, limit: Rat,
                   max_steps: int | None = None) -> RunResult:
         """Alternate instantaneous steps and maximal time advances until
         the model terminates, the clock would pass the limit, the
         configuration deadlocks, or a runtime error surfaces."""
         with deep_recursion():
-            return self._run(Fraction(limit), max_steps)
+            return self._run(exact(Fraction(limit)), max_steps)
 
-    def _run(self, limit: Fraction, max_steps: int | None) -> RunResult:
+    def _run(self, limit: Rat, max_steps: int | None) -> RunResult:
         if not self.config.objects:
             self.boot()
         steps = 0
@@ -890,7 +895,7 @@ class Engine:
             if max_steps is not None and steps >= max_steps:
                 return self._result("step_limit", steps)
 
-    def advance(self, limit: Fraction) -> str | None:
+    def advance(self, limit: Rat) -> str | None:
         """At quiescence, stop with "finished", "deadlock" or "time_limit",
         or advance the clock by mte, emit the tick and return None.  mte
         is the earliest live timer less the clock (module docstring)."""
@@ -942,7 +947,7 @@ class Engine:
 _DEFAULTS = {"Int": num(0), "Rat": num(0), "Bool": FALSE, "String": StrVal("")}
 
 
-def simulate(model: Model, limit: Fraction | int, seed: int = 0,
+def simulate(model: Model, limit: Rat, seed: int = 0,
              duration_policy: str = "worst") -> RunResult:
     """One-call convenience wrapper: boot, run, return the result."""
     return Engine(model, seed=seed, duration_policy=duration_policy).run_until(limit)

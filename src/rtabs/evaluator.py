@@ -1,31 +1,37 @@
 """Strict evaluation of side-effect-free expressions and guards.
 
-Expressions are compiled, not walked (Feeley & Lapalme, "Using closures
-for code generation", 1987): each `Expr` becomes a Python closure
-`(frame, ctx) -> Value`, and each `Pattern` a matcher
-`(value, frame) -> bool` that allocates nothing.  Code runs on one list
-frame per evaluation or call, and each `case` binder resolves to a slot
-of it.  Compiled code lives in the `Program`, shared by every evaluation:
+Expressions are compiled, not walked, in one of two ways, and both call
+the same module-level helpers for every operator's checks and error
+texts.  Compiled code lives in the `Program`, shared by every
+evaluation:
 
-- A function body is compiled together with the first expression that
-  calls it.  Its formals take the first slots of its frame, so a body
-  never sees its caller's variables.
+- A model function (`def`) becomes one Python function, generated as
+  source the first time a call to it is compiled, together with the
+  functions it calls, and compiled once (`_Generator`).  Its formals
+  are the function's parameters, each subexpression's value goes to a
+  fresh local in evaluation order, and each `case` binder is a local of
+  its branch, so a body never sees its caller's variables.
 - Any other expression (a statement's, a guard's, a `[Scheduler:]`
-  policy) is compiled the first time it is evaluated and kept by the
-  identity of its node, which the cache holds.  Its frame's first slots
-  hold its scope (`lookup`): a process's locals, its object's fields and
-  the process itself, whose time left `deadline` reads; or a plain dict.
+  policy) runs a few times at most per compilation, so it becomes a
+  Python closure `(frame, ctx) -> Value` instead (Feeley & Lapalme,
+  "Using closures for code generation", 1987), and each `Pattern` a
+  matcher `(value, frame) -> bool` that allocates nothing.  It is
+  compiled the first time it is evaluated and kept by the identity of
+  its node, which the cache holds.  Its list frame's first slots hold
+  its scope (`lookup`): a process's locals, its object's fields and the
+  process itself, whose time left `deadline` reads; or a plain dict.
+  Each case binder resolves to a slot after them.
 
 A case binder shadows an outer variable of the same name.  A name reads
 its scope value, else a nullary constructor, else it is an unbound
 variable.  A call evaluates its arguments left to right before any
 error about the call itself; a function shadows a constructor of the
 same name, and every model call counts one toward `max_depth`.
-Rationals stay exact throughout.
+Rationals stay exact throughout (`values.exact`).
 
 Code reads nothing of the run but through its `EvalContext`: the clock
 (`now`) and the future table (`f?`, `.get`) of the run's configuration,
-read in place when evaluated, and the call depth.  So the engine builds
+read in place when evaluated, and `max_depth`.  So the engine builds
 one context when it starts and evaluates every expression of the run
 with it.  Reading the clock, through `now` or a `deadline` variable, also
 sets the context's `clock_read`: the engine clears it before evaluating
@@ -48,8 +54,8 @@ from .nodes import (
     Lit, Model, NowExpr, PCtor, PLit, PName, Pattern, PWildcard, Unary, Var,
 )
 from .values import (
-    INF_DURATION, BoolVal, DataVal, FALSE, FutRef, NumVal, StrVal, TRUE,
-    Value, is_time, mk_duration, mk_time, render_value,
+    INF_DURATION, BoolVal, DataVal, FALSE, FutRef, NumVal, Rat, StrVal,
+    TRUE, Value, exact, is_time, mk_duration, mk_time, render_value,
 )
 
 Env = dict[str, Value]
@@ -67,15 +73,6 @@ _SCOPE = 3  # a top-level frame's first slots: see `lookup`
 _NO_FIELDS: Env = {}
 
 
-class Function:
-    """A model function's compiled body and what it needs per call."""
-
-    __slots__ = ("body", "pad")
-
-    body: Code
-    pad: tuple[None, ...]  # the frame's binder slots, after the formals
-
-
 @dataclass
 class Program:
     """Static tables extracted from a (merged, desugared) model, and the
@@ -84,11 +81,15 @@ class Program:
     functions: dict[str, FuncDecl]
     ctor_arity: dict[str, int]
     classes: dict[str, ClassDecl]
-    # compiled function bodies by name
-    bodies: dict[str, Function] = field(default_factory=dict, repr=False)
+    # the generated Python function of each model function called so far
+    bodies: dict[str, Callable] = field(default_factory=dict, repr=False)
     # compiled top-level expressions by node identity; holding the node
     # keeps its id
     code: dict[int, Entry] = field(default_factory=dict, repr=False)
+    generator: _Generator = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.generator = _Generator(self)
 
     @staticmethod
     def from_model(model: Model) -> Program:
@@ -105,45 +106,45 @@ class Program:
     def compiled(self, expr: Expr) -> Entry:
         entry = self.code.get(id(expr))
         if entry is None:
-            compiler = _Compiler(self, None)
+            compiler = _Compiler(self)
             code = compiler.expr(expr)
             entry = (expr, code, (None,) * (compiler.size - _SCOPE))
             self.code[id(expr)] = entry
         return entry
 
-    def function(self, name: str) -> Function:
+    def function(self, name: str) -> Callable:
+        """The Python function that runs model function `name`: called
+        as `(ctx, calls, *args)`, where calls is how many model calls it
+        may still make below it (`max_depth` less its depth)."""
         fn = self.bodies.get(name)
         if fn is None:
-            fd = self.functions[name]
-            # registered before its body compiles, so recursion finds it
-            fn = self.bodies[name] = Function()
-            compiler = _Compiler(self, [pname for _, pname in fd.params])
-            fn.body = compiler.expr(fd.body)
-            fn.pad = (None,) * (compiler.size - len(fd.params))
+            self.generator.generate(name)
+            fn = self.bodies[name]
         return fn
 
 
 @dataclass
 class EvalContext:
     """What an evaluation reads besides its scope: the program's code,
-    the run's configuration and the call depth.  The configuration is
-    read, never copied: `now` is `config.clock`, and `f?` and a `.get`
+    the run's configuration and the call depth limit.  The configuration
+    is read, never copied: `now` is `config.clock`, and `f?` and a `.get`
     test `config.futures[fid].resolved`.  So one context serves a whole
     run; outside a run there is no configuration to read."""
 
     program: Program
     config: Any = None  # anything with a `clock` and a `futures` table
     max_depth: int = 100_000
-    depth: int = field(default=0)
     # set by every read of the clock; whoever asks clears it first
     clock_read: bool = field(default=False, init=False)
 
 
-def remaining_deadline(p: Any, clock: Fraction) -> Value:
+def remaining_deadline(p: Any, clock: Rat) -> Value:
     """The time left at clock until process p's deadline, `p.due`."""
     if p.due is None:
         return INF_DURATION
-    return DataVal("Duration", (NumVal(p.due - clock),))
+    left = p.due - clock
+    return DataVal("Duration", (
+        NumVal(left if type(left) is int else exact(left)),))
 
 
 def lookup(name: str, env: Env, fields: Env, proc: Any,
@@ -195,28 +196,135 @@ def awaited_future(guard: GFut, env: Env, ctx: EvalContext,
     return value
 
 
-def _as_num(v: Value, op: str, pos) -> Fraction:
+# ------------------------------------------------------- operator helpers
+#
+# The one definition of each operator's checks and error texts, called
+# by closures and generated code alike; either may test for the common
+# case (numbers, booleans) before calling one.
+
+
+def _truth(v: Value, op: str, pos) -> bool:
+    """The truth of v, an operand of op: `if`, `!`, `&&` or `||`."""
+    if type(v) is BoolVal:
+        return v.value
+    if op == "if":
+        raise EvalTypeError(f"if condition is {render_value(v)}, not a Bool",
+                            pos)
+    raise EvalTypeError(f"{op} applied to {render_value(v)}", pos)
+
+
+def _neg(v: Value, pos) -> Value:
+    if type(v) is NumVal:
+        return NumVal(-v.value)
+    raise EvalTypeError(f"- applied to {render_value(v)}", pos)
+
+
+_COMPARISONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+                ">=": operator.ge}
+_RELATIONS = {"==", "!=", *_COMPARISONS}
+
+
+def _compare(op: str, a: Value, b: Value, pos) -> bool:
+    if type(a) is type(b) and (type(a) is NumVal or type(a) is StrVal):
+        return _COMPARISONS[op](a.value, b.value)
+    if is_time(a) and is_time(b):
+        return _COMPARISONS[op](a.args[0].value, b.args[0].value)
+    raise EvalTypeError(
+        f"{op} applied to {render_value(a)} and {render_value(b)}", pos)
+
+
+def _as_num(v: Value, op: str, pos) -> Rat:
     if type(v) is NumVal:
         return v.value
     raise EvalTypeError(f"{op} applied to {render_value(v)}", pos)
 
 
-_COMPARISONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
-                ">=": operator.ge}
+def _add(a: Value, b: Value, pos) -> Value:
+    if type(a) is NumVal and type(b) is NumVal:
+        r = a.value + b.value
+        return NumVal(r if type(r) is int else exact(r))
+    if type(a) is StrVal and type(b) is StrVal:
+        return StrVal(a.value + b.value)
+    raise EvalTypeError(
+        f"+ applied to {render_value(a)} and {render_value(b)}", pos)
+
+
+def _sub(a: Value, b: Value, pos) -> Value:
+    if type(a) is NumVal and type(b) is NumVal:
+        r = a.value - b.value
+        return NumVal(r if type(r) is int else exact(r))
+    if is_time(a) and is_time(b):
+        # Time subtraction yields a Duration
+        return mk_duration(a.args[0].value - b.args[0].value)
+    return NumVal(_as_num(a, "-", pos) - _as_num(b, "-", pos))
+
+
+def _mul(a: Value, b: Value, pos) -> Value:
+    return NumVal(exact(_as_num(a, "*", pos) * _as_num(b, "*", pos)))
+
+
+def _div(a: Value, b: Value, pos) -> Value:
+    denominator = _as_num(b, "/", pos)
+    if denominator == 0:
+        raise DivisionByZeroError("division by zero", pos)
+    return NumVal(exact(Fraction(_as_num(a, "/", pos)) / denominator))
+
+
+_ARITHMETIC = {"+": _add, "-": _sub, "*": _mul, "/": _div}
+
+
+def _now(c: EvalContext) -> Value:
+    c.clock_read = True
+    return mk_time(c.config.clock)
+
+
+def _unbound(name: str, pos) -> RtRuntimeError:
+    return UnboundVariableError(f"unbound variable {name}", pos)
+
+
+def _no_match(v: Value, pos) -> RtRuntimeError:
+    return MatchFailureError(f"no branch matches {render_value(v)}", pos)
+
+
+def _depth_error(c: EvalContext, name: str, pos) -> RtRuntimeError:
+    return CallDepthError(f"call depth exceeded {c.max_depth} in {name}", pos)
+
+
+def _call_error(program: Program, name: str, n: int
+                ) -> tuple[type[RtRuntimeError], str] | None:
+    """The error a call of name with n arguments raises once they are
+    evaluated; None when a function or constructor takes n arguments."""
+    fd = program.functions.get(name)
+    if fd is not None:
+        if len(fd.params) == n:
+            return None
+        return (EvalTypeError,
+                f"{name} expects {len(fd.params)} argument(s), got {n}")
+    arity = program.ctor_arity.get(name)
+    if arity is None:
+        return UnboundVariableError, f"unknown function or constructor {name}"
+    if arity != n:
+        return (EvalTypeError,
+                f"constructor {name} expects {arity} argument(s), got {n}")
+    return None
+
+
+def _is_binder(program: Program, pat: Pattern) -> bool:
+    return isinstance(pat, PName) and program.ctor_arity.get(pat.name) != 0
+
+
+# ---------------------------------------------------- top-level closures
 
 
 class _Compiler:
-    """Compiles the expressions of one frame: a function body's, whose
-    formals take its first slots, or top-level code's (`formals` is
-    None), whose first `_SCOPE` slots hold its scope.  Each case binder
-    takes a slot after those."""
+    """Compiles the expressions of one top-level frame, whose first
+    `_SCOPE` slots hold its scope.  Each case binder takes a slot after
+    those."""
 
-    def __init__(self, program: Program, formals: list[str] | None):
+    def __init__(self, program: Program):
         self.program = program
-        self.top = formals is None  # whether free names read the scope
-        self.slots = ({} if formals is None
-                      else {name: i for i, name in enumerate(formals)})
-        self.size = _SCOPE if formals is None else len(formals)
+        self.slots: dict[str, int] = {}
+        self.size = _SCOPE
 
     def expr(self, e: Expr) -> Code:
         compile_ = _COMPILE.get(type(e))
@@ -235,44 +343,25 @@ class _Compiler:
         if slot is not None:
             return lambda s, c: s[slot]
         ctor = DataVal(name) if self.program.ctor_arity.get(name) == 0 else None
-        if self.top:
-            def read(s, c):
-                value = lookup(name, s[0], s[1], s[2], c)
-                if value is not None:
-                    return value
-                if ctor is not None:
-                    return ctor
-                raise UnboundVariableError(f"unbound variable {name}", pos)
-            return read
-        if ctor is not None:
-            return lambda s, c: ctor
 
-        def unbound(s, c):
-            raise UnboundVariableError(f"unbound variable {name}", pos)
-        return unbound
+        def read(s, c):
+            value = lookup(name, s[0], s[1], s[2], c)
+            if value is not None:
+                return value
+            if ctor is not None:
+                return ctor
+            raise _unbound(name, pos)
+        return read
 
     def now(self, e: NowExpr) -> Code:
-        def now(s, c):
-            c.clock_read = True
-            return mk_time(c.config.clock)
-        return now
+        return lambda s, c: _now(c)
 
     def unary(self, e: Unary) -> Code:
         operand, pos = self.expr(e.operand), e.pos
         if e.op == "!":
-            def not_(s, c):
-                v = operand(s, c)
-                if type(v) is BoolVal:
-                    return FALSE if v.value else TRUE
-                raise EvalTypeError(f"! applied to {render_value(v)}", pos)
-            return not_
-
-        def neg(s, c):
-            v = operand(s, c)
-            if type(v) is NumVal:
-                return NumVal(-v.value)
-            raise EvalTypeError(f"- applied to {render_value(v)}", pos)
-        return neg
+            return lambda s, c: (FALSE if _truth(operand(s, c), "!", pos)
+                                 else TRUE)
+        return lambda s, c: _neg(operand(s, c), pos)
 
     def binop(self, e: BinOp) -> Code:
         op, pos = e.op, e.pos
@@ -282,17 +371,9 @@ class _Compiler:
             decides, result = (False, FALSE) if op == "&&" else (True, TRUE)
 
             def logical(s, c):
-                v = left(s, c)
-                if type(v) is not BoolVal:
-                    raise EvalTypeError(f"{op} applied to {render_value(v)}",
-                                        pos)
-                if v.value == decides:
+                if _truth(left(s, c), op, pos) == decides:
                     return result
-                v = right(s, c)
-                if type(v) is not BoolVal:
-                    raise EvalTypeError(f"{op} applied to {render_value(v)}",
-                                        pos)
-                return v
+                return TRUE if _truth(right(s, c), op, pos) else FALSE
             return logical
         if op == "==":
             return lambda s, c: TRUE if left(s, c) == right(s, c) else FALSE
@@ -303,92 +384,30 @@ class _Compiler:
 
             def compare(s, c):
                 a, b = left(s, c), right(s, c)
-                if type(a) is type(b) and (type(a) is NumVal
-                                           or type(a) is StrVal):
+                if type(a) is NumVal and type(b) is NumVal:
                     return TRUE if holds(a.value, b.value) else FALSE
-                if is_time(a) and is_time(b):
-                    return (TRUE if holds(a.args[0].value, b.args[0].value)
-                            else FALSE)
-                raise EvalTypeError(
-                    f"{op} applied to {render_value(a)} and "
-                    f"{render_value(b)}", pos)
+                return TRUE if _compare(op, a, b, pos) else FALSE
             return compare
-        if op == "+":
-            def add(s, c):
-                a, b = left(s, c), right(s, c)
-                if type(a) is NumVal and type(b) is NumVal:
-                    return NumVal(a.value + b.value)
-                if type(a) is StrVal and type(b) is StrVal:
-                    return StrVal(a.value + b.value)
-                raise EvalTypeError(
-                    f"+ applied to {render_value(a)} and {render_value(b)}",
-                    pos)
-            return add
-        if op == "-":
-            def sub(s, c):
-                a, b = left(s, c), right(s, c)
-                if type(a) is NumVal and type(b) is NumVal:
-                    return NumVal(a.value - b.value)
-                if is_time(a) and is_time(b):
-                    # Time subtraction yields a Duration
-                    return mk_duration(a.args[0].value - b.args[0].value)
-                return NumVal(_as_num(a, op, pos) - _as_num(b, op, pos))
-            return sub
-        if op == "*":
-            def mul(s, c):
-                a, b = left(s, c), right(s, c)
-                return NumVal(_as_num(a, op, pos) * _as_num(b, op, pos))
-            return mul
-        if op == "/":
-            def div(s, c):
-                a, b = left(s, c), right(s, c)
-                denominator = _as_num(b, op, pos)
-                if denominator == 0:
-                    raise DivisionByZeroError("division by zero", pos)
-                return NumVal(_as_num(a, op, pos) / denominator)
-            return div
-        raise EvalTypeError(f"unknown operator {op}", pos)
+        arithmetic = _ARITHMETIC.get(op)
+        if arithmetic is None:
+            raise EvalTypeError(f"unknown operator {op}", pos)
+        return lambda s, c: arithmetic(left(s, c), right(s, c), pos)
 
     def apply(self, e: Apply) -> Code:
         name, pos = e.name, e.pos
         args = [self.expr(a) for a in e.args]
-        n = len(args)
-        fd = self.program.functions.get(name)
-        if fd is not None:
-            if len(fd.params) != n:
-                return _after_args(
-                    args, EvalTypeError,
-                    f"{name} expects {len(fd.params)} argument(s), got {n}",
-                    pos)
+        error = _call_error(self.program, name, len(args))
+        if error is not None:
+            return _after_args(args, *error, pos)
+        if name in self.program.functions:
             return _call(self.program.function(name), args, name, pos)
-        arity = self.program.ctor_arity.get(name)
-        if arity is None:
-            return _after_args(args, UnboundVariableError,
-                               f"unknown function or constructor {name}", pos)
-        if arity != n:
-            return _after_args(
-                args, EvalTypeError,
-                f"constructor {name} expects {arity} argument(s), got {n}",
-                pos)
-        if n == 1:
-            (a,) = args
-            return lambda s, c: DataVal(name, (a(s, c),))
-        if n == 2:
-            a, b = args
-            return lambda s, c: DataVal(name, (a(s, c), b(s, c)))
         return lambda s, c: DataVal(name, tuple([f(s, c) for f in args]))
 
     def if_(self, e: IfExpr) -> Code:
         cond, then, els = self.expr(e.cond), self.expr(e.then), self.expr(e.els)
         pos = e.pos
-
-        def choose(s, c):
-            v = cond(s, c)
-            if type(v) is not BoolVal:
-                raise EvalTypeError(
-                    f"if condition is {render_value(v)}, not a Bool", pos)
-            return then(s, c) if v.value else els(s, c)
-        return choose
+        return lambda s, c: (then(s, c) if _truth(cond(s, c), "if", pos)
+                             else els(s, c))
 
     def case(self, e: CaseExpr) -> Code:
         scrutinee, pos = self.expr(e.scrutinee), e.pos
@@ -404,8 +423,7 @@ class _Compiler:
             for matcher, body in branches:
                 if matcher is None or matcher(v, s):
                     return body(s, c)
-            raise MatchFailureError(f"no branch matches {render_value(v)}",
-                                    pos)
+            raise _no_match(v, pos)
         return case
 
     # --- patterns
@@ -416,10 +434,6 @@ class _Compiler:
         self.size += 1
         return slot
 
-    def is_binder(self, pat: Pattern) -> bool:
-        return (isinstance(pat, PName)
-                and self.program.ctor_arity.get(pat.name) != 0)
-
     def pattern(self, pat: Pattern) -> Matcher | None:
         if isinstance(pat, PWildcard):
             return None
@@ -427,7 +441,7 @@ class _Compiler:
             literal = pat.value
             return lambda v, s: literal == v
         if isinstance(pat, PName):
-            if not self.is_binder(pat):  # a nullary constructor
+            if not _is_binder(self.program, pat):  # a nullary constructor
                 name = pat.name
                 return lambda v, s: (type(v) is DataVal and v.ctor == name
                                      and v.args == ())
@@ -443,20 +457,6 @@ class _Compiler:
 
     def ctor_pattern(self, pat: PCtor) -> Matcher:
         name, n = pat.name, len(pat.args)
-        if all(self.is_binder(sub) or isinstance(sub, PWildcard)
-               for sub in pat.args):
-            binds = [(i, self.binder(sub.name))
-                     for i, sub in enumerate(pat.args)
-                     if not isinstance(sub, PWildcard)]
-
-            def match_binders(v, s):
-                if type(v) is DataVal and v.ctor == name and len(v.args) == n:
-                    args = v.args
-                    for i, slot in binds:
-                        s[slot] = args[i]
-                    return True
-                return False
-            return match_binders
         subs = [(i, m) for i, sub in enumerate(pat.args)
                 if (m := self.pattern(sub)) is not None]
 
@@ -488,23 +488,325 @@ def _after_args(args: list[Code], error: type[RtRuntimeError], message: str,
     return fail
 
 
-def _call(fn: Function, args: list[Code], name: str, pos) -> Code:
-    """Code for a call of a model function: the arguments left to right
-    into a fresh frame, then the body, one level deeper."""
-    def enter(frame, c):
-        if c.depth >= c.max_depth:
-            raise CallDepthError(
-                f"call depth exceeded {c.max_depth} in {name}", pos)
-        c.depth += 1
-        try:
-            return fn.body(frame, c)
-        finally:
-            c.depth -= 1
+def _call(fn: Callable, args: list[Code], name: str, pos) -> Code:
+    """Code for a call of a model function from top-level code: the
+    arguments left to right, then the function, one level deep."""
+    def enter(s, c):
+        values = [a(s, c) for a in args]
+        if c.max_depth <= 0:
+            raise _depth_error(c, name, pos)
+        return fn(c, c.max_depth - 1, *values)
+    return enter
 
-    if len(args) == 1:
-        (a,) = args
-        return lambda s, c: enter([a(s, c), *fn.pad], c)
-    if len(args) == 2:
-        a, b = args
-        return lambda s, c: enter([a(s, c), b(s, c), *fn.pad], c)
-    return lambda s, c: enter([*[f(s, c) for f in args], *fn.pad], c)
+
+# ------------------------------------------------ generated model functions
+
+# the block levels a generated function opens before it moves further
+# nested control flow into a helper function, well inside the 100 that
+# Python's tokenizer allows
+_MAX_INDENT = 32
+
+# what generated code reads besides its constants and functions
+_RUNTIME = {f.__name__: f for f in (
+    BoolVal, DataVal, NumVal, _truth, _neg, _compare, _add, _sub, _mul, _div,
+    _now, _unbound, _no_match, _depth_error)}
+
+
+class _Generator:
+    """Writes model functions as Python source and compiles it into one
+    namespace per `Program`.  Model function f becomes
+    `F<k>(c, n, a0, a1, ...)`: c is the context, n the model calls it may
+    still make below it, a<i> its formals.  A subexpression's value or a
+    binder is a local `t<i>`, a constant `K<i>` and a helper function that
+    nested control flow moved into `H<i>`.  So no model text enters the
+    source: names, strings and numbers reach it as constants."""
+
+    def __init__(self, program: Program):
+        self.program = program
+        self.namespace: dict[str, Any] = {"TRUE": TRUE, "FALSE": FALSE,
+                                          **_RUNTIME}
+        self.idents: dict[str, str] = {}  # model function -> F<k>
+        self.consts: dict[int, str] = {}  # id of a constant -> K<i>
+        self.helpers = self.temps = 0
+        # the state of one `generate`: the functions named and not yet
+        # written, the sources written, and the function being written
+        self.pending: list[str] = []
+        self.sources: list[str] = []
+        self.lines: list[str] = []
+        self.indent = 0
+        # model variable -> the local or constant that holds it
+        self.scope: dict[str, str] = {}
+
+    def generate(self, name: str) -> None:
+        """Write, compile and register model function `name` and every
+        function it calls that has none yet."""
+        self.ident(name)
+        written = []
+        try:
+            while self.pending:
+                fname = self.pending.pop()
+                written.append(fname)
+                fd = self.program.functions[fname]
+                params = [f"a{i}" for i in range(len(fd.params))]
+                self.scope = {pname: param
+                              for (_, pname), param in zip(fd.params, params)}
+                self.define(self.idents[fname], params, fd.body)
+            exec(compile("\n".join(self.sources), "<model functions>",
+                         "exec"), self.namespace)
+        except BaseException:
+            for fname in written + self.pending:
+                del self.idents[fname]
+            raise
+        finally:
+            self.pending, self.sources = [], []
+        for fname in written:
+            self.program.bodies[fname] = self.namespace[self.idents[fname]]
+
+    def ident(self, name: str) -> str:
+        """The identifier of model function `name`, queued to be written
+        when first named."""
+        ident = self.idents.get(name)
+        if ident is None:
+            ident = self.idents[name] = f"F{len(self.idents)}"
+            self.pending.append(name)
+        return ident
+
+    def const(self, value: Any) -> str:
+        name = self.consts.get(id(value))
+        if name is None:  # the namespace keeps value, so its id stays
+            name = self.consts[id(value)] = f"K{len(self.consts)}"
+            self.namespace[name] = value
+        return name
+
+    def temp(self) -> str:
+        self.temps += 1
+        return f"t{self.temps}"
+
+    def unreached(self) -> str:
+        """The value of an expression that has just raised: a local
+        that the code after the raise, never run, may name."""
+        return self.temp()
+
+    def emit(self, line: str) -> None:
+        self.lines.append(" " * self.indent + line)
+
+    def define(self, ident: str, params: list[str], body: Expr) -> None:
+        """Write `def ident(c, n, *params)` returning body's value."""
+        outer = self.lines, self.indent
+        self.lines = [f"def {ident}(c, n, {', '.join(params)}):"]
+        self.indent = 1
+        self.into(body, None)
+        self.sources.append("\n".join(self.lines))
+        self.lines, self.indent = outer
+
+    def hoist(self, e: Expr) -> str:
+        """Write e as a helper function of the locals in scope; the text
+        of the call that evaluates it."""
+        ident = f"H{self.helpers}"
+        self.helpers += 1
+        params = list(dict.fromkeys(self.scope.values()))
+        self.define(ident, params, e)
+        return f"{ident}(c, n, {', '.join(params)})"
+
+    # --- expressions
+
+    def into(self, e: Expr, sink: str | None) -> None:
+        """Write code that returns e's value (sink None) or stores it in
+        the local sink.  A `case` whose value is stored, and control flow
+        nested `_MAX_INDENT` blocks deep, return it from a helper."""
+        control = _control(e)
+        if control is None:
+            value = self.expr(e)
+        elif self.indent < _MAX_INDENT and (sink is None
+                                            or type(e) is not CaseExpr):
+            control(self, e, sink)
+            return
+        else:
+            value = self.hoist(e)
+        self.emit(f"return {value}" if sink is None else f"{sink} = {value}")
+
+    def expr(self, e: Expr) -> str:
+        """The text of e's value, written after the code that computes
+        its operands; an identifier when it needs no more work."""
+        if _control(e) is not None:
+            t = self.temp()
+            self.into(e, t)
+            return t
+        generate = _GENERATE.get(type(e))
+        if generate is None:
+            raise EvalTypeError(f"cannot evaluate {e!r}",
+                                getattr(e, "pos", None))
+        return generate(self, e)
+
+    def atom(self, e: Expr) -> str:
+        """The local or constant that holds e's value, once written."""
+        value = self.expr(e)
+        if value.isidentifier():
+            return value
+        t = self.temp()
+        self.emit(f"{t} = {value}")
+        return t
+
+    def truth(self, e: Expr, op: str, pos) -> str:
+        """The text of the truth of e, an operand of op (`if`, `!`, `&&`
+        or `||`): a comparison's own, else the value's if it is a Bool."""
+        if type(e) is BinOp and e.op in _RELATIONS:
+            return self.relation(e)
+        t = self.atom(e)
+        return (f"({t}.value if type({t}) is BoolVal "
+                f"else _truth({t}, {self.const(op)}, {self.const(pos)}))")
+
+    def lit(self, e: Lit) -> str:
+        return self.const(e.value)
+
+    def var(self, e: Var) -> str:
+        local = self.scope.get(e.name)
+        if local is not None:
+            return local
+        if self.program.ctor_arity.get(e.name) == 0:
+            return self.const(DataVal(e.name))
+        self.emit(f"raise _unbound({self.const(e.name)}, {self.const(e.pos)})")
+        return self.unreached()
+
+    def now(self, e: NowExpr) -> str:
+        return "_now(c)"
+
+    def unary(self, e: Unary) -> str:
+        if e.op == "!":
+            return f"FALSE if {self.truth(e.operand, '!', e.pos)} else TRUE"
+        return f"_neg({self.atom(e.operand)}, {self.const(e.pos)})"
+
+    def binop(self, e: BinOp) -> str:
+        if e.op in _RELATIONS:
+            return f"TRUE if {self.relation(e)} else FALSE"
+        a, b = self.atom(e.left), self.atom(e.right)
+        arithmetic = _ARITHMETIC.get(e.op)
+        if arithmetic is None:
+            raise EvalTypeError(f"unknown operator {e.op}", e.pos)
+        return f"{arithmetic.__name__}({a}, {b}, {self.const(e.pos)})"
+
+    def relation(self, e: BinOp) -> str:
+        """The text of whether the comparison or equality e holds."""
+        op = e.op
+        a, b = self.atom(e.left), self.atom(e.right)
+        if op == "==" or op == "!=":
+            return f"{a} {op} {b}"
+        # op is one of the four comparisons, which Python writes alike
+        return (f"({a}.value {op} {b}.value if type({a}) is NumVal and "
+                f"type({b}) is NumVal else _compare({self.const(op)}, {a}, "
+                f"{b}, {self.const(e.pos)}))")
+
+    def apply(self, e: Apply) -> str:
+        name, pos = e.name, self.const(e.pos)
+        # a list, not a generator, which would recurse on the C stack
+        args = "".join([self.atom(a) + ", " for a in e.args])
+        error = _call_error(self.program, name, len(e.args))
+        if error is not None:
+            kind, message = error
+            self.emit(f"raise {self.const(kind)}({self.const(message)},"
+                      f" {pos})")
+            return self.unreached()
+        if name in self.program.functions:
+            self.emit(f"if n <= 0: raise _depth_error(c, {self.const(name)},"
+                      f" {pos})")
+            return f"{self.ident(name)}(c, n - 1, {args})"
+        return f"DataVal({self.const(name)}, ({args}))"
+
+    # --- control flow, written into a sink
+
+    def if_(self, e: IfExpr, sink: str | None) -> None:
+        self.emit(f"if {self.truth(e.cond, 'if', e.pos)}:")
+        self.indent += 1
+        self.into(e.then, sink)
+        self.indent -= 1
+        if sink is not None:
+            self.emit("else:")
+            self.indent += 1
+            self.into(e.els, sink)
+            self.indent -= 1
+        else:
+            self.into(e.els, sink)
+
+    def logical(self, e: BinOp, sink: str | None) -> None:
+        # the left operand's truth that decides, and the value it gives
+        decides, result = ("not ", "FALSE") if e.op == "&&" else ("", "TRUE")
+        self.emit(f"if {decides}{self.truth(e.left, e.op, e.pos)}:")
+        self.indent += 1
+        self.emit(f"return {result}" if sink is None else f"{sink} = {result}")
+        self.indent -= 1
+        if sink is not None:
+            self.emit("else:")
+            self.indent += 1
+        value = f"TRUE if {self.truth(e.right, e.op, e.pos)} else FALSE"
+        self.emit(f"return {value}" if sink is None else f"{sink} = {value}")
+        if sink is not None:
+            self.indent -= 1
+
+    def case(self, e: CaseExpr, sink: None) -> None:
+        v = self.atom(e.scrutinee)
+        for branch in e.branches:
+            conds: list[str] = []
+            binds: list[tuple[str, str]] = []
+            self.pattern(branch.pattern, v, v, conds, binds)
+            outer, self.scope = self.scope, dict(self.scope)
+            if conds:
+                self.emit(f"if {' and '.join(conds)}:")
+                self.indent += 1
+            for name, value in binds:
+                if not value.isidentifier():  # a part of the scrutinee
+                    local = self.temp()
+                    self.emit(f"{local} = {value}")
+                    value = local
+                self.scope[name] = value
+            self.into(branch.body, None)
+            self.scope = outer  # a binder's scope is its branch
+            if not conds:
+                return  # it matches whatever reaches it
+            self.indent -= 1
+        self.emit(f"raise _no_match({v}, {self.const(e.pos)})")
+
+    def pattern(self, pat: Pattern, first: str, rest: str, conds: list[str],
+                binds: list[tuple[str, str]]) -> None:
+        """Add the conditions under which a value matches pat, and the
+        (binder, text of its value) pairs it binds, to conds and binds.
+        first is the text that reads the value first, rest the others."""
+        if isinstance(pat, PWildcard):
+            return
+        if isinstance(pat, PLit):
+            conds.append(f"{self.const(pat.value)} == {first}")
+        elif isinstance(pat, PName):
+            if _is_binder(self.program, pat):
+                binds.append((pat.name, first))
+            else:  # a nullary constructor
+                conds += [f"type({first}) is DataVal",
+                          f"{rest}.ctor == {self.const(pat.name)}",
+                          f"not {rest}.args"]
+        elif isinstance(pat, PCtor):
+            conds += [f"type({first}) is DataVal",
+                      f"{rest}.ctor == {self.const(pat.name)}",
+                      f"len({rest}.args) == {len(pat.args)}"]
+            for i, sub in enumerate(pat.args):
+                arg = f"{rest}.args[{i}]"
+                if _is_binder(self.program, sub):
+                    binds.append((sub.name, arg))
+                elif not isinstance(sub, PWildcard):
+                    t = self.temp()
+                    self.pattern(sub, f"({t} := {arg})", t, conds, binds)
+        else:
+            raise EvalTypeError(f"cannot match {pat!r}")
+
+
+_GENERATE = {
+    Lit: _Generator.lit, Var: _Generator.var, NowExpr: _Generator.now,
+    Unary: _Generator.unary, BinOp: _Generator.binop, Apply: _Generator.apply,
+}
+
+
+def _control(e: Expr) -> Callable | None:
+    """How to write e as control flow into a sink; None for an
+    expression that is an operation on its operands' values."""
+    if type(e) is BinOp:
+        return _Generator.logical if e.op in ("&&", "||") else None
+    if type(e) is IfExpr:
+        return _Generator.if_
+    return _Generator.case if type(e) is CaseExpr else None

@@ -25,7 +25,7 @@ from .nodes import (
     SCallStmt, SDuration, SIf, SReturn, SSkip, SSuspend, SWhile, Stmt,
     TypeAst, Unary, Var,
 )
-from .values import FALSE, NULL, TRUE, NumVal, StrVal, Value
+from .values import FALSE, NULL, TRUE, NumVal, StrVal, Value, exact
 
 _T = TypeVar("_T")
 NESTING_LIMIT = 10_000
@@ -503,7 +503,7 @@ class Parser:
         consuming nothing, if the next token is no literal."""
         tok = self.peek()
         if tok.kind == "int" or tok.kind == "rat":
-            value = NumVal(tok.value)
+            value = NumVal(exact(tok.value))
         elif tok.kind == "string":
             value = StrVal(tok.value)
         elif tok.kind == "kw" and tok.text in _KEYWORD_LITERALS:
@@ -581,7 +581,7 @@ class Parser:
         if tok.kind == "op" and tok.text == "-":
             self.next()
             lit = self.expect("int") if self.at("int") else self.expect("rat")
-            return PLit(NumVal(-lit.value), pos=tok.pos)
+            return PLit(NumVal(exact(-lit.value)), pos=tok.pos)
         value = self._literal()
         if value is not None:
             return PLit(value, pos=tok.pos)

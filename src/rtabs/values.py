@@ -1,10 +1,12 @@
 """Runtime values.
 
-Every quantity the simulator computes with is exact: numbers are
-`fractions.Fraction`, never floats, so repeated runs produce identical
-traces byte for byte.  Times and durations are ordinary constructor
-values (`Time(r)`, `Duration(r)`, `InfDuration`) rather than a separate
-host representation; helpers below build and inspect them.
+Every quantity the simulator computes with is exact, never a float, so
+repeated runs produce identical traces byte for byte: a rational is an
+`int` when it is integral and a `fractions.Fraction` otherwise (`exact`),
+so the common integral case runs as native integer arithmetic.  Times
+and durations are ordinary constructor values (`Time(r)`, `Duration(r)`,
+`InfDuration`) rather than a separate host representation; helpers below
+build and inspect them.
 """
 
 from __future__ import annotations
@@ -62,7 +64,9 @@ class BoolVal(_Scalar):
 
 
 class NumVal(_Scalar):
-    """Integer or rational number. Fraction keeps lowest terms itself."""
+    """Integer or rational number: an `int`, or a `Fraction` that is not
+    integral (see `exact`).  An equal `int` and `Fraction` hash alike,
+    so a value built from either is the same dict key."""
 
     __slots__ = ()
 
@@ -98,9 +102,13 @@ class DataVal(Value):
         try:
             return self._hash
         except AttributeError:
-            args = _tuple_hash([arg.__hash__() for arg in self.args])
-            _set_hash(self, _tuple_hash([hash(self.ctor), args]))
-            return self._hash
+            # computed after the handler: an exception raised while one
+            # is handled chains to it, and each raise walks that chain,
+            # which as deep as the value would make hashing quadratic
+            pass
+        args = _tuple_hash([arg.__hash__() for arg in self.args])
+        _set_hash(self, _tuple_hash([hash(self.ctor), args]))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"DataVal(ctor={self.ctor!r}, args={self.args!r})"
@@ -168,15 +176,27 @@ INF_DURATION = DataVal("InfDuration")
 DURATION_POLICIES = ("worst", "best", "uniform")
 
 
-def num(x: int | Fraction) -> NumVal:
-    return NumVal(Fraction(x))
+# an exact rational as the simulator keeps it (`exact`)
+Rat = int | Fraction
 
 
-def mk_time(r: int | Fraction) -> DataVal:
+def exact(r: Rat) -> Rat:
+    """The rational r as the simulator keeps it: an `int` when r is
+    integral, else a `Fraction` (which keeps lowest terms itself)."""
+    if type(r) is int:
+        return r
+    return r.numerator if r.denominator == 1 else r
+
+
+def num(x: Rat) -> NumVal:
+    return NumVal(exact(x))
+
+
+def mk_time(r: Rat) -> DataVal:
     return DataVal("Time", (num(r),))
 
 
-def mk_duration(r: int | Fraction) -> DataVal:
+def mk_duration(r: Rat) -> DataVal:
     return DataVal("Duration", (num(r),))
 
 
@@ -201,7 +221,7 @@ def is_time(v: Value) -> bool:
     )
 
 
-def duration_rat(v: Value) -> Fraction:
+def duration_rat(v: Value) -> Rat:
     """Magnitude of a finite Duration."""
     if isinstance(v, DataVal) and v.ctor == "Duration" and len(v.args) == 1:
         arg = v.args[0]
@@ -210,7 +230,7 @@ def duration_rat(v: Value) -> Fraction:
     raise ValueError(f"not a finite duration: {render_value(v)}")
 
 
-def format_rat(r: Fraction) -> str:
+def format_rat(r: Rat) -> str:
     """p/q in lowest terms, bare integer when q == 1."""
     if r.denominator == 1:
         return str(r.numerator)

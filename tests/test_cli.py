@@ -524,6 +524,82 @@ def test_nesting_within_the_limit_checks_and_runs(tmp_path):
         assert res.stderr.startswith("finished: "), k
 
 
+def nested_functions(depth):
+    """(source of `g`, g(3)) for a function `g` whose body nests `depth`
+    levels deep by parentheses, by calls, by `if` and by `case`: the
+    body is the first level."""
+    n = depth - 1
+    return [
+        ("def Int g(Int x) = " + "(" * n + "x" + ")" * n + ";\n", 3),
+        ("def Int f(Int x) = x + 1;\n"
+         "def Int g(Int x) = " + "f(" * n + "x" + ")" * n + ";\n", 3 + n),
+        ("def Int g(Int x) = " + "if x > 0 then " * n + "x"
+         + " else 0" * n + ";\n", 3),
+        ("def Int g(Int x) = " + "case x { 0 => 0; _ => " * n + "x"
+         + "; }" * n + ";\n", 3)]
+
+
+NESTED_FUNCTION_CALL = """\
+interface A { Int m(Int x); }
+class AImp implements A { Int m(Int x) { return g(x); } }
+{ A a = new AImp(); Fut<Int> r = a!m(3); }
+"""
+
+
+def test_deeply_nested_function_bodies_run(tmp_path):
+    # a function body runs however deep it nests, with the trace it has
+    # always had, under each interpreter alike.  A quarter of the limit
+    # is far past the levels a Python function can nest; the front end
+    # alone takes seconds at the limit
+    others, skipped = other_interpreters((3, 11))
+    for k, (function, value) in enumerate(
+            nested_functions(NESTING_LIMIT // 4)):
+        path = write(tmp_path, f"g{k}.rtabs", function + NESTED_FUNCTION_CALL)
+        out = tmp_path / f"g{k}.csv"
+        for exe in [sys.executable, *others.values()]:
+            res = subprocess.run(
+                [exe, "-m", "rtabs.cli", "run", path, "--until", "5",
+                 "--trace", str(out)], capture_output=True, text=True,
+                env=CLI_ENV)
+            context = (k, exe, f"did not start: {skipped}", res.stderr[-300:])
+            assert res.returncode == 0, context
+            assert out.read_text(encoding="utf-8") == CSV_HEADER + (
+                "0,new_object,o0,,,class=<main>\n"
+                "0,activate,o0,f0,main,deadline=inf;cost=0;critical=False\n"
+                "0,schedule,o0,f0,main,deadline=inf\n"
+                "0,new_object,o1,,,class=AImp\n"
+                "0,invoke,o1,f1,m,caller=o0;deadline=inf;critical=False\n"
+                "0,return,o0,f0,main,value=Unit;deadline=inf\n"
+                "0,resolve,o0,f0,main,value=Unit\n"
+                "0,activate,o1,f1,m,deadline=inf;cost=0;critical=False\n"
+                "0,schedule,o1,f1,m,deadline=inf\n"
+                f"0,return,o1,f1,m,value={value};deadline=inf\n"
+                f"0,resolve,o1,f1,m,value={value}\n"), context
+
+
+# functions, formals and binders named as Python keywords or as names a
+# Python rendering of the model might use, and a string of Python source
+NAMES_AND_TEXT_SRC = r"""
+def String lambda(String yield, Int c) =
+  case c { 0 => yield; pass => lambda(yield + "\"); import os; os._exit(3) #",
+                                      pass - 1); };
+def Int None(Int K0, Int t1) = case K0 { c => c + t1; };
+interface A { String m(Int n); }
+class AImp implements A {
+  String m(Int n) { return lambda("'''", None(n, 1)); }
+}
+{ A a = new AImp(); Fut<String> r = a!m(0); }
+"""
+
+
+def test_model_names_and_strings_are_only_data(tmp_path):
+    path = write(tmp_path, "names.rtabs", NAMES_AND_TEXT_SRC)
+    res = run_cli("run", path, "--until", "5")
+    assert res.returncode == 0, res.stderr[-300:]
+    value = read_csv_text(res.stdout)[-1].data
+    assert value == (("value", "\"'''" + '\\"); import os; os._exit(3) #"'),)
+
+
 def test_front_end_failures_are_diagnostics_not_tracebacks(tmp_path):
     cases = [("{ Int x = 2²; }\n", "1:12: unexpected character '²'")]
     # one level past the limit is reported where that level begins

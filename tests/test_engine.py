@@ -1,6 +1,9 @@
 """Engine semantics: time machinery, binding, reflection, rule behavior
 observable through traces, and failure modes."""
 
+import importlib.util
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,7 +15,7 @@ from rtabs import (
 from rtabs.check import RESERVED
 from rtabs.desugar import desugar
 from rtabs.engine import MAIN_CLASS, PROC_FIELDS, Configuration, wait
-from rtabs.evaluator import EvalContext
+from rtabs.evaluator import EvalContext, remaining_deadline
 from rtabs.nodes import (
     GBool, GFut, IfExpr, Lit, Node, RGet, SAssign, SAwait, SSkip, Var,
 )
@@ -20,11 +23,13 @@ from rtabs.parser import parse_expr
 from rtabs.prelude import prelude_model
 from rtabs.trace import render_csv
 from rtabs.values import (
-    FALSE, TRUE, DataVal, FutRef, StrVal, mk_duration, mk_list, mk_time, num,
+    DURATION_POLICIES, FALSE, TRUE, DataVal, FutRef, NumVal, StrVal,
+    mk_duration, mk_list, mk_time, num,
 )
 
 import mte_cases
-from conftest import RUNTIME_ERROR_CASES, model_file
+import reference_executor as ref
+from conftest import RUNTIME_ERROR_CASES, TESTS_DIR, model_file
 
 
 def load(source):
@@ -870,3 +875,108 @@ def test_uniform_runs_deterministic_per_seed(monitor_models):
     a = simulate(monitor_models["simple"], 200, seed=5, duration_policy="uniform")
     b = simulate(monitor_models["simple"], 200, seed=5, duration_policy="uniform")
     assert render_csv(a.trace) == render_csv(b.trace)
+
+
+# ------------------------------------------------------------- exactness
+
+
+def held_rationals(eng, seen):
+    """Every rational an engine holds: its clock and timers, each
+    process's deadline, time left and sampled ends, each message's
+    timestamp, and every number inside a value it holds that is not
+    in seen, the values walked before (by identity, which seen keeps)."""
+    config, values = eng.config, []
+    out = [config.clock, *(t for t, _ in eng._timers)]
+    for obj in config.objects.values():
+        out += [] if obj.wake_at is None else [obj.wake_at]
+        values += obj.attrs.values()
+        for p in [obj.active, *obj.queue] if obj.active else obj.queue:
+            out += ([] if p.due is None else [p.due]) + list(p.sample or ())
+            values += [*p.locals.values(), p.pending,
+                       remaining_deadline(p, config.clock)]
+        for msg in obj.inbox:
+            out.append(msg.timestamp)
+            values += [*msg.args, msg.deadline, msg.critical]
+    values += [cell.value for cell in config.futures.values()]
+    while values:
+        v = values.pop()
+        if id(v) not in seen:
+            seen[id(v)] = v
+            if isinstance(v, NumVal):
+                out.append(v.value)
+            elif isinstance(v, DataVal):
+                values += v.args
+    return out
+
+
+def is_exact(r):
+    """Whether r is a rational as the engine keeps it: an int when it
+    is integral, else a Fraction."""
+    return type(r) is int or (type(r) is Fraction and r.denominator != 1)
+
+
+def run_checked(eng, limit, each_step):
+    """Run eng to its end, yielding the rationals it holds at each
+    quiescence, or after each step too, and at last its event times."""
+    eng.boot()
+    seen = {}
+    while True:
+        while eng.exec_step() is not None:
+            if each_step:
+                yield held_rationals(eng, seen)
+        yield held_rationals(eng, seen)
+        if eng.advance(limit) is not None:
+            yield [event.time for event in eng.trace]
+            return
+
+
+def test_no_float_in_generated_programs():
+    # each reference-inclusion program under each duration policy: every
+    # rational the engine holds after every step is exact
+    for seed in range(200):
+        model, _ = ref.generate_model(seed)
+        for policy in DURATION_POLICIES:
+            eng = Engine(model, seed=seed, duration_policy=policy)
+            for held in run_checked(eng, ref.LIMIT, each_step=True):
+                assert all(map(is_exact, held)), (seed, policy)
+
+
+def bench_workloads():
+    """bench/workloads.py, loaded from its file as `bench_workloads`."""
+    module = sys.modules.get("bench_workloads")
+    if module is None:
+        spec = importlib.util.spec_from_file_location(
+            "bench_workloads", TESTS_DIR.parent / "bench" / "workloads.py")
+        module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module
+
+
+def test_no_float_in_bench_workloads():
+    # the media workloads compute with integers only; the monitor's
+    # uniform draws are rationals
+    workloads = bench_workloads()
+    for wl in (workloads.media_overload(), workloads.media_fanout(),
+               workloads.monitor_uniform(1)):
+        flags = dict(zip(wl.run_flags[::2], wl.run_flags[1::2]))
+        eng = Engine(load(wl.source), seed=int(flags.get("--seed", 0)),
+                     duration_policy=flags["--duration-policy"])
+        fractions = 0
+        for held in run_checked(eng, wl.until, each_step=False):
+            assert all(map(is_exact, held)), wl.name
+            fractions += sum(type(r) is not int for r in held)
+        assert (eng.config.clock, fractions > 0) == (
+            wl.clock, wl.name == "monitor-uniform"), wl.name
+
+
+def test_rationals_keep_their_exact_values():
+    half = run("{ Rat x = 7/2; duration(x, x); }").clock
+    assert (type(half), half) == (Fraction, Fraction(7, 2))
+    one = run("{ Rat x = (1/3) * 3; duration(x, x); }").clock
+    assert (type(one), one) == (int, 1)
+    # a uniform draw between 1 and 2 ends 1 + k/1000 after its start, k
+    # the seeded draw from 0 to 1000
+    k = random.Random(0).randint(0, 1000)
+    drawn = run("{ duration(1, 2); }", duration_policy="uniform", seed=0)
+    assert drawn.clock == 1 + Fraction(k, 1000) and k % 1000 != 0
+    assert type(drawn.clock) is Fraction

@@ -11,7 +11,7 @@ from rtabs import CallDepthError, load_source
 from rtabs.desugar import desugar
 from rtabs.engine import Configuration
 from rtabs.errors import (
-    DivisionByZeroError, EvalTypeError, MatchFailureError,
+    DivisionByZeroError, EvalTypeError, MatchFailureError, RtRuntimeError,
     UnboundVariableError,
 )
 from rtabs.evaluator import (
@@ -85,9 +85,22 @@ def test_values_of_different_classes_are_unequal():
     assert hash(NumVal(Fraction(4, 2))) == hash(NumVal(Fraction(2)))
     assert DataVal("Nil") == DataVal("Nil", ())
     assert repr(mk_duration(1)) == (
-        "DataVal(ctor='Duration', args=(NumVal(value=Fraction(1, 1)),))")
+        "DataVal(ctor='Duration', args=(NumVal(value=1),))")
     assert len({TRUE, BoolVal(True), NumVal(Fraction(1)), ObjRef(1),
                 FutRef(1), NULL, NullVal()}) == 5
+
+
+def test_an_int_and_an_equal_fraction_are_one_number():
+    # the evaluator keeps integral numbers as ints; one built from an
+    # equal Fraction is the same value, hash and dict key
+    assert NumVal(1) == NumVal(Fraction(1))
+    assert NumVal(Fraction(1)) == NumVal(1)
+    assert hash(NumVal(1)) == hash(NumVal(Fraction(1)))
+    assert {NumVal(1): "one"}[NumVal(Fraction(2, 2))] == "one"
+    assert len({NumVal(1), NumVal(Fraction(1)), num(Fraction(3, 3))}) == 1
+    assert {mk_time(3): "t"}[DataVal("Time", (NumVal(Fraction(3)),))] == "t"
+    assert type(num(Fraction(4, 2)).value) is int
+    assert type(num(Fraction(3, 2)).value) is Fraction
 
 
 # ------------------------------------------------------------- arithmetic
@@ -344,6 +357,50 @@ def test_error_messages_and_positions(source, env, error, message, pos):
         ev(source, env)
     assert type(info.value) is error
     assert (info.value.message, str(info.value.pos)) == (message, pos)
+
+
+def in_function(source, env):
+    """A call of `f`, a function whose body is source and whose formals
+    are env's names, with env's values; and the text before the body.
+    The program is not checked: a body may be ill-typed on purpose."""
+    prefix = "def Int f(" + ", ".join(f"Int {name}" for name in env) + ") = "
+    model, _ = load_source(prefix + source + ";\n", "<test>")
+    prog = Program.from_model(desugar(model))
+    call = Apply("f", tuple(Lit(value) for value in env.values()))
+    return (lambda: eval_expr(call, {}, EvalContext(prog))), prefix
+
+
+@pytest.mark.parametrize("source, env, error, message, pos", ERROR_CASES,
+                         ids=[case[0] for case in ERROR_CASES])
+def test_error_messages_and_positions_in_a_function_body(
+        source, env, error, message, pos):
+    # a function body raises what top-level code raises, at the same
+    # place in the text
+    run, prefix = in_function(source, env)
+    with pytest.raises(error) as info:
+        run()
+    assert type(info.value) is error
+    if not pos.startswith("<prelude>"):
+        line, col = pos.split(":")
+        pos = f"<test>:{line}:{int(col) + len(prefix)}"
+    assert (info.value.message, str(info.value.pos)) == (message, pos)
+
+
+def test_calls_evaluate_their_arguments_left_to_right_before_raising():
+    # a call of the wrong arity, or of nothing, raises only once its
+    # arguments are evaluated, and a constructor's arguments evaluate
+    # before it is built: the first argument that fails decides
+    cases = [("length(-True, 1 / 0)", "- applied to True"),
+             ("length(1 / 0, -True)", "division by zero"),
+             ("nope(1 / 0)", "division by zero"),
+             ("Cons(-True)", "- applied to True"),
+             ("Cons(1 / 0, -True)", "division by zero"),
+             ("Cons(-True, 1 / 0)", "- applied to True")]
+    for source, message in cases:
+        for run in (lambda: ev(source), in_function(source, {})[0]):
+            with pytest.raises(RtRuntimeError) as info:
+                run()
+            assert info.value.message == message, source
 
 
 def test_call_depth_error_names_the_call():
