@@ -1,26 +1,20 @@
 """Strict evaluation of side-effect-free expressions and guards.
 
-Expressions are compiled, not walked, in one of two ways, and both call
-the same module-level helpers for every operator's checks and error
-texts.  Compiled code lives in the `Program`, shared by every
-evaluation:
+Expressions are compiled, not walked: each becomes one Python function,
+generated as source and compiled once per `Program` (`_Generator`),
+which every evaluation shares.  Each subexpression's value goes to a
+fresh local in evaluation order, each `case` binder is a local of its
+branch, and every operator's checks and error texts are module-level
+helpers that the generated code calls.
 
-- A model function (`def`) becomes one Python function, generated as
-  source the first time a call to it is compiled, together with the
-  functions it calls, and compiled once (`_Generator`).  Its formals
-  are the function's parameters, each subexpression's value goes to a
-  fresh local in evaluation order, and each `case` binder is a local of
-  its branch, so a body never sees its caller's variables.
+- A model function (`def`) is generated the first time a call to it is
+  generated, together with the functions it calls.  Its formals are the
+  function's parameters, so a body never sees its caller's variables.
 - Any other expression (a statement's, a guard's, a `[Scheduler:]`
-  policy) runs a few times at most per compilation, so it becomes a
-  Python closure `(frame, ctx) -> Value` instead (Feeley & Lapalme,
-  "Using closures for code generation", 1987), and each `Pattern` a
-  matcher `(value, frame) -> bool` that allocates nothing.  It is
-  compiled the first time it is evaluated and kept by the identity of
-  its node, which the cache holds.  Its list frame's first slots hold
-  its scope (`lookup`): a process's locals, its object's fields and the
+  policy) is generated the first time it is evaluated, and kept by the
+  identity of its node, which the cache holds.  Its formals are its
+  scope (`lookup`): a process's locals, its object's fields and the
   process itself, whose time left `deadline` reads; or a plain dict.
-  Each case binder resolves to a slot after them.
 
 A case binder shadows an outer variable of the same name.  A name reads
 its scope value, else a nullary constructor, else it is an unbound
@@ -43,7 +37,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from .errors import (
     CallDepthError, DivisionByZeroError, EvalTypeError, MatchFailureError,
@@ -59,17 +53,6 @@ from .values import (
 )
 
 Env = dict[str, Value]
-# a compiled expression, run on a list frame
-Code = Callable[[list, "EvalContext"], Value]
-# a compiled pattern: whether the value matches, writing its binders
-# into the frame; None for a pattern that matches anything and binds
-# nothing
-Matcher = Callable[[Value, list], bool]
-# a compiled top-level expression: its node, its code and its frame's
-# binder slots after the scope
-Entry = tuple[Expr, Code, tuple[None, ...]]
-
-_SCOPE = 3  # a top-level frame's first slots: see `lookup`
 _NO_FIELDS: Env = {}
 
 
@@ -83,9 +66,10 @@ class Program:
     classes: dict[str, ClassDecl]
     # the generated Python function of each model function called so far
     bodies: dict[str, Callable] = field(default_factory=dict, repr=False)
-    # compiled top-level expressions by node identity; holding the node
-    # keeps its id
-    code: dict[int, Entry] = field(default_factory=dict, repr=False)
+    # the generated Python function of each top-level expression
+    # evaluated so far, by node identity; holding the node keeps its id
+    code: dict[int, tuple[Expr, Callable]] = field(default_factory=dict,
+                                                   repr=False)
     generator: _Generator = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -103,24 +87,15 @@ class Program:
         classes = {cd.name: cd for cd in model.classes}
         return Program(functions, ctor_arity, classes)
 
-    def compiled(self, expr: Expr) -> Entry:
+    def compiled(self, expr: Expr) -> Callable:
+        """The Python function that evaluates top-level expression expr:
+        called as `(ctx, calls, env, fields, proc)`, where calls is how
+        many model calls it may make (`max_depth`)."""
         entry = self.code.get(id(expr))
         if entry is None:
-            compiler = _Compiler(self)
-            code = compiler.expr(expr)
-            entry = (expr, code, (None,) * (compiler.size - _SCOPE))
-            self.code[id(expr)] = entry
-        return entry
-
-    def function(self, name: str) -> Callable:
-        """The Python function that runs model function `name`: called
-        as `(ctx, calls, *args)`, where calls is how many model calls it
-        may still make below it (`max_depth` less its depth)."""
-        fn = self.bodies.get(name)
-        if fn is None:
-            self.generator.generate(name)
-            fn = self.bodies[name]
-        return fn
+            entry = self.code[id(expr)] = (expr,
+                                           self.generator.top_level(expr))
+        return entry[1]
 
 
 @dataclass
@@ -143,8 +118,7 @@ def remaining_deadline(p: Any, clock: Rat) -> Value:
     if p.due is None:
         return INF_DURATION
     left = p.due - clock
-    return DataVal("Duration", (
-        NumVal(left if type(left) is int else exact(left)),))
+    return DataVal("Duration", (NumVal(exact(left)),))
 
 
 def lookup(name: str, env: Env, fields: Env, proc: Any,
@@ -164,8 +138,8 @@ def eval_expr(expr: Expr, env: Env, ctx: EvalContext,
     """The value of expr in a scope (see `lookup`); a plain dict env is
     a scope with no fields and no process."""
     try:
-        _, code, pad = ctx.program.compiled(expr)
-        return code([env, fields, proc, *pad], ctx)
+        return ctx.program.compiled(expr)(ctx, ctx.max_depth, env, fields,
+                                          proc)
     except RecursionError:
         raise CallDepthError(
             "expression nesting exhausted the host stack") from None
@@ -199,8 +173,8 @@ def awaited_future(guard: GFut, env: Env, ctx: EvalContext,
 # ------------------------------------------------------- operator helpers
 #
 # The one definition of each operator's checks and error texts, called
-# by closures and generated code alike; either may test for the common
-# case (numbers, booleans) before calling one.
+# by generated code, which may test for the common case (numbers,
+# booleans) before calling one.
 
 
 def _truth(v: Value, op: str, pos) -> bool:
@@ -241,8 +215,7 @@ def _as_num(v: Value, op: str, pos) -> Rat:
 
 def _add(a: Value, b: Value, pos) -> Value:
     if type(a) is NumVal and type(b) is NumVal:
-        r = a.value + b.value
-        return NumVal(r if type(r) is int else exact(r))
+        return NumVal(exact(a.value + b.value))
     if type(a) is StrVal and type(b) is StrVal:
         return StrVal(a.value + b.value)
     raise EvalTypeError(
@@ -251,8 +224,7 @@ def _add(a: Value, b: Value, pos) -> Value:
 
 def _sub(a: Value, b: Value, pos) -> Value:
     if type(a) is NumVal and type(b) is NumVal:
-        r = a.value - b.value
-        return NumVal(r if type(r) is int else exact(r))
+        return NumVal(exact(a.value - b.value))
     if is_time(a) and is_time(b):
         # Time subtraction yields a Duration
         return mk_duration(a.args[0].value - b.args[0].value)
@@ -313,213 +285,33 @@ def _is_binder(program: Program, pat: Pattern) -> bool:
     return isinstance(pat, PName) and program.ctor_arity.get(pat.name) != 0
 
 
-# ---------------------------------------------------- top-level closures
-
-
-class _Compiler:
-    """Compiles the expressions of one top-level frame, whose first
-    `_SCOPE` slots hold its scope.  Each case binder takes a slot after
-    those."""
-
-    def __init__(self, program: Program):
-        self.program = program
-        self.slots: dict[str, int] = {}
-        self.size = _SCOPE
-
-    def expr(self, e: Expr) -> Code:
-        compile_ = _COMPILE.get(type(e))
-        if compile_ is None:
-            raise EvalTypeError(f"cannot evaluate {e!r}",
-                                getattr(e, "pos", None))
-        return compile_(self, e)
-
-    def lit(self, e: Lit) -> Code:
-        value = e.value
-        return lambda s, c: value
-
-    def var(self, e: Var) -> Code:
-        name, pos = e.name, e.pos
-        slot = self.slots.get(name)
-        if slot is not None:
-            return lambda s, c: s[slot]
-        ctor = DataVal(name) if self.program.ctor_arity.get(name) == 0 else None
-
-        def read(s, c):
-            value = lookup(name, s[0], s[1], s[2], c)
-            if value is not None:
-                return value
-            if ctor is not None:
-                return ctor
-            raise _unbound(name, pos)
-        return read
-
-    def now(self, e: NowExpr) -> Code:
-        return lambda s, c: _now(c)
-
-    def unary(self, e: Unary) -> Code:
-        operand, pos = self.expr(e.operand), e.pos
-        if e.op == "!":
-            return lambda s, c: (FALSE if _truth(operand(s, c), "!", pos)
-                                 else TRUE)
-        return lambda s, c: _neg(operand(s, c), pos)
-
-    def binop(self, e: BinOp) -> Code:
-        op, pos = e.op, e.pos
-        left, right = self.expr(e.left), self.expr(e.right)
-        if op in ("&&", "||"):
-            # the operand value that decides without the right operand
-            decides, result = (False, FALSE) if op == "&&" else (True, TRUE)
-
-            def logical(s, c):
-                if _truth(left(s, c), op, pos) == decides:
-                    return result
-                return TRUE if _truth(right(s, c), op, pos) else FALSE
-            return logical
-        if op == "==":
-            return lambda s, c: TRUE if left(s, c) == right(s, c) else FALSE
-        if op == "!=":
-            return lambda s, c: TRUE if left(s, c) != right(s, c) else FALSE
-        if op in _COMPARISONS:
-            holds = _COMPARISONS[op]
-
-            def compare(s, c):
-                a, b = left(s, c), right(s, c)
-                if type(a) is NumVal and type(b) is NumVal:
-                    return TRUE if holds(a.value, b.value) else FALSE
-                return TRUE if _compare(op, a, b, pos) else FALSE
-            return compare
-        arithmetic = _ARITHMETIC.get(op)
-        if arithmetic is None:
-            raise EvalTypeError(f"unknown operator {op}", pos)
-        return lambda s, c: arithmetic(left(s, c), right(s, c), pos)
-
-    def apply(self, e: Apply) -> Code:
-        name, pos = e.name, e.pos
-        args = [self.expr(a) for a in e.args]
-        error = _call_error(self.program, name, len(args))
-        if error is not None:
-            return _after_args(args, *error, pos)
-        if name in self.program.functions:
-            return _call(self.program.function(name), args, name, pos)
-        return lambda s, c: DataVal(name, tuple([f(s, c) for f in args]))
-
-    def if_(self, e: IfExpr) -> Code:
-        cond, then, els = self.expr(e.cond), self.expr(e.then), self.expr(e.els)
-        pos = e.pos
-        return lambda s, c: (then(s, c) if _truth(cond(s, c), "if", pos)
-                             else els(s, c))
-
-    def case(self, e: CaseExpr) -> Code:
-        scrutinee, pos = self.expr(e.scrutinee), e.pos
-        branches = []
-        for branch in e.branches:
-            outer = dict(self.slots)
-            matcher = self.pattern(branch.pattern)
-            branches.append((matcher, self.expr(branch.body)))
-            self.slots = outer  # a binder's scope is its branch
-
-        def case(s, c):
-            v = scrutinee(s, c)
-            for matcher, body in branches:
-                if matcher is None or matcher(v, s):
-                    return body(s, c)
-            raise _no_match(v, pos)
-        return case
-
-    # --- patterns
-
-    def binder(self, name: str) -> int:
-        """The fresh frame slot a binder writes."""
-        slot = self.slots[name] = self.size
-        self.size += 1
-        return slot
-
-    def pattern(self, pat: Pattern) -> Matcher | None:
-        if isinstance(pat, PWildcard):
-            return None
-        if isinstance(pat, PLit):
-            literal = pat.value
-            return lambda v, s: literal == v
-        if isinstance(pat, PName):
-            if not _is_binder(self.program, pat):  # a nullary constructor
-                name = pat.name
-                return lambda v, s: (type(v) is DataVal and v.ctor == name
-                                     and v.args == ())
-            slot = self.binder(pat.name)
-
-            def bind(v, s):
-                s[slot] = v
-                return True
-            return bind
-        if isinstance(pat, PCtor):
-            return self.ctor_pattern(pat)
-        raise EvalTypeError(f"cannot match {pat!r}")
-
-    def ctor_pattern(self, pat: PCtor) -> Matcher:
-        name, n = pat.name, len(pat.args)
-        subs = [(i, m) for i, sub in enumerate(pat.args)
-                if (m := self.pattern(sub)) is not None]
-
-        def match(v, s):
-            if type(v) is not DataVal or v.ctor != name or len(v.args) != n:
-                return False
-            args = v.args
-            for i, m in subs:
-                if not m(args[i], s):
-                    return False
-            return True
-        return match
-
-
-_COMPILE = {
-    Lit: _Compiler.lit, Var: _Compiler.var, NowExpr: _Compiler.now,
-    Unary: _Compiler.unary, BinOp: _Compiler.binop, Apply: _Compiler.apply,
-    IfExpr: _Compiler.if_, CaseExpr: _Compiler.case,
-}
-
-
-def _after_args(args: list[Code], error: type[RtRuntimeError], message: str,
-                pos) -> Code:
-    """Code that evaluates the arguments of a call, then raises."""
-    def fail(s, c):
-        for a in args:
-            a(s, c)
-        raise error(message, pos)
-    return fail
-
-
-def _call(fn: Callable, args: list[Code], name: str, pos) -> Code:
-    """Code for a call of a model function from top-level code: the
-    arguments left to right, then the function, one level deep."""
-    def enter(s, c):
-        values = [a(s, c) for a in args]
-        if c.max_depth <= 0:
-            raise _depth_error(c, name, pos)
-        return fn(c, c.max_depth - 1, *values)
-    return enter
-
-
-# ------------------------------------------------ generated model functions
+# ------------------------------------------------------- code generation
 
 # the block levels a generated function opens before it moves further
 # nested control flow into a helper function, well inside the 100 that
 # Python's tokenizer allows
 _MAX_INDENT = 32
 
+# the formals of a top-level expression's function, after `c, n`: its
+# scope's env, fields and process (see `lookup`)
+_FRAME = ("e", "f", "p")
+
 # what generated code reads besides its constants and functions
 _RUNTIME = {f.__name__: f for f in (
-    BoolVal, DataVal, NumVal, _truth, _neg, _compare, _add, _sub, _mul, _div,
-    _now, _unbound, _no_match, _depth_error)}
+    BoolVal, DataVal, NumVal, lookup, _truth, _neg, _compare, _add, _sub,
+    _mul, _div, _now, _unbound, _no_match, _depth_error)}
 
 
 class _Generator:
-    """Writes model functions as Python source and compiles it into one
+    """Writes expressions as Python source and compiles it into one
     namespace per `Program`.  Model function f becomes
-    `F<k>(c, n, a0, a1, ...)`: c is the context, n the model calls it may
-    still make below it, a<i> its formals.  A subexpression's value or a
-    binder is a local `t<i>`, a constant `K<i>` and a helper function that
-    nested control flow moved into `H<i>`.  So no model text enters the
-    source: names, strings and numbers reach it as constants."""
+    `F<k>(c, n, a0, a1, ...)` and a top-level expression
+    `T<k>(c, n, e, f, p)`: c is the context, n the model calls it may
+    still make below it, a<i> the formals and e, f, p the scope.  A
+    subexpression's value or a binder is a local `t<i>`, a constant
+    `K<i>` and a helper function that nested control flow moved into
+    `H<i>`.  So no model text enters the source: names, strings and
+    numbers reach it as constants."""
 
     def __init__(self, program: Program):
         self.program = program
@@ -527,8 +319,8 @@ class _Generator:
                                           **_RUNTIME}
         self.idents: dict[str, str] = {}  # model function -> F<k>
         self.consts: dict[int, str] = {}  # id of a constant -> K<i>
-        self.helpers = self.temps = 0
-        # the state of one `generate`: the functions named and not yet
+        self.tops = self.helpers = self.temps = 0
+        # the state of one `top_level`: the functions named and not yet
         # written, the sources written, and the function being written
         self.pending: list[str] = []
         self.sources: list[str] = []
@@ -536,13 +328,21 @@ class _Generator:
         self.indent = 0
         # model variable -> the local or constant that holds it
         self.scope: dict[str, str] = {}
+        # the scope formals of the function being written: `_FRAME` in
+        # top-level code, none in a model function's
+        self.frame: tuple[str, ...] = ()
 
-    def generate(self, name: str) -> None:
-        """Write, compile and register model function `name` and every
-        function it calls that has none yet."""
-        self.ident(name)
+    def top_level(self, e: Expr) -> Callable:
+        """Write top-level expression e and every model function it calls
+        that has none yet, compile them and register the functions; e's
+        Python function."""
+        ident = f"T{self.tops}"
+        self.tops += 1
         written = []
         try:
+            self.scope, self.frame = {}, _FRAME
+            self.define(ident, _FRAME, e)
+            self.frame = ()
             while self.pending:
                 fname = self.pending.pop()
                 written.append(fname)
@@ -551,16 +351,18 @@ class _Generator:
                 self.scope = {pname: param
                               for (_, pname), param in zip(fd.params, params)}
                 self.define(self.idents[fname], params, fd.body)
-            exec(compile("\n".join(self.sources), "<model functions>",
-                         "exec"), self.namespace)
+            exec(compile("\n".join(self.sources), "<model code>", "exec"),
+                 self.namespace)
         except BaseException:
             for fname in written + self.pending:
                 del self.idents[fname]
             raise
         finally:
-            self.pending, self.sources = [], []
+            self.pending, self.sources, self.frame = [], [], ()
+            self.lines, self.indent = [], 0
         for fname in written:
             self.program.bodies[fname] = self.namespace[self.idents[fname]]
+        return self.namespace[ident]
 
     def ident(self, name: str) -> str:
         """The identifier of model function `name`, queued to be written
@@ -582,15 +384,10 @@ class _Generator:
         self.temps += 1
         return f"t{self.temps}"
 
-    def unreached(self) -> str:
-        """The value of an expression that has just raised: a local
-        that the code after the raise, never run, may name."""
-        return self.temp()
-
     def emit(self, line: str) -> None:
         self.lines.append(" " * self.indent + line)
 
-    def define(self, ident: str, params: list[str], body: Expr) -> None:
+    def define(self, ident: str, params: Sequence[str], body: Expr) -> None:
         """Write `def ident(c, n, *params)` returning body's value."""
         outer = self.lines, self.indent
         self.lines = [f"def {ident}(c, n, {', '.join(params)}):"]
@@ -600,11 +397,11 @@ class _Generator:
         self.lines, self.indent = outer
 
     def hoist(self, e: Expr) -> str:
-        """Write e as a helper function of the locals in scope; the text
-        of the call that evaluates it."""
+        """Write e as a helper function of the scope formals and the
+        locals in scope; the text of the call that evaluates it."""
         ident = f"H{self.helpers}"
         self.helpers += 1
-        params = list(dict.fromkeys(self.scope.values()))
+        params = [*self.frame, *dict.fromkeys(self.scope.values())]
         self.define(ident, params, e)
         return f"{ident}(c, n, {', '.join(params)})"
 
@@ -663,10 +460,20 @@ class _Generator:
         local = self.scope.get(e.name)
         if local is not None:
             return local
-        if self.program.ctor_arity.get(e.name) == 0:
-            return self.const(DataVal(e.name))
-        self.emit(f"raise _unbound({self.const(e.name)}, {self.const(e.pos)})")
-        return self.unreached()
+        name = self.const(e.name)
+        ctor = (self.const(DataVal(e.name))
+                if self.program.ctor_arity.get(e.name) == 0 else None)
+        unbound = f"raise _unbound({name}, {self.const(e.pos)})"
+        if not self.frame:  # a model function's body reads no scope
+            if ctor is not None:
+                return ctor
+            self.emit(unbound)
+            return self.temp()  # never read: the code after a raise
+        t = self.temp()
+        self.emit(f"{t} = lookup({name}, e, f, p, c)")
+        self.emit(f"if {t} is None: "
+                  + (unbound if ctor is None else f"{t} = {ctor}"))
+        return t
 
     def now(self, e: NowExpr) -> str:
         return "_now(c)"
@@ -705,7 +512,7 @@ class _Generator:
             kind, message = error
             self.emit(f"raise {self.const(kind)}({self.const(message)},"
                       f" {pos})")
-            return self.unreached()
+            return self.temp()  # never read: the code after a raise
         if name in self.program.functions:
             self.emit(f"if n <= 0: raise _depth_error(c, {self.const(name)},"
                       f" {pos})")

@@ -548,12 +548,12 @@ class AImp implements A { Int m(Int x) { return g(x); } }
 
 def test_deeply_nested_function_bodies_run(tmp_path):
     # a function body runs however deep it nests, with the trace it has
-    # always had, under each interpreter alike.  A quarter of the limit
+    # always had, under each interpreter alike.  An eighth of the limit
     # is far past the levels a Python function can nest; the front end
     # alone takes seconds at the limit
     others, skipped = other_interpreters((3, 11))
     for k, (function, value) in enumerate(
-            nested_functions(NESTING_LIMIT // 4)):
+            nested_functions(NESTING_LIMIT // 8)):
         path = write(tmp_path, f"g{k}.rtabs", function + NESTED_FUNCTION_CALL)
         out = tmp_path / f"g{k}.csv"
         for exe in [sys.executable, *others.values()]:
@@ -586,7 +586,12 @@ def String lambda(String yield, Int c) =
 def Int None(Int K0, Int t1) = case K0 { c => c + t1; };
 interface A { String m(Int n); }
 class AImp implements A {
-  String m(Int n) { return lambda("'''", None(n, 1)); }
+  Int f = 0;
+  String m(Int n) {
+    Int e = n;
+    Int p = case e { t1 => t1 + f; };
+    return lambda("'''", None(p, 1));
+  }
 }
 { A a = new AImp(); Fut<String> r = a!m(0); }
 """
