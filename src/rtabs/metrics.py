@@ -13,65 +13,67 @@ can be analyzed without re-running the simulation.  Conventions:
   tardiness E = max(0, L), laxity X = d - c;
 - a process misses its deadline iff L > 0, which is exactly a negative
   remaining deadline on its return event.
+
+Times and durations are exact, as the trace readers return them: an
+`int` when integral, else a `Fraction`, as in a run's own trace.
+Outcomes and series points are named tuples, one per completed process.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections.abc import Iterable
+from typing import NamedTuple
 
 from .errors import RtabsError
 from .trace import TraceEvent
-from .values import parse_rat
+from .values import Rat, parse_rat
 
 
 class IncompleteProcess(RtabsError):
     """The process never returned within the simulated horizon."""
 
 
-def _parse_dur(text: str | None) -> Fraction | None:
+def _parse_dur(text: str | None) -> Rat | None:
     if text is None or text == "inf":
         return None
     return parse_rat(text)
 
 
-@dataclass(frozen=True)
-class ProcessOutcome:
+class ProcessOutcome(NamedTuple):
     pid: int
     method: str
     label: str | None
-    arrival: Fraction
-    cost: Fraction | None      # None: infinite (no finite cost bound)
-    deadline: Fraction | None  # None: infinite (no deadline)
-    start: Fraction
-    finish: Fraction
+    arrival: Rat
+    cost: Rat | None      # None: infinite (no finite cost bound)
+    deadline: Rat | None  # None: infinite (no deadline)
+    start: Rat
+    finish: Rat
     critical: bool
 
     @property
-    def absolute_deadline(self) -> Fraction | None:
+    def absolute_deadline(self) -> Rat | None:
         if self.deadline is None:
             return None
         return self.arrival + self.deadline
 
     @property
-    def response(self) -> Fraction:
+    def response(self) -> Rat:
         return self.finish - self.arrival
 
     @property
-    def lateness(self) -> Fraction | None:
-        if self.absolute_deadline is None:
-            return None
-        return self.finish - self.absolute_deadline
+    def lateness(self) -> Rat | None:
+        absolute = self.absolute_deadline
+        return None if absolute is None else self.finish - absolute
 
     @property
-    def tardiness(self) -> Fraction:
+    def tardiness(self) -> Rat:
         late = self.lateness
         if late is None or late < 0:
-            return Fraction(0)
+            return 0
         return late
 
     @property
-    def laxity(self) -> Fraction | None:
+    def laxity(self) -> Rat | None:
         if self.deadline is None or self.cost is None:
             return None
         return self.deadline - self.cost
@@ -88,58 +90,60 @@ class ProcessOutcome:
         return self.method
 
 
-@dataclass(frozen=True)
-class SeriesPoint:
-    time: Fraction
+class SeriesPoint(NamedTuple):
+    time: Rat
     misses: int
     breakdown: dict[str, int] | None = None  # cumulative, key -> misses
 
 
-def derive_outcomes(
-        trace: list[TraceEvent]) -> tuple[dict[int, ProcessOutcome], list[int]]:
+def derive_outcomes(trace: Iterable[TraceEvent]
+                    ) -> tuple[dict[int, ProcessOutcome], list[int]]:
     """Outcomes for every completed process, in the order they returned,
     plus the pids that were still alive (invoked or activated but not
     returned) when the trace ends, in the order they were first seen."""
     activates: dict[int, TraceEvent] = {}
-    starts: dict[int, Fraction] = {}
+    starts: dict[int, Rat] = {}
     alive: dict[int, None] = {}  # insertion-ordered set of pids
     outcomes: dict[int, ProcessOutcome] = {}
+    # activate data -> its label, cost, deadline and criticality: a trace
+    # repeats few distinct payloads, so each is read once per call
+    payloads: dict[tuple[tuple[str, str], ...],
+                   tuple[str | None, Rat | None, Rat | None, bool]] = {}
     for ev in trace:
-        pid = ev.pid
+        time, kind, _, pid = ev[:4]
         if pid is None:
             continue
-        if ev.kind == "invoke":
+        if kind == "invoke":
             alive.setdefault(pid)
-        elif ev.kind == "activate":
+        elif kind == "activate":
             activates[pid] = ev
             alive.setdefault(pid)
-        elif ev.kind == "schedule":
-            starts.setdefault(pid, ev.time)
-        elif ev.kind == "return" and pid in activates:
+        elif kind == "schedule":
+            starts.setdefault(pid, time)
+        elif kind == "return" and pid in activates:
             act = activates[pid]
             alive.pop(pid, None)
+            payload = payloads.get(act.data)
+            if payload is None:
+                payload = payloads[act.data] = (
+                    act.get("label"), _parse_dur(act.get("cost")),
+                    _parse_dur(act.get("deadline")),
+                    act.get("critical") == "True")
+            label, cost, deadline, critical = payload
             outcomes[pid] = ProcessOutcome(
-                pid=pid,
-                method=act.method or "?",
-                label=act.get("label"),
-                arrival=act.time,
-                cost=_parse_dur(act.get("cost")),
-                deadline=_parse_dur(act.get("deadline")),
-                start=starts.get(pid, act.time),
-                finish=ev.time,
-                critical=act.get("critical") == "True",
-            )
+                pid, act.method or "?", label, act.time, cost, deadline,
+                starts.get(pid, act.time), time, critical)
     return outcomes, list(alive)
 
 
-def derive_outcome(trace: list[TraceEvent], pid: int) -> ProcessOutcome:
+def derive_outcome(trace: Iterable[TraceEvent], pid: int) -> ProcessOutcome:
     outcomes, _ = derive_outcomes(trace)
     if pid not in outcomes:
         raise IncompleteProcess(f"process f{pid} did not complete")
     return outcomes[pid]
 
 
-def misses_series(trace: list[TraceEvent],
+def misses_series(trace: Iterable[TraceEvent],
                   by: str | None = None) -> list[SeriesPoint]:
     """Cumulative deadline-miss counts, one point per completed process
     in the order they returned (see `derive_outcomes`).  With

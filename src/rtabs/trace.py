@@ -10,23 +10,25 @@ format is the stable interchange surface: columns
 `time,event,object,pid,method,data`, where data is `;`-separated
 `key=value` pairs.  Values inside data escape `\\`, `;` and `=` with a
 backslash so round-trips are exact.  Times and rationals serialize as
-`p/q` in lowest terms (bare integer when the denominator is 1).
+`p/q` in lowest terms (bare integer when the denominator is 1), and
+read back as the run held them: an `int` when integral, else a
+`Fraction` (`values.exact`).
+
+An event is a named tuple, since a run makes one per transition and a
+read one per row.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 import re
 from collections.abc import Iterable
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
-from typing import Protocol
+from typing import NamedTuple, Protocol
 
 from .errors import RtabsError
-from .values import format_rat, parse_rat
+from .values import Rat, format_rat, parse_rat
 
 CSV_HEADER = ["time", "event", "object", "pid", "method", "data"]
 
@@ -36,9 +38,8 @@ EVENT_KINDS = {
 }
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    time: Fraction
+class TraceEvent(NamedTuple):
+    time: Rat
     kind: str
     obj: int | None = None
     pid: int | None = None
@@ -112,7 +113,7 @@ def _id_column(text: str, prefix: str) -> int | None:
 
 
 class _EventReader:
-    """Builds the events of one trace read, from CSV rows or JSONL lines.
+    """Builds the events of one trace read, from CSV rows or JSONL records.
 
     A trace repeats few distinct times, ids and data texts over many rows
     (a bench trace of 12,278 rows has 821 distinct times), so each distinct
@@ -127,19 +128,25 @@ class _EventReader:
         self.pid = cache(lambda text: _id_column(text, "f"))
         self.data = cache(parse_data)
 
-    def csv_row(self, row: list[str]) -> TraceEvent:
-        if len(row) != len(CSV_HEADER):
-            raise RtabsError(
-                f"expected {len(CSV_HEADER)} columns, got {len(row)}")
-        time = self.time(row[0])
-        kind = row[1]
-        if kind not in EVENT_KINDS:
-            raise RtabsError(f"unknown event kind {kind!r}")
-        return TraceEvent(time, kind, self.obj(row[2]), self.pid(row[3]),
-                          row[4] or None, self.data(row[5]))
+    def csv_rows(self, rows: Iterable[list[str]]) -> list[TraceEvent]:
+        time, obj, pid, data = self.time, self.obj, self.pid, self.data
+        width, kinds, new = len(CSV_HEADER), EVENT_KINDS, tuple.__new__
+        events: list[TraceEvent] = []
+        append = events.append
+        for row in rows:
+            if len(row) != width:
+                raise RtabsError(f"expected {width} columns, got {len(row)}")
+            at = time(row[0])
+            kind = row[1]
+            if kind not in kinds:
+                raise RtabsError(f"unknown event kind {kind!r}")
+            # every field is given, so `tuple.__new__` can skip the named
+            # tuple's `__new__`, a Python call per row
+            append(new(TraceEvent, (at, kind, obj(row[2]), pid(row[3]),
+                                    row[4] or None, data(row[5]))))
+        return events
 
-    def jsonl_line(self, line: str) -> TraceEvent:
-        record = json.loads(line)
+    def jsonl_record(self, record: object, line: str) -> TraceEvent:
         if not isinstance(record, dict):
             raise RtabsError(f"trace record is not an object: {line!r}")
         time, kind, data = record["time"], record["event"], record["data"]
@@ -181,7 +188,7 @@ def read_csv_text(text: str) -> list[TraceEvent]:
         rows = csv.reader(io.StringIO(text))
         if next(rows, None) != CSV_HEADER:
             raise RtabsError("missing or malformed trace header")
-        return list(map(_EventReader().csv_row, rows))
+        return _EventReader().csv_rows(rows)
     finally:
         csv.field_size_limit(limit)
 
@@ -192,6 +199,8 @@ def read_csv(path: str) -> list[TraceEvent]:
 
 
 def render_structured(events: Iterable[TraceEvent]) -> str:
+    import json  # loaded for the JSONL encoding only
+
     lines = []
     for event in events:
         record = {
@@ -207,8 +216,11 @@ def render_structured(events: Iterable[TraceEvent]) -> str:
 
 
 def read_structured_text(text: str) -> list[TraceEvent]:
-    event = _EventReader().jsonl_line
-    return [event(line) for line in text.splitlines() if line.strip()]
+    import json  # loaded for the JSONL encoding only
+
+    event = _EventReader().jsonl_record
+    return [event(json.loads(line), line)
+            for line in text.splitlines() if line.strip()]
 
 
 def read_structured(path: str) -> list[TraceEvent]:

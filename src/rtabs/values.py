@@ -237,10 +237,13 @@ def format_rat(r: Rat) -> str:
     return f"{r.numerator}/{r.denominator}"
 
 
-def parse_rat(s: str) -> Fraction:
-    """The rational that `format_rat` writes as `s`; any other text, such
-    as `1.5`, `+3`, `1e3` or `3/6`, is a ValueError."""
-    r = Fraction(s)
+def parse_rat(s: str) -> Rat:
+    """The rational that `format_rat` writes as `s`, as `exact` keeps it;
+    any other text, such as `1.5`, `+3`, `03`, `1e3` or `3/6`, is a
+    ValueError."""
+    # `int` reads a natural directly; `isascii` first, since `isdigit` is
+    # also true of other scripts' digits and of superscripts
+    r = int(s) if s.isascii() and s.isdigit() else exact(Fraction(s))
     if format_rat(r) != s:
         raise ValueError(f"not a rational as traces write it: {s!r}")
     return r

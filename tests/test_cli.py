@@ -304,6 +304,15 @@ def test_metrics_rejects_malformed_rationals(tmp_path):
         ("bad.jsonl", '{"time":"+3","event":"tick","object":null,'
                       '"pid":null,"method":null,"data":{}}\n'),
     ]
+    # texts that reading a natural with `int` could misread: a leading
+    # zero, an Arabic-Indic three and a superscript two (both digits to
+    # `str.isdigit`), and a signed zero
+    for text in ("03", "\u0663", "\u00b2", "-0"):
+        traces += [
+            ("bad.csv", header + f"{text},activate,o3,f4,m,deadline=inf\n"),
+            ("bad.csv", header + f"0,activate,o3,f4,m,deadline={text}\n"
+                        "1,return,o3,f4,m,value=0\n"),
+        ]
     for name, text in traces:
         path = tmp_path / name
         path.write_text(text, encoding="utf-8")

@@ -1,6 +1,7 @@
 """Engine semantics: time machinery, binding, reflection, rule behavior
 observable through traces, and failure modes."""
 
+import hashlib
 import importlib.util
 import random
 import sys
@@ -12,6 +13,7 @@ from rtabs import (
     Engine, FutureCell, InvocationMessage, ObjectState, PolicyError, lift,
     liftall, load_model, load_source, select, simulate,
 )
+from rtabs import cli
 from rtabs.check import RESERVED
 from rtabs.desugar import desugar
 from rtabs.engine import MAIN_CLASS, PROC_FIELDS, Configuration, wait
@@ -967,6 +969,32 @@ def test_no_float_in_bench_workloads():
             fractions += sum(type(r) is not int for r in held)
         assert (eng.config.clock, fractions > 0) == (
             wl.clock, wl.name == "monitor-uniform"), wl.name
+
+
+def test_media_fanout_outputs_are_pinned(tmp_path, capsys):
+    # the workload on which the benchmark times `rtabs metrics`: its trace
+    # and what `rtabs metrics --series misses` prints from it, plain and
+    # `--by method`, byte for byte
+    wl = bench_workloads().media_fanout()
+    flags = dict(zip(wl.run_flags[::2], wl.run_flags[1::2]))
+    result = simulate(load(wl.source), wl.until, int(flags.get("--seed", 0)),
+                      flags["--duration-policy"])
+    text = render_csv(result.trace)
+
+    def sha256(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    assert sha256(text) == (
+        "aa0bfd99b8ce3ff275893a800aba337aff5071403b36190b35a7ead6efabeb4e")
+    path = tmp_path / "trace.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    outputs = []
+    for by in ([], ["--by", "method"]):
+        assert cli.main(["metrics", str(path), "--series", "misses", *by]) == 0
+        outputs.append(sha256(capsys.readouterr().out))
+    assert outputs == [
+        "db4a77bd8388ef55369555dc5c63888a3e74083fbcc24c245367f6b20c03879f",
+        "8d4d47766b92c7f5cabcc2f9f7885e18db6985e03d2769c0d032c4824eb1f36a"]
 
 
 def test_rationals_keep_their_exact_values():

@@ -1,7 +1,6 @@
 """Timing outcomes and miss aggregation, checked on hand-built traces
 first and then on a real simulation round-trip."""
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -10,7 +9,9 @@ from rtabs import (
     IncompleteProcess, TraceEvent, check_deadline_bookkeeping,
     derive_outcome, derive_outcomes, misses_series, simulate,
 )
-from rtabs.trace import read_csv_text, render_csv
+from rtabs.trace import (
+    read_csv_text, read_structured_text, render_csv, render_structured,
+)
 
 
 def ev(time, kind, obj=None, pid=None, method=None, data=()):
@@ -78,6 +79,22 @@ def test_rational_bookkeeping():
     assert out.absolute_deadline == Fraction(5, 6)
     assert out.lateness == 0
     assert not out.missed  # lateness must be strictly positive
+
+
+@pytest.mark.parametrize("value", [
+    0, -5, Fraction(7, 2), Fraction(-7, 2), 123456789012345678901234567890])
+def test_read_numbers_are_exact(value):
+    # as a time and as a `deadline=` value, in either encoding: an `int`
+    # when integral, else a `Fraction`, as in a run's own trace
+    text = str(value)
+    csv_text = ("time,event,object,pid,method,data\n"
+                f"{text},activate,o1,f1,m,deadline={text};cost=0\n"
+                f"{text},return,o1,f1,m,value=0\n")
+    rows = read_csv_text(csv_text)
+    for events in (rows, read_structured_text(render_structured(rows))):
+        for read in (events[0].time, derive_outcome(events, 1).deadline):
+            assert read == value
+            assert type(read) is (int if type(value) is int else Fraction)
 
 
 def test_incomplete_processes_listed():
@@ -173,8 +190,8 @@ def test_bookkeeping_catches_tampering(single_request_model):
     idx = next(i for i, e in enumerate(rows)
                if e.kind == "return" and e.get("deadline") not in (None, "inf"))
     pid = rows[idx].pid
-    rows[idx] = dataclasses.replace(rows[idx], data=(("value", "True"),
-                                                     ("deadline", "999")))
+    rows[idx] = rows[idx]._replace(data=(("value", "True"),
+                                         ("deadline", "999")))
     violations = check_deadline_bookkeeping(rows)
     assert violations and f"f{pid}" in violations[0]
 
@@ -184,7 +201,7 @@ def test_bookkeeping_catches_finiteness_flip(single_request_model):
     rows = list(result.trace)
     idx = next(i for i, e in enumerate(rows)
                if e.kind == "return" and e.get("deadline") not in (None, "inf"))
-    rows[idx] = dataclasses.replace(rows[idx], data=(("value", "True"),
-                                                     ("deadline", "inf")))
+    rows[idx] = rows[idx]._replace(data=(("value", "True"),
+                                         ("deadline", "inf")))
     violations = check_deadline_bookkeeping(rows)
     assert violations and "finiteness" in violations[0]

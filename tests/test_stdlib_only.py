@@ -108,21 +108,24 @@ def test_every_module_level_name_is_referenced():
 
 
 # standard modules that a command should load only if it uses them:
-# `dataclasses`, and `importlib.resources` with what it imports
-COSTLY_STDLIB = {"dataclasses", "importlib.resources", "pathlib", "tempfile",
-                 "zipfile"}
+# `dataclasses`, `json`, and `importlib.resources` with what it imports
+COSTLY_STDLIB = {"dataclasses", "importlib.resources", "json", "pathlib",
+                 "tempfile", "zipfile"}
 
 # runs `python -m rtabs.cli ARGS...`, then prints, as the last line of
 # stdout, the rtabs modules that the command loaded, and those of
-# COSTLY_STDLIB that it did
+# COSTLY_STDLIB that it did; it lists them before importing `json` to
+# print them
 LOADED_BY_CLI = f"""
-import json, runpy, sys
+import runpy, sys
 try:
     runpy.run_module("rtabs.cli", run_name="__main__")
 except SystemExit as exc:
     assert exc.code == 0, exc.code
-print(json.dumps(sorted(m for m in sys.modules
-                        if m.startswith("rtabs.") or m in {COSTLY_STDLIB!r})))
+loaded = sorted(m for m in sys.modules
+                if m.startswith("rtabs.") or m in {COSTLY_STDLIB!r})
+import json
+print(json.dumps(loaded))
 """
 
 # in a fresh process, so that each export resolves through the package's
@@ -155,7 +158,8 @@ def test_commands_load_only_what_they_use(tmp_path, single_request_model):
     metrics = set(json.loads(run_python(
         LOADED_BY_CLI, "metrics", trace, "--series", "misses", "--by", "method")))
     assert "rtabs.trace" in metrics
-    assert not metrics & {"rtabs.engine", "rtabs.nodes", "rtabs.parser"}
+    assert not metrics & {"dataclasses", "json", "rtabs.engine", "rtabs.nodes",
+                          "rtabs.parser"}
     check = set(json.loads(run_python(
         LOADED_BY_CLI, "check", model_file("single_request.rtabs"))))
     assert "rtabs.parser" in check

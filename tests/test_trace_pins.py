@@ -6,7 +6,8 @@ every pin; a pin that moves names the model, policy and seed to diff.
 Each pinned trace also pins what `rtabs metrics` reads from it: the
 misses it counts agree with the engine's `deadline_miss` events, every
 `return` is one outcome, and the `--series misses` output, plain and
-`--by method`, keeps its digest."""
+`--by method`, keeps its digest, read from the CSV trace and from the
+same trace in JSONL."""
 
 import hashlib
 from collections import Counter
@@ -15,7 +16,7 @@ import pytest
 
 from conftest import MODELS_DIR
 from rtabs import cli, derive_outcomes, load_model, misses_series, simulate
-from rtabs.trace import render_csv
+from rtabs.trace import render_csv, render_structured
 
 LIMIT = 600
 
@@ -151,10 +152,13 @@ def test_trace_pin(stem, policy, seed, tmp_path, capsys):
     kinds = Counter(ev.kind for ev in trace)
     assert misses_series(trace)[-1].misses == kinds["deadline_miss"]
     assert len(derive_outcomes(trace)[0]) == kinds["return"]
-    path = tmp_path / "trace.csv"
-    path.write_text(text, encoding="utf-8", newline="")
-    outputs = []
-    for by in ([], ["--by", "method"]):
-        assert cli.main(["metrics", str(path), "--series", "misses", *by]) == 0
-        outputs.append(sha256(capsys.readouterr().out))
-    assert tuple(outputs) == METRICS_PINS[digest]
+    for name, encoded in (("trace.csv", text),
+                          ("trace.jsonl", render_structured(trace))):
+        path = tmp_path / name
+        path.write_text(encoded, encoding="utf-8", newline="")
+        outputs = []
+        for by in ([], ["--by", "method"]):
+            assert cli.main(["metrics", str(path), "--series", "misses",
+                             *by]) == 0
+            outputs.append(sha256(capsys.readouterr().out))
+        assert tuple(outputs) == METRICS_PINS[digest], name
