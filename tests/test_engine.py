@@ -10,10 +10,9 @@ from fractions import Fraction
 import pytest
 
 from rtabs import (
-    Engine, FutureCell, InvocationMessage, ObjectState, PolicyError, lift,
-    liftall, load_model, load_source, select, simulate,
+    Engine, FutureCell, InvocationMessage, ObjectState, PolicyError, cli,
+    lift, liftall, load_model, load_source, select, simulate,
 )
-from rtabs import cli
 from rtabs.check import RESERVED
 from rtabs.desugar import desugar
 from rtabs.engine import MAIN_CLASS, PROC_FIELDS, Configuration, wait
