@@ -35,30 +35,32 @@ def pytest_terminal_summary(terminalreporter):
 
 ONE_METHOD = ("interface I { Unit m(); }\n"
               "class C implements I { Unit m() { skip; } }\n")
-# (name, model source, message, clock, method) of models that stop with a
-# runtime error in the named method: bad duration bounds, get on a null
-# future at a queued head, a raising conjunct behind an unresolved future,
-# an error raised while sampling a queued head during time advance, a
-# non-Bool guard, whose message carries the guard's source position, a
-# message whose cost raises while it is bound to a busy object, the
-# checked model's calls whose callee, deadline or criticality has the
-# wrong value, a cost that is no Duration, whose message carries the
-# cost's position, and calls that bind to no method or to one of another
+# (name, model source, message, clock, method, position) of models that
+# stop with a runtime error in the named method, at the `line:col` of the
+# model where it arose, or None when the error names no position: bad
+# duration bounds, get on a null future at a queued head, a raising
+# conjunct behind an unresolved future, an error raised while sampling a
+# queued head during time advance, a non-Bool guard, a message whose cost
+# raises while it is bound to a busy object, the checked model's calls
+# whose callee, deadline or criticality has the wrong value, a cost that
+# is no Duration, calls that bind to no method or to one of another
 # arity, which the checker lets through: a call on the main object, and
-# a call through an interface that the callee's class does not implement
+# a call through an interface that the callee's class does not
+# implement; a duration bound, or a bound of a duration conjunct, that
+# is no number, and an `if` condition that is no Bool
 RUNTIME_ERROR_CASES = [
     ("malformed bounds", "{ duration(5, 2); }\n",
-     "malformed duration bounds", 0, "main"),
+     "malformed duration bounds", 0, "main", "1:3"),
     ("null get", """
 interface S { Unit m(); }
 class SImp implements S { Fut<Int> f; Unit m() { Int x = f.get; } }
 { S s = new SImp(); s!m(); }
-""", "get applied to null, not a future", 0, "m"),
+""", "get applied to null, not a future", 0, "m", "3:58"),
     ("raising conjunct", """
 interface W { Int n(); }
 class WImp implements W { Int n() { duration(2, 2); return 1; } }
 { W w = new WImp(); Int z = 0; Fut<Int> f = w!n(); await f? && (1 / z > 0); }
-""", "division by zero", 2, "main"),
+""", "division by zero", 2, "main", "4:67"),
     ("sampling error", """
 interface S { Unit a(); Unit b(); }
 class SImp implements S {
@@ -67,12 +69,12 @@ class SImp implements S {
   Unit b() { await duration(1 / z, 1 / z); }
 }
 { S o = new SImp(); o!a(); await duration(1, 1); o!b(); }
-""", "division by zero", 1, "b"),
+""", "division by zero", 1, "b", "6:31"),
     ("non-Bool guard", """
 interface I { Unit m(); }
 class C implements I { Int x = 0; Unit m() { await x; } }
 { I o = new C(); o!m(); }
-""", "guard is 0, not a Bool at ", 0, "m"),
+""", "guard is 0, not a Bool", 0, "m", "3:52"),
     ("binding error", """
 interface S { Unit slow(); Int m(Int x); }
 class SImp implements S {
@@ -80,32 +82,44 @@ class SImp implements S {
   [Cost: Duration(1 / x)] Int m(Int x) { return x; }
 }
 { S s = new SImp(); s!slow(); await duration(1, 1); s!m(0); }
-""", "division by zero", 1, "m"),
+""", "division by zero", 1, "m", "5:21"),
     ("null callee", "interface I { Unit m(); }\n{ I o; o!m(); }\n",
-     "call to m on null", 0, "main"),
+     "call to m on null", 0, "main", "2:8"),
     ("Int callee", "{ Int o = 1; o!m(); }\n",
-     "call target is 1, not an object", 0, "main"),
+     "call target is 1, not an object", 0, "main", "1:14"),
     ("Int deadline", ONE_METHOD + "{ I o = new C(); [Deadline: 3] o!m(); }\n",
-     "deadline is 3, not a Duration", 0, "main"),
+     "deadline is 3, not a Duration", 0, "main", "3:32"),
     ("Int criticality", ONE_METHOD + "{ I o = new C(); [Critical: 1] o!m(); }\n",
-     "criticality is 1, not a Bool", 0, "main"),
+     "criticality is 1, not a Bool", 0, "main", "3:32"),
     ("Int cost", """
 interface I { Unit m(); }
 class C implements I { [Cost: 3] Unit m() { skip; } }
 { I o = new C(); o!m(); }
-""", "cost of C.m is 3, not a Duration at ", 0, "m"),
+""", "cost of C.m is 3, not a Duration", 0, "m", "3:31"),
     ("call on the main object", "{ this!m(); }\n",
-     "object o0 has no class <main>", 0, "m"),
+     "object o0 has no class <main>", 0, "m", None),
     ("method of another interface", ONE_METHOD + """
 interface J { Unit z(); }
 { J o = new C(); o!z(); }
-""", "class C has no method z", 0, "z"),
+""", "class C has no method z", 0, "z", None),
     ("arity of another interface", """
 interface I { Unit m(Int a, Int b); }
 interface J { Unit m(Int a); }
 class C implements J { Unit m(Int a) { skip; } }
 { I o = new C(); o!m(1, 2); }
-""", "C.m expects 1 argument(s), got 2", 0, "m"),
+""", "C.m expects 1 argument(s), got 2", 0, "m", None),
+    ("duration bound", "{ duration(True, 2); }\n",
+     "duration bound is True, not a finite number", 0, "main", "1:3"),
+    ("duration conjunct bound", """
+interface I { Unit m(); }
+class C implements I { Int x = 0; Unit m() { await duration(x, True); } }
+{ I o = new C(); o!m(); }
+""", "duration bound is True, not a finite number", 0, "m", "3:52"),
+    ("non-Bool condition", """
+interface I { Unit m(); }
+class C implements I { Int x = 0; Unit m() { if (x) { skip; } } }
+{ I o = new C(); o!m(); }
+""", "condition is 0, not a Bool", 0, "m", "3:46"),
 ]
 
 

@@ -166,15 +166,17 @@ def test_run_deadlock_exit_code(tmp_path):
 
 
 def test_run_runtime_error_exit_code(tmp_path):
-    for name, source, message, _, method in RUNTIME_ERROR_CASES:
+    for name, source, message, _, method, at in RUNTIME_ERROR_CASES:
         path = write(tmp_path, "boom.rtabs", source)
         res = run_cli("run", path, "--until", "10")
         assert res.returncode == 2, name
         assert message in res.stderr, name
+        assert (f" at {path}:{at} in object o" in res.stderr
+                if at else f" at {path}:" not in res.stderr), name
         # the partial trace still appears, ending with the error event
         # that names the failing method
-        row = res.stdout.splitlines()[-1].split(",")
-        assert row[1] == "error" and row[4] == method, name
+        last = read_csv_text(res.stdout)[-1]
+        assert last.kind == "error" and last.method == method, name
 
 
 def test_library_and_cli_traces_agree_on_deep_queue(tmp_path):

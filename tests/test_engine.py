@@ -681,10 +681,12 @@ class C implements I { Int m() { return 1; } }
 
 def test_malformed_duration_bounds_error():
     # the other runtime errors are reported the same way, naming the process
-    for name, source, message, clock, method in RUNTIME_ERROR_CASES:
+    for name, source, message, clock, method, at in RUNTIME_ERROR_CASES:
         result = run(source)
         assert result.status == "error", name
         assert message in result.error.describe(), name
+        assert (str(result.error.pos) == f"<engine-test>:{at}" if at
+                else result.error.pos is None), name
         assert result.clock == clock, name
         assert result.trace[-1].kind == "error", name
         assert result.trace[-1].pid == result.error.pid is not None, name
