@@ -104,7 +104,7 @@ from .evaluator import (
     remaining_deadline,
 )
 from .nodes import (
-    Expr, GDuration, GFut, Lit, Model, RCall, RExpr, RGet, RNew, SAssign,
+    Expr, GDuration, GFut, Lit, Model, Pos, RCall, RExpr, RGet, RNew, SAssign,
     SAwait, SDuration, SIf, SReturn, SSkip, SSuspend, SWhile, Stmt,
 )
 from .pretty import render_expr, render_guard, render_stmt
@@ -186,6 +186,7 @@ class InvocationMessage:
     deadline: Value
     critical: Value
     timestamp: Rat
+    pos: Pos | None = None  # of the call that sent it
 
 
 @dataclass
@@ -551,16 +552,17 @@ class Engine:
         obj = self.config.objects[msg.callee]
         cd = self.program.classes.get(obj.cls)
         if cd is None:
-            raise UnknownMethodError(f"object o{obj.oid} has no class {obj.cls}")
+            raise UnknownMethodError(
+                f"object o{obj.oid} has no class {obj.cls}", msg.pos)
         mth = next((m for m in cd.methods if m.name == msg.method), None)
         if mth is None:
             raise UnknownMethodError(
-                f"class {obj.cls} has no method {msg.method}")
+                f"class {obj.cls} has no method {msg.method}", msg.pos)
         formals = [name for _, name in mth.params]
         if len(formals) != len(msg.args):
             raise RtRuntimeError(
                 f"{obj.cls}.{msg.method} expects {len(formals)} argument(s), "
-                f"got {len(msg.args)}")
+                f"got {len(msg.args)}", msg.pos)
         arg_env = dict(zip(formals, msg.args))
         cost = eval_expr(mth.cost, arg_env, self.ctx)
         if not is_duration(cost):
@@ -751,7 +753,7 @@ class Engine:
         fid = self._fresh_fid()
         self.config.objects[callee.oid].inbox.append(InvocationMessage(
             rhs.method, callee.oid, args, fid, deadline, critical,
-            self.config.clock))
+            self.config.clock, rhs.pos))
         self._wake(callee.oid)
         self._emit("invoke", obj=callee.oid, pid=fid, method=rhs.method,
                    data=(("caller", f"o{obj.oid}"),

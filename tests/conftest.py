@@ -37,7 +37,8 @@ ONE_METHOD = ("interface I { Unit m(); }\n"
               "class C implements I { Unit m() { skip; } }\n")
 # (name, model source, message, clock, method, position) of models that
 # stop with a runtime error in the named method, at the `line:col` of the
-# model where it arose, or None when the error names no position: bad
+# model where it arose (a binding error, at the call that sent the
+# message), or None when the error names no position: bad
 # duration bounds, get on a null future at a queued head, a raising
 # conjunct behind an unresolved future, an error raised while sampling a
 # queued head during time advance, a non-Bool guard, a message whose cost
@@ -97,17 +98,17 @@ class C implements I { [Cost: 3] Unit m() { skip; } }
 { I o = new C(); o!m(); }
 """, "cost of C.m is 3, not a Duration", 0, "m", "3:31"),
     ("call on the main object", "{ this!m(); }\n",
-     "object o0 has no class <main>", 0, "m", None),
+     "object o0 has no class <main>", 0, "m", "1:3"),
     ("method of another interface", ONE_METHOD + """
 interface J { Unit z(); }
 { J o = new C(); o!z(); }
-""", "class C has no method z", 0, "z", None),
+""", "class C has no method z", 0, "z", "5:18"),
     ("arity of another interface", """
 interface I { Unit m(Int a, Int b); }
 interface J { Unit m(Int a); }
 class C implements J { Unit m(Int a) { skip; } }
 { I o = new C(); o!m(1, 2); }
-""", "C.m expects 1 argument(s), got 2", 0, "m", None),
+""", "C.m expects 1 argument(s), got 2", 0, "m", "5:18"),
     ("duration bound", "{ duration(True, 2); }\n",
      "duration bound is True, not a finite number", 0, "main", "1:3"),
     ("duration conjunct bound", """
