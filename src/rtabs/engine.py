@@ -47,15 +47,23 @@ Scheduling decisions call back into the modeled language: the object's
 policy expression is evaluated with `queue` bound to the reflected list
 of ready processes, and must return one of them.
 
+A process's code is compiled, not walked: each block it runs is an
+`evaluator.Block`, which holds the `Place` of each statement, the
+generated functions of its head and its step.  A step picks its rule by
+the head statement's type (`_STEPS`), and the rule runs the place's
+code through `eval_expr`.
+
 One function, `wait(p, obj, ctx)`, says when a process head is enabled
 and what else it waits for: 0 now, a positive delay, the unresolved
 future it awaits or gets, or None for a boolean conjunct that does not
-hold.  For an await head it folds over the guard's conjuncts left to
-right: it stops at the first boolean or future conjunct that does not
-hold, else it is the longest remaining sampled duration.  It drives
-every use of enabledness: the ready set holds the queued processes whose
-wait is 0, the active process blocks while its wait is not 0, and a
-stalled object wakes on what its heads' waits name.
+hold.  It runs the head's compiled wait (`Place.wait`) through
+`eval_guard`.  For an await head that folds over the guard's conjuncts
+left to right: it stops at the first boolean or future conjunct that
+does not hold, else it is the longest remaining sampled duration, as for
+a `duration` head.  It drives every use of enabledness: the ready set
+holds the queued processes whose wait is 0, the active process blocks
+while its wait is not 0, and a stalled object wakes on what its heads'
+waits name.
 
 mte is the least delay over each object's active process, or over its
 queue when it has none (`mte_raw` says so directly).  The engine reads
@@ -90,30 +98,28 @@ from __future__ import annotations
 import heapq
 import random
 from collections import deque
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .desugar import default_policy
 from .errors import (
-    EvalTypeError, PolicyError, RtRuntimeError, UnboundVariableError,
-    UnknownMethodError, deep_recursion,
+    PolicyError, RtRuntimeError, UnknownMethodError, deep_recursion,
 )
 from .evaluator import (
-    EvalContext, Program, awaited_future, eval_expr, eval_guard,
+    DEFAULTS, Block, EvalContext, Place, Program, eval_expr, eval_guard,
     remaining_deadline,
 )
 from .nodes import (
-    Expr, GDuration, GFut, Lit, Model, Pos, RCall, RExpr, RGet, RNew, SAssign,
-    SAwait, SDuration, SIf, SReturn, SSkip, SSuspend, SWhile, Stmt,
+    Expr, Lit, Model, Pos, RCall, RExpr, RGet, RNew, SAssign, SAwait,
+    SDuration, SIf, SReturn, SSkip, SSuspend, SWhile, Stmt,
 )
 from .pretty import render_expr, render_guard, render_stmt
 from .trace import TraceEvent, TraceSink
 from .values import (
-    DURATION_POLICIES, FALSE, INF_DURATION, NULL, BoolVal, DataVal, FutRef,
-    NumVal, ObjRef, Rat, StrVal, Value, duration_rat, exact, format_rat,
-    is_duration, is_inf_duration, mk_duration, mk_list, mk_time, num,
-    render_duration_field, render_value,
+    DURATION_POLICIES, FALSE, INF_DURATION, NULL, DataVal, FutRef, ObjRef,
+    Rat, StrVal, Value, duration_rat, exact, format_rat, is_inf_duration,
+    mk_duration, mk_list, mk_time, num, render_duration_field, render_value,
 )
 
 MAIN_CLASS = "<main>"
@@ -129,7 +135,10 @@ class ProcessRecord:
     method: str
     locals: dict[str, Value]
     # the head is block[index]; frames holds the (block, index) places to
-    # resume, innermost last.  A block is left as soon as it is done.
+    # resume, innermost last.  A block is left as soon as it is done.  The
+    # engine's blocks are compiled (`evaluator.Block`); a bare tuple of
+    # statements that a record was built from is compiled when first
+    # consulted (`compiled_block`)
     block: tuple[Stmt, ...]
     index: int = 0
     frames: list[tuple[tuple[Stmt, ...], int]] = field(default_factory=list)
@@ -166,6 +175,9 @@ class ObjectState:
     cls: str
     policy: Expr
     attrs: dict[str, Value]
+    # the policy's code, compiled with the `new` that created the object
+    # (with an object built by hand, at its first decision)
+    policy_code: Callable | None = None
     active: ProcessRecord | None = None
     queue: list[ProcessRecord] = field(default_factory=list)
     # invocation messages not yet bound, in arrival order
@@ -248,8 +260,6 @@ def select(pid_value: Value, processes: list[ProcessRecord]) -> ProcessRecord | 
 # position to be sampled already (the engine fixes them before
 # consulting any of them).
 
-_ZERO = 0
-
 Wait = Rat | FutRef | None
 
 
@@ -257,32 +267,23 @@ def wait(p: ProcessRecord, obj: ObjectState, ctx: EvalContext) -> Wait:
     """What p's head waits for: 0 when it may fire now, a positive delay
     when it may fire once that much time has passed, the unresolved
     future it awaits (`f?`) or gets (`x = e.get`), or None when a
-    boolean conjunct does not hold.  Each conjunct and the `.get` target
-    evaluate in p's scope: its locals, then its object's fields."""
-    head = p.block[p.index]
-    if isinstance(head, SAwait):
-        for guard in head.guards:
-            if isinstance(guard, GFut):
-                fut = awaited_future(guard, p.locals, ctx, obj.attrs, p)
-                if not ctx.config.futures[fut.fid].resolved:
-                    return fut
-            elif isinstance(guard, GDuration):
-                if p.sample is None:
-                    raise AssertionError("wait on an unsampled duration guard")
-            elif not eval_guard(guard, p.locals, ctx, obj.attrs, p):
-                return None
-    elif (isinstance(head, SAssign) and isinstance(head.rhs, RGet)
-          and p.pending is None):
-        fut = eval_expr(head.rhs.expr, p.locals, ctx, obj.attrs, p)
-        if not isinstance(fut, FutRef):
-            raise EvalTypeError(
-                f"get applied to {render_value(fut)}, not a future",
-                head.rhs.pos)
-        return _ZERO if ctx.config.futures[fut.fid].resolved else fut
-    if not p.sample:
-        return _ZERO
-    left = max(p.sample) - ctx.config.clock  # the longest time left
-    return left if left > 0 else _ZERO
+    boolean conjunct does not hold.  The head's compiled `Place.wait`
+    says: an await folds over its conjuncts left to right, stopping at
+    the first boolean or future conjunct that does not hold, else it is
+    the longest remaining sampled duration, as any other sampled head's
+    wait is.  Each conjunct and the `.get` target evaluate in p's scope:
+    its locals, then its object's fields."""
+    return eval_guard(compiled_block(p, ctx.program).code[p.index].wait,
+                      p.locals, ctx, obj.attrs, p)
+
+
+def compiled_block(p: ProcessRecord, program: Program) -> Block:
+    """p's block, compiled: a record built from a bare tuple of
+    statements has it compiled here, once."""
+    block = p.block
+    if block.__class__ is not Block:
+        block = p.block = program.block(block)
+    return block
 
 
 def mte_raw(config: Configuration, program: Program) -> Rat | None:
@@ -391,8 +392,10 @@ class Engine:
     def boot(self) -> None:
         """Install the synthetic main object and its main-block process."""
         assert not self.config.objects, "booted twice"
-        self._create_object(MAIN_CLASS, default_policy(), {}, "main",
-                            self.model.main)
+        policy, main = default_policy(), self.model.main
+        self._create_object(
+            MAIN_CLASS, policy, self.program.compiled(policy), {}, "main",
+            None if main is None else self.program.block(main))
 
     def _reserved_locals(self, fid: int, method: str, critical: Value,
                          cost: Value, arrival: Rat) -> dict[str, Value]:
@@ -410,18 +413,9 @@ class Engine:
 
     # ------------------------------------------------------- guard sampling
 
-    def _draw(self, best: Expr, worst: Expr, p: ProcessRecord,
-              obj: ObjectState, pos) -> Rat:
-        """Evaluate and check duration bounds in p's scope, then pick a
-        duration by the duration policy."""
-        lo = self._bound_rat(
-            eval_expr(best, p.locals, self.ctx, obj.attrs, p), pos)
-        hi = self._bound_rat(
-            eval_expr(worst, p.locals, self.ctx, obj.attrs, p), pos)
-        if lo < 0 or hi < lo:
-            raise RtRuntimeError(
-                f"malformed duration bounds ({format_rat(lo)}, "
-                f"{format_rat(hi)})", pos)
+    def _draw(self, lo: Rat, hi: Rat) -> Rat:
+        """A duration between checked bounds, picked by the duration
+        policy."""
         if self.duration_policy == "worst":
             return hi
         if self.duration_policy == "best":
@@ -429,25 +423,21 @@ class Engine:
         return exact(lo + (hi - lo)
                      * Fraction(self.rng.randint(0, 1000), 1000))
 
-    def _bound_rat(self, v: Value, pos) -> Rat:
-        if isinstance(v, NumVal):
-            return v.value
-        if is_duration(v) and not is_inf_duration(v):
-            return duration_rat(v)
-        raise EvalTypeError(
-            f"duration bound is {render_value(v)}, not a finite number", pos)
-
     def _fix_head(self, p: ProcessRecord, obj: ObjectState) -> None:
         """Sample the duration conjuncts of p's await head, left to right,
         each ending that long after now.  A sampled head stays as it is,
-        so fixing is idempotent and draws nothing twice."""
-        head = p.block[p.index]
-        if p.sample is not None or not isinstance(head, SAwait):
+        so fixing is idempotent and draws nothing twice; only an
+        unsampled await head samples, so the engine calls this for
+        none other."""
+        if p.sample is not None or type(p.block[p.index]) is not SAwait:
             return
+        # None when it has no duration conjunct
+        bounds = compiled_block(p, self.program).code[p.index].run
+        if bounds is not None:
+            bounds = eval_expr(bounds, p.locals, self.ctx, obj.attrs, p)
         clock = self.config.clock
-        p.sample = tuple([exact(clock + self._draw(g.best, g.worst, p, obj,
-                                                   g.pos))
-                          for g in head.guards if isinstance(g, GDuration)])
+        p.sample = tuple([exact(clock + self._draw(lo, hi))
+                          for lo, hi in bounds or ()])
 
     def _fix_woken_heads(self) -> None:
         """Sample the heads of the objects woken or created since the
@@ -458,6 +448,8 @@ class Engine:
         for oid in sorted(self._woken):
             obj = objects[oid]
             for p in [obj.active, *obj.queue] if obj.active else obj.queue:
+                if p.sample is not None or type(p.block[p.index]) is not SAwait:
+                    continue
                 try:
                     self._fix_head(p, obj)
                 except RtRuntimeError as err:
@@ -550,25 +542,21 @@ class Engine:
     def bind_activation(self, msg: InvocationMessage) -> ProcessRecord:
         """Turn an invocation message into a queued process."""
         obj = self.config.objects[msg.callee]
-        cd = self.program.classes.get(obj.cls)
-        if cd is None:
+        code = self.program.class_code(obj.cls)
+        if code is None:
             raise UnknownMethodError(
                 f"object o{obj.oid} has no class {obj.cls}", msg.pos)
-        mth = next((m for m in cd.methods if m.name == msg.method), None)
-        if mth is None:
+        method = code.methods.get(msg.method)
+        if method is None:
             raise UnknownMethodError(
                 f"class {obj.cls} has no method {msg.method}", msg.pos)
-        formals = [name for _, name in mth.params]
+        formals = [name for _, name in method.decl.params]
         if len(formals) != len(msg.args):
             raise RtRuntimeError(
                 f"{obj.cls}.{msg.method} expects {len(formals)} argument(s), "
                 f"got {len(msg.args)}", msg.pos)
         arg_env = dict(zip(formals, msg.args))
-        cost = eval_expr(mth.cost, arg_env, self.ctx)
-        if not is_duration(cost):
-            raise EvalTypeError(
-                f"cost of {obj.cls}.{msg.method} is {render_value(cost)}, "
-                f"not a Duration", mth.cost.pos)
+        cost = eval_expr(method.cost, arg_env, self.ctx)
         locals_ = self._reserved_locals(msg.fid, msg.method, msg.critical,
                                         cost, msg.timestamp)
         locals_.update(arg_env)
@@ -576,7 +564,7 @@ class Engine:
         due = (None if is_inf_duration(msg.deadline)
                else exact(self.config.clock + duration_rat(msg.deadline)))
         return ProcessRecord(pid=msg.fid, method=msg.method, locals=locals_,
-                             block=mth.body, label=label, due=due)
+                             block=method.body, label=label, due=due)
 
     def _bind_and_enqueue(self, obj: ObjectState, msg: InvocationMessage) -> None:
         try:
@@ -599,107 +587,90 @@ class Engine:
                    data=tuple(data))
 
     # --- rules for the active process
+    #
+    # Each rule's code is its head's `Place` (evaluator): `_step_active`
+    # picks the rule by the statement's type (`_STEPS`), and the rule
+    # runs the place's code through `eval_expr`.
 
     def _step_active(self, obj: ObjectState) -> str | None:
         p = obj.active
         assert p is not None, "no active process"
-        self._fix_head(p, obj)
         s = p.block[p.index]
-        self.ctx.clock_read = False  # reads by the wait, not by the draws
-        w = wait(p, obj, self.ctx)
-
-        if isinstance(s, SAwait):
-            if w == 0:
+        ctx = self.ctx
+        if type(s) is SAwait:  # it proceeds or suspends, whatever it waits for
+            if p.sample is None:
+                self._fix_head(p, obj)
+            if wait(p, obj, ctx) == 0:
                 p.proceed()
                 return "await-true"
             guard = render_guard(s.guards, p.sample, self.config.clock)
             self._suspend(obj, p, (("guard", guard),))
             return "await-false"
-
+        ctx.clock_read = False
+        w = wait(p, obj, ctx)
         if w != 0:  # the object waits for the clock or a future
-            self._register(obj, (w,), self.ctx.clock_read)
+            self._register(obj, (w,), ctx.clock_read)
             return None
+        step = _STEPS.get(type(s))
+        if step is None:
+            raise RtRuntimeError(
+                f"statement was not lowered: {type(s).__name__}",
+                getattr(s, "pos", None))
+        return step(self, obj, p, s, p.block.code[p.index])
 
-        if isinstance(s, SSkip):
-            p.proceed()
-            return "skip"
+    def _step_skip(self, obj: ObjectState, p: ProcessRecord, s: SSkip,
+                   place: Place) -> str:
+        p.proceed()
+        return "skip"
 
-        if isinstance(s, SAssign):
-            return self._step_assign(obj, p, s)
-
-        if isinstance(s, SWhile) and not p.looping:
-            p.looping = True  # unrolled: `if cond { body; while ... }`
-            return "while"
-
-        if isinstance(s, (SIf, SWhile)):
-            cond = eval_expr(s.cond, p.locals, self.ctx, obj.attrs, p)
-            if not isinstance(cond, BoolVal):
-                raise EvalTypeError(
-                    f"condition is {render_value(cond)}, not a Bool", s.pos)
-            p.looping = False
-            if isinstance(s, SIf):
-                p.proceed()
-                p.enter(s.then if cond.value else s.els)
-            elif cond.value:
-                p.enter(s.body)  # the loop is the head again after its body
-            else:
-                p.proceed()
-            return "cond"
-
-        if isinstance(s, SReturn):
-            self._do_return(obj, p, s)
-            return "return"
-
-        if isinstance(s, SSuspend):
-            p.proceed()
-            self._suspend(obj, p, ())
-            return "suspend"
-
-        if isinstance(s, SDuration):
-            if p.sample is None:
-                end = self.config.clock + self._draw(s.best, s.worst, p, obj,
-                                                     s.pos)
-                p.sample = (exact(end),)
-                return "duration"
-            p.proceed()  # wait found it ended
-            return "duration-done"
-
-        raise RtRuntimeError(f"statement was not lowered: {type(s).__name__}",
-                             getattr(s, "pos", None))
-
-    def _step_assign(self, obj: ObjectState, p: ProcessRecord,
-                     s: SAssign) -> str:
+    def _step_assign(self, obj: ObjectState, p: ProcessRecord, s: SAssign,
+                     place: Place) -> str:
         """One step of an assignment.  A `new`, call or `.get` takes two:
         the first computes the value, kept as `p.pending`, and the second
         stores it."""
-        rhs = s.rhs
-        if p.pending is not None:
-            value = p.pending
-        elif rhs is None:
-            value = _DEFAULTS.get(s.decl_type.name, NULL)
-        elif isinstance(rhs, RExpr):
-            value = eval_expr(rhs.expr, p.locals, self.ctx, obj.attrs, p)
-        elif isinstance(rhs, RNew):
-            p.pending = self._new_object(obj, p, rhs)
-            return "new-object"
-        elif isinstance(rhs, RCall):
-            p.pending = self._async_call(obj, p, rhs)
-            return "async-call"
-        elif isinstance(rhs, RGet):  # wait found the future resolved
-            fut = eval_expr(rhs.expr, p.locals, self.ctx, obj.attrs, p)
-            p.pending = self.config.futures[fut.fid].value
-            return "read-fut"
+        if place.store is None:  # an expression or a default: one step
+            eval_expr(place.run, p.locals, self.ctx, obj.attrs, p)
+        elif p.pending is None:
+            return _FIRST_HALVES[type(s.rhs)](self, obj, p, s.rhs, place)
         else:
-            raise RtRuntimeError(
-                f"call was not lowered: {type(rhs).__name__}", s.pos)
-        if s.decl_type is not None or s.name in p.locals:
-            p.locals[s.name] = value
-        elif s.name in obj.attrs:
-            obj.attrs[s.name] = value
-        else:
-            raise UnboundVariableError(f"unbound variable {s.name}", s.pos)
+            eval_expr(place.store, p.locals, self.ctx, obj.attrs, p)
         p.proceed()
         return "assign"
+
+    def _step_if(self, obj: ObjectState, p: ProcessRecord, s: SIf,
+                 place: Place) -> str:
+        then = eval_expr(place.run, p.locals, self.ctx, obj.attrs, p)
+        p.proceed()
+        p.enter(place.blocks[0] if then else place.blocks[1])
+        return "cond"
+
+    def _step_while(self, obj: ObjectState, p: ProcessRecord, s: SWhile,
+                    place: Place) -> str:
+        if not p.looping:
+            p.looping = True  # unrolled: `if cond { body; while ... }`
+            return "while"
+        holds = eval_expr(place.run, p.locals, self.ctx, obj.attrs, p)
+        p.looping = False
+        if holds:
+            p.enter(place.blocks[0])  # the loop is the head again after it
+        else:
+            p.proceed()
+        return "cond"
+
+    def _step_suspend(self, obj: ObjectState, p: ProcessRecord, s: SSuspend,
+                      place: Place) -> str:
+        p.proceed()
+        self._suspend(obj, p, ())
+        return "suspend"
+
+    def _step_duration(self, obj: ObjectState, p: ProcessRecord,
+                       s: SDuration, place: Place) -> str:
+        if p.sample is None:
+            lo, hi = eval_expr(place.run, p.locals, self.ctx, obj.attrs, p)
+            p.sample = (exact(self.config.clock + self._draw(lo, hi)),)
+            return "duration"
+        p.proceed()  # wait found it ended
+        return "duration-done"
 
     def _suspend(self, obj: ObjectState, p: ProcessRecord, data: tuple) -> None:
         obj.active = None
@@ -707,9 +678,9 @@ class Engine:
         self._emit("suspend", obj=obj.oid, pid=p.pid, method=p.method,
                    data=data)
 
-    def _do_return(self, obj: ObjectState, p: ProcessRecord,
-                   s: SReturn) -> None:
-        value = eval_expr(s.expr, p.locals, self.ctx, obj.attrs, p)
+    def _step_return(self, obj: ObjectState, p: ProcessRecord, s: SReturn,
+                     place: Place) -> str:
+        value = eval_expr(place.run, p.locals, self.ctx, obj.attrs, p)
         clock = self.config.clock
         remaining = remaining_deadline(p, clock)
         self.config.futures[p.pid].resolve(value)
@@ -726,30 +697,14 @@ class Engine:
             self._emit("deadline_miss", obj=obj.oid, pid=p.pid,
                        method=p.method,
                        data=(("lateness", format_rat(clock - p.due)),))
+        return "return"
 
-    # --- Async-Call
+    # --- the first halves of a `new`, a call and a `.get`
 
-    def _async_call(self, obj: ObjectState, p: ProcessRecord,
-                    rhs: RCall) -> FutRef:
-        ctx, env, fields = self.ctx, p.locals, obj.attrs
-        callee = eval_expr(rhs.callee, env, ctx, fields, p)
-        if callee == NULL:
-            raise RtRuntimeError(f"call to {rhs.method} on null", rhs.pos)
-        if not isinstance(callee, ObjRef):
-            raise EvalTypeError(
-                f"call target is {render_value(callee)}, not an object",
-                rhs.pos)
-        args = tuple(eval_expr(a, env, ctx, fields, p) for a in rhs.args)
-        deadline = eval_expr(rhs.annots.deadline, env, ctx, fields, p)
-        if not is_duration(deadline):
-            raise EvalTypeError(
-                f"deadline is {render_value(deadline)}, not a Duration",
-                rhs.pos)
-        critical = eval_expr(rhs.annots.critical, env, ctx, fields, p)
-        if not isinstance(critical, BoolVal):
-            raise EvalTypeError(
-                f"criticality is {render_value(critical)}, not a Bool",
-                rhs.pos)
+    def _async_call(self, obj: ObjectState, p: ProcessRecord, rhs: RCall,
+                    place: Place) -> str:
+        callee, args, deadline, critical = eval_expr(
+            place.run, p.locals, self.ctx, obj.attrs, p)
         fid = self._fresh_fid()
         self.config.objects[callee.oid].inbox.append(InvocationMessage(
             rhs.method, callee.oid, args, fid, deadline, critical,
@@ -759,36 +714,43 @@ class Engine:
                    data=(("caller", f"o{obj.oid}"),
                          ("deadline", render_duration_field(deadline)),
                          ("critical", render_value(critical))))
-        return FutRef(fid)
+        p.pending = FutRef(fid)
+        return "async-call"
 
-    # --- New-Object
+    def _read_future(self, obj: ObjectState, p: ProcessRecord, rhs: RGet,
+                     place: Place) -> str:
+        # wait found the future resolved
+        p.pending = eval_expr(place.run, p.locals, self.ctx, obj.attrs, p)
+        return "read-fut"
 
-    def _new_object(self, obj: ObjectState, p: ProcessRecord,
-                    rhs: RNew) -> ObjRef:
-        cd = self.program.classes.get(rhs.cls)
-        if cd is None:
+    def _new_object(self, obj: ObjectState, p: ProcessRecord, rhs: RNew,
+                    place: Place) -> str:
+        code = self.program.class_code(rhs.cls)
+        if code is None:
             raise RtRuntimeError(f"unknown class {rhs.cls}", rhs.pos)
+        cd = self.program.classes[rhs.cls]
         if len(cd.params) != len(rhs.args):
             raise RtRuntimeError(
                 f"class {rhs.cls} expects {len(cd.params)} argument(s), "
                 f"got {len(rhs.args)}", rhs.pos)
-        args = [eval_expr(a, p.locals, self.ctx, obj.attrs, p)
-                for a in rhs.args]
+        args = eval_expr(place.run, p.locals, self.ctx, obj.attrs, p)
         attrs: dict[str, Value] = {}
         for (_, name), value in zip(cd.params, args):
             attrs[name] = value
         for fd in cd.fields:
-            attrs[fd.name] = _DEFAULTS.get(fd.type.name, NULL)
-        return self._create_object(rhs.cls, rhs.scheduler, attrs, "init",
-                                   cd.init_body)
+            attrs[fd.name] = DEFAULTS.get(fd.type.name, NULL)
+        p.pending = self._create_object(rhs.cls, rhs.scheduler, place.policy,
+                                        attrs, "init", code.init)
+        return "new-object"
 
-    def _create_object(self, cls: str, policy: Expr, attrs: dict[str, Value],
-                       method: str, body: tuple[Stmt, ...] | None) -> ObjRef:
+    def _create_object(self, cls: str, policy: Expr, policy_code: Callable,
+                       attrs: dict[str, Value], method: str,
+                       body: Block | None) -> ObjRef:
         """Install a fresh object; a body becomes its creation process,
         activated and dispatched at once under the given method name."""
         oid = len(self.config.objects)
         attrs["this"] = ObjRef(oid)
-        obj = ObjectState(oid, cls, policy, attrs)
+        obj = ObjectState(oid, cls, policy, attrs, policy_code)
         self.config.objects[oid] = obj
         heapq.heappush(self._awake, oid)
         self._woken.add(oid)
@@ -813,7 +775,8 @@ class Engine:
         tick = False  # whether computing a wait read the clock
         for p in obj.queue:
             try:
-                self._fix_head(p, obj)
+                if p.sample is None and type(p.block[p.index]) is SAwait:
+                    self._fix_head(p, obj)
                 ctx.clock_read = False  # reads by the wait, not by the draws
                 waits.append(wait(p, obj, ctx))
             except RtRuntimeError as err:
@@ -850,7 +813,9 @@ class Engine:
         queue; the result must identify one of the ready processes."""
         queue = {"queue": liftall(ready, self.config.clock)}
         try:
-            choice = eval_expr(obj.policy, queue, self.ctx, obj.attrs)
+            if obj.policy_code is None:  # an object built by hand
+                obj.policy_code = self.program.compiled(obj.policy)
+            choice = eval_expr(obj.policy_code, queue, self.ctx, obj.attrs)
             if not (isinstance(choice, DataVal) and choice.ctor == "Proc"
                     and len(choice.args) == len(PROC_FIELDS)):
                 raise PolicyError(
@@ -945,8 +910,15 @@ class Engine:
         return out
 
 
-# the value of a variable declared without an initializer, by type name
-_DEFAULTS = {"Int": num(0), "Rat": num(0), "Bool": FALSE, "String": StrVal("")}
+# the rule for an active process at each kind of head but an await
+_STEPS = {SSkip: Engine._step_skip, SAssign: Engine._step_assign,
+          SIf: Engine._step_if, SWhile: Engine._step_while,
+          SReturn: Engine._step_return, SSuspend: Engine._step_suspend,
+          SDuration: Engine._step_duration}
+
+# the first half of an assignment of a `new`, a call or a `.get`
+_FIRST_HALVES = {RNew: Engine._new_object, RCall: Engine._async_call,
+                 RGet: Engine._read_future}
 
 
 def simulate(model: Model, limit: Rat, seed: int = 0,

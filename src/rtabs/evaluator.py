@@ -1,33 +1,43 @@
-"""Strict evaluation of side-effect-free expressions and guards.
+"""Strict evaluation of side-effect-free expressions, and the code that
+runs each statement and await head.
 
-Expressions are compiled, not walked: each becomes one Python function,
-generated as source and compiled once per `Program` (`_Generator`),
-which every evaluation shares.  Each subexpression's value goes to a
-fresh local in evaluation order, each `case` binder is a local of its
-branch, and every operator's checks and error texts are module-level
-helpers that the generated code calls.
+Nothing is walked at run time: each expression, statement and head
+becomes a Python function, generated as source and compiled once per
+`Program` (`_Generator`), which every evaluation shares.  Each
+subexpression's value goes to a fresh local in evaluation order, each
+`case` binder is a local of its branch, and every operator's and
+statement's checks and error texts are module-level helpers that the
+generated code calls.
 
 - A model function (`def`) is generated the first time a call to it is
   generated, together with the functions it calls.  Its formals are the
   function's parameters, so a body never sees its caller's variables.
-- Any other expression (a statement's, a guard's, a `[Scheduler:]`
-  policy) is generated the first time it is evaluated, and kept by the
-  identity of its node, which the cache holds.  Its formals are its
-  scope (`lookup`): a process's locals, its object's fields and the
-  process itself, whose time left `deadline` reads; or a plain dict.
+- A class is generated when its first object is created: each method's
+  body and `[Cost:]`, and its `init` body, in one `compile`
+  (`Program.class_code`); the `main` block when the run boots.  A block
+  compiles to a `Block`, the tuple of its statements that also holds
+  the `Place` of each: the functions of its head and its step, and the
+  blocks it enters.  The engine keeps the block it runs, so it reaches
+  each place's code by position, never by a lookup.
+- Any other node a caller evaluates (an expression, a boolean or future
+  conjunct, a `[Scheduler:]` policy the run is booted with) is
+  generated the first time it is evaluated and kept by its identity.
 
-A case binder shadows an outer variable of the same name.  A name reads
-its scope value, else a nullary constructor, else it is an unbound
-variable.  A call evaluates its arguments left to right before any
-error about the call itself; a function shadows a constructor of the
-same name, and every model call counts one toward `max_depth`.
-Rationals stay exact throughout (`values.exact`).
+Every such function is one of its scope (`lookup`): a process's locals
+(`e`), its object's fields (`f`) and the process itself (`p`), whose
+time left `deadline` reads; or a plain dict.  A name reads its scope
+value, else a nullary constructor, else it is an unbound variable; a
+case binder shadows an outer variable of the same name.  A call
+evaluates its arguments left to right before any error about the call
+itself; a function shadows a constructor of the same name, and every
+model call counts one toward `max_depth`.  Rationals stay exact
+throughout (`values.exact`).
 
 Code reads nothing of the run but through its `EvalContext`: the clock
 (`now`) and the future table (`f?`, `.get`) of the run's configuration,
 read in place when evaluated, and `max_depth`.  So the engine builds
-one context when it starts and evaluates every expression of the run
-with it.  Reading the clock, through `now` or a `deadline` variable, also
+one context when it starts and evaluates everything of the run with
+it.  Reading the clock, through `now` or a `deadline` variable, also
 sets the context's `clock_read`: the engine clears it before evaluating
 a blocked head, so it learns whether a tick alone may change the head.
 """
@@ -37,6 +47,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import FunctionType
 from typing import Any, Callable, Sequence
 
 from .errors import (
@@ -44,16 +55,72 @@ from .errors import (
     RtRuntimeError, UnboundVariableError,
 )
 from .nodes import (
-    Apply, BinOp, CaseExpr, ClassDecl, Expr, FuncDecl, GBool, GFut, IfExpr,
-    Lit, Model, NowExpr, PCtor, PLit, PName, Pattern, PWildcard, Unary, Var,
+    Apply, BinOp, CaseExpr, ClassDecl, Expr, FuncDecl, GBool, GDuration,
+    GFut, Guard, IfExpr, Lit, MethodDecl, Model, Node, NowExpr, PCtor, PLit,
+    PName, Pattern, PWildcard, RCall, RExpr, RGet, RNew, SAssign, SAwait,
+    SDuration, SIf, SReturn, SWhile, Stmt, Unary, Var,
 )
 from .values import (
-    INF_DURATION, BoolVal, DataVal, FALSE, FutRef, NumVal, Rat, StrVal,
-    TRUE, Value, exact, is_time, mk_duration, mk_time, render_value,
+    INF_DURATION, NULL, BoolVal, DataVal, FALSE, FutRef, NumVal, ObjRef, Rat,
+    StrVal, TRUE, Value, duration_rat, exact, format_rat, is_duration,
+    is_inf_duration, is_time, mk_duration, mk_time, num, render_value,
 )
 
 Env = dict[str, Value]
 _NO_FIELDS: Env = {}
+
+# the value of a variable declared without an initializer, by type name
+DEFAULTS = {"Int": num(0), "Rat": num(0), "Bool": FALSE, "String": StrVal("")}
+
+
+class Block(tuple):
+    """The statements of a block, the tuple its tree holds, with `code`:
+    the `Place` compiled for each, in the same order."""
+
+    code: tuple[Place, ...]
+
+
+class Place:
+    """The code compiled for one statement of a block.  Each function
+    is one of the scope `(c, n, e, f, p)` (see `_Generator`):
+
+    - wait: what the statement waits for as a head (`engine.wait`): 0,
+      a delay, an unresolved future or None;
+    - run: its step's work, and its value: an assignment of an
+      expression or a default stores it; a `new` gives its arguments, a
+      call `(callee, args, deadline, criticality)` and a `.get` the
+      future's value; an `if` or `while` its condition's truth; a
+      `return` its value; a `duration` its `(best, worst)` bounds and an
+      await head those of each duration conjunct (None without one);
+    - store: the second half of a `new`, call or `.get`, which stores
+      `p.pending`;
+    - blocks: the blocks it enters: an `if`'s `then` and `els`, a
+      `while`'s body;
+    - policy: a `new`'s `[Scheduler:]`, whose scope is `queue`.
+    """
+
+    __slots__ = ("wait", "run", "store", "blocks", "policy")
+
+    def __init__(self):
+        self.wait = _sampled
+        self.run = self.store = self.policy = None
+        self.blocks: tuple[Block, ...] = ()
+
+
+class Method:
+    """A method of a class, compiled: its declaration, its `[Cost:]`,
+    a function of the scope of its arguments, and its body."""
+
+    __slots__ = ("decl", "cost", "body")
+
+    def __init__(self, decl: MethodDecl, cost: Any, body: Block):
+        self.decl, self.cost, self.body = decl, cost, body
+
+
+@dataclass
+class ClassCode:
+    methods: dict[str, Method]
+    init: Block | None  # the creation process's body, if it has one
 
 
 @dataclass
@@ -66,9 +133,12 @@ class Program:
     classes: dict[str, ClassDecl]
     # the generated Python function of each model function called so far
     bodies: dict[str, Callable] = field(default_factory=dict, repr=False)
-    # the generated Python function of each top-level expression
-    # evaluated so far, by node identity; holding the node keeps its id
-    code: dict[int, tuple[Expr, Callable]] = field(default_factory=dict,
+    # the code of each class that has had an object created so far
+    class_codes: dict[str, ClassCode] = field(default_factory=dict,
+                                              repr=False)
+    # the generated Python function of each node evaluated on its own so
+    # far, by node identity; holding the node keeps its id
+    code: dict[int, tuple[Node, Callable]] = field(default_factory=dict,
                                                    repr=False)
     generator: _Generator = field(init=False, repr=False)
 
@@ -87,15 +157,31 @@ class Program:
         classes = {cd.name: cd for cd in model.classes}
         return Program(functions, ctor_arity, classes)
 
-    def compiled(self, expr: Expr) -> Callable:
-        """The Python function that evaluates top-level expression expr:
-        called as `(ctx, calls, env, fields, proc)`, where calls is how
-        many model calls it may make (`max_depth`)."""
-        entry = self.code.get(id(expr))
+    def compiled(self, node: Expr | Guard) -> Callable:
+        """The Python function that evaluates node on its own: called as
+        `(ctx, calls, env, fields, proc)`, where calls is how many model
+        calls it may make (`max_depth`).  An expression's gives its
+        value, a boolean conjunct's its truth and a future conjunct's
+        the future."""
+        entry = self.code.get(id(node))
         if entry is None:
-            entry = self.code[id(expr)] = (expr,
-                                           self.generator.top_level(expr))
+            entry = self.code[id(node)] = (node,
+                                           self.generator.top_level(node))
         return entry[1]
+
+    def class_code(self, name: str) -> ClassCode | None:
+        """The code of class name, compiled on first use; None when the
+        model has no such class."""
+        code = self.class_codes.get(name)
+        if code is None and name in self.classes:
+            code = self.class_codes[name] = self.generator.class_code(
+                self.classes[name])
+        return code
+
+    def block(self, stmts: tuple[Stmt, ...]) -> Block:
+        """stmts, compiled anew into a Block: the `main` block, or one a
+        process was built from by hand."""
+        return self.generator.unit(lambda: self.generator.block(stmts))
 
 
 @dataclass
@@ -125,7 +211,9 @@ def lookup(name: str, env: Env, fields: Env, proc: Any,
            ctx: EvalContext) -> Value | None:
     """What a name that no binder holds reads in a scope: in process
     proc's, `deadline` is its time left; any other name reads env (its
-    locals), else fields (its object's).  None when neither holds it."""
+    locals), else fields (its object's).  None when neither holds it.
+    Generated code reads env and fields itself, and calls this for
+    `deadline` only."""
     if proc is not None and name == "deadline":
         ctx.clock_read = True
         return remaining_deadline(proc, ctx.config.clock)
@@ -133,58 +221,59 @@ def lookup(name: str, env: Env, fields: Env, proc: Any,
     return fields.get(name) if value is None else value
 
 
-def eval_expr(expr: Expr, env: Env, ctx: EvalContext,
-              fields: Env = _NO_FIELDS, proc: Any = None) -> Value:
-    """The value of expr in a scope (see `lookup`); a plain dict env is
-    a scope with no fields and no process."""
+def eval_expr(code: Expr | Guard | Callable, env: Env, ctx: EvalContext,
+              fields: Env = _NO_FIELDS, proc: Any = None) -> Any:
+    """Run code in a scope (see `lookup`), and give its result: code is
+    a function of a `Place` or `Method` of the program, or a node,
+    evaluated on its own (`Program.compiled`).  A plain dict env is a
+    scope with no fields and no process."""
     try:
-        return ctx.program.compiled(expr)(ctx, ctx.max_depth, env, fields,
-                                          proc)
+        if code.__class__ is not FunctionType:
+            code = ctx.program.compiled(code)
+        return code(ctx, ctx.max_depth, env, fields, proc)
     except RecursionError:
-        raise CallDepthError(
-            "expression nesting exhausted the host stack") from None
+        raise _host_stack() from None
 
 
-def eval_guard(guard: GBool, env: Env, ctx: EvalContext,
-               fields: Env = _NO_FIELDS, proc: Any = None) -> bool:
-    """Whether a boolean conjunct of an await guard holds in a scope.
-    `engine.wait` reads the other conjuncts itself."""
-    value = eval_expr(guard.expr, env, ctx, fields, proc)
-    if not isinstance(value, BoolVal):
-        raise EvalTypeError(
-            f"guard is {render_value(value)}, not a Bool", guard.pos)
-    return value.value
+# Whether a boolean conjunct of an await guard holds in a scope, given
+# the conjunct; or what a head waits for, given its `Place.wait`.  The
+# code of either gives just that, so a guard evaluates as an expression
+# does; the engine names the two apart, which lets a caller count them
+# apart.
+eval_guard = eval_expr
 
 
 def awaited_future(guard: GFut, env: Env, ctx: EvalContext,
                    fields: Env = _NO_FIELDS, proc: Any = None) -> FutRef:
     """The future that `guard.var` holds in the scope."""
-    value = lookup(guard.var, env, fields, proc, ctx)
-    if value is None:
-        raise UnboundVariableError(f"unbound variable {guard.var}",
-                                   guard.pos)
-    if not isinstance(value, FutRef):
-        raise EvalTypeError(
-            f"{guard.var}? applied to {render_value(value)}, not a future",
-            guard.pos)
-    return value
+    return eval_expr(guard, env, ctx, fields, proc)
 
 
 # ------------------------------------------------------- operator helpers
 #
-# The one definition of each operator's checks and error texts, called
-# by generated code, which may test for the common case (numbers,
-# booleans) before calling one.
+# The one definition of each operator's and statement's checks and error
+# texts, called by generated code, which may test for the common case
+# (numbers, booleans) before calling one.
+
+# what `_truth` names a value that is no Bool, for what is not an
+# operator
+_SUBJECTS = {"if": "if condition", "cond": "condition", "guard": "guard"}
 
 
 def _truth(v: Value, op: str, pos) -> bool:
-    """The truth of v, an operand of op: `if`, `!`, `&&` or `||`."""
+    """The truth of v, an operand of op (`!`, `&&` or `||`), or what a
+    key of `_SUBJECTS` names: an `if` expression's or a statement's
+    condition, or an await guard's boolean conjunct."""
     if type(v) is BoolVal:
         return v.value
-    if op == "if":
-        raise EvalTypeError(f"if condition is {render_value(v)}, not a Bool",
-                            pos)
+    subject = _SUBJECTS.get(op)
+    if subject is not None:
+        raise _mistyped(f"{subject} is", v, "a Bool", pos)
     raise EvalTypeError(f"{op} applied to {render_value(v)}", pos)
+
+
+def _mistyped(subject: str, v: Value, kind: str, pos) -> RtRuntimeError:
+    return EvalTypeError(f"{subject} {render_value(v)}, not {kind}", pos)
 
 
 def _neg(v: Value, pos) -> Value:
@@ -262,6 +351,41 @@ def _depth_error(c: EvalContext, name: str, pos) -> RtRuntimeError:
     return CallDepthError(f"call depth exceeded {c.max_depth} in {name}", pos)
 
 
+def _host_stack() -> RtRuntimeError:
+    return CallDepthError("expression nesting exhausted the host stack")
+
+
+def _bound(v: Value, pos) -> Rat:
+    """A duration bound's magnitude: a number or a finite Duration."""
+    if type(v) is NumVal:
+        return v.value
+    if is_duration(v) and not is_inf_duration(v):
+        return duration_rat(v)
+    raise _mistyped("duration bound is", v, "a finite number", pos)
+
+
+def _malformed(lo: Rat, hi: Rat, pos) -> RtRuntimeError:
+    return RtRuntimeError(
+        f"malformed duration bounds ({format_rat(lo)}, {format_rat(hi)})", pos)
+
+
+def _callee_error(v: Value, method: str, pos) -> RtRuntimeError:
+    if v == NULL:
+        return RtRuntimeError(f"call to {method} on null", pos)
+    return _mistyped("call target is", v, "an object", pos)
+
+
+def _sampled(c: EvalContext, n: int, e: Env, f: Env, p: Any) -> Rat:
+    """What a head that is no await or `.get` waits for, and an await
+    head whose conjuncts hold: the longest time left of its sampled
+    durations, 0 when it has none."""
+    sample = p.sample
+    if not sample:
+        return 0
+    left = max(sample) - c.config.clock
+    return left if left > 0 else 0
+
+
 def _call_error(program: Program, name: str, n: int
                 ) -> tuple[type[RtRuntimeError], str] | None:
     """The error a call of name with n arguments raises once they are
@@ -292,26 +416,29 @@ def _is_binder(program: Program, pat: Pattern) -> bool:
 # Python's tokenizer allows
 _MAX_INDENT = 32
 
-# the formals of a top-level expression's function, after `c, n`: its
-# scope's env, fields and process (see `lookup`)
+# the formals of a scope's function, after `c, n`: its env, fields and
+# process (see `lookup`)
 _FRAME = ("e", "f", "p")
 
 # what generated code reads besides its constants and functions
 _RUNTIME = {f.__name__: f for f in (
-    BoolVal, DataVal, NumVal, lookup, _truth, _neg, _compare, _add, _sub,
-    _mul, _div, _now, _unbound, _no_match, _depth_error)}
+    BoolVal, DataVal, FutRef, NumVal, ObjRef, exact, is_duration, lookup,
+    _truth,
+    _mistyped, _neg, _compare, _add, _sub, _mul, _div, _now, _unbound,
+    _no_match, _depth_error, _bound, _malformed, _callee_error, _sampled)}
 
 
 class _Generator:
-    """Writes expressions as Python source and compiles it into one
-    namespace per `Program`.  Model function f becomes
-    `F<k>(c, n, a0, a1, ...)` and a top-level expression
+    """Writes expressions, statements and heads as Python source and
+    compiles it into one namespace per `Program`.  Model function f
+    becomes `F<k>(c, n, a0, a1, ...)`, and the code of a node or a place
     `T<k>(c, n, e, f, p)`: c is the context, n the model calls it may
     still make below it, a<i> the formals and e, f, p the scope.  A
     subexpression's value or a binder is a local `t<i>`, a constant
     `K<i>` and a helper function that nested control flow moved into
     `H<i>`.  So no model text enters the source: names, strings and
-    numbers reach it as constants."""
+    numbers reach it as constants.  What a unit writes is compiled
+    together (`unit`)."""
 
     def __init__(self, program: Program):
         self.program = program
@@ -320,28 +447,30 @@ class _Generator:
         self.idents: dict[str, str] = {}  # model function -> F<k>
         self.consts: dict[int, str] = {}  # id of a constant -> K<i>
         self.tops = self.helpers = self.temps = 0
-        # the state of one `top_level`: the functions named and not yet
-        # written, the sources written, and the function being written
+        # the state of one unit: the functions named and not yet written,
+        # the sources written, the (object, attribute, T<k>) to bind once
+        # they are compiled, and the function being written
         self.pending: list[str] = []
         self.sources: list[str] = []
+        self.bindings: list[tuple[Any, str, str]] = []
         self.lines: list[str] = []
         self.indent = 0
         # model variable -> the local or constant that holds it
         self.scope: dict[str, str] = {}
         # the scope formals of the function being written: `_FRAME` in
-        # top-level code, none in a model function's
+        # the code of a node or place, none in a model function's
         self.frame: tuple[str, ...] = ()
 
-    def top_level(self, e: Expr) -> Callable:
-        """Write top-level expression e and every model function it calls
-        that has none yet, compile them and register the functions; e's
-        Python function."""
-        ident = f"T{self.tops}"
-        self.tops += 1
+    def unit(self, write: Callable[[], Any]) -> Any:
+        """Call write, which writes the code of nodes or places and
+        returns what holds it, then write every model function it calls
+        that has none yet; compile them all at once, bind each function
+        to its holder and register the model functions; write's
+        result."""
         written = []
         try:
-            self.scope, self.frame = {}, _FRAME
-            self.define(ident, _FRAME, e)
+            self.frame = _FRAME
+            result = write()
             self.frame = ()
             while self.pending:
                 fname = self.pending.pop()
@@ -350,19 +479,44 @@ class _Generator:
                 params = [f"a{i}" for i in range(len(fd.params))]
                 self.scope = {pname: param
                               for (_, pname), param in zip(fd.params, params)}
-                self.define(self.idents[fname], params, fd.body)
+                self.define(self.idents[fname], params,
+                            lambda: self.into(fd.body, None))
             exec(compile("\n".join(self.sources), "<model code>", "exec"),
                  self.namespace)
-        except BaseException:
+            bindings = self.bindings
+        except BaseException as exc:
             for fname in written + self.pending:
                 del self.idents[fname]
+            if isinstance(exc, RecursionError):
+                raise _host_stack() from None
             raise
         finally:
-            self.pending, self.sources, self.frame = [], [], ()
-            self.lines, self.indent = [], 0
+            self.pending, self.sources, self.bindings = [], [], []
+            self.frame, self.lines, self.indent = (), [], 0
         for fname in written:
             self.program.bodies[fname] = self.namespace[self.idents[fname]]
-        return self.namespace[ident]
+        for holder, attribute, ident in bindings:
+            setattr(holder, attribute, self.namespace[ident])
+        return result
+
+    def top_level(self, node: Expr | Guard) -> Callable:
+        """Compile node on its own (`Program.compiled`); its function."""
+        holder = Place()
+        write = _TOP_LEVEL.get(type(node), _top_expr)
+        self.unit(lambda: self.function(holder, "run",
+                                        lambda: write(self, node)))
+        return holder.run
+
+    def class_code(self, cd: ClassDecl) -> ClassCode:
+        """Compile each method's body and cost and cd's `init` body."""
+        def write() -> ClassCode:
+            methods = {}
+            for m in cd.methods:
+                method = methods[m.name] = Method(m, None, self.block(m.body))
+                self.function(method, "cost", lambda: self.cost(cd, m))
+            init = None if cd.init_body is None else self.block(cd.init_body)
+            return ClassCode(methods, init)
+        return self.unit(write)
 
     def ident(self, name: str) -> str:
         """The identifier of model function `name`, queued to be written
@@ -387,14 +541,26 @@ class _Generator:
     def emit(self, line: str) -> None:
         self.lines.append(" " * self.indent + line)
 
-    def define(self, ident: str, params: Sequence[str], body: Expr) -> None:
-        """Write `def ident(c, n, *params)` returning body's value."""
+    def define(self, ident: str, params: Sequence[str],
+               write: Callable[[], None]) -> None:
+        """Write `def ident(c, n, *params)` whose body write writes."""
         outer = self.lines, self.indent
         self.lines = [f"def {ident}(c, n, {', '.join(params)}):"]
         self.indent = 1
-        self.into(body, None)
+        write()
         self.sources.append("\n".join(self.lines))
         self.lines, self.indent = outer
+
+    def function(self, holder: Any, attribute: str,
+                 write: Callable[[], None]) -> None:
+        """Write a function of the scope whose body write writes, to be
+        holder's attribute once compiled."""
+        ident = f"T{self.tops}"
+        self.tops += 1
+        outer, self.scope = self.scope, {}
+        self.define(ident, _FRAME, write)
+        self.scope = outer
+        self.bindings.append((holder, attribute, ident))
 
     def hoist(self, e: Expr) -> str:
         """Write e as a helper function of the scope formals and the
@@ -402,8 +568,155 @@ class _Generator:
         ident = f"H{self.helpers}"
         self.helpers += 1
         params = [*self.frame, *dict.fromkeys(self.scope.values())]
-        self.define(ident, params, e)
+        self.define(ident, params, lambda: self.into(e, None))
         return f"{ident}(c, n, {', '.join(params)})"
+
+    # --- blocks and statements
+
+    def block(self, stmts: tuple[Stmt, ...]) -> Block:
+        """The Block of stmts, whose places' code is written now and
+        bound when the unit compiles."""
+        block = Block(stmts)
+        block.code = tuple([self.place(s) for s in stmts])
+        return block
+
+    def place(self, s: Stmt) -> Place:
+        place = Place()
+        write = _PLACES.get(type(s))
+        if write is not None:
+            write(self, s, place)
+        return place
+
+    def assign(self, s: SAssign, place: Place) -> None:
+        rhs = s.rhs
+        if rhs is None or type(rhs) is RExpr:
+            self.function(place, "run", lambda: self.store(s, (
+                self.const(DEFAULTS.get(s.decl_type.name, NULL))
+                if rhs is None else self.atom(rhs.expr))))
+            return
+        write = _FIRST_HALVES.get(type(rhs))
+        if write is None:
+            message = f"call was not lowered: {type(rhs).__name__}"
+            self.function(place, "run", lambda: self.emit(
+                f"raise {self.const(RtRuntimeError)}({self.const(message)}, "
+                f"{self.const(s.pos)})"))
+            return
+        self.function(place, "run", lambda: write(self, rhs, place))
+        self.function(place, "store", lambda: self.store(s, "p.pending"))
+
+    def store(self, s: SAssign, value: str) -> None:
+        """Write the store of value into s's variable: a local it
+        declares or holds, else a field."""
+        name = self.const(s.name)
+        if s.decl_type is not None:
+            self.emit(f"e[{name}] = {value}")
+            return
+        self.emit(f"if {name} in e: e[{name}] = {value}")
+        self.emit(f"elif {name} in f: f[{name}] = {value}")
+        self.emit(f"else: raise _unbound({name}, {self.const(s.pos)})")
+
+    def new(self, rhs: RNew, place: Place) -> None:
+        args = "".join([self.atom(a) + ", " for a in rhs.args])
+        self.emit(f"return ({args})")
+        self.function(place, "policy", lambda: self.into(rhs.scheduler, None))
+
+    def call(self, rhs: RCall, place: Place) -> None:
+        pos = self.const(rhs.pos)
+        callee = self.atom(rhs.callee)
+        self.emit(f"if type({callee}) is not ObjRef: raise _callee_error("
+                  f"{callee}, {self.const(rhs.method)}, {pos})")
+        args = "".join([self.atom(a) + ", " for a in rhs.args])
+        deadline = self.checked(self.atom(rhs.annots.deadline),
+                                "not is_duration({})", "deadline is",
+                                "a Duration", pos)
+        critical = self.checked(self.atom(rhs.annots.critical),
+                                "type({}) is not BoolVal", "criticality is",
+                                "a Bool", pos)
+        self.emit(f"return {callee}, ({args}), {deadline}, {critical}")
+
+    def checked(self, t: str, wrong: str, subject: str, kind: str,
+                pos: str) -> str:
+        """t, a local, once written a check that raises `_mistyped`
+        when wrong, a format of t, holds."""
+        self.emit(f"if {wrong.format(t)}: raise _mistyped("
+                  f"{self.const(subject)}, {t}, {self.const(kind)}, {pos})")
+        return t
+
+    def get(self, rhs: RGet, place: Place) -> None:
+        # wait found the future resolved
+        self.emit(f"return c.config.futures[{self.atom(rhs.expr)}.fid].value")
+        self.function(place, "wait", lambda: self.get_wait(rhs))
+
+    def get_wait(self, rhs: RGet) -> None:
+        self.emit("if p.pending is not None: return 0")  # the second half
+        t = self.checked(self.atom(rhs.expr), "type({}) is not FutRef",
+                         "get applied to", "a future", self.const(rhs.pos))
+        self.emit(f"return 0 if c.config.futures[{t}.fid].resolved else {t}")
+
+    def condition(self, s: SIf | SWhile, place: Place) -> None:
+        self.function(place, "run", lambda: self.emit(
+            f"return {self.truth(s.cond, 'cond', s.pos)}"))
+        place.blocks = ((self.block(s.then), self.block(s.els))
+                        if type(s) is SIf else (self.block(s.body),))
+
+    def return_(self, s: SReturn, place: Place) -> None:
+        self.function(place, "run", lambda: self.into(s.expr, None))
+
+    def duration(self, s: SDuration, place: Place) -> None:
+        self.function(place, "run", lambda: self.emit(
+            f"return {self.bounds(s.best, s.worst, s.pos)}"))
+
+    def bounds(self, best: Expr, worst: Expr, pos) -> str:
+        """The text of the checked (best, worst) bounds of a duration."""
+        k = self.const(pos)
+        lo, hi = self.temp(), self.temp()
+        self.emit(f"{lo} = _bound({self.atom(best)}, {k})")
+        self.emit(f"{hi} = _bound({self.atom(worst)}, {k})")
+        self.emit(f"if {lo} < 0 or {hi} < {lo}: "
+                  f"raise _malformed({lo}, {hi}, {k})")
+        return f"({lo}, {hi})"
+
+    def await_(self, s: SAwait, place: Place) -> None:
+        durations = [g for g in s.guards if type(g) is GDuration]
+        if durations:
+            self.function(place, "run", lambda: self.emit("return (" + "".join(
+                [self.bounds(g.best, g.worst, g.pos) + ", "
+                 for g in durations]) + ")"))
+        self.function(place, "wait", lambda: self.await_wait(s, durations))
+
+    def await_wait(self, s: SAwait, durations: list[GDuration]) -> None:
+        """Fold over the conjuncts left to right: stop at the first
+        boolean or future conjunct that does not hold, else wait for the
+        longest remaining sampled duration."""
+        sampled = False
+        for g in s.guards:
+            if type(g) is GFut:
+                t = self.future(g)
+                self.emit(f"if not c.config.futures[{t}.fid].resolved: "
+                          f"return {t}")
+            elif type(g) is GDuration:
+                if not sampled:
+                    message = "wait on an unsampled duration guard"
+                    self.emit(f"if p.sample is None: "
+                              f"raise AssertionError({self.const(message)})")
+                    sampled = True
+            else:
+                self.emit(f"if not {self.truth(g.expr, 'guard', g.pos)}: "
+                          "return None")
+        self.emit("return _sampled(c, n, e, f, p)" if durations
+                  else "return 0")
+
+    def future(self, g: GFut) -> str:
+        """The local that holds the future conjunct g awaits."""
+        return self.checked(self.read(g.var, g.pos, None),
+                            "type({}) is not FutRef", f"{g.var}? applied to",
+                            "a future", self.const(g.pos))
+
+    def cost(self, cd: ClassDecl, m: MethodDecl) -> None:
+        t = self.checked(self.atom(m.cost), "not is_duration({})",
+                         f"cost of {cd.name}.{m.name} is", "a Duration",
+                         self.const(m.cost.pos))
+        self.emit(f"return {t}")
 
     # --- expressions
 
@@ -445,8 +758,8 @@ class _Generator:
         return t
 
     def truth(self, e: Expr, op: str, pos) -> str:
-        """The text of the truth of e, an operand of op (`if`, `!`, `&&`
-        or `||`): a comparison's own, else the value's if it is a Bool."""
+        """The text of the truth of e, an operand or subject op of
+        `_truth`: a comparison's own, else the value's if it is a Bool."""
         if type(e) is BinOp and e.op in _RELATIONS:
             return self.relation(e)
         t = self.atom(e)
@@ -460,17 +773,27 @@ class _Generator:
         local = self.scope.get(e.name)
         if local is not None:
             return local
-        name = self.const(e.name)
         ctor = (self.const(DataVal(e.name))
                 if self.program.ctor_arity.get(e.name) == 0 else None)
-        unbound = f"raise _unbound({name}, {self.const(e.pos)})"
+        if self.frame or ctor is None:
+            return self.read(e.name, e.pos, ctor)
+        return ctor  # a model function's body reads no scope
+
+    def read(self, name: str, pos, ctor: str | None) -> str:
+        """The local that holds what name reads in the scope (see
+        `lookup`), else the constant ctor; with neither, write the raise
+        of an unbound variable."""
+        k = self.const(name)
+        unbound = f"raise _unbound({k}, {self.const(pos)})"
         if not self.frame:  # a model function's body reads no scope
-            if ctor is not None:
-                return ctor
             self.emit(unbound)
             return self.temp()  # never read: the code after a raise
         t = self.temp()
-        self.emit(f"{t} = lookup({name}, e, f, p, c)")
+        if name == "deadline":
+            self.emit(f"{t} = lookup({k}, e, f, p, c)")
+        else:
+            self.emit(f"{t} = e.get({k})")
+            self.emit(f"if {t} is None: {t} = f.get({k})")
         self.emit(f"if {t} is None: "
                   + (unbound if ctor is None else f"{t} = {ctor}"))
         return t
@@ -486,22 +809,44 @@ class _Generator:
     def binop(self, e: BinOp) -> str:
         if e.op in _RELATIONS:
             return f"TRUE if {self.relation(e)} else FALSE"
-        a, b = self.atom(e.left), self.atom(e.right)
         arithmetic = _ARITHMETIC.get(e.op)
         if arithmetic is None:
             raise EvalTypeError(f"unknown operator {e.op}", e.pos)
-        return f"{arithmetic.__name__}({a}, {b}, {self.const(e.pos)})"
+        a, b = self.atom(e.left), self.atom(e.right)
+        call = f"{arithmetic.__name__}({a}, {b}, {self.const(e.pos)})"
+        if e.op == "/":  # which checks for a zero denominator
+            return call
+        return self.on_numbers(e, a, b, f"NumVal(exact({{}} {e.op} {{}}))",
+                               call)
 
     def relation(self, e: BinOp) -> str:
         """The text of whether the comparison or equality e holds."""
         op = e.op
         a, b = self.atom(e.left), self.atom(e.right)
         if op == "==" or op == "!=":
-            return f"{a} {op} {b}"
-        # op is one of the four comparisons, which Python writes alike
-        return (f"({a}.value {op} {b}.value if type({a}) is NumVal and "
-                f"type({b}) is NumVal else _compare({self.const(op)}, {a}, "
-                f"{b}, {self.const(e.pos)}))")
+            general = f"{a} {op} {b}"
+        else:
+            general = (f"_compare({self.const(op)}, {a}, {b}, "
+                       f"{self.const(e.pos)})")
+        # op is one that Python writes alike
+        return self.on_numbers(e, a, b, f"{{}} {op} {{}}", general)
+
+    def on_numbers(self, e: BinOp, a: str, b: str, fast: str,
+                   general: str) -> str:
+        """The text of the binary operation e on the values a and b of its
+        operands: fast, a format of their numbers, when both are numbers,
+        else general.  A number literal needs no test."""
+        numbers, tests = [], []
+        for operand, value in ((e.left, a), (e.right, b)):
+            if type(operand) is Lit and type(operand.value) is NumVal:
+                numbers.append(self.const(operand.value.value))
+            else:
+                numbers.append(f"{value}.value")
+                tests.append(f"type({value}) is NumVal")
+        if not tests:
+            return f"({fast.format(*numbers)})"
+        return (f"({fast.format(*numbers)} if {' and '.join(tests)} "
+                f"else {general})")
 
     def apply(self, e: Apply) -> str:
         name, pos = e.name, self.const(e.pos)
@@ -607,6 +952,34 @@ _GENERATE = {
     Lit: _Generator.lit, Var: _Generator.var, NowExpr: _Generator.now,
     Unary: _Generator.unary, BinOp: _Generator.binop, Apply: _Generator.apply,
 }
+
+# how to write the code of each statement kind into its place; another
+# kind, which desugaring lowers, gets none
+_PLACES = {
+    SAssign: _Generator.assign, SIf: _Generator.condition,
+    SWhile: _Generator.condition, SReturn: _Generator.return_,
+    SDuration: _Generator.duration, SAwait: _Generator.await_,
+}
+
+# how to write the first half of a `new`, a call or a `.get`
+_FIRST_HALVES = {RNew: _Generator.new, RCall: _Generator.call,
+                 RGet: _Generator.get}
+
+
+def _top_guard(gen: _Generator, g: GBool) -> None:
+    gen.emit(f"return {gen.truth(g.expr, 'guard', g.pos)}")
+
+
+def _top_future(gen: _Generator, g: GFut) -> None:
+    gen.emit(f"return {gen.future(g)}")
+
+
+def _top_expr(gen: _Generator, e: Expr) -> None:
+    gen.into(e, None)
+
+
+# how to write a node compiled on its own (`Program.compiled`)
+_TOP_LEVEL = {GBool: _top_guard, GFut: _top_future}
 
 
 def _control(e: Expr) -> Callable | None:

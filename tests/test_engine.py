@@ -11,7 +11,7 @@ import pytest
 
 from rtabs import (
     Engine, FutureCell, InvocationMessage, ObjectState, PolicyError, cli,
-    lift, liftall, load_model, load_source, select, simulate,
+    evaluator, lift, liftall, load_model, load_source, select, simulate,
 )
 from rtabs.check import RESERVED
 from rtabs.desugar import desugar
@@ -372,15 +372,44 @@ def test_register_sets_a_tick_timer_only_for_what_may_read_the_clock():
 
 
 def test_compiled_code_does_not_grow_with_run_length():
-    # code is compiled per expression of the model, never per step
+    # code is compiled per place of the model, never per step
     sizes = []
     for limit, status in ((40, "time_limit"), (600, "finished")):
         engine = Engine(load_model(model_file("media_server_sjf.rtabs")))
         assert engine.run_until(limit).status == status
         program = engine.program
-        sizes.append((len(program.bodies), len(program.code)))
+        sizes.append((len(program.bodies), len(program.class_codes),
+                      len(program.code)))
     assert sizes[0] == sizes[1]
     assert min(sizes[0]) > 0
+
+
+def test_each_place_is_compiled_once(monkeypatch):
+    # one `compile` for the main policy, one for the main block and one
+    # for each of the three classes; each statement place and each node
+    # compiled on its own is written once
+    compiles, written = [], []
+    place, top_level = evaluator._Generator.place, evaluator._Generator.top_level
+
+    def counted_compile(*args, **kwargs):
+        compiles.append(args[0])
+        return compile(*args, **kwargs)
+
+    def counted(write):
+        def wrapper(self, node):
+            written.append(node)
+            return write(self, node)
+        return wrapper
+
+    monkeypatch.setattr(evaluator, "compile", counted_compile, raising=False)
+    monkeypatch.setattr(evaluator._Generator, "place", counted(place))
+    monkeypatch.setattr(evaluator._Generator, "top_level", counted(top_level))
+    engine = Engine(load_model(model_file("monitor_general.rtabs")))
+    assert engine.run_until(1000).status == "finished"
+    assert len(compiles) == 5
+    assert len(written) == len({id(node) for node in written}) == 39
+    assert sorted(engine.program.class_codes) == [
+        "BossImp", "MonitorImp", "WaiterImp"]
 
 
 def test_running_builds_no_syntax(monkeypatch):
