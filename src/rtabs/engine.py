@@ -56,14 +56,14 @@ code through `eval_expr`.
 One function, `wait(p, obj, ctx)`, says when a process head is enabled
 and what else it waits for: 0 now, a positive delay, the unresolved
 future it awaits or gets, or None for a boolean conjunct that does not
-hold.  It runs the head's compiled wait (`Place.wait`) through
-`eval_guard`.  For an await head that folds over the guard's conjuncts
-left to right: it stops at the first boolean or future conjunct that
-does not hold, else it is the longest remaining sampled duration, as for
-a `duration` head.  It drives every use of enabledness: the ready set
-holds the queued processes whose wait is 0, the active process blocks
-while its wait is not 0, and a stalled object wakes on what its heads'
-waits name.
+hold.  It runs an await or `.get` head's compiled wait (`Place.wait`)
+through `eval_guard`.  For an await head that folds over the guard's
+conjuncts left to right: it stops at the first boolean or future
+conjunct that does not hold, else it is the longest remaining sampled
+duration, as for a `duration` head.  It drives every use of
+enabledness: the ready set holds the queued processes whose wait is 0,
+the active process blocks while its wait is not 0, and a stalled object
+wakes on what its heads' waits name.
 
 mte is the least delay over each object's active process, or over its
 queue when it has none (`mte_raw` says so directly).  The engine reads
@@ -108,7 +108,7 @@ from .errors import (
 )
 from .evaluator import (
     DEFAULTS, Block, EvalContext, Place, Program, eval_expr, eval_guard,
-    remaining_deadline,
+    remaining_deadline, time_left,
 )
 from .nodes import (
     Expr, Lit, Model, Pos, RCall, RExpr, RGet, RNew, SAssign, SAwait,
@@ -137,8 +137,8 @@ class ProcessRecord:
     # the head is block[index]; frames holds the (block, index) places to
     # resume, innermost last.  A block is left as soon as it is done.  The
     # engine's blocks are compiled (`evaluator.Block`); a bare tuple of
-    # statements that a record was built from is compiled when first
-    # consulted (`compiled_block`)
+    # statements that a record was built from is compiled when `wait` or
+    # sampling first reads it
     block: tuple[Stmt, ...]
     index: int = 0
     frames: list[tuple[tuple[Stmt, ...], int]] = field(default_factory=list)
@@ -267,23 +267,19 @@ def wait(p: ProcessRecord, obj: ObjectState, ctx: EvalContext) -> Wait:
     """What p's head waits for: 0 when it may fire now, a positive delay
     when it may fire once that much time has passed, the unresolved
     future it awaits (`f?`) or gets (`x = e.get`), or None when a
-    boolean conjunct does not hold.  The head's compiled `Place.wait`
-    says: an await folds over its conjuncts left to right, stopping at
-    the first boolean or future conjunct that does not hold, else it is
-    the longest remaining sampled duration, as any other sampled head's
-    wait is.  Each conjunct and the `.get` target evaluate in p's scope:
-    its locals, then its object's fields."""
-    return eval_guard(compiled_block(p, ctx.program).code[p.index].wait,
-                      p.locals, ctx, obj.attrs, p)
-
-
-def compiled_block(p: ProcessRecord, program: Program) -> Block:
-    """p's block, compiled: a record built from a bare tuple of
-    statements has it compiled here, once."""
+    boolean conjunct does not hold.  An await or `.get` head's compiled
+    `Place.wait` says: an await folds over its conjuncts left to right,
+    stopping at the first boolean or future conjunct that does not hold,
+    else it is the longest remaining sampled duration, as any other
+    head's wait is (`time_left`).  Each conjunct and the `.get` target
+    evaluate in p's scope: its locals, then its object's fields."""
     block = p.block
-    if block.__class__ is not Block:
-        block = p.block = program.block(block)
-    return block
+    if block.__class__ is not Block:  # a record built from a bare block
+        block = p.block = ctx.program.block(block)
+    head = block.code[p.index].wait
+    if head is None:
+        return time_left(ctx, p)
+    return eval_guard(head, p.locals, ctx, obj.attrs, p)
 
 
 def mte_raw(config: Configuration, program: Program) -> Rat | None:
@@ -431,8 +427,10 @@ class Engine:
         none other."""
         if p.sample is not None or type(p.block[p.index]) is not SAwait:
             return
-        # None when it has no duration conjunct
-        bounds = compiled_block(p, self.program).code[p.index].run
+        block = p.block
+        if block.__class__ is not Block:  # a record built from a bare block
+            block = p.block = self.program.block(block)
+        bounds = block.code[p.index].run  # None: no duration conjunct
         if bounds is not None:
             bounds = eval_expr(bounds, p.locals, self.ctx, obj.attrs, p)
         clock = self.config.clock

@@ -84,7 +84,7 @@ class Place:
     """The code compiled for one statement of a block.  Each function
     is one of the scope `(c, n, e, f, p)` (see `_Generator`):
 
-    - wait: what the statement waits for as a head (`engine.wait`): 0,
+    - wait: what an await or `.get` head waits for (`engine.wait`): 0,
       a delay, an unresolved future or None;
     - run: its step's work, and its value: an assignment of an
       expression or a default stores it; a `new` gives its arguments, a
@@ -102,8 +102,7 @@ class Place:
     __slots__ = ("wait", "run", "store", "blocks", "policy")
 
     def __init__(self):
-        self.wait = _sampled
-        self.run = self.store = self.policy = None
+        self.wait = self.run = self.store = self.policy = None
         self.blocks: tuple[Block, ...] = ()
 
 
@@ -375,10 +374,10 @@ def _callee_error(v: Value, method: str, pos) -> RtRuntimeError:
     return _mistyped("call target is", v, "an object", pos)
 
 
-def _sampled(c: EvalContext, n: int, e: Env, f: Env, p: Any) -> Rat:
+def time_left(c: EvalContext, p: Any) -> Rat:
     """What a head that is no await or `.get` waits for, and an await
-    head whose conjuncts hold: the longest time left of its sampled
-    durations, 0 when it has none."""
+    head whose conjuncts hold: the longest time left of process p's
+    sampled durations, 0 when it has none."""
     sample = p.sample
     if not sample:
         return 0
@@ -423,9 +422,9 @@ _FRAME = ("e", "f", "p")
 # what generated code reads besides its constants and functions
 _RUNTIME = {f.__name__: f for f in (
     BoolVal, DataVal, FutRef, NumVal, ObjRef, exact, is_duration, lookup,
-    _truth,
-    _mistyped, _neg, _compare, _add, _sub, _mul, _div, _now, _unbound,
-    _no_match, _depth_error, _bound, _malformed, _callee_error, _sampled)}
+    _truth, _mistyped, _neg, _compare, _add, _sub, _mul, _div, _now,
+    _unbound, _no_match, _depth_error, _bound, _malformed, _callee_error,
+    time_left)}
 
 
 class _Generator:
@@ -501,10 +500,16 @@ class _Generator:
 
     def top_level(self, node: Expr | Guard) -> Callable:
         """Compile node on its own (`Program.compiled`); its function."""
+        def write() -> None:
+            if type(node) is GBool:
+                self.emit(f"return {self.truth(node.expr, 'guard', node.pos)}")
+            elif type(node) is GFut:
+                self.emit(f"return {self.future(node)}")
+            else:
+                self.into(node, None)
+
         holder = Place()
-        write = _TOP_LEVEL.get(type(node), _top_expr)
-        self.unit(lambda: self.function(holder, "run",
-                                        lambda: write(self, node)))
+        self.unit(lambda: self.function(holder, "run", write))
         return holder.run
 
     def class_code(self, cd: ClassDecl) -> ClassCode:
@@ -703,8 +708,7 @@ class _Generator:
             else:
                 self.emit(f"if not {self.truth(g.expr, 'guard', g.pos)}: "
                           "return None")
-        self.emit("return _sampled(c, n, e, f, p)" if durations
-                  else "return 0")
+        self.emit("return time_left(c, p)" if durations else "return 0")
 
     def future(self, g: GFut) -> str:
         """The local that holds the future conjunct g awaits."""
@@ -964,22 +968,6 @@ _PLACES = {
 # how to write the first half of a `new`, a call or a `.get`
 _FIRST_HALVES = {RNew: _Generator.new, RCall: _Generator.call,
                  RGet: _Generator.get}
-
-
-def _top_guard(gen: _Generator, g: GBool) -> None:
-    gen.emit(f"return {gen.truth(g.expr, 'guard', g.pos)}")
-
-
-def _top_future(gen: _Generator, g: GFut) -> None:
-    gen.emit(f"return {gen.future(g)}")
-
-
-def _top_expr(gen: _Generator, e: Expr) -> None:
-    gen.into(e, None)
-
-
-# how to write a node compiled on its own (`Program.compiled`)
-_TOP_LEVEL = {GBool: _top_guard, GFut: _top_future}
 
 
 def _control(e: Expr) -> Callable | None:
