@@ -13,7 +13,7 @@ generated code calls.
   generated, together with the functions it calls.  Its formals are the
   function's parameters, so a body never sees its caller's variables.
 - A class is generated when its first object is created: each method's
-  body and `[Cost:]`, and its `init` body, in one `compile`
+  body and `[Cost:]`, and its `init` body, as one unit
   (`Program.class_code`); the `main` block when the run boots.  A block
   compiles to a `Block`, the tuple of its statements that also holds
   the `Place` of each: the functions of its head and its step, and the
@@ -427,6 +427,26 @@ _RUNTIME = {f.__name__: f for f in (
     time_left)}
 
 
+# the characters of source compiled at once, unless one function is
+# longer: `compile` holds the whole syntax tree of its source, and one
+# `compile` of media-fanout's main block (189 functions, 32 KB) raised the
+# peak RSS of `rtabs run` from 20 to 23 MB
+_CHUNK = 8192
+
+
+def _chunks(sources: list[str]):
+    """The sources joined into texts of about `_CHUNK` characters."""
+    chunk, size = [], 0
+    for source in sources:
+        if chunk and size + len(source) > _CHUNK:
+            yield "\n".join(chunk)
+            chunk, size = [], 0
+        chunk.append(source)
+        size += len(source) + 1
+    if chunk:
+        yield "\n".join(chunk)
+
+
 class _Generator:
     """Writes expressions, statements and heads as Python source and
     compiles it into one namespace per `Program`.  Model function f
@@ -463,8 +483,8 @@ class _Generator:
     def unit(self, write: Callable[[], Any]) -> Any:
         """Call write, which writes the code of nodes or places and
         returns what holds it, then write every model function it calls
-        that has none yet; compile them all at once, bind each function
-        to its holder and register the model functions; write's
+        that has none yet; compile them in chunks of `_CHUNK`, bind each
+        function to its holder and register the model functions; write's
         result."""
         written = []
         try:
@@ -480,8 +500,8 @@ class _Generator:
                               for (_, pname), param in zip(fd.params, params)}
                 self.define(self.idents[fname], params,
                             lambda: self.into(fd.body, None))
-            exec(compile("\n".join(self.sources), "<model code>", "exec"),
-                 self.namespace)
+            for chunk in _chunks(self.sources):
+                exec(compile(chunk, "<model code>", "exec"), self.namespace)
             bindings = self.bindings
         except BaseException as exc:
             for fname in written + self.pending:

@@ -38,17 +38,16 @@ ONE_METHOD = ("interface I { Unit m(); }\n"
 # (name, model source, message, clock, method, position) of models that
 # stop with a runtime error in the named method, at the `line:col` of the
 # model where it arose (a binding error, at the call that sent the
-# message), or None when the error names no position: bad
-# duration bounds, get on a null future at a queued head, a raising
-# conjunct behind an unresolved future, an error raised while sampling a
-# queued head during time advance, a non-Bool guard, a message whose cost
-# raises while it is bound to a busy object, the checked model's calls
-# whose callee, deadline or criticality has the wrong value, a cost that
-# is no Duration, calls that bind to no method or to one of another
-# arity, which the checker lets through: a call on the main object, and
-# a call through an interface that the callee's class does not
-# implement; a duration bound, or a bound of a duration conjunct, that
-# is no number, and an `if` condition that is no Bool
+# message): bad duration bounds, get on a null future at a queued head,
+# a raising conjunct behind an unresolved future, an error raised while
+# sampling a queued head during time advance, a non-Bool guard, a
+# message whose cost raises while it is bound to a busy object, the
+# checked model's calls whose callee, deadline or criticality has the
+# wrong value, a cost that is no Duration, calls that bind to no method
+# or to one of another arity, which the checker lets through: a call on
+# the main object, and a call through an interface that the callee's
+# class does not implement; a duration bound, or a bound of a duration
+# conjunct, that is no number, and an `if` condition that is no Bool
 RUNTIME_ERROR_CASES = [
     ("malformed bounds", "{ duration(5, 2); }\n",
      "malformed duration bounds", 0, "main", "1:3"),

@@ -171,8 +171,7 @@ def test_run_runtime_error_exit_code(tmp_path):
         res = run_cli("run", path, "--until", "10")
         assert res.returncode == 2, name
         assert message in res.stderr, name
-        assert (f" at {path}:{at} in object o" in res.stderr
-                if at else f" at {path}:" not in res.stderr), name
+        assert f" at {path}:{at} in object o" in res.stderr, name
         # the partial trace still appears, ending with the error event
         # that names the failing method
         last = read_csv_text(res.stdout)[-1]

@@ -714,8 +714,7 @@ def test_malformed_duration_bounds_error():
         result = run(source)
         assert result.status == "error", name
         assert message in result.error.describe(), name
-        assert (str(result.error.pos) == f"<engine-test>:{at}" if at
-                else result.error.pos is None), name
+        assert str(result.error.pos) == f"<engine-test>:{at}", name
         assert result.clock == clock, name
         assert result.trace[-1].kind == "error", name
         assert result.trace[-1].pid == result.error.pid is not None, name
