@@ -430,12 +430,12 @@ class Engine:
         block = p.block
         if block.__class__ is not Block:  # a record built from a bare block
             block = p.block = self.program.block(block)
-        bounds = block.code[p.index].run  # None: no duration conjunct
-        if bounds is not None:
-            bounds = eval_expr(bounds, p.locals, self.ctx, obj.attrs, p)
+        run = block.code[p.index].run  # None: no duration conjunct
+        bounds = (() if run is None
+                  else eval_expr(run, p.locals, self.ctx, obj.attrs, p))
         clock = self.config.clock
         p.sample = tuple([exact(clock + self._draw(lo, hi))
-                          for lo, hi in bounds or ()])
+                          for lo, hi in bounds])
 
     def _fix_woken_heads(self) -> None:
         """Sample the heads of the objects woken or created since the
