@@ -537,6 +537,8 @@ class _Generator:
         def write() -> ClassCode:
             methods = {}
             for m in cd.methods:
+                if m.name in methods:
+                    continue  # the first of a name binds its messages
                 method = methods[m.name] = Method(m, None, self.block(m.body))
                 self.function(method, "cost", lambda: self.cost(cd, m))
             init = None if cd.init_body is None else self.block(cd.init_body)
