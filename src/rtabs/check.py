@@ -5,6 +5,13 @@ constructors, variables), enforces reserved-variable rules, and checks
 interface completeness by name and arity.  Where an annotation may stand
 is the parser's to decide.  Everything else is left to runtime.
 
+Method calls are bound at run time, to the receiving object's class, so
+a model that checks clean may still stop at a call.  Rows of the tests'
+`RUNTIME_ERROR_CASES` show each kind: "call on the main object",
+"method of another interface", "arity of another interface", "Int
+callee", "null callee" and "init message" (desugaring moves `init` out
+of a class's methods).
+
 Code is checked in one walk, `_Checker.check_node(node, scope)`, where
 `scope` is the set of names in reach: the variables, plus `this`, `now`,
 `queue` and the process attributes where that code may read them.  The

@@ -14,13 +14,14 @@ stores.
 
 Time is stored absolute and exact: the clock and every stored time is
 an `int` when integral, else a `Fraction` (`values.exact`).  A process
-keeps its absolute deadline in
-`due` and the ends of its sampled head (a `duration` statement, the
-duration conjuncts of an await) in `sample`, so advancing time moves
-only the clock.  No process keeps a `deadline` local: the time left,
-which models and traces see, is derived from the clock when a process's
-code reads `deadline`, when the process is lifted into a Proc value,
-and when a head or a deadline is rendered.  Its code evaluates on its
+keeps its absolute deadline in `due` and the ends of its sampled head
+(a `duration` statement, the duration conjuncts of an await) in
+`sample`, so advancing time moves only the clock.  One sampler fixes
+both kinds of head (`_fix_head`), from the bounds its place's `run`
+gives.  No process keeps a `deadline` local: the time left, which
+models and traces see, is derived from the clock when a process's code
+reads `deadline`, when the process is lifted into a Proc value, and
+when a head or a deadline is rendered.  Its code evaluates on its
 locals, its object's fields and the process itself, never on a merged
 scope (`evaluator.lookup`).
 
@@ -49,21 +50,24 @@ of ready processes, and must return one of them.
 
 A process's code is compiled, not walked: each block it runs is an
 `evaluator.Block`, which holds the `Place` of each statement, the
-generated functions of its head and its step.  A step picks its rule by
-the head statement's type (`_STEPS`), and the rule runs the place's
-code through `eval_expr`.
+generated functions of its head and its step.  Code is compiled by
+whoever creates it, and the run only reads it: a class's code at its
+first `new`, the `main` block and its object's policy at boot, and each
+object's policy with the `new` place that creates it.  A step picks its
+rule by the head statement's type (`_STEPS`), and the rule runs the
+place's code through `eval_expr`.
 
 One function, `wait(p, obj, ctx)`, says when a process head is enabled
 and what else it waits for: 0 now, a positive delay, the unresolved
 future it awaits or gets, or None for a boolean conjunct that does not
-hold.  It runs an await or `.get` head's compiled wait (`Place.wait`)
-through `eval_guard`.  For an await head that folds over the guard's
-conjuncts left to right: it stops at the first boolean or future
-conjunct that does not hold, else it is the longest remaining sampled
-duration, as for a `duration` head.  It drives every use of
-enabledness: the ready set holds the queued processes whose wait is 0,
-the active process blocks while its wait is not 0, and a stalled object
-wakes on what its heads' waits name.
+hold.  It runs an await or `.get` head's compiled wait (`Place.wait`),
+read by the head's position in its block, through `eval_guard`.  For an
+await head that folds over the guard's conjuncts left to right: it
+stops at the first boolean or future conjunct that does not hold, else
+it is the longest remaining sampled duration, as for a `duration` head.
+It drives every use of enabledness: the ready set holds the queued
+processes whose wait is 0, the active process blocks while its wait is
+not 0, and a stalled object wakes on what its heads' waits name.
 
 mte is the least delay over each object's active process, or over its
 queue when it has none (`mte_raw` says so directly).  The engine reads
@@ -112,7 +116,7 @@ from .evaluator import (
 )
 from .nodes import (
     Expr, Lit, Model, Pos, RCall, RExpr, RGet, RNew, SAssign, SAwait,
-    SDuration, SIf, SReturn, SSkip, SSuspend, SWhile, Stmt,
+    SDuration, SIf, SReturn, SSkip, SSuspend, SWhile,
 )
 from .pretty import render_expr, render_guard, render_stmt
 from .trace import TraceEvent, TraceSink
@@ -135,13 +139,10 @@ class ProcessRecord:
     method: str
     locals: dict[str, Value]
     # the head is block[index]; frames holds the (block, index) places to
-    # resume, innermost last.  A block is left as soon as it is done.  The
-    # engine's blocks are compiled (`evaluator.Block`); a bare tuple of
-    # statements that a record was built from is compiled when `wait` or
-    # sampling first reads it
-    block: tuple[Stmt, ...]
+    # resume, innermost last.  A block is left as soon as it is done.
+    block: Block
     index: int = 0
-    frames: list[tuple[tuple[Stmt, ...], int]] = field(default_factory=list)
+    frames: list[tuple[Block, int]] = field(default_factory=list)
     looping: bool = False  # the head is a `while` whose `cond` step is next
     # the absolute ends of the head's sampled durations, in order: () for
     # an await head with no duration conjunct; None until the head is
@@ -162,7 +163,7 @@ class ProcessRecord:
             self.block, index = self.frames.pop()
         self.index = index
 
-    def enter(self, block: tuple[Stmt, ...]) -> None:
+    def enter(self, block: Block) -> None:
         """Run block, then resume at the current head."""
         if block:
             self.frames.append((self.block, self.index))
@@ -175,9 +176,7 @@ class ObjectState:
     cls: str
     policy: Expr
     attrs: dict[str, Value]
-    # the policy's code, compiled with the `new` that created the object
-    # (with an object built by hand, at its first decision)
-    policy_code: Callable | None = None
+    policy_code: Callable  # compiled with the `new` that created the object
     active: ProcessRecord | None = None
     queue: list[ProcessRecord] = field(default_factory=list)
     # invocation messages not yet bound, in arrival order
@@ -256,9 +255,9 @@ def select(pid_value: Value, processes: list[ProcessRecord]) -> ProcessRecord | 
 
 # ------------------------------------------------------------ time machinery
 #
-# wait and mte require the duration conjuncts of await guards in head
-# position to be sampled already (the engine fixes them before
-# consulting any of them).
+# wait and mte require the durations of a `duration` or await head to be
+# sampled already (the engine fixes them before consulting any of
+# them).
 
 Wait = Rat | FutRef | None
 
@@ -273,10 +272,7 @@ def wait(p: ProcessRecord, obj: ObjectState, ctx: EvalContext) -> Wait:
     else it is the longest remaining sampled duration, as any other
     head's wait is (`time_left`).  Each conjunct and the `.get` target
     evaluate in p's scope: its locals, then its object's fields."""
-    block = p.block
-    if block.__class__ is not Block:  # a record built from a bare block
-        block = p.block = ctx.program.block(block)
-    head = block.code[p.index].wait
+    head = p.block.code[p.index].wait
     if head is None:
         return time_left(ctx, p)
     return eval_guard(head, p.locals, ctx, obj.attrs, p)
@@ -407,7 +403,7 @@ class Engine:
             "value": num(0),
         }
 
-    # ------------------------------------------------------- guard sampling
+    # -------------------------------------------------------- head sampling
 
     def _draw(self, lo: Rat, hi: Rat) -> Rat:
         """A duration between checked bounds, picked by the duration
@@ -420,17 +416,14 @@ class Engine:
                      * Fraction(self.rng.randint(0, 1000), 1000))
 
     def _fix_head(self, p: ProcessRecord, obj: ObjectState) -> None:
-        """Sample the duration conjuncts of p's await head, left to right,
-        each ending that long after now.  A sampled head stays as it is,
-        so fixing is idempotent and draws nothing twice; only an
-        unsampled await head samples, so the engine calls this for
-        none other."""
-        if p.sample is not None or type(p.block[p.index]) is not SAwait:
+        """Sample the durations of p's head, a `duration` statement or an
+        await head, left to right, each ending that long after now.  A
+        sampled head stays as it is, so fixing is idempotent and draws
+        nothing twice; no other head samples, so each caller tests the
+        head's type first."""
+        if p.sample is not None:
             return
-        block = p.block
-        if block.__class__ is not Block:  # a record built from a bare block
-            block = p.block = self.program.block(block)
-        run = block.code[p.index].run  # None: no duration conjunct
+        run = p.block.code[p.index].run  # None: an await with no duration
         bounds = (() if run is None
                   else eval_expr(run, p.locals, self.ctx, obj.attrs, p))
         clock = self.config.clock
@@ -664,8 +657,7 @@ class Engine:
     def _step_duration(self, obj: ObjectState, p: ProcessRecord,
                        s: SDuration, place: Place) -> str:
         if p.sample is None:
-            lo, hi = eval_expr(place.run, p.locals, self.ctx, obj.attrs, p)
-            p.sample = (exact(self.config.clock + self._draw(lo, hi)),)
+            self._fix_head(p, obj)
             return "duration"
         p.proceed()  # wait found it ended
         return "duration-done"
@@ -811,8 +803,6 @@ class Engine:
         queue; the result must identify one of the ready processes."""
         queue = {"queue": liftall(ready, self.config.clock)}
         try:
-            if obj.policy_code is None:  # an object built by hand
-                obj.policy_code = self.program.compiled(obj.policy)
             choice = eval_expr(obj.policy_code, queue, self.ctx, obj.attrs)
             if not (isinstance(choice, DataVal) and choice.ctor == "Proc"
                     and len(choice.args) == len(PROC_FIELDS)):

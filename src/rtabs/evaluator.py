@@ -16,12 +16,14 @@ generated code calls.
   body and `[Cost:]`, and its `init` body, as one unit
   (`Program.class_code`); the `main` block when the run boots.  A block
   compiles to a `Block`, the tuple of its statements that also holds
-  the `Place` of each: the functions of its head and its step, and the
-  blocks it enters.  The engine keeps the block it runs, so it reaches
-  each place's code by position, never by a lookup.
-- Any other node a caller evaluates (an expression, a boolean or future
-  conjunct, a `[Scheduler:]` policy the run is booted with) is
-  generated the first time it is evaluated and kept by its identity.
+  the `Place` of each: the functions of its head and its step, its
+  `new`'s `[Scheduler:]` policy, and the blocks it enters.  The engine
+  keeps the block it runs, so it reaches each place's code by position,
+  never by a lookup, and compiles nothing while it runs.
+- A node evaluated on its own (`Program.compiled`) is generated the
+  first time and kept by its identity.  In a run that is only the
+  `main` object's default policy, compiled at boot; the other callers
+  evaluate an expression or a boolean conjunct outside a run.
 
 Every such function is one of its scope (`lookup`): a process's locals
 (`e`), its object's fields (`f`) and the process itself (`p`), whose
@@ -56,7 +58,7 @@ from .errors import (
 )
 from .nodes import (
     Apply, BinOp, CaseExpr, ClassDecl, Expr, FuncDecl, GBool, GDuration,
-    GFut, Guard, IfExpr, Lit, MethodDecl, Model, Node, NowExpr, PCtor, PLit,
+    GFut, IfExpr, Lit, MethodDecl, Model, Node, NowExpr, PCtor, PLit,
     PName, Pattern, PWildcard, RCall, RExpr, RGet, RNew, SAssign, SAwait,
     SDuration, SIf, SReturn, SWhile, Stmt, Unary, Var,
 )
@@ -90,8 +92,9 @@ class Place:
       expression or a default stores it; a `new` gives its arguments, a
       call `(callee, args, deadline, criticality)` and a `.get` the
       future's value; an `if` or `while` its condition's truth; a
-      `return` its value; a `duration` its `(best, worst)` bounds and an
-      await head those of each duration conjunct (None without one);
+      `return` its value; a `duration` or await head the `(best, worst)`
+      bounds of each duration it samples, in order (an await with none
+      has no run);
     - store: the second half of a `new`, call or `.get`, which stores
       `p.pending`;
     - blocks: the blocks it enters: an `if`'s `then` and `els`, a
@@ -130,8 +133,6 @@ class Program:
     functions: dict[str, FuncDecl]
     ctor_arity: dict[str, int]
     classes: dict[str, ClassDecl]
-    # the generated Python function of each model function called so far
-    bodies: dict[str, Callable] = field(default_factory=dict, repr=False)
     # the code of each class that has had an object created so far
     class_codes: dict[str, ClassCode] = field(default_factory=dict,
                                               repr=False)
@@ -156,12 +157,11 @@ class Program:
         classes = {cd.name: cd for cd in model.classes}
         return Program(functions, ctor_arity, classes)
 
-    def compiled(self, node: Expr | Guard) -> Callable:
+    def compiled(self, node: Expr | GBool) -> Callable:
         """The Python function that evaluates node on its own: called as
         `(ctx, calls, env, fields, proc)`, where calls is how many model
-        calls it may make (`max_depth`).  An expression's gives its
-        value, a boolean conjunct's its truth and a future conjunct's
-        the future."""
+        calls it may make (`max_depth`).  An expression's gives its value
+        and a boolean conjunct's its truth."""
         entry = self.code.get(id(node))
         if entry is None:
             entry = self.code[id(node)] = (node,
@@ -178,8 +178,9 @@ class Program:
         return code
 
     def block(self, stmts: tuple[Stmt, ...]) -> Block:
-        """stmts, compiled anew into a Block: the `main` block, or one a
-        process was built from by hand."""
+        """stmts compiled anew into a Block, a unit of its own: the `main`
+        block at boot, or the body of a process that a caller builds
+        outside a run."""
         return self.generator.unit(lambda: self.generator.block(stmts))
 
 
@@ -220,7 +221,7 @@ def lookup(name: str, env: Env, fields: Env, proc: Any,
     return fields.get(name) if value is None else value
 
 
-def eval_expr(code: Expr | Guard | Callable, env: Env, ctx: EvalContext,
+def eval_expr(code: Expr | GBool | Callable, env: Env, ctx: EvalContext,
               fields: Env = _NO_FIELDS, proc: Any = None) -> Any:
     """Run code in a scope (see `lookup`), and give its result: code is
     a function of a `Place` or `Method` of the program, or a node,
@@ -242,29 +243,24 @@ def eval_expr(code: Expr | Guard | Callable, env: Env, ctx: EvalContext,
 eval_guard = eval_expr
 
 
-def awaited_future(guard: GFut, env: Env, ctx: EvalContext,
-                   fields: Env = _NO_FIELDS, proc: Any = None) -> FutRef:
-    """The future that `guard.var` holds in the scope."""
-    return eval_expr(guard, env, ctx, fields, proc)
-
-
 # ------------------------------------------------------- operator helpers
 #
 # The one definition of each operator's and statement's checks and error
-# texts, called by generated code, which may test for the common case
-# (numbers, booleans) before calling one.
+# texts, called by generated code.  That code reads a Bool's truth, and
+# computes `+`, `-`, `*` and the comparisons of two numbers, itself, so
+# a helper sees only the other cases: `_sub` and `_mul` raise for the
+# first operand that is no number.
 
-# what `_truth` names a value that is no Bool, for what is not an
+# what `_not_bool` names a value that is no Bool, for what is not an
 # operator
 _SUBJECTS = {"if": "if condition", "cond": "condition", "guard": "guard"}
 
 
-def _truth(v: Value, op: str, pos) -> bool:
-    """The truth of v, an operand of op (`!`, `&&` or `||`), or what a
-    key of `_SUBJECTS` names: an `if` expression's or a statement's
-    condition, or an await guard's boolean conjunct."""
-    if type(v) is BoolVal:
-        return v.value
+def _not_bool(v: Value, op: str, pos) -> bool:
+    """Raise the error of v, which is no Bool, as an operand of op (`!`,
+    `&&` or `||`), or as what a key of `_SUBJECTS` names: an `if`
+    expression's or a statement's condition, or an await guard's boolean
+    conjunct."""
     subject = _SUBJECTS.get(op)
     if subject is not None:
         raise _mistyped(f"{subject} is", v, "a Bool", pos)
@@ -287,7 +283,7 @@ _RELATIONS = {"==", "!=", *_COMPARISONS}
 
 
 def _compare(op: str, a: Value, b: Value, pos) -> bool:
-    if type(a) is type(b) and (type(a) is NumVal or type(a) is StrVal):
+    if type(a) is StrVal and type(b) is StrVal:
         return _COMPARISONS[op](a.value, b.value)
     if is_time(a) and is_time(b):
         return _COMPARISONS[op](a.args[0].value, b.args[0].value)
@@ -302,8 +298,6 @@ def _as_num(v: Value, op: str, pos) -> Rat:
 
 
 def _add(a: Value, b: Value, pos) -> Value:
-    if type(a) is NumVal and type(b) is NumVal:
-        return NumVal(exact(a.value + b.value))
     if type(a) is StrVal and type(b) is StrVal:
         return StrVal(a.value + b.value)
     raise EvalTypeError(
@@ -311,8 +305,6 @@ def _add(a: Value, b: Value, pos) -> Value:
 
 
 def _sub(a: Value, b: Value, pos) -> Value:
-    if type(a) is NumVal and type(b) is NumVal:
-        return NumVal(exact(a.value - b.value))
     if is_time(a) and is_time(b):
         # Time subtraction yields a Duration
         return mk_duration(a.args[0].value - b.args[0].value)
@@ -422,7 +414,7 @@ _FRAME = ("e", "f", "p")
 # what generated code reads besides its constants and functions
 _RUNTIME = {f.__name__: f for f in (
     BoolVal, DataVal, FutRef, NumVal, ObjRef, exact, is_duration, lookup,
-    _truth, _mistyped, _neg, _compare, _add, _sub, _mul, _div, _now,
+    _not_bool, _mistyped, _neg, _compare, _add, _sub, _mul, _div, _now,
     _unbound, _no_match, _depth_error, _bound, _malformed, _callee_error,
     time_left)}
 
@@ -512,19 +504,15 @@ class _Generator:
         finally:
             self.pending, self.sources, self.bindings = [], [], []
             self.frame, self.lines, self.indent = (), [], 0
-        for fname in written:
-            self.program.bodies[fname] = self.namespace[self.idents[fname]]
         for holder, attribute, ident in bindings:
             setattr(holder, attribute, self.namespace[ident])
         return result
 
-    def top_level(self, node: Expr | Guard) -> Callable:
+    def top_level(self, node: Expr | GBool) -> Callable:
         """Compile node on its own (`Program.compiled`); its function."""
         def write() -> None:
             if type(node) is GBool:
                 self.emit(f"return {self.truth(node.expr, 'guard', node.pos)}")
-            elif type(node) is GFut:
-                self.emit(f"return {self.future(node)}")
             else:
                 self.into(node, None)
 
@@ -690,15 +678,21 @@ class _Generator:
         self.function(place, "run", lambda: self.into(s.expr, None))
 
     def duration(self, s: SDuration, place: Place) -> None:
-        self.function(place, "run", lambda: self.emit(
-            f"return {self.bounds(s.best, s.worst, s.pos)}"))
+        self.samples(place, [s])
 
-    def bounds(self, best: Expr, worst: Expr, pos) -> str:
-        """The text of the checked (best, worst) bounds of a duration."""
-        k = self.const(pos)
+    def samples(self, place: Place,
+                durations: list[SDuration] | list[GDuration]) -> None:
+        """Write place's run: the checked (best, worst) bounds of each of
+        the durations its head samples, in order."""
+        self.function(place, "run", lambda: self.emit("return (" + "".join(
+            [self.bounds(d) + ", " for d in durations]) + ")"))
+
+    def bounds(self, d: SDuration | GDuration) -> str:
+        """The text of the checked (best, worst) bounds of d."""
+        k = self.const(d.pos)
         lo, hi = self.temp(), self.temp()
-        self.emit(f"{lo} = _bound({self.atom(best)}, {k})")
-        self.emit(f"{hi} = _bound({self.atom(worst)}, {k})")
+        self.emit(f"{lo} = _bound({self.atom(d.best)}, {k})")
+        self.emit(f"{hi} = _bound({self.atom(d.worst)}, {k})")
         self.emit(f"if {lo} < 0 or {hi} < {lo}: "
                   f"raise _malformed({lo}, {hi}, {k})")
         return f"({lo}, {hi})"
@@ -706,9 +700,7 @@ class _Generator:
     def await_(self, s: SAwait, place: Place) -> None:
         durations = [g for g in s.guards if type(g) is GDuration]
         if durations:
-            self.function(place, "run", lambda: self.emit("return (" + "".join(
-                [self.bounds(g.best, g.worst, g.pos) + ", "
-                 for g in durations]) + ")"))
+            self.samples(place, durations)
         self.function(place, "wait", lambda: self.await_wait(s, durations))
 
     def await_wait(self, s: SAwait, durations: list[GDuration]) -> None:
@@ -785,12 +777,13 @@ class _Generator:
 
     def truth(self, e: Expr, op: str, pos) -> str:
         """The text of the truth of e, an operand or subject op of
-        `_truth`: a comparison's own, else the value's if it is a Bool."""
+        `_not_bool`: a comparison's own, else the value's if it is a
+        Bool."""
         if type(e) is BinOp and e.op in _RELATIONS:
             return self.relation(e)
         t = self.atom(e)
         return (f"({t}.value if type({t}) is BoolVal "
-                f"else _truth({t}, {self.const(op)}, {self.const(pos)}))")
+                f"else _not_bool({t}, {self.const(op)}, {self.const(pos)}))")
 
     def lit(self, e: Lit) -> str:
         return self.const(e.value)

@@ -45,9 +45,11 @@ ONE_METHOD = ("interface I { Unit m(); }\n"
 # checked model's calls whose callee, deadline or criticality has the
 # wrong value, a cost that is no Duration, calls that bind to no method
 # or to one of another arity, which the checker lets through: a call on
-# the main object, and a call through an interface that the callee's
-# class does not implement; a duration bound, or a bound of a duration
-# conjunct, that is no number, and an `if` condition that is no Bool
+# the main object, a call through an interface that the callee's class
+# does not implement, and a call of `init`, which desugaring moves out of
+# the class's methods; a duration bound, or a bound of a duration
+# conjunct, that is no number, an `if` condition that is no Bool, and a
+# future conjunct whose variable holds no future
 RUNTIME_ERROR_CASES = [
     ("malformed bounds", "{ duration(5, 2); }\n",
      "malformed duration bounds", 0, "main", "1:3"),
@@ -120,6 +122,16 @@ interface I { Unit m(); }
 class C implements I { Int x = 0; Unit m() { if (x) { skip; } } }
 { I o = new C(); o!m(); }
 """, "condition is 0, not a Bool", 0, "m", "3:46"),
+    ("init message", """
+interface I { Unit m(); }
+class C implements I { Unit init() { skip; } Unit m() { this!init(); } }
+{ I o = new C(); o!m(); }
+""", "class C has no method init", 0, "init", "3:57"),
+    ("non-future conjunct", """
+interface I { Unit m(); }
+class C implements I { Unit m() { Int f = 1; await f?; } }
+{ I o = new C(); o!m(); }
+""", "f? applied to 1, not a future", 0, "m", "3:53"),
 ]
 
 

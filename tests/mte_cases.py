@@ -25,10 +25,12 @@ from rtabs.values import (
 PROGRAM = Program.from_model(desugar(load_source("", "<empty>")[0]))
 
 
-def proc(pid, body, deadline=INF_DURATION, clock=0, sample=None):
-    """A process running body, whose deadline, given as the time left at
-    clock, is kept absolute in `due`, as the engine keeps it; the sample
-    of its head is already absolute (all cases but one run at clock 0)."""
+def proc(pid, body, deadline=INF_DURATION, clock=0, sample=None,
+         program=PROGRAM):
+    """A process running body, compiled with program, whose deadline,
+    given as the time left at clock, is kept absolute in `due`, as the
+    engine keeps it; the sample of its head is already absolute (all
+    cases but one run at clock 0)."""
     locals_ = {
         "destiny": FutRef(pid), "method": StrVal("m"), "arrival": mk_time(0),
         "cost": mk_duration(0), "start": mk_time(0), "finish": mk_time(0),
@@ -36,7 +38,8 @@ def proc(pid, body, deadline=INF_DURATION, clock=0, sample=None):
     }
     due = None if is_inf_duration(deadline) else clock + duration_rat(deadline)
     return ProcessRecord(pid=pid, method="m", locals=locals_,
-                         block=tuple(body), sample=sample, due=due)
+                         block=program.block(tuple(body)), sample=sample,
+                         due=due)
 
 
 def duration(best, worst):
@@ -49,12 +52,18 @@ def conjunct(best, worst):
     return GDuration(Lit(num(best)), Lit(num(worst)))
 
 
+def _object(oid, **processes):
+    policy = default_policy()
+    return ObjectState(oid, "C", policy, {}, PROGRAM.compiled(policy),
+                       **processes)
+
+
 def busy(oid, active):
-    return ObjectState(oid, "C", default_policy(), {}, active=active)
+    return _object(oid, active=active)
 
 
 def idle(oid, queue):
-    return ObjectState(oid, "C", default_policy(), {}, queue=list(queue))
+    return _object(oid, queue=list(queue))
 
 
 def config(*objs, futures=(), clock=0):

@@ -336,7 +336,8 @@ def test_register_sets_a_tick_timer_only_for_what_may_read_the_clock():
         engine._tick_waiters.clear()
         obj = mte_cases.idle(0, [
             mte_cases.proc(pid, [head], deadline=mk_duration(10),
-                           sample=sample if pid == len(heads) else None)
+                           sample=sample if pid == len(heads) else None,
+                           program=engine.program)
             for pid, head in enumerate(heads, 1)])
         obj.attrs.update(fields)
         assert engine.ready_set(obj) == []
@@ -378,8 +379,8 @@ def test_compiled_code_does_not_grow_with_run_length():
         engine = Engine(load_model(model_file("media_server_sjf.rtabs")))
         assert engine.run_until(limit).status == status
         program = engine.program
-        sizes.append((len(program.bodies), len(program.class_codes),
-                      len(program.code)))
+        sizes.append((len(program.generator.idents),
+                      len(program.class_codes), len(program.code)))
     assert sizes[0] == sizes[1]
     assert min(sizes[0]) > 0
 
@@ -865,7 +866,8 @@ def test_policy_selecting_foreign_process_rejected():
     engine = Engine(load("{ skip; }"))
     engine.boot()
     foreign = DataVal("Proc", lift(mte_cases.proc(99, []), Fraction(0)).args)
-    obj = ObjectState(7, "C", Lit(foreign), {})
+    policy = Lit(foreign)
+    obj = ObjectState(7, "C", policy, {}, engine.program.compiled(policy))
     ready = [mte_cases.proc(1, [])]
     with pytest.raises(PolicyError) as err:
         engine.evaluate_policy(obj, ready)

@@ -14,10 +14,8 @@ from rtabs.errors import (
     DivisionByZeroError, EvalTypeError, MatchFailureError, RtRuntimeError,
     UnboundVariableError,
 )
-from rtabs.evaluator import (
-    EvalContext, Program, awaited_future, eval_expr, eval_guard,
-)
-from rtabs.nodes import Apply, GBool, GFut, Lit, Pos
+from rtabs.evaluator import EvalContext, Program, eval_expr, eval_guard
+from rtabs.nodes import Apply, GBool, GFut, Lit, Pos, SAwait
 from rtabs.parser import parse_expr
 from rtabs.values import (
     FALSE, INF_DURATION, NULL, TRUE, BoolVal, DataVal, FutRef, NullVal,
@@ -417,21 +415,22 @@ def test_call_depth_error_names_the_call():
 
 
 def test_guard_errors():
+    # a boolean conjunct evaluated on its own, and the compiled wait of an
+    # `await f?` head
     ctx = EvalContext(PRELUDE)
+    await_f = SAwait((GFut("f", pos=Pos(3, 7)),))
+    wait = PRELUDE.block((await_f,)).code[0].wait
     cases = [
-        (eval_guard, GBool(parse_expr("1 + 1"), pos=Pos(3, 7)), {},
+        (GBool(parse_expr("1 + 1"), pos=Pos(3, 7)), {},
          EvalTypeError, "guard is 2, not a Bool"),
-        (awaited_future, GFut("f", pos=Pos(3, 7)), {"f": num(1)},
-         EvalTypeError, "f? applied to 1, not a future"),
-        (awaited_future, GFut("f", pos=Pos(3, 7)), {}, UnboundVariableError,
-         "unbound variable f"),
+        (wait, {"f": num(1)}, EvalTypeError, "f? applied to 1, not a future"),
+        (wait, {}, UnboundVariableError, "unbound variable f"),
     ]
-    for read, guard, env, error, message in cases:
+    for code, env, error, message in cases:
         with pytest.raises(error) as info:
-            read(guard, env, ctx)
+            eval_guard(code, env, ctx)
         assert type(info.value) is error
         assert (info.value.message, info.value.pos) == (message, Pos(3, 7))
-    assert awaited_future(GFut("f"), {"f": FutRef(2)}, ctx) == FutRef(2)
 
 
 def test_each_raise_is_a_fresh_error():
