@@ -20,8 +20,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "engine": (
         "Configuration", "Engine", "FutureCell", "InvocationMessage",
-        "ObjectState", "ProcessRecord", "RunResult", "adv", "lift", "liftall",
-        "mte_raw", "select", "simulate",
+        "ObjectState", "ProcessRecord", "RunResult", "simulate",
     ),
     "errors": (
         "CallDepthError", "LexError", "ParseError", "PolicyError",

@@ -384,10 +384,9 @@ class Engine:
     def boot(self) -> None:
         """Install the synthetic main object and its main-block process."""
         assert not self.config.objects, "booted twice"
-        policy, main = default_policy(), self.model.main
-        self._create_object(
-            MAIN_CLASS, policy, self.program.compiled(policy), {}, "main",
-            None if main is None else self.program.block(main))
+        policy = default_policy()
+        policy_code, main = self.program.main(self.model.main, policy)
+        self._create_object(MAIN_CLASS, policy, policy_code, {}, "main", main)
 
     def _reserved_locals(self, fid: int, method: str, critical: Value,
                          cost: Value, arrival: Rat) -> dict[str, Value]:

@@ -20,10 +20,12 @@ generated code calls.
   `new`'s `[Scheduler:]` policy, and the blocks it enters.  The engine
   keeps the block it runs, so it reaches each place's code by position,
   never by a lookup, and compiles nothing while it runs.
-- A node evaluated on its own (`Program.compiled`) is generated the
-  first time and kept by its identity.  In a run that is only the
-  `main` object's default policy, compiled at boot; the other callers
-  evaluate an expression or a boolean conjunct outside a run.
+- An object's `[Scheduler:]` policy is compiled with the `new` that
+  creates it; the `main` object's default policy with the `main` block
+  (`Program.main`).
+
+The tests compare this code with a tree walker of their own
+(`tests/tree_walker.py`), with which the reference executor evaluates.
 
 Every such function is one of its scope (`lookup`): a process's locals
 (`e`), its object's fields (`f`) and the process itself (`p`), whose
@@ -49,7 +51,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from types import FunctionType
 from typing import Any, Callable, Sequence
 
 from .errors import (
@@ -57,10 +58,10 @@ from .errors import (
     RtRuntimeError, UnboundVariableError,
 )
 from .nodes import (
-    Apply, BinOp, CaseExpr, ClassDecl, Expr, FuncDecl, GBool, GDuration,
-    GFut, IfExpr, Lit, MethodDecl, Model, Node, NowExpr, PCtor, PLit,
-    PName, Pattern, PWildcard, RCall, RExpr, RGet, RNew, SAssign, SAwait,
-    SDuration, SIf, SReturn, SWhile, Stmt, Unary, Var,
+    Apply, BinOp, CaseExpr, ClassDecl, Expr, FuncDecl, GDuration, GFut,
+    IfExpr, Lit, MethodDecl, Model, NowExpr, PCtor, PLit, PName, Pattern,
+    PWildcard, RCall, RExpr, RGet, RNew, SAssign, SAwait, SDuration, SIf,
+    SReturn, SWhile, Stmt, Unary, Var,
 )
 from .values import (
     INF_DURATION, NULL, BoolVal, DataVal, FALSE, FutRef, NumVal, ObjRef, Rat,
@@ -136,10 +137,6 @@ class Program:
     # the code of each class that has had an object created so far
     class_codes: dict[str, ClassCode] = field(default_factory=dict,
                                               repr=False)
-    # the generated Python function of each node evaluated on its own so
-    # far, by node identity; holding the node keeps its id
-    code: dict[int, tuple[Node, Callable]] = field(default_factory=dict,
-                                                   repr=False)
     generator: _Generator = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -157,17 +154,6 @@ class Program:
         classes = {cd.name: cd for cd in model.classes}
         return Program(functions, ctor_arity, classes)
 
-    def compiled(self, node: Expr | GBool) -> Callable:
-        """The Python function that evaluates node on its own: called as
-        `(ctx, calls, env, fields, proc)`, where calls is how many model
-        calls it may make (`max_depth`).  An expression's gives its value
-        and a boolean conjunct's its truth."""
-        entry = self.code.get(id(node))
-        if entry is None:
-            entry = self.code[id(node)] = (node,
-                                           self.generator.top_level(node))
-        return entry[1]
-
     def class_code(self, name: str) -> ClassCode | None:
         """The code of class name, compiled on first use; None when the
         model has no such class."""
@@ -178,10 +164,23 @@ class Program:
         return code
 
     def block(self, stmts: tuple[Stmt, ...]) -> Block:
-        """stmts compiled anew into a Block, a unit of its own: the `main`
-        block at boot, or the body of a process that a caller builds
-        outside a run."""
+        """stmts compiled anew into a Block, a unit of its own: the body
+        of a process that a caller builds outside a run."""
         return self.generator.unit(lambda: self.generator.block(stmts))
+
+    def main(self, stmts: tuple[Stmt, ...] | None, policy: Expr
+             ) -> tuple[Callable, Block | None]:
+        """The `main` object's code, compiled at boot as one unit: its
+        policy, written as a `new` place's is, and its block stmts, if it
+        has one."""
+        generator, holder = self.generator, Place()
+
+        def write() -> Block | None:
+            generator.function(holder, "policy",
+                               lambda: generator.into(policy, None))
+            return None if stmts is None else generator.block(stmts)
+        block = generator.unit(write)
+        return holder.policy, block
 
 
 @dataclass
@@ -221,25 +220,20 @@ def lookup(name: str, env: Env, fields: Env, proc: Any,
     return fields.get(name) if value is None else value
 
 
-def eval_expr(code: Expr | GBool | Callable, env: Env, ctx: EvalContext,
+def eval_expr(code: Callable, env: Env, ctx: EvalContext,
               fields: Env = _NO_FIELDS, proc: Any = None) -> Any:
-    """Run code in a scope (see `lookup`), and give its result: code is
-    a function of a `Place` or `Method` of the program, or a node,
-    evaluated on its own (`Program.compiled`).  A plain dict env is a
+    """Run code, a function of a `Place` or `Method` of the program, in a
+    scope (see `lookup`), and give its result.  A plain dict env is a
     scope with no fields and no process."""
     try:
-        if code.__class__ is not FunctionType:
-            code = ctx.program.compiled(code)
         return code(ctx, ctx.max_depth, env, fields, proc)
     except RecursionError:
         raise _host_stack() from None
 
 
-# Whether a boolean conjunct of an await guard holds in a scope, given
-# the conjunct; or what a head waits for, given its `Place.wait`.  The
-# code of either gives just that, so a guard evaluates as an expression
-# does; the engine names the two apart, which lets a caller count them
-# apart.
+# What a head waits for, given its `Place.wait`: its code gives just
+# that, so a head evaluates as an expression does; the engine names the
+# two apart, which lets a caller count them apart.
 eval_guard = eval_expr
 
 
@@ -442,7 +436,7 @@ def _chunks(sources: list[str]):
 class _Generator:
     """Writes expressions, statements and heads as Python source and
     compiles it into one namespace per `Program`.  Model function f
-    becomes `F<k>(c, n, a0, a1, ...)`, and the code of a node or a place
+    becomes `F<k>(c, n, a0, a1, ...)`, and the code of a place
     `T<k>(c, n, e, f, p)`: c is the context, n the model calls it may
     still make below it, a<i> the formals and e, f, p the scope.  A
     subexpression's value or a binder is a local `t<i>`, a constant
@@ -469,15 +463,14 @@ class _Generator:
         # model variable -> the local or constant that holds it
         self.scope: dict[str, str] = {}
         # the scope formals of the function being written: `_FRAME` in
-        # the code of a node or place, none in a model function's
+        # the code of a place, none in a model function's
         self.frame: tuple[str, ...] = ()
 
     def unit(self, write: Callable[[], Any]) -> Any:
-        """Call write, which writes the code of nodes or places and
-        returns what holds it, then write every model function it calls
-        that has none yet; compile them in chunks of `_CHUNK`, bind each
-        function to its holder and register the model functions; write's
-        result."""
+        """Call write, which writes the code of places and returns what
+        holds it, then write every model function it calls that has none
+        yet; compile them in chunks of `_CHUNK`, bind each function to its
+        holder and register the model functions; write's result."""
         written = []
         try:
             self.frame = _FRAME
@@ -507,18 +500,6 @@ class _Generator:
         for holder, attribute, ident in bindings:
             setattr(holder, attribute, self.namespace[ident])
         return result
-
-    def top_level(self, node: Expr | GBool) -> Callable:
-        """Compile node on its own (`Program.compiled`); its function."""
-        def write() -> None:
-            if type(node) is GBool:
-                self.emit(f"return {self.truth(node.expr, 'guard', node.pos)}")
-            else:
-                self.into(node, None)
-
-        holder = Place()
-        self.unit(lambda: self.function(holder, "run", write))
-        return holder.run
 
     def class_code(self, cd: ClassDecl) -> ClassCode:
         """Compile each method's body and cost and cd's `init` body."""

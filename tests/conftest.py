@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from rtabs import load_model
+from rtabs.nodes import GBool, SAwait, SReturn
 
 TESTS_DIR = Path(__file__).resolve().parent
 MODELS_DIR = TESTS_DIR.parent / "models"
@@ -147,6 +148,17 @@ def nested_sources(depth):
          "{ Int x = " + "f(" * n + "1" + ")" * n + "; }\n"),
         "{ " + "if True { " * (depth - 1) + "skip; " + "} " * (depth - 1)
         + "}\n"]
+
+
+def compiled(program, node):
+    """The code generated for node, an expression or a boolean conjunct,
+    as a function of a scope that `eval_expr` runs: an expression's is
+    the run of a `return` place, which gives its value, and a conjunct's
+    the wait of an `await` place, which gives 0 when it holds and None
+    when it does not."""
+    if type(node) is GBool:
+        return program.block((SAwait((node,)),)).code[0].wait
+    return program.block((SReturn(node),)).code[0].run
 
 
 def model_file(name: str) -> str:

@@ -8,11 +8,10 @@ is shared between the unit tests and the acceptance gate.
 from fractions import Fraction
 
 from rtabs import (
-    Configuration, FutureCell, ObjectState, ProcessRecord, adv, load_source,
-    mte_raw,
+    Configuration, FutureCell, ObjectState, ProcessRecord, load_source,
 )
 from rtabs.desugar import default_policy, desugar
-from rtabs.engine import remaining_deadline, render_head
+from rtabs.engine import adv, mte_raw, remaining_deadline, render_head
 from rtabs.evaluator import Program
 from rtabs.nodes import (
     GBool, GDuration, GFut, Lit, RGet, SAssign, SAwait, SDuration, SSkip,
@@ -21,6 +20,8 @@ from rtabs.values import (
     FALSE, INF_DURATION, TRUE, FutRef, StrVal, duration_rat,
     is_inf_duration, mk_duration, mk_time, num,
 )
+
+from conftest import compiled
 
 PROGRAM = Program.from_model(desugar(load_source("", "<empty>")[0]))
 
@@ -54,7 +55,7 @@ def conjunct(best, worst):
 
 def _object(oid, **processes):
     policy = default_policy()
-    return ObjectState(oid, "C", policy, {}, PROGRAM.compiled(policy),
+    return ObjectState(oid, "C", policy, {}, compiled(PROGRAM, policy),
                        **processes)
 
 

@@ -26,9 +26,11 @@ bookkeeping differences in when a head guard was sampled do not count
 as semantic divergence.  That is sound only because generated programs
 use literal, equal duration bounds, for which sampling is the identity.
 
-Only the concurrency layer is independent; pure expression evaluation
-is shared with the package (it is vetted separately against host-level
-oracles).
+Expressions, boolean and future conjuncts and assignments evaluate
+with the tree walker (`tree_walker`), not with the package's generated
+code, so the oracle shares no evaluation with the engine; the walker is
+itself compared with the generated code on random expressions and
+model functions (`test_walker.py`).
 """
 
 from __future__ import annotations
@@ -42,15 +44,17 @@ from rtabs.desugar import desugar
 from rtabs.engine import (
     MAIN_CLASS, Engine, ProcessRecord, mte_raw, remaining_deadline, wait,
 )
-from rtabs.evaluator import EvalContext, Program, eval_expr, eval_guard
+from rtabs.evaluator import EvalContext, Program
 from rtabs.nodes import (
-    GDuration, GFut, Guard, Lit, RCall, RExpr, RGet, RNew, SAssign, SAwait,
+    GDuration, Guard, Lit, RCall, RExpr, RGet, RNew, SAssign, SAwait,
     SDuration, SIf, SReturn, SSkip, SSuspend, Stmt, SWhile,
 )
 from rtabs.values import (
     FALSE, INF_DURATION, NULL, FutRef, NumVal, ObjRef, StrVal, duration_rat,
     is_duration, is_inf_duration, mk_duration, mk_time, num,
 )
+
+from tree_walker import evaluate, holds, store
 
 # ------------------------------------------------------------ runtime forms
 #
@@ -513,7 +517,7 @@ class ReferenceExecutor:
         cd = self.program.classes[obj.cls]
         mth = next(m for m in cd.methods if m.name == msg.method)
         arg_env = dict(zip([name for _, name in mth.params], msg.args))
-        cost = eval_expr(mth.cost, arg_env, self._ctx(st))
+        cost = evaluate(mth.cost, arg_env, self._ctx(st))
         locals_ = _reserved(msg.fid, msg.method, msg.deadline, msg.critical,
                             cost, st.clock)
         locals_["arrival"] = mk_time(msg.timestamp)
@@ -532,7 +536,7 @@ class ReferenceExecutor:
         if isinstance(head, SDuration2):
             return head.best <= 0
         if isinstance(head, SAssign) and isinstance(head.rhs, RGet):
-            fut = eval_expr(head.rhs.expr, env, ctx)
+            fut = evaluate(head.rhs.expr, env, ctx)
             return isinstance(fut, FutRef) and st.futures[fut.fid].resolved
         return True
 
@@ -560,14 +564,14 @@ class ReferenceExecutor:
         if isinstance(s, SAssign):
             return self._step_assign(st, obj, p, s, env, ctx)
         if isinstance(s, SIf):
-            cond = eval_expr(s.cond, env, ctx)
+            cond = evaluate(s.cond, env, ctx)
             p.body[0:1] = s.then if cond.value else s.els
             return st
         if isinstance(s, SWhile):
             p.body[0] = SIf(s.cond, s.body + (s,), (), pos=s.pos)
             return st
         if isinstance(s, SReturn):
-            value = eval_expr(s.expr, env, ctx)
+            value = evaluate(s.expr, env, ctx)
             p.locals["finish"] = mk_time(st.clock)
             fut = st.futures[p.pid]
             assert not fut.resolved
@@ -588,8 +592,8 @@ class ReferenceExecutor:
             obj.queue.append(p)
             return st
         if isinstance(s, SDuration):
-            best = _as_rat(eval_expr(s.best, env, ctx))
-            worst = _as_rat(eval_expr(s.worst, env, ctx))
+            best = _as_rat(evaluate(s.best, env, ctx))
+            worst = _as_rat(evaluate(s.worst, env, ctx))
             assert best == worst, "generated durations must be degenerate"
             p.body[0] = SDuration2(best, worst)
             return st
@@ -607,7 +611,7 @@ class ReferenceExecutor:
             del p.body[0]
             return st
         if isinstance(rhs, RExpr):
-            self._write(obj, p, s, eval_expr(rhs.expr, env, ctx))
+            self._write(obj, p, s, evaluate(rhs.expr, env, ctx))
             del p.body[0]
             return st
         if isinstance(rhs, RNew):
@@ -619,7 +623,7 @@ class ReferenceExecutor:
             p.body[0] = SAssign(s.decl_type, s.name, RExpr(Lit(fut)), pos=s.pos)
             return st
         if isinstance(rhs, RGet):
-            fut = eval_expr(rhs.expr, env, ctx)
+            fut = evaluate(rhs.expr, env, ctx)
             assert isinstance(fut, FutRef)
             cell = st.futures[fut.fid]
             if not cell.resolved:
@@ -630,18 +634,14 @@ class ReferenceExecutor:
         raise AssertionError(f"rhs {rhs!r}")
 
     def _write(self, obj, p, s, value) -> None:
-        if s.decl_type is not None or s.name in p.locals:
-            p.locals[s.name] = value
-        elif s.name in obj.attrs:
-            obj.attrs[s.name] = value
-        else:
-            raise AssertionError(f"unbound {s.name}")
+        store(s.name, s.decl_type is not None, value, p.locals, obj.attrs,
+              s.pos)
 
     def _async_call(self, st, obj, rhs, env, ctx) -> FutRef:
-        callee = eval_expr(rhs.callee, env, ctx)
-        args = tuple(eval_expr(a, env, ctx) for a in rhs.args)
-        deadline = eval_expr(rhs.annots.deadline, env, ctx)
-        critical = eval_expr(rhs.annots.critical, env, ctx)
+        callee = evaluate(rhs.callee, env, ctx)
+        args = tuple(evaluate(a, env, ctx) for a in rhs.args)
+        deadline = evaluate(rhs.annots.deadline, env, ctx)
+        critical = evaluate(rhs.annots.critical, env, ctx)
         fid = self._fresh_fid(st)
         st.messages.append(RefMessage(rhs.method, callee.oid, args, fid,
                                       deadline, critical, st.clock))
@@ -649,7 +649,7 @@ class ReferenceExecutor:
 
     def _new_object(self, st, rhs, env, ctx) -> ObjRef:
         cd = self.program.classes[rhs.cls]
-        args = [eval_expr(a, env, ctx) for a in rhs.args]
+        args = [evaluate(a, env, ctx) for a in rhs.args]
         oid = st.next_oid
         st.next_oid += 1
         attrs = {}
@@ -684,8 +684,8 @@ class ReferenceExecutor:
 
     def _fix_guard(self, st, g, env):
         if isinstance(g, GDuration):
-            best = _as_rat(eval_expr(g.best, env, self._ctx(st)))
-            worst = _as_rat(eval_expr(g.worst, env, self._ctx(st)))
+            best = _as_rat(evaluate(g.best, env, self._ctx(st)))
+            worst = _as_rat(evaluate(g.worst, env, self._ctx(st)))
             assert best == worst, "generated durations must be degenerate"
             return RDur(best, worst)
         return g
@@ -704,7 +704,7 @@ class ReferenceExecutor:
             waits = [self._guard_mte(st, g, env) for g in head.guards]
             return None if None in waits else max(waits)
         if isinstance(head, SAssign) and isinstance(head.rhs, RGet):
-            fut = eval_expr(head.rhs.expr, env, self._ctx(st))
+            fut = evaluate(head.rhs.expr, env, self._ctx(st))
             if not st.futures[fut.fid].resolved:
                 return None
         return Fraction(0)
@@ -765,15 +765,13 @@ class ReferenceExecutor:
 
 
 def _holds(g, env, ctx) -> bool:
-    """One conjunct: `f?` holds once f's future is resolved, and a
-    duration once no time is left; a boolean one is the evaluator's."""
+    """One conjunct: a duration holds once no time is left; a boolean or
+    future one is the walker's."""
     if isinstance(g, RDur):
         return g.best <= 0
-    if isinstance(g, GFut):
-        return ctx.config.futures[env[g.var].fid].resolved
     if isinstance(g, GDuration):
-        return _as_rat(eval_expr(g.best, env, ctx)) <= 0
-    return eval_guard(g, env, ctx)
+        return _as_rat(evaluate(g.best, env, ctx)) <= 0
+    return holds(g, env, ctx)
 
 
 def _adv_guard(g, delta):

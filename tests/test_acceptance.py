@@ -21,7 +21,9 @@ from rtabs.values import (
 )
 
 import conftest
-from conftest import CLI_ENV, GOLDEN_DIR, model_file, other_interpreters
+from conftest import (
+    CLI_ENV, GOLDEN_DIR, compiled, model_file, other_interpreters,
+)
 import mte_cases
 import reference_executor as ref
 
@@ -197,8 +199,8 @@ def _duration_algebra():
     from rtabs.evaluator import EvalContext
 
     def call(fn, *vals):
-        expr = Apply(fn, tuple(Lit(v) for v in vals))
-        return eval_expr(expr, {}, EvalContext(program))
+        code = compiled(program, Apply(fn, tuple(Lit(v) for v in vals)))
+        return eval_expr(code, {}, EvalContext(program))
 
     def rand_dur(rng):
         if rng.random() < 0.2:

@@ -11,11 +11,13 @@ import pytest
 
 from rtabs import (
     Engine, FutureCell, InvocationMessage, ObjectState, PolicyError, cli,
-    evaluator, lift, liftall, load_model, load_source, select, simulate,
+    evaluator, load_model, load_source, simulate,
 )
 from rtabs.check import RESERVED
 from rtabs.desugar import desugar
-from rtabs.engine import MAIN_CLASS, PROC_FIELDS, Configuration, wait
+from rtabs.engine import (
+    MAIN_CLASS, PROC_FIELDS, Configuration, lift, liftall, select, wait,
+)
 from rtabs.evaluator import EvalContext, remaining_deadline
 from rtabs.nodes import (
     GBool, GFut, IfExpr, Lit, Node, RGet, SAssign, SAwait, SSkip, Var,
@@ -30,7 +32,7 @@ from rtabs.values import (
 
 import mte_cases
 import reference_executor as ref
-from conftest import RUNTIME_ERROR_CASES, TESTS_DIR, model_file
+from conftest import RUNTIME_ERROR_CASES, TESTS_DIR, compiled, model_file
 
 
 def load(source):
@@ -380,17 +382,16 @@ def test_compiled_code_does_not_grow_with_run_length():
         assert engine.run_until(limit).status == status
         program = engine.program
         sizes.append((len(program.generator.idents),
-                      len(program.class_codes), len(program.code)))
+                      len(program.class_codes)))
     assert sizes[0] == sizes[1]
     assert min(sizes[0]) > 0
 
 
 def test_each_place_is_compiled_once(monkeypatch):
-    # one `compile` for the main policy, one for the main block and one
-    # for each of the three classes; each statement place and each node
-    # compiled on its own is written once
+    # one `compile` for the main block with its object's policy and one
+    # for each of the three classes; each statement place is written once
     compiles, written = [], []
-    place, top_level = evaluator._Generator.place, evaluator._Generator.top_level
+    place = evaluator._Generator.place
 
     def counted_compile(*args, **kwargs):
         compiles.append(args[0])
@@ -404,11 +405,10 @@ def test_each_place_is_compiled_once(monkeypatch):
 
     monkeypatch.setattr(evaluator, "compile", counted_compile, raising=False)
     monkeypatch.setattr(evaluator._Generator, "place", counted(place))
-    monkeypatch.setattr(evaluator._Generator, "top_level", counted(top_level))
     engine = Engine(load_model(model_file("monitor_general.rtabs")))
     assert engine.run_until(1000).status == "finished"
-    assert len(compiles) == 5
-    assert len(written) == len({id(node) for node in written}) == 39
+    assert len(compiles) == 4
+    assert len(written) == len({id(node) for node in written}) == 38
     assert sorted(engine.program.class_codes) == [
         "BossImp", "MonitorImp", "WaiterImp"]
 
@@ -867,7 +867,7 @@ def test_policy_selecting_foreign_process_rejected():
     engine.boot()
     foreign = DataVal("Proc", lift(mte_cases.proc(99, []), Fraction(0)).args)
     policy = Lit(foreign)
-    obj = ObjectState(7, "C", policy, {}, engine.program.compiled(policy))
+    obj = ObjectState(7, "C", policy, {}, compiled(engine.program, policy))
     ready = [mte_cases.proc(1, [])]
     with pytest.raises(PolicyError) as err:
         engine.evaluate_policy(obj, ready)

@@ -22,6 +22,9 @@ from rtabs.values import (
     NumVal, ObjRef, StrVal, mk_duration, mk_list, mk_time, num,
 )
 
+import tree_walker
+from conftest import compiled
+
 
 def program(extra_source=""):
     model, diags = load_source(extra_source, "<test>")
@@ -34,12 +37,18 @@ PRELUDE = program()
 
 def ev(source, env=None, clock=0, prog=PRELUDE):
     ctx = EvalContext(prog, Configuration(clock=Fraction(clock)))
-    return eval_expr(parse_expr(source), env or {}, ctx)
+    return eval_expr(compiled(prog, parse_expr(source)), env or {}, ctx)
+
+
+def walk(source, env=None, prog=PRELUDE):
+    """source's value under the tree walker, the reference semantics."""
+    return tree_walker.evaluate(parse_expr(source), env or {},
+                                EvalContext(prog))
 
 
 def call(name, *values, prog=PRELUDE):
-    ctx = EvalContext(prog)
-    return eval_expr(Apply(name, tuple(Lit(v) for v in values)), {}, ctx)
+    code = compiled(prog, Apply(name, tuple(Lit(v) for v in values)))
+    return eval_expr(code, {}, EvalContext(prog))
 
 
 # ----------------------------------------------------------------- values
@@ -240,7 +249,7 @@ def test_call_depth_capped():
     prog = program("def Int loop(Int n) = loop(n + 1);")
     ctx = EvalContext(prog, max_depth=64)
     with pytest.raises(CallDepthError):
-        eval_expr(Apply("loop", (Lit(num(0)),)), {}, ctx)
+        eval_expr(compiled(prog, Apply("loop", (Lit(num(0)),))), {}, ctx)
 
 
 def test_recursion_within_cap():
@@ -351,21 +360,26 @@ ERROR_CASES = [
 @pytest.mark.parametrize("source, env, error, message, pos", ERROR_CASES,
                          ids=[case[0] for case in ERROR_CASES])
 def test_error_messages_and_positions(source, env, error, message, pos):
-    with pytest.raises(error) as info:
-        ev(source, env)
-    assert type(info.value) is error
-    assert (info.value.message, str(info.value.pos)) == (message, pos)
+    # generated code, and the tree walker that is its reference
+    for run in (ev, walk):
+        with pytest.raises(error) as info:
+            run(source, env)
+        assert type(info.value) is error
+        assert (info.value.message, str(info.value.pos)) == (message, pos)
 
 
 def in_function(source, env):
-    """A call of `f`, a function whose body is source and whose formals
-    are env's names, with env's values; and the text before the body.
-    The program is not checked: a body may be ill-typed on purpose."""
+    """Runs of a call of `f`, a function whose body is source and whose
+    formals are env's names, with env's values, as generated code and
+    under the tree walker; and the text before the body.  The program is
+    not checked: a body may be ill-typed on purpose."""
     prefix = "def Int f(" + ", ".join(f"Int {name}" for name in env) + ") = "
     model, _ = load_source(prefix + source + ";\n", "<test>")
     prog = Program.from_model(desugar(model))
     call = Apply("f", tuple(Lit(value) for value in env.values()))
-    return (lambda: eval_expr(call, {}, EvalContext(prog))), prefix
+    return ((lambda: eval_expr(compiled(prog, call), {}, EvalContext(prog))),
+            (lambda: tree_walker.evaluate(call, {}, EvalContext(prog)))
+            ), prefix
 
 
 @pytest.mark.parametrize("source, env, error, message, pos", ERROR_CASES,
@@ -374,14 +388,15 @@ def test_error_messages_and_positions_in_a_function_body(
         source, env, error, message, pos):
     # a function body raises what top-level code raises, at the same
     # place in the text
-    run, prefix = in_function(source, env)
-    with pytest.raises(error) as info:
-        run()
-    assert type(info.value) is error
+    runs, prefix = in_function(source, env)
     if not pos.startswith("<prelude>"):
         line, col = pos.split(":")
         pos = f"<test>:{line}:{int(col) + len(prefix)}"
-    assert (info.value.message, str(info.value.pos)) == (message, pos)
+    for run in runs:
+        with pytest.raises(error) as info:
+            run()
+        assert type(info.value) is error
+        assert (info.value.message, str(info.value.pos)) == (message, pos)
 
 
 def test_calls_evaluate_their_arguments_left_to_right_before_raising():
@@ -395,7 +410,8 @@ def test_calls_evaluate_their_arguments_left_to_right_before_raising():
              ("Cons(1 / 0, -True)", "division by zero"),
              ("Cons(-True, 1 / 0)", "- applied to True")]
     for source, message in cases:
-        for run in (lambda: ev(source), in_function(source, {})[0]):
+        for run in (lambda: ev(source), lambda: walk(source),
+                    *in_function(source, {})[0]):
             with pytest.raises(RtRuntimeError) as info:
                 run()
             assert info.value.message == message, source
@@ -404,24 +420,24 @@ def test_calls_evaluate_their_arguments_left_to_right_before_raising():
 def test_call_depth_error_names_the_call():
     ctx = EvalContext(DEPTH, max_depth=64)
     with pytest.raises(CallDepthError) as info:
-        eval_expr(parse_expr("1 + loop(0)"), {}, ctx)
+        eval_expr(compiled(DEPTH, parse_expr("1 + loop(0)")), {}, ctx)
     assert info.value.message == "call depth exceeded 64 in loop"
     assert str(info.value.pos) == "<test>:1:23"
     # without the cap, the host stack's limit is reported the same way
     ctx = EvalContext(DEPTH, max_depth=10**9)
     with pytest.raises(CallDepthError) as info:
-        eval_expr(parse_expr("loop(0)"), {}, ctx)
+        eval_expr(compiled(DEPTH, parse_expr("loop(0)")), {}, ctx)
     assert info.value.message == "expression nesting exhausted the host stack"
 
 
 def test_guard_errors():
-    # a boolean conjunct evaluated on its own, and the compiled wait of an
-    # `await f?` head
+    # the compiled waits of an `await` head with one boolean conjunct and
+    # of an `await f?` head
     ctx = EvalContext(PRELUDE)
     await_f = SAwait((GFut("f", pos=Pos(3, 7)),))
     wait = PRELUDE.block((await_f,)).code[0].wait
     cases = [
-        (GBool(parse_expr("1 + 1"), pos=Pos(3, 7)), {},
+        (compiled(PRELUDE, GBool(parse_expr("1 + 1"), pos=Pos(3, 7))), {},
          EvalTypeError, "guard is 2, not a Bool"),
         (wait, {"f": num(1)}, EvalTypeError, "f? applied to 1, not a future"),
         (wait, {}, UnboundVariableError, "unbound variable f"),
@@ -436,10 +452,10 @@ def test_guard_errors():
 def test_each_raise_is_a_fresh_error():
     # the engine writes where an error arose into the error itself, so
     # code that raises twice must not raise the same object
-    expr = parse_expr("nope(1)")
+    code = compiled(PRELUDE, parse_expr("nope(1)"))
     errors = []
     for _ in range(2):
         with pytest.raises(UnboundVariableError) as info:
-            eval_expr(expr, {}, EvalContext(PRELUDE))
+            eval_expr(code, {}, EvalContext(PRELUDE))
         errors.append(info.value)
     assert errors[0] is not errors[1]

@@ -20,6 +20,8 @@ from rtabs.values import (
     mk_time, num,
 )
 
+from conftest import compiled
+
 
 def program(extra_source=""):
     model, diags = load_source(extra_source, "<policy-test>")
@@ -45,7 +47,8 @@ def run_policy(source, procs, prog=PRELUDE, extra_env=None):
     env = {"queue": mk_list(procs)}
     if extra_env:
         env.update(extra_env)
-    return eval_expr(parse_expr(source), env, EvalContext(prog))
+    return eval_expr(compiled(prog, parse_expr(source)), env,
+                     EvalContext(prog))
 
 
 # field accessors for the oracles, reading the reflected tuple directly

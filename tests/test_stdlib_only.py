@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import rtabs
 from conftest import CLI_ENV, model_file
 from rtabs import simulate
 from rtabs.trace import render_csv
@@ -179,3 +180,14 @@ def test_commands_load_only_what_they_use(tmp_path, single_request_model):
     assert "rtabs.metrics" not in run
     assert (run_python(PACKAGE_SURFACE)
             == "module 'rtabs' has no attribute 'no_such_name'")
+    # the engine's helpers that only tests and the benchmark call (`adv`,
+    # `lift`, `liftall`, `mte_raw`, `select`) are not exported
+    assert rtabs.__all__ == [
+        "CallDepthError", "Configuration", "Engine", "FutureCell",
+        "IncompleteProcess", "InvocationMessage", "LexError", "ObjectState",
+        "ParseError", "PolicyError", "ProcessOutcome", "ProcessRecord",
+        "RtRuntimeError", "RtabsError", "RunResult", "SeriesPoint",
+        "TraceEvent", "check_deadline_bookkeeping", "derive_outcome",
+        "derive_outcomes", "load_model", "load_source", "merge_with_prelude",
+        "misses_series", "parse_expr", "parse_model", "prelude_model",
+        "read_csv", "read_structured", "simulate"]
